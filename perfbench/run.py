@@ -4,7 +4,10 @@
 
 Run from the root of a checkout; the program is imported from its ``src``.
 One client runs the workload's CLI commands one after another, each in a
-fresh interpreter, for about S seconds, and checks every output. The last
+fresh interpreter, for about S seconds, and checks every output. Times are
+in seconds at a fixed reference core speed (``speed.py``): single-threaded
+commands run pinned to one core, and a probe on each core a command may use
+turns its wall time into reference seconds. The last
 line of standard output is one JSON object with ``correct``, ``attempted``
 (commands run), ``failed`` (commands that failed or whose output was
 wrong) and ``metrics``: the end-to-end metrics with ``--trace 0``, and the
@@ -28,6 +31,7 @@ from pathlib import Path
 import yaml
 
 import events
+import speed
 import workloads
 
 HERE = Path(__file__).resolve().parent
@@ -40,13 +44,9 @@ COMMAND_TIMEOUT_S = 150
 MC_WORKERS = 2
 
 
-def nproc():
-    return len(os.sched_getaffinity(0))
-
-
 def child_env(cpus):
     """The caller's environment with the checkout's src first on the path
-    and BLAS/OpenMP threads capped at the available cores."""
+    and BLAS/OpenMP threads capped at ``cpus``, the cores a command gets."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
@@ -60,7 +60,7 @@ def child_env(cpus):
     return env
 
 
-def environment(cpus, env):
+def environment(cpus, envs):
     """What the numbers were measured on."""
     import numpy
     import scipy
@@ -92,39 +92,62 @@ def environment(cpus, env):
         "numpy": numpy.__version__, "scipy": scipy.__version__,
         "numpy_blas": blas(numpy.show_config),
         "scipy_blas": blas(scipy.show_config),
-        "blas_threads": env["OPENBLAS_NUM_THREADS"],
-        "omp_threads": env["OMP_NUM_THREADS"],
+        "blas_threads": [e["OPENBLAS_NUM_THREADS"] for e in envs],
+        "omp_threads": [e["OMP_NUM_THREADS"] for e in envs],
         "mc_workers": min(MC_WORKERS, cpus), "commit": commit,
+        "probe_ref_sample_s": speed.REF_SAMPLE_S,
     }
 
 
-def timed(cmd, env):
-    """Run one child interpreter to completion; (wall seconds, result)."""
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True,
-                          timeout=COMMAND_TIMEOUT_S)
-    return time.perf_counter() - t0, proc
+class Cores:
+    """The cores a command runs on, and its environment. Single-threaded
+    commands get one core, so the probe watches the core they run on."""
+
+    def __init__(self):
+        allowed = sorted(os.sched_getaffinity(0))
+        self.n = len(allowed)
+        # the last core: the first one usually takes more interrupts
+        self.single = ({allowed[-1]}, child_env(1))
+        self.workers = min(MC_WORKERS, self.n)
+        self.parallel = (set(allowed[:self.workers]), child_env(self.workers))
+
+    def envs(self):
+        return [self.single[1], self.parallel[1]]
 
 
-def setup_once(config, env):
-    wall, proc = timed([sys.executable, str(HERE / "child.py"), "setup",
-                        str(config)], env)
+def timed(cmd, cores):
+    """Run one child interpreter to completion on ``cores`` (a pair of
+    core set and environment); (wall seconds, reference seconds, result)."""
+    cpus, env = cores
+    # a child inherits the cores of the thread that starts it
+    os.sched_setaffinity(0, cpus)
+    with speed.Probe(cpus) as probe:
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True,
+                              timeout=COMMAND_TIMEOUT_S)
+        wall = time.perf_counter() - t0
+    return wall, wall * probe.factor(), proc
+
+
+def setup_once(config, cores):
+    """One fresh-interpreter set-up; (wall, reference) seconds."""
+    wall, ref, proc = timed([sys.executable, str(HERE / "child.py"), "setup",
+                             str(config)], cores.single)
     if proc.returncode != 0:
         raise RuntimeError(f"set-up failed: {proc.stderr.strip()[-500:]}")
-    return wall
+    return wall, ref
 
 
 class Runner:
     """Runs operations of one workload: an operation is the workload's CLI
     commands in order, each followed by its output check."""
 
-    def __init__(self, name, seed, work, env, cpus):
+    def __init__(self, name, seed, work, cores):
         self.wl = workloads.WORKLOADS[name]
         self.seed = seed
         self.work = work
-        self.env = env
-        self.workers = min(MC_WORKERS, cpus)
+        self.cores = cores
         self.config = HERE / "configs" / self.wl.config
         with open(self.config) as fh:
             self.raw = yaml.safe_load(fh)
@@ -134,7 +157,7 @@ class Runner:
         self.n_ops = 0
 
     def threads(self, workers):
-        return 1 if workers == 1 else self.workers
+        return 1 if workers == 1 else self.cores.workers
 
     def mc_events(self):
         """Computed events of one ``sepdiff mc`` command of this config."""
@@ -144,8 +167,8 @@ class Runner:
                                       int(r["mc"]["M"]))
 
     def op(self, traced=False):
-        """One operation; returns per-command walls, peak RSS and, when
-        traced, the spans of each command."""
+        """One operation; returns per-command (wall, reference) seconds,
+        peak RSS and, when traced, the spans of each command."""
         self.n_ops += 1
         outs, walls, rss, traces, errs = [], [], 0, [], []
         for i, (kind, workers) in enumerate(self.wl.commands):
@@ -161,9 +184,11 @@ class Runner:
             if traced:
                 cmd += ["--trace", str(out / "spans.json"),
                         f"op{self.n_ops}-cmd{i}"]
-            wall, proc = timed(cmd + ["--"] + argv, self.env)
+            cores = (self.cores.single if self.threads(workers) == 1
+                     else self.cores.parallel)
+            wall, ref, proc = timed(cmd + ["--"] + argv, cores)
             outs.append(str(out))
-            walls.append(wall)
+            walls.append((wall, ref))
             if proc.returncode != 0:
                 errs.append(f"{kind} exited {proc.returncode}: "
                             f"{proc.stderr.strip()[-300:]}")
@@ -203,25 +228,38 @@ def closed_loop(step, seconds):
             return results
 
 
+def op_seconds(walls, which):
+    """An operation's wall (which=0) or reference (which=1) seconds."""
+    return sum(w[which] for w in walls)
+
+
 def end_to_end(runner, seconds, setup):
     ops = closed_loop(runner.op, seconds)
-    op_walls = [sum(w) for w, _, _ in ops]
+    op_refs = [op_seconds(w, 1) for w, _, _ in ops]
+    op_walls = [op_seconds(w, 0) for w, _, _ in ops]
     metrics = {
-        "setup_s": (statistics.median(setup), "s"),
-        "op_s": (statistics.median(op_walls), "s"),
+        "setup_s": (statistics.median(r for _, r in setup), "s"),
+        "op_s": (statistics.median(op_refs), "s"),
         "peak_rss_mb": (max(r for _, r, _ in ops) / 1024.0, "MB"),
     }
-    # per-command figures, printed for reading; the gate uses op_s
-    commands = {}
+    # printed for reading, the gate uses the metrics above: the medians of
+    # the raw wall times, and per-command figures in reference seconds
+    commands = {
+        "setup_wall_s": (statistics.median(w for w, _ in setup), "s"),
+        "op_wall_s": (statistics.median(op_walls), "s"),
+    }
     for i, (kind, workers) in enumerate(runner.wl.commands):
-        wall = statistics.median(w[i] for w, _, _ in ops)
+        ref = statistics.median(w[i][1] for w, _, _ in ops)
         if kind == "mc":
             name = "mc_events_per_s" + ("" if workers == 1 else "_2w")
-            commands[name] = (runner.mc_events() / wall, "1/s")
+            commands[name] = (runner.mc_events() / ref, "1/s")
         else:
             commands[{"exact": "exact_s", "diagnostics": "diag_s"}[kind]] = \
-                (wall, "s")
-    return metrics, commands, {"setup_walls": setup, "op_walls": op_walls}
+                (ref, "s")
+    return metrics, commands, {"setup_walls": [w for w, _ in setup],
+                               "setup_refs": [r for _, r in setup],
+                               "op_walls": op_walls, "op_refs": op_refs,
+                               "command_seconds": [w for w, _, _ in ops]}
 
 
 def traced(runner, seconds):
@@ -229,20 +267,23 @@ def traced(runner, seconds):
 
     pairs = closed_loop(lambda: (runner.op(), runner.op(traced=True)),
                         seconds)
-    plain = [sum(p[0][0]) for p in pairs]
-    with_trace = [sum(p[1][0]) for p in pairs]
+    plain = [op_seconds(p[0][0], 1) for p in pairs]
+    with_trace = [op_seconds(p[1][0], 1) for p in pairs]
+    # spans are in wall time, so the share they account for is too
+    with_trace_wall = [op_seconds(p[1][0], 0) for p in pairs]
     commands = [c for p in pairs for c in p[1][2]]
     layer, absent, not_called = tracing.layer_metrics(commands, len(pairs))
     units = per_layer_units()
     metrics = {k: (v, units[k]) for k, v in layer.items()}
     self_sum = sum(layer[f"{ly}.self_s"] for ly in tracing.LAYERS)
-    mean_traced = statistics.fmean(with_trace)
+    mean_traced = statistics.fmean(with_trace_wall)
     metrics["trace.overhead_share"] = (
         statistics.median(with_trace) / statistics.median(plain) - 1.0, "share")
     metrics["trace.accounted_share"] = (self_sum / mean_traced, "share")
     metrics["trace.spans"] = (
         sum(len(c["spans"]) for c in commands) / len(pairs), "count")
-    extra = {"untraced_op_walls": plain, "traced_op_walls": with_trace,
+    extra = {"untraced_op_refs": plain, "traced_op_refs": with_trace,
+             "traced_op_walls": with_trace_wall,
              "absent": absent, "not_called": not_called}
     return metrics, {}, extra
 
@@ -266,15 +307,15 @@ def main(argv=None):
         print(f"no sepdiff sources under {ROOT / 'src'}; run from a checkout",
               file=sys.stderr)
         return 2
-    cpus = nproc()
-    env = child_env(cpus)
+    cores = Cores()
     work = HERE / "_out" / f"work-{os.getpid()}"
-    runner = Runner(args.workload, args.seed, work, env, cpus)
+    runner = Runner(args.workload, args.seed, work, cores)
     try:
         # the first import in a fresh checkout compiles bytecode, and an
         # idle CPU runs the first second or so slower: neither is measured
-        setup_once(runner.config, env)
-        setup = [setup_once(runner.config, env) for _ in range(SETUP_REPEATS)]
+        setup_once(runner.config, cores)
+        setup = [setup_once(runner.config, cores)
+                 for _ in range(SETUP_REPEATS)]
         if args.trace:
             metrics, commands, extra = traced(runner, args.seconds)
         else:
@@ -282,7 +323,7 @@ def main(argv=None):
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    info = environment(cpus, env)
+    info = environment(cores.n, cores.envs())
     print("env: " + json.dumps(info, sort_keys=True))
     for name, (value, unit) in {**metrics, **commands}.items():
         print(f"{name} = {value:.6g} {unit}")
