@@ -5,7 +5,7 @@ space; the stochastic route runs independent Gillespie replicas to two
 horizons (T, 2T) and removes the leading O(1/T) finite-horizon bias by
 extrapolation.  The two must agree within a few standard errors for every
 kernel class, and the sign arbitration must pick the shipped convention
-(correction subtracted) on its own.
+(sign -1, D = free + 2 <w, (-L)^{-1} v>) on its own.
 """
 
 import time
@@ -52,5 +52,5 @@ for name, entries in CASES:
     sign = arbitrate_sign(sp, kernel, M=4000, seed=11)
     assert sign == -1, (name, sign)
 
-print(f"\nsign arbitration chose -1 (subtract) for all three classes; "
+print(f"\nsign arbitration chose -1 (the default) for all three classes; "
       f"{time.monotonic() - t0:.1f}s")

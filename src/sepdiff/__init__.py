@@ -73,7 +73,6 @@ from .kernel import (
 from .montecarlo import (
     TransitionTable,
     arbitrate_sign,
-    calibrate_sign,
     estimate_diffusion,
     extrapolated_direction_stats,
     replica_rng,
@@ -84,11 +83,9 @@ from .sobolev import (
     approximation_residual,
     h1_norm,
     hminus1_norm,
-    resolvent_solve,
     resolvent_sweep,
     sector_constant,
     solve_general,
-    solve_spd,
     spectral_gap,
     verify_prop1,
 )

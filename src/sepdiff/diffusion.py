@@ -1,12 +1,18 @@
 """Self-diffusion of the tagged particle, computed exactly via linear algebra.
 
 The quadratic form in a direction a splits into a free-walk term
-(1 - density) * sum_z (a.z)^2 p(z) and a correction involving one linear
-solve against the full generator: with v_a, w_a the centered local drift
-observables, the correction inner product is 2 <w_a, (-L)^{-1} v_a>. The
-overall sign convention of the correction is configurable; the default is
-the one validated by the Monte Carlo arbiter and the symmetric-kernel
-upper bound.
+(1 - density) * sum_z (a.z)^2 p(z) and a correction from one linear solve
+against the full generator L: with v_a, w_a the centered local drift
+observables and u_a = (-L)^{-1} v_a,
+
+    a^t D a = free(a) - sign * 2 <w_a, u_a>.
+
+The default sign is -1, so D = free + 2 <w_a, u_a>. For a symmetric kernel
+w_a = -v_a, and this is the variational form free - 2 |v_a|_{-1}^2
+(Kipnis and Varadhan); the Monte Carlo arbiter confirms the same sign on
+non-symmetric kernels. Since v_a, w_a and u_a are linear in a, the whole
+d x d matrix follows from the d solves u_j = (-L)^{-1} v_j along the
+coordinate directions, through C_ij = 2 <w_i, u_j> symmetrized.
 """
 
 from __future__ import annotations
@@ -95,26 +101,29 @@ class ConvergenceReport:
     diffs: list
 
 
-def free_term(kernel, a, alpha):
-    """(1 - alpha) * sum_z (a . z)^2 p(z)."""
-    a = np.asarray(a, dtype=float)
-    s = math.fsum(p * float(np.dot(a, z)) ** 2 for z, p in kernel.entries)
+def _free_form(kernel, a, b, alpha):
+    """(1 - alpha) * sum_z (a . z)(b . z) p(z)."""
+    s = math.fsum(p * (float(np.dot(a, z)) * float(np.dot(b, z)))
+                  for z, p in kernel.entries)
     return (1.0 - alpha) * s
 
 
-def local_drift_functions(space, kernel, a, alpha=None):
+def free_term(kernel, a, alpha):
+    """(1 - alpha) * sum_z (a . z)^2 p(z)."""
+    a = np.asarray(a, dtype=float)
+    return _free_form(kernel, a, a, alpha)
+
+
+def local_drift_functions(space, kernel, a):
     """Centered drift observables (v_a, w_a) on the state space.
 
     v_a reads the occupancy at the jump targets z, w_a at the mirrored
-    sites -z:  v_a = sum_z (z.a) p(z) (alpha - eta(z)). The alpha offset
-    drops out after centering, so any alpha gives the same vectors; the
-    canonical density is used by default.
+    sites -z:  v_a = sum_z (z.a) p(z) (alpha - eta(z)), centered exactly.
     """
     geo = space.geometry
     geo.require_kernel_fits(kernel)
     a = np.asarray(a, dtype=float)
-    if alpha is None:
-        alpha = space.alpha
+    alpha = space.alpha
     coef = [float(np.dot(a, z)) * p for z, p in kernel.entries]
     idx_v = [geo.env_index(z) for z, _ in kernel.entries]
     idx_w = [geo.env_index(tuple(-c for c in z)) for z, _ in kernel.entries]
@@ -129,25 +138,37 @@ def local_drift_functions(space, kernel, a, alpha=None):
             ObservableVector(center(w), mean_zero=True))
 
 
-def _direction_result(space, kernel, a, op, sign, tol, method):
-    a = np.asarray(a, dtype=float)
-    free = free_term(kernel, a, space.alpha)
-    if space.size == 1:
-        return DirectionResult(a, free, 0.0, free, free, free, 0.0, 0,
-                               "degenerate")
+def _poisson_solve(space, kernel, a, op, tol, method):
+    """w_a and the solve report of u_a = (-L)^{-1} v_a along a."""
     v, w = local_drift_functions(space, kernel, a)
-    rep = solve_general(op, v.values, tol=tol, method=method)
-    raw = 2.0 * inner(w.values, rep.solution.values)
-    d_plus = free - raw
-    d_minus = free + raw
+    return w.values, solve_general(op, v.values, tol=tol, method=method)
+
+
+def _make_result(a, free, raw, sign, rep):
+    """DirectionResult for a^t D a = free - sign * raw, with raw the
+    unsigned correction 2 <w_a, u_a>."""
     d_val = free - sign * raw
     if d_val < -1e-9 * max(1.0, abs(free)):
         raise NonPositiveDError(
             f"a^t D a = {d_val!r} < 0 along a = {a.tolist()} "
             f"(sign convention {sign:+d})"
         )
-    return DirectionResult(a, free, -sign * raw, d_val, d_plus, d_minus,
-                           rep.relative_residual, rep.iterations, rep.method)
+    if rep is None:
+        return DirectionResult(a, free, 0.0, free, free, free, 0.0, 0,
+                               "degenerate")
+    return DirectionResult(a, free, -sign * raw, d_val, free - raw,
+                           free + raw, rep.relative_residual, rep.iterations,
+                           rep.method)
+
+
+def _direction_result(space, kernel, a, op, sign, tol, method):
+    a = np.asarray(a, dtype=float)
+    free = free_term(kernel, a, space.alpha)
+    if space.size == 1:
+        return _make_result(a, free, 0.0, sign, None)
+    w, rep = _poisson_solve(space, kernel, a, op, tol, method)
+    raw = 2.0 * inner(w, rep.solution.values)
+    return _make_result(a, free, raw, sign, rep)
 
 
 def compute_D(space, kernel, a, sign=None, tol=1e-10, method="auto",
@@ -177,30 +198,31 @@ def compute_D(space, kernel, a, sign=None, tol=1e-10, method="auto",
 
 def compute_D_matrix(space, kernel, sign=None, tol=1e-10, method="auto",
                      operator=None):
-    """Full d x d diffusion matrix via polarization.
+    """Full d x d diffusion matrix from d solves.
 
-    Evaluates the form on the coordinate directions and their pairwise
-    sums; off-diagonals come from D_ij = (Q(e_i + e_j) - Q_ii - Q_jj) / 2.
+    Solves u_j = (-L)^{-1} v_j along each coordinate direction e_j and
+    forms D = F - sign * (C + C^t) / 2 with F the free-walk matrix and
+    C_ij = 2 <w_i, u_j>. ``directions`` holds the d coordinate results.
     The result must be positive semidefinite within 1e-9.
     """
     sign = _check_sign(sign)
     t0 = time.perf_counter()
     d = space.geometry.dimension
-    op = operator
-    if op is None and space.size > 1:
-        op = full_generator(space, kernel)
     eye = np.eye(d)
-    directions = [eye[i] for i in range(d)]
-    pairs = list(itertools.combinations(range(d), 2))
-    directions += [eye[i] + eye[j] for i, j in pairs]
-    results = [_direction_result(space, kernel, a, op, sign, tol, method)
-               for a in directions]
-    mat = np.zeros((d, d))
-    for i in range(d):
-        mat[i, i] = results[i].D
-    for idx, (i, j) in enumerate(pairs):
-        off = 0.5 * (results[d + idx].D - mat[i, i] - mat[j, j])
-        mat[i, j] = mat[j, i] = off
+    free = np.array([[_free_form(kernel, eye[i], eye[j], space.alpha)
+                      for j in range(d)] for i in range(d)])
+    corr = np.zeros((d, d))
+    reps = [None] * d
+    if space.size > 1:
+        op = operator if operator is not None else full_generator(space, kernel)
+        solved = [_poisson_solve(space, kernel, e, op, tol, method)
+                  for e in eye]
+        reps = [rep for _, rep in solved]
+        corr = np.array([[2.0 * inner(w, rep.solution.values)
+                          for _, rep in solved] for w, _ in solved])
+    results = [_make_result(eye[i], free[i, i], corr[i, i], sign, reps[i])
+               for i in range(d)]
+    mat = free - sign * 0.5 * (corr + corr.T)
     evals = np.linalg.eigvalsh(mat)
     if evals[0] < -1e-9 * max(1.0, float(np.trace(mat))):
         raise NonPositiveDError(

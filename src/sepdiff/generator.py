@@ -15,13 +15,16 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NotConnectedError, NotMeanZeroError, NotStationaryError, SizeCapError
-from .statespace import _iter_bits
+from .statespace import DEFAULT_MAX_STATES, _iter_bits
 
-DEFAULT_MAX_STATES = 500_000
 DEFAULT_MAX_NNZ = 50_000_000
 
 #: absolute tolerance for the mean-zero flag on observables
 MEAN_ZERO_TOL = 1e-12
+
+#: largest |rate(x, y) - rate(y, x)|, relative to max(1, max exit rate),
+#: for which SparseOperator.is_symmetric holds; it picks CG over GMRES
+SYMMETRY_TOL = 1e-13
 
 
 def inner(f, g):
@@ -78,6 +81,7 @@ class SparseOperator:
         self.size = size
         self._off = off
         self.diag = -np.asarray(off.sum(axis=1)).ravel()
+        self._symmetric = None
 
     @property
     def nnz(self):
@@ -111,10 +115,15 @@ class SparseOperator:
     def max_exit_rate(self):
         return float(np.max(-self.diag, initial=0.0))
 
-    def is_symmetric(self, tol=1e-13):
-        d = self._off - self._off.T
-        scale = max(1.0, self.max_exit_rate())
-        return (abs(d).max() if d.nnz else 0.0) <= tol * scale
+    def is_symmetric(self):
+        """Off-diagonal rates symmetric within SYMMETRY_TOL; computed once,
+        since the stored rates never change."""
+        if self._symmetric is None:
+            d = self._off - self._off.T
+            scale = max(1.0, self.max_exit_rate())
+            worst = abs(d).max() if d.nnz else 0.0
+            self._symmetric = bool(worst <= SYMMETRY_TOL * scale)
+        return self._symmetric
 
     def __add__(self, other):
         if self.size != other.size:

@@ -385,15 +385,3 @@ def extrapolated_direction_stats(estimate, a):
     v1, se1 = estimate.horizons[0].direction_stats(a)
     v2, se2 = estimate.horizons[1].direction_stats(a)
     return 2.0 * v2 - v1, math.sqrt(4.0 * se2 * se2 + se1 * se1)
-
-
-def calibrate_sign(systems, **kwargs):
-    """First conclusive arbitration over a list of (space, kernel) pairs;
-    degenerate systems fall through to the next one."""
-    last = None
-    for space, kernel in systems:
-        try:
-            return arbitrate_sign(space, kernel, **kwargs)
-        except InconclusiveError as exc:
-            last = exc
-    raise InconclusiveError(f"all calibration systems inconclusive: {last}")

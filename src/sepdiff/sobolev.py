@@ -1,9 +1,11 @@
 """Energy norms and linear solves against generator operators.
 
-All systems here are singular with the constants as (left and right) null
-space; solutions live on the mean-zero subspace. The H1 seminorm is the
-square root of the Dirichlet form; the dual H-1 norm is realized by one
-SPD solve against the symmetric part: (-S) u = f gives |f|_{-1}^2 = <f, u>.
+Every linear solve goes through :func:`solve_general`, which solves
+(lam I - L) u = f on the mean-zero subspace. At lam = 0 the system is
+singular with the constants as (left and right) null space; lam > 0 gives
+the resolvent. The H1 seminorm is the square root of the Dirichlet form;
+the dual H-1 norm is realized by one solve against the symmetric part:
+(-S) u = f gives |f|_{-1}^2 = <f, u>.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .generator import ObservableVector, dirichlet_form, inner, symmetric_part
 
 DENSE_SOLVE_MAX = 5000
 DENSE_EIG_MAX = 2000
+GMRES_RESTART = 50
 
 
 @dataclass
@@ -50,30 +53,21 @@ def _alternating_start(n):
     return _project(v)
 
 
-def _dense_solve(op, b):
-    """Direct solve of (-op) u = b on the mean-zero subspace.
-
-    The flat projector is added to lift the constant null direction; for a
-    mean-zero right-hand side the unique mean-zero solution is recovered.
-    """
-    n = op.size
-    a = -op.to_dense()
-    a += 1.0 / n
-    u = np.linalg.solve(a, b)
-    return _project(u)
+def _shifted(op, lam, v):
+    """(lam I - op) v."""
+    return lam * v - op.matvec(v)
 
 
-def _replay(op, u, b):
-    """Recomputed relative residual of (-op) u = b."""
+def _replay(op, u, b, lam):
+    """Recomputed relative residual of (lam I - op) u = b."""
     bn = float(np.linalg.norm(b))
     if bn == 0.0:
         return 0.0
-    r = -op.matvec(u) - b
-    return float(np.linalg.norm(r)) / bn
+    return float(np.linalg.norm(_shifted(op, lam, u) - b)) / bn
 
 
-def _cg_projected(op, b, tol, max_iter):
-    """Conjugate gradients for (-op) u = b, re-projecting onto the
+def _cg_projected(op, b, tol, max_iter, lam):
+    """Conjugate gradients for (lam I - op) u = b, re-projecting onto the
     mean-zero subspace at every iteration."""
     x = np.zeros_like(b)
     r = _project(b.copy())
@@ -83,7 +77,7 @@ def _cg_projected(op, b, tol, max_iter):
     if bnorm == 0.0:
         return x, 0, True
     for it in range(1, max_iter + 1):
-        ap = _project(-op.matvec(_project(p)))
+        ap = _project(_shifted(op, lam, _project(p)))
         denom = float(p @ ap)
         if denom <= 0.0:
             return x, it, False
@@ -99,25 +93,53 @@ def _cg_projected(op, b, tol, max_iter):
     return _project(x), max_iter, False
 
 
-def solve_spd(op, b, tol=1e-10, method="auto", max_iter=None):
-    """Solve (-op) u = b for the mean-zero u, op a symmetric generator.
+def _gmres_projected(op, b, tol, max_iter, lam):
+    """Restarted GMRES for (lam I - op) u = b on the operator wrapped so
+    every application re-projects onto the mean-zero subspace."""
+    n = op.size
+    amv = LinearOperator(
+        (n, n), matvec=lambda v: _project(_shifted(op, lam, _project(v))),
+        dtype=float,
+    )
+    count = [0]
+
+    def _cb(_):
+        count[0] += 1
+
+    x, info = gmres(amv, b, rtol=tol, atol=0.0, restart=GMRES_RESTART,
+                    maxiter=max_iter, callback=_cb, callback_type="pr_norm")
+    return _project(x), count[0], info == 0
+
+
+def solve_general(op, b, tol=1e-10, method="auto", max_iter=None, lam=0.0):
+    """Solve (lam I - op) u = b for the mean-zero u, op a generator.
 
     Parameters
     ----------
     op : SparseOperator
-        Symmetric generator (so -op is positive semidefinite with the
-        constants as null space; the system must be connected).
+        Generator of a connected system that keeps the uniform measure
+        stationary, so for lam = 0 the constants span both null spaces.
     b : array or ObservableVector
         Mean-zero right-hand side.
     method : {"auto", "iterative", "dense"}
-        "auto" runs projected conjugate gradients and falls back to a
-        dense factorization for sizes up to ``DENSE_SOLVE_MAX``.
+        "iterative" runs projected conjugate gradients when op is
+        symmetric and projected restarted GMRES otherwise; "dense" factors
+        lam I - op + 1/n, whose flat shift lifts the constant direction and
+        leaves the mean-zero solution unchanged; "auto" tries the iterative
+        path first and falls back to dense for sizes up to
+        ``DENSE_SOLVE_MAX``.
+    lam : float
+        Resolvent parameter, >= 0; 0 is the singular Poisson problem.
 
     Returns
     -------
     SolveReport
         The replayed residual of every returned report is at most 2*tol.
     """
+    if lam < 0.0:
+        raise ValueError(f"resolvent parameter must be >= 0, got {lam}")
+    if method not in ("auto", "iterative", "dense"):
+        raise ValueError(f"unknown solve method {method!r}")
     b = _vec(b)
     _require_mean_zero(b)
     n = op.size
@@ -127,85 +149,30 @@ def solve_spd(op, b, tol=1e-10, method="auto", max_iter=None):
     if max_iter is None:
         max_iter = min(10 * n + 100, 100_000)
 
-    if method in ("auto", "iterative"):
-        x, its, converged = _cg_projected(op, b, tol, max_iter)
-        res = _replay(op, x, b)
+    failures = []
+    if method != "dense":
+        if op.is_symmetric():
+            solver, path = _cg_projected, "iterative-symmetric"
+        else:
+            solver, path = _gmres_projected, "iterative-nonsymmetric"
+        x, its, converged = solver(op, b, tol, max_iter, lam)
+        res = _replay(op, x, b, lam)
         if converged and res <= 2.0 * tol:
-            sol = ObservableVector(_project(x), mean_zero=True)
-            return SolveReport(sol, res, its, "iterative-symmetric")
-        if method == "iterative" or n > DENSE_SOLVE_MAX:
-            raise NotConvergedError(
-                f"projected CG stalled after {its} iterations "
-                f"(replayed residual {res:.3e}, tol {tol:.1e})"
-            )
-    u = _dense_solve(op, b)
-    res = _replay(op, u, b)
-    if res > 2.0 * tol:
-        raise NotConvergedError(
-            f"dense solve residual {res:.3e} exceeds 2*tol = {2 * tol:.1e}"
-        )
-    return SolveReport(ObservableVector(u, mean_zero=True), res, 0, "dense")
-
-
-def solve_general(op, b, tol=1e-10, method="auto", max_iter=None,
-                  restart=50, precondition=False):
-    """Solve (-op) u = b for mean-zero u, op a general generator.
-
-    Symmetric operators delegate to :func:`solve_spd`; otherwise a
-    restarted residual-minimizing iteration runs on the operator wrapped
-    so every application re-projects onto the mean-zero subspace. Optional
-    preconditioning applies one loose SPD solve against the symmetric part
-    per iteration.
-    """
-    b = _vec(b)
-    _require_mean_zero(b)
-    n = op.size
-    if n == 1:
-        sol = ObservableVector(np.zeros(1), mean_zero=True)
-        return SolveReport(sol, 0.0, 0, "dense")
-    if op.is_symmetric():
-        return solve_spd(op, b, tol=tol, method=method, max_iter=max_iter)
-    if max_iter is None:
-        max_iter = min(10 * n + 100, 100_000)
-
-    if method in ("auto", "iterative"):
-        amv = LinearOperator(
-            (n, n), matvec=lambda v: _project(-op.matvec(_project(v))),
-            dtype=float,
-        )
-        prec = None
-        if precondition:
-            sym = symmetric_part(op)
-            prec = LinearOperator(
-                (n, n),
-                matvec=lambda v: solve_spd(sym, _project(v), tol=1e-2).solution.values,
-                dtype=float,
-            )
-        count = [0]
-
-        def _cb(_):
-            count[0] += 1
-
-        x, info = gmres(amv, b, rtol=tol, atol=0.0, restart=restart,
-                        maxiter=max_iter, M=prec, callback=_cb,
-                        callback_type="pr_norm")
-        x = _project(x)
-        res = _replay(op, x, b)
-        if info == 0 and res <= 2.0 * tol:
-            sol = ObservableVector(x, mean_zero=True)
-            return SolveReport(sol, res, count[0], "iterative-nonsymmetric")
-        if method == "iterative" or n > DENSE_SOLVE_MAX:
-            raise NotConvergedError(
-                f"restarted iteration failed (info={info}, replayed residual "
-                f"{res:.3e}, tol {tol:.1e})"
-            )
-    u = _dense_solve(op, b)
-    res = _replay(op, u, b)
-    if res > 2.0 * tol:
-        raise NotConvergedError(
-            f"dense solve residual {res:.3e} exceeds 2*tol = {2 * tol:.1e}"
-        )
-    return SolveReport(ObservableVector(u, mean_zero=True), res, 0, "dense")
+            return SolveReport(ObservableVector(x, mean_zero=True), res, its,
+                               path)
+        failures.append(f"{path} stopped after {its} iterations "
+                        f"(converged={converged}, replayed residual {res:.3e})")
+    if method == "dense" or (method == "auto" and n <= DENSE_SOLVE_MAX):
+        a = -op.to_dense()
+        a[np.diag_indices_from(a)] += lam
+        a += 1.0 / n
+        x = _project(np.linalg.solve(a, b))
+        res = _replay(op, x, b, lam)
+        if res <= 2.0 * tol:
+            return SolveReport(ObservableVector(x, mean_zero=True), res, 0,
+                               "dense")
+        failures.append(f"dense solve left replayed residual {res:.3e}")
+    raise NotConvergedError("; ".join(failures) + f"; tol {tol:.1e}")
 
 
 def h1_norm(op, f):
@@ -220,7 +187,7 @@ def hminus1_norm(op, f, tol=1e-10, method="auto", return_report=False):
     f = _vec(f)
     _require_mean_zero(f, "observable")
     sym = op if op.is_symmetric() else symmetric_part(op)
-    rep = solve_spd(sym, f, tol=tol, method=method)
+    rep = solve_general(sym, f, tol=tol, method=method)
     val = math.sqrt(max(inner(f, rep.solution.values), 0.0))
     if return_report:
         return val, rep
@@ -336,7 +303,7 @@ def spectral_gap(op, method="auto", tol=1e-10, max_iter=500):
 
     op must be a symmetric generator of a connected system. The dense path
     is a full eigendecomposition; the iterative path is inverse power
-    iteration driven by :func:`solve_spd`, started from the deterministic
+    iteration driven by :func:`solve_general`, started from the deterministic
     alternating vector.
     """
     if not op.is_symmetric():
@@ -351,7 +318,7 @@ def spectral_gap(op, method="auto", tol=1e-10, max_iter=500):
     v /= np.linalg.norm(v)
     gap = math.inf
     for _ in range(max_iter):
-        w = solve_spd(op, v, tol=min(tol, 1e-12) * 1e2).solution.values
+        w = solve_general(op, v, tol=min(tol, 1e-12) * 1e2).solution.values
         w = _project(w)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -401,9 +368,9 @@ def sector_constant(op, method="auto", tol=1e-10, max_iter=5000):
     lam = 0.0
     for _ in range(max_iter):
         t1 = _project(b_skew @ v)
-        t2 = solve_spd(sym, t1, tol=1e-12).solution.values
+        t2 = solve_general(sym, t1, tol=1e-12).solution.values
         t3 = _project(-(b_skew @ t2))
-        t4 = solve_spd(sym, t3, tol=1e-12).solution.values
+        t4 = solve_general(sym, t3, tol=1e-12).solution.values
         num = float(t1 @ t2)
         den = float(v @ (-sym.matvec(v)))
         if den <= 0.0:
@@ -421,49 +388,6 @@ def sector_constant(op, method="auto", tol=1e-10, max_iter=5000):
     )
 
 
-def resolvent_solve(op, h, lam, tol=1e-10, method="auto"):
-    """Solve (lam I - op) u = h for lam > 0 and mean-zero h.
-
-    The system is nonsingular; for a measure-preserving op the solution is
-    automatically mean-zero.
-    """
-    if lam <= 0.0:
-        raise ValueError(f"resolvent parameter must be > 0, got {lam}")
-    h = _vec(h)
-    _require_mean_zero(h, "resolvent data")
-    n = op.size
-    if n == 1:
-        sol = ObservableVector(h / lam, mean_zero=True)
-        return SolveReport(sol, 0.0, 0, "dense")
-
-    if method in ("auto", "iterative") and n > DENSE_SOLVE_MAX:
-        amv = LinearOperator(
-            (n, n), matvec=lambda v: lam * v - op.matvec(v), dtype=float
-        )
-        count = [0]
-        x, info = gmres(amv, h, rtol=tol, atol=0.0, restart=50,
-                        maxiter=min(10 * n, 100_000),
-                        callback=lambda _: count.__setitem__(0, count[0] + 1),
-                        callback_type="pr_norm")
-        r = lam * x - op.matvec(x) - h
-        res = float(np.linalg.norm(r)) / max(float(np.linalg.norm(h)), 1e-300)
-        if info != 0 or res > 2.0 * tol:
-            raise NotConvergedError(
-                f"resolvent iteration failed (info={info}, residual {res:.3e})"
-            )
-        return SolveReport(ObservableVector(x), res, count[0],
-                           "iterative-nonsymmetric")
-
-    a = -op.to_dense()
-    a[np.diag_indices_from(a)] += lam
-    u = np.linalg.solve(a, h)
-    r = a @ u - h
-    res = float(np.linalg.norm(r)) / max(float(np.linalg.norm(h)), 1e-300)
-    if res > 2.0 * tol:
-        raise NotConvergedError(f"dense resolvent residual {res:.3e}")
-    return SolveReport(ObservableVector(u), res, 0, "dense")
-
-
 def resolvent_sweep(op, h, lambdas, tol=1e-10):
     """Resolvent ladder: for each lam (descending) report the energy norm
     of u_lam and its H1 distance to the lam -> 0 limit solve."""
@@ -471,7 +395,7 @@ def resolvent_sweep(op, h, lambdas, tol=1e-10):
     limit = solve_general(op, h, tol=tol).solution.values
     out = []
     for lam in sorted(lambdas, reverse=True):
-        u = resolvent_solve(op, h, lam, tol=tol).solution.values
+        u = solve_general(op, h, tol=tol, lam=lam).solution.values
         out.append({
             "lam": float(lam),
             "u_h1": h1_norm(op, u),
@@ -494,11 +418,11 @@ def approximation_residual(op, h, basis, weight_op=None, tol=1e-10):
     if not weight.is_symmetric():
         weight = symmetric_part(weight)
     cols = [_project(-op.matvec(_vec(b))) for b in basis]
-    y_h = solve_spd(weight, h, tol=tol).solution.values
+    y_h = solve_general(weight, h, tol=tol).solution.values
     base = inner(h, y_h)
     if not cols:
         return math.sqrt(max(base, 0.0)), np.zeros(0)
-    ys = [solve_spd(weight, c, tol=tol).solution.values for c in cols]
+    ys = [solve_general(weight, c, tol=tol).solution.values for c in cols]
     m = len(cols)
     gram = np.empty((m, m))
     rhs = np.empty(m)

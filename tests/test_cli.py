@@ -58,9 +58,9 @@ def test_exact_matrix_mode_rows(tmp_path):
     out = tmp_path / "m"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
     rows = read_rows(out / "exact.csv")
-    # e1, e2 and the mixed direction for polarization
-    assert len(rows) == 3
-    assert [r["a_index"] for r in rows] == ["0", "1", "2"]
+    # one row per basis direction: e1, e2
+    assert len(rows) == 2
+    assert [r["a_index"] for r in rows] == ["0", "1"]
     report = (out / "exact_report.txt").read_text()
     assert "matrix_D:" in report and "min_eigenvalue:" in report
 

@@ -15,7 +15,9 @@ from sepdiff import (
     compute_D_matrix,
     conditional_expectation,
     free_term,
+    full_generator,
     hminus1_convergence_diagnostic,
+    hminus1_norm,
     approximation_residual_diagnostic,
     inner,
     local_drift_functions,
@@ -23,6 +25,7 @@ from sepdiff import (
     occupancy_difference_observable,
     occupancy_observable,
     sweep,
+    symmetric_part,
 )
 
 import _oracle
@@ -102,24 +105,57 @@ def test_suppression_below_free_walk_for_symmetric(nn1d):
         assert res.D >= -1e-12
 
 
-def test_alpha_override_changes_nothing_after_centering(nn1d):
-    sp = space_1d(3, 3)
-    v1, w1 = local_drift_functions(sp, nn1d, [1.0])
-    v2, w2 = local_drift_functions(sp, nn1d, [1.0], alpha=0.9)
-    assert np.allclose(v1.values, v2.values, atol=1e-14)
-    assert np.allclose(w1.values, w2.values, atol=1e-14)
+ASYM2D = [((1, 0), 0.4), ((-1, 0), 0.1), ((0, 1), 0.3), ((0, -1), 0.2)]
 
 
-def test_matrix_polarization_consistency(meanzero1d):
-    sp = space_1d(3, 3)
-    rep = compute_D_matrix(sp, meanzero1d, tol=1e-12)
+def test_matrix_polarization_consistency(meanzero1d, monkeypatch):
+    # the matrix from d solves reproduces the form along any direction,
+    # including a 2d kernel with a nonzero off-diagonal entry
+    import sepdiff.diffusion
+
+    solve = sepdiff.diffusion.solve_general
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sepdiff.diffusion, "solve_general", counted)
+    systems = [(space_1d(3, 3), meanzero1d),
+               (StateSpace(TorusGeometry(2, 2), 4), build_kernel(2, ASYM2D))]
     rng = np.random.default_rng(2)
-    for _ in range(4):
-        a = rng.standard_normal(1)
-        quad = float(a @ rep.matrix @ a)
-        direct = compute_D(sp, meanzero1d, a, tol=1e-12).directions[0].D
-        assert quad == pytest.approx(direct, rel=1e-9, abs=1e-12)
-    assert rep.min_eigenvalue >= -1e-12
+    for sp, kernel in systems:
+        d = sp.geometry.dimension
+        calls.clear()
+        rep = compute_D_matrix(sp, kernel, tol=1e-12)
+        assert len(calls) == d
+        assert len(rep.directions) == d
+        for _ in range(4):
+            a = rng.standard_normal(d)
+            quad = float(a @ rep.matrix @ a)
+            direct = compute_D(sp, kernel, a, tol=1e-12).directions[0].D
+            assert quad == pytest.approx(direct, rel=1e-9, abs=1e-12)
+        assert rep.min_eigenvalue >= -1e-12
+    assert abs(rep.matrix[0, 1]) > 5e-4
+    assert rep.matrix[0, 1] == rep.matrix[1, 0]
+
+
+@pytest.mark.parametrize("dim,N,K,entries", [(1, 4, 4, NN1D),
+                                             (2, 2, 3, NN2D)])
+def test_default_sign_is_kipnis_varadhan_form(dim, N, K, entries):
+    # symmetric kernels have w_a = -v_a, so the default sign gives
+    # D(a) = free(a) - 2 |v_a|_{-1}^2
+    kernel = build_kernel(dim, entries)
+    sp = StateSpace(TorusGeometry(dim, N), K)
+    op = full_generator(sp, kernel)
+    for a in [*np.eye(dim), np.ones(dim)]:
+        res = compute_D(sp, kernel, a, tol=1e-12, operator=op).directions[0]
+        v, w = local_drift_functions(sp, kernel, a)
+        assert np.allclose(w.values, -v.values, atol=1e-14)
+        norm = hminus1_norm(symmetric_part(op), v, tol=1e-12)
+        assert res.D == pytest.approx(res.free_term - 2.0 * norm ** 2,
+                                      abs=1e-10)
+        assert res.correction < 0.0
 
 
 def test_matrix_isotropic_in_2d(nn2d):

@@ -14,11 +14,9 @@ from sepdiff import (
     h1_norm,
     hminus1_norm,
     inner,
-    resolvent_solve,
     resolvent_sweep,
     sector_constant,
     solve_general,
-    solve_spd,
     spectral_gap,
     symmetric_part,
     verify_prop1,
@@ -44,8 +42,8 @@ def centered_rand(n, seed):
 def test_solve_spd_dense_and_iterative_agree(nn1d):
     sp, op = make(NN1D)
     b = centered_rand(op.size, 1)
-    dense = solve_spd(op, b, method="dense")
-    iterative = solve_spd(op, b, method="iterative", tol=1e-12)
+    dense = solve_general(op, b, method="dense")
+    iterative = solve_general(op, b, method="iterative", tol=1e-12)
     assert np.allclose(dense.solution.values, iterative.solution.values,
                        atol=1e-9)
     assert dense.relative_residual <= 2e-10
@@ -60,7 +58,7 @@ def test_solve_spd_dense_and_iterative_agree(nn1d):
 def test_solve_rejects_biased_rhs():
     _, op = make(NN1D)
     with pytest.raises(NotMeanZeroError):
-        solve_spd(op, np.ones(op.size))
+        solve_general(op, np.ones(op.size))
     with pytest.raises(NotMeanZeroError):
         solve_general(op, np.full(op.size, 0.5))
 
@@ -201,13 +199,20 @@ def test_prop1_inequalities_hold(entries):
 
 
 def test_resolvent_solves_shifted_system():
-    _, op = make(MZ1D)
-    _, Q = _oracle.dense_generator(3, 1, 3, MZ1D)
-    h = centered_rand(op.size, 6)
-    for lam in (1.0, 0.1):
-        u = resolvent_solve(op, h, lam, tol=1e-12).solution.values
-        ref = np.linalg.solve(lam * np.eye(op.size) - Q, h)
-        assert np.allclose(u, ref, atol=1e-9)
+    # nonsymmetric (GMRES) and symmetric (CG) operators, every method
+    for entries in (MZ1D, NN1D):
+        _, op = make(entries)
+        _, Q = _oracle.dense_generator(3, 1, 3, entries)
+        h = centered_rand(op.size, 6)
+        for lam in (1.0, 0.1):
+            ref = np.linalg.solve(lam * np.eye(op.size) - Q, h)
+            for method in ("dense", "iterative", "auto"):
+                rep = solve_general(op, h, tol=1e-12, method=method, lam=lam)
+                assert np.allclose(rep.solution.values, ref, atol=1e-9)
+                assert rep.relative_residual <= 2e-12
+                assert (rep.method == "dense") == (method == "dense")
+    with pytest.raises(ValueError):
+        solve_general(op, h, lam=-0.5)
 
 
 def test_resolvent_sweep_approaches_limit():
@@ -248,6 +253,6 @@ def test_size_one_degenerate_paths(nn1d):
 
     tiny = SparseOperator(1, s.csr_matrix((1, 1)))
     assert spectral_gap(tiny) == math.inf
-    rep = solve_spd(tiny, np.zeros(1))
+    rep = solve_general(tiny, np.zeros(1))
     assert rep.solution.values.tolist() == [0.0]
     assert sector_constant(tiny) == 0.0
