@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NotConnectedError, NotMeanZeroError, NotStationaryError, SizeCapError
-from .statespace import DEFAULT_MAX_STATES, _iter_bits
+from .statespace import DEFAULT_MAX_STATES, enabled_moves
 
 DEFAULT_MAX_NNZ = 50_000_000
 
@@ -105,13 +105,6 @@ class SparseOperator:
         a[np.diag_indices_from(a)] += self.diag
         return a
 
-    def rows(self):
-        """Yield (row, target indices, rates) over off-diagonal entries."""
-        off = self._off
-        for i in range(self.size):
-            lo, hi = off.indptr[i], off.indptr[i + 1]
-            yield i, off.indices[lo:hi], off.data[lo:hi]
-
     def max_exit_rate(self):
         return float(np.max(-self.diag, initial=0.0))
 
@@ -141,34 +134,31 @@ def _check_caps(n_states, n_entries, max_states, max_nnz):
         raise SizeCapError(f"{n_entries} nonzeros exceed cap {max_nnz}")
 
 
-def _env_targets(space, kernel):
-    """env_targets[zi][i]: env index of site_i + z_zi, or -1 if the origin."""
-    geo = space.geometry
-    table = []
-    for z, _ in kernel.entries:
-        row = np.empty(space.M, dtype=np.int64)
-        for i, site in enumerate(geo.env_sites):
-            t = geo.wrap(tuple(a + b for a, b in zip(site, z)))
-            row[i] = -1 if t == geo.origin else geo.env_index(t)
-        table.append(row)
-    return table
-
-
-def _shift_perms(space, kernel):
-    """For each kernel entry z: target env index of wrap(z), and the
-    permutation mapping occupied index i to the index of wrap(site_i - z)
-    (-1 on the jump target itself, which is vacant on valid input)."""
-    geo = space.geometry
-    out = []
-    for z, _ in kernel.entries:
-        target = geo.wrap(z)
-        ti = geo.env_index(target)        # never the origin when 2N > 2R
-        perm = np.empty(space.M, dtype=np.int64)
-        for i, site in enumerate(geo.env_sites):
-            moved = geo.wrap(tuple(a - b for a, b in zip(site, target)))
-            perm[i] = -1 if moved == geo.origin else geo.env_index(moved)
-        out.append((ti, perm))
-    return out
+def _assemble(space, kernel, tagged, max_states, max_nnz):
+    """Off-diagonal rates of the environment moves, or of the tagged jumps,
+    from the channel enumeration over all states."""
+    space.geometry.require_kernel_fits(kernel)
+    _check_caps(space.size, 0, max_states, max_nnz)
+    masks = space.bitmasks()
+    channels = [ch for ch in space.move_channels(kernel)
+                if (ch.jump >= 0) == tagged]
+    rows, cols, vals = [], [], []
+    n = 0
+    for ch, src, targets in enabled_moves(masks, channels):
+        moved = targets != masks[src]
+        src, targets = src[moved], targets[moved]
+        n += src.size
+        _check_caps(space.size, n, max_states, max_nnz)
+        rows.append(src)
+        cols.append(space.rank_masks(targets))
+        vals.append(np.full(src.size, ch.rate))
+    # channel-major order keeps each row's entries in channel order, so
+    # coinciding targets are summed in the same order as a per-state loop
+    off = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.size, space.size),
+    )
+    return SparseOperator(space.size, off)
 
 
 def assemble_environment(space, kernel, max_states=DEFAULT_MAX_STATES,
@@ -179,23 +169,7 @@ def assemble_environment(space, kernel, max_states=DEFAULT_MAX_STATES,
     move to y = wrap(x + z) when y is a vacant environment site (never the
     origin). Transitions landing on the same target accumulate.
     """
-    space.geometry.require_kernel_fits(kernel)
-    _check_caps(space.size, 0, max_states, max_nnz)
-    probs = [p for _, p in kernel.entries]
-    targets = _env_targets(space, kernel)
-    rows, cols, vals = [], [], []
-    for r, bits in enumerate(space.bitmasks()):
-        for i in _iter_bits(bits):
-            for zi, p in enumerate(probs):
-                t = targets[zi][i]
-                if t < 0 or (bits >> t) & 1:
-                    continue
-                rows.append(r)
-                cols.append(space.rank_bits(bits ^ (1 << i) | (1 << int(t))))
-                vals.append(p)
-        _check_caps(space.size, len(vals), max_states, max_nnz)
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(space.size, space.size))
-    return SparseOperator(space.size, off)
+    return _assemble(space, kernel, False, max_states, max_nnz)
 
 
 def assemble_tagged(space, kernel, max_states=DEFAULT_MAX_STATES,
@@ -206,27 +180,7 @@ def assemble_tagged(space, kernel, max_states=DEFAULT_MAX_STATES,
     shifted configuration. Jumps that map a state to itself contribute
     nothing to the generator and are dropped.
     """
-    space.geometry.require_kernel_fits(kernel)
-    _check_caps(space.size, 0, max_states, max_nnz)
-    shifts = _shift_perms(space, kernel)
-    probs = [p for _, p in kernel.entries]
-    rows, cols, vals = [], [], []
-    for r, bits in enumerate(space.bitmasks()):
-        for zi, p in enumerate(probs):
-            ti, perm = shifts[zi]
-            if (bits >> ti) & 1:
-                continue
-            new_bits = 0
-            for i in _iter_bits(bits):
-                new_bits |= 1 << int(perm[i])
-            if new_bits == bits:
-                continue
-            rows.append(r)
-            cols.append(space.rank_bits(new_bits))
-            vals.append(p)
-        _check_caps(space.size, len(vals), max_states, max_nnz)
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(space.size, space.size))
-    return SparseOperator(space.size, off)
+    return _assemble(space, kernel, True, max_states, max_nnz)
 
 
 def full_generator(space, kernel, max_states=DEFAULT_MAX_STATES,

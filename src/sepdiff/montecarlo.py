@@ -14,6 +14,7 @@ reduced in replica order, so estimates do not depend on scheduling.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FrozenError, InconclusiveError, OutOfRangeError
-from .generator import _env_targets, _shift_perms, full_generator, symmetric_part
-from .statespace import Configuration, _iter_bits
+from .generator import full_generator, symmetric_part
+from .statespace import Configuration, enabled_moves
 
 
 @dataclass
@@ -93,21 +94,18 @@ def replica_rng(master_seed, horizon_index, replica_index):
     return np.random.default_rng(seq)
 
 
-def _cumulative(rates):
-    out = []
-    acc = 0.0
-    for r in rates:
-        acc += r
-        out.append(acc)
-    return out
+#: states per block when building a TransitionTable
+TABLE_BLOCK = 4096
 
 
 class TransitionTable:
     """Per-state channel lists (rate-caching fast path).
 
-    Channels are enumerated exactly as :func:`_channels` does, so
-    trajectories driven by the table are bitwise identical to the
-    re-enumerating reference path for equal seeds.
+    Row r lists the channels enabled in state r in canonical order (see
+    ``StateSpace.move_channels``), with target ranks, jump labels (-1 for
+    environment moves) and cumulative rates, the same as :func:`step`
+    builds for one state, so trajectories driven by the table are bitwise
+    identical to the re-enumerating reference path for equal seeds.
     """
 
     def __init__(self, space, kernel):
@@ -115,70 +113,65 @@ class TransitionTable:
         self.space = space
         self.kernel = kernel
         self.zvecs = [z for z, _ in kernel.entries]
-        probs = [p for _, p in kernel.entries]
-        env_t = _env_targets(space, kernel)
-        shifts = _shift_perms(space, kernel)
-        self.target = []
-        self.jump = []
-        self.cum = []
-        self.total = []
-        for bits in space.bitmasks():
-            targets, jumps, rates = [], [], []
-            for tb, ji, rate in _channels(space, bits, probs, env_t, shifts):
-                targets.append(space.rank_bits(tb))
-                jumps.append(ji)
-                rates.append(rate)
-            cum = _cumulative(rates)
-            self.target.append(targets)
-            self.jump.append(jumps)
-            self.cum.append(cum)
-            self.total.append(cum[-1] if cum else 0.0)
+        self.target, self.jump, self.cum, self.total = [], [], [], []
+        masks = space.bitmasks()
+        channels = space.move_channels(kernel)
+        # a state enables at most |Z| moves per particle plus |Z| jumps
+        width = min(len(channels), (space.k + 1) * len(kernel.entries))
+        # blocks of states bound the padded arrays to a few MB beside the
+        # lists, which hold the table's real size
+        for lo in range(0, space.size, TABLE_BLOCK):
+            self._add_rows(masks[lo:lo + TABLE_BLOCK], channels, width)
 
-
-def _channels(space, bits, probs, env_targets, shifts):
-    """Enabled transitions from a state, in canonical order: environment
-    moves (occupied sites ascending x kernel order), then tagged jumps
-    (kernel order). Yields (target_bits, jump_index, rate); jump_index is
-    -1 for environment moves."""
-    for i in _iter_bits(bits):
-        for zi, p in enumerate(probs):
-            t = env_targets[zi][i]
-            if t < 0 or (bits >> int(t)) & 1:
-                continue
-            yield bits ^ (1 << i) | (1 << int(t)), -1, p
-    for zi, p in enumerate(probs):
-        ti, perm = shifts[zi]
-        if (bits >> ti) & 1:
-            continue
-        new_bits = 0
-        for i in _iter_bits(bits):
-            new_bits |= 1 << int(perm[i])
-        yield new_bits, zi, p
+    def _add_rows(self, masks, channels, width):
+        n = masks.size
+        target = np.zeros((n, width), dtype=np.int64)
+        jump = np.zeros((n, width), dtype=np.int64)
+        rate = np.zeros((n, width))
+        fill = np.zeros(n, dtype=np.int64)
+        for ch, src, targets in enabled_moves(masks, channels):
+            slot = fill[src]
+            target[src, slot] = self.space.rank_masks(targets)
+            jump[src, slot] = ch.jump
+            rate[src, slot] = ch.rate
+            fill[src] += 1
+        # accumulating along each row adds in channel order, as step() does;
+        # the zero padding leaves the last column equal to the row total
+        cum = np.cumsum(rate, axis=1)
+        self.total += cum[:, -1].tolist()
+        # _run_table indexes per-state Python lists, faster per event than
+        # arrays; slice them out of the flat (state, channel) order once
+        filled = np.arange(width) < fill[:, None]
+        ptr = np.concatenate(([0], np.cumsum(fill))).tolist()
+        bounds = list(zip(ptr, ptr[1:]))
+        for rows, a in ((self.target, target), (self.jump, jump),
+                        (self.cum, cum)):
+            flat = a[filled].tolist()
+            rows += [flat[lo:hi] for lo, hi in bounds]
 
 
 def step(space, kernel, state, rng):
     """One event with full re-enumeration of enabled transitions.
 
-    Reference path: O(K * support) per call. Raises FrozenError when no
-    transition is enabled.
+    Reference path: runs every channel on the one state. Raises
+    FrozenError when no transition is enabled.
     """
-    probs = [p for _, p in kernel.entries]
-    env_t = _env_targets(space, kernel)
-    shifts = _shift_perms(space, kernel)
-    chans = list(_channels(space, state.config.bits, probs, env_t, shifts))
+    masks = np.array([state.config.bits], dtype=np.uint64)
+    chans = [(ch, int(targets[0])) for ch, src, targets
+             in enabled_moves(masks, space.move_channels(kernel)) if src.size]
     if not chans:
         raise FrozenError("no enabled transition")
-    cum = _cumulative([c[2] for c in chans])
+    cum = list(itertools.accumulate(ch.rate for ch, _ in chans))
     lam = cum[-1]
     dt = rng.standard_exponential() / lam
     u = rng.random() * lam
     j = min(bisect_right(cum, u), len(cum) - 1)
-    target_bits, ji, _ = chans[j]
+    ch, target_bits = chans[j]
     pos = state.position.copy()
     counts = state.jump_counts.copy()
-    if ji >= 0:
-        pos += np.asarray(kernel.entries[ji][0], dtype=np.int64)
-        counts[ji] += 1
+    if ch.jump >= 0:
+        pos += np.asarray(kernel.entries[ch.jump][0], dtype=np.int64)
+        counts[ch.jump] += 1
     return TrajectoryState(
         Configuration(target_bits, state.config.k), pos, state.t + dt, counts
     )

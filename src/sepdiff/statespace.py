@@ -5,6 +5,12 @@ punctured torus (the tagged particle is pinned at the origin and excluded).
 The space is enumerated in lexicographic order of the sorted occupied-site
 index lists, which matches ``itertools.combinations`` order; ranks are
 computed with exact integer binomial tables.
+
+Bulk work runs on a ``uint64`` array of occupancy bitmasks in rank order,
+so an environment has at most 64 sites. Particle moves are enumerated one
+channel at a time over that array (:func:`enabled_moves`): a channel is one
+(site, kernel entry) pair for the environment, or one kernel entry for the
+tagged particle.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .errors import (
 #: refuse to materialize per-state tables beyond this many states
 DEFAULT_MAX_STATES = 500_000
 
+#: bits in one occupancy word, so the most environment sites bulk work takes
+BITMASK_WIDTH = 64
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -48,6 +57,102 @@ def _iter_bits(bits):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _require_word(M):
+    if M > BITMASK_WIDTH:
+        raise SizeCapError(
+            f"{M} environment sites exceed the {BITMASK_WIDTH}-bit "
+            f"occupancy bitmask"
+        )
+
+
+def _lex_bitmasks(M, k):
+    """uint64 bitmasks of the k-subsets of range(M), in lexicographic order.
+
+    Built by subset size j = 1..k. Level j lists the j-subsets of
+    {k-j, ..., M-1}; those of {s, ..., M-1} are its last C(M-s, j)
+    entries. So level j is the concatenation, over the smallest element s,
+    of bit s joined to the matching tail of level j-1.
+    """
+    level = np.zeros(1, dtype=np.uint64)
+    for j in range(1, k + 1):
+        parts = []
+        for s in range(k - j, M - j + 1):
+            tail = level[level.size - math.comb(M - s - 1, j - 1):]
+            parts.append(tail | np.uint64(1 << s))
+        level = np.concatenate(parts)
+    return level
+
+
+@dataclass(frozen=True)
+class Channel:
+    """One kind of move: an environment particle leaving one site by one
+    kernel entry (``jump`` = -1), or a tagged jump by one kernel entry
+    (``jump`` = its index), at rate ``rate``.
+
+    The move is enabled on a bitmask b where ``b & test == want``. Its
+    target is the OR over ``groups`` of ``b & bits`` shifted left by
+    ``shift`` (right for a negative shift).
+    """
+
+    jump: int
+    rate: float
+    test: np.uint64
+    want: np.uint64
+    groups: tuple
+
+
+def _shifted(x, shift):
+    if shift > 0:
+        return x << np.uint64(shift)
+    if shift < 0:
+        return x >> np.uint64(-shift)
+    return x
+
+
+def enabled_moves(masks, channels):
+    """Yield (channel, src, targets) for each channel in turn: ``src`` are
+    the positions in the uint64 array ``masks`` where the channel is
+    enabled, ascending, and ``targets`` the bitmasks it leads to there."""
+    for ch in channels:
+        src = np.flatnonzero((masks & ch.test) == ch.want)
+        b = masks[src]
+        targets = np.zeros_like(b)
+        for bits, shift in ch.groups:
+            targets |= _shifted(b & bits, shift)
+        yield ch, src, targets
+
+
+def _build_channels(geo, kernel):
+    """Channels in canonical order; loops run over sites, not states."""
+    word = (1 << geo.n_env_sites) - 1
+    env = []
+    for i, site in enumerate(geo.env_sites):
+        for z, p in kernel.entries:
+            y = geo.wrap(tuple(a + b for a, b in zip(site, z)))
+            if y == geo.origin:
+                continue
+            t = geo.env_index(y)
+            env.append(Channel(
+                -1, p, np.uint64((1 << i) | (1 << t)), np.uint64(1 << i),
+                ((np.uint64(word ^ (1 << i)), 0), (np.uint64(1 << i), t - i)),
+            ))
+    tagged = []
+    for zi, (z, p) in enumerate(kernel.entries):
+        # every occupied y moves to wrap(y - z); the seat wrap(z) is vacant
+        seat = geo.wrap(z)
+        ti = geo.env_index(seat)
+        by_shift = {}
+        for i, site in enumerate(geo.env_sites):
+            if i == ti:
+                continue
+            moved = geo.env_index(tuple(a - b for a, b in zip(site, seat)))
+            by_shift[moved - i] = by_shift.get(moved - i, 0) | (1 << i)
+        groups = tuple((np.uint64(bits), shift)
+                       for shift, bits in by_shift.items())
+        tagged.append(Channel(zi, p, np.uint64(1 << ti), np.uint64(0), groups))
+    return tuple(env + tagged)
 
 
 class StateSpace:
@@ -77,6 +182,8 @@ class StateSpace:
         self._C = [[math.comb(n, r) for r in range(self.k + 2)]
                    for n in range(M + 1)]
         self._bitmasks = None
+        self._sorted = None          # (sorted bitmasks, their ranks)
+        self._channels = {}          # kernel -> channels
 
     def __repr__(self):
         return (f"StateSpace(d={self.geometry.dimension}, N={self.geometry.N}, "
@@ -140,14 +247,41 @@ class StateSpace:
             yield Configuration(bits, self.k)
 
     def bitmasks(self):
-        """List of occupancy bitmasks indexed by rank (cached)."""
+        """Read-only uint64 array of occupancy bitmasks indexed by rank
+        (cached)."""
         if self._bitmasks is None:
             if self.size > DEFAULT_MAX_STATES:
                 raise SizeCapError(
                     f"{self.size} states exceed cap {DEFAULT_MAX_STATES}"
                 )
-            self._bitmasks = [c.bits for c in self.states()]
+            _require_word(self.M)
+            masks = _lex_bitmasks(self.M, self.k)
+            masks.flags.writeable = False
+            self._bitmasks = masks
         return self._bitmasks
+
+    def rank_masks(self, masks):
+        """Ranks of states given as a uint64 bitmask array; every entry
+        must be a state of this space."""
+        if self._sorted is None:
+            all_masks = self.bitmasks()
+            order = np.argsort(all_masks)
+            self._sorted = (all_masks[order], order)
+        sorted_masks, order = self._sorted
+        return order[np.searchsorted(sorted_masks, masks)]
+
+    def move_channels(self, kernel):
+        """The kernel's channels on this torus, cached per kernel, in
+        canonical order: environment moves by source site, then kernel
+        entry; then tagged jumps in kernel order. (Sort key
+        ``site * |Z| + zi``, then ``M * |Z| + zi``.)"""
+        chans = self._channels.get(kernel)
+        if chans is None:
+            self.geometry.require_kernel_fits(kernel)
+            _require_word(self.M)
+            chans = self._channels[kernel] = _build_channels(self.geometry,
+                                                             kernel)
+        return chans
 
     def config_from_sites(self, sites):
         """Configuration occupying the given canonical sites."""
@@ -204,20 +338,11 @@ class StateSpace:
 
     def site_occupancy(self, site_indices):
         """Occupancy indicators, shape (size, len(site_indices)), uint8."""
-        masks = self.bitmasks()
-        out = np.zeros((self.size, len(site_indices)), dtype=np.uint8)
-        for j, idx in enumerate(site_indices):
-            bit = 1 << idx
-            col = out[:, j]
-            for r, b in enumerate(masks):
-                if b & bit:
-                    col[r] = 1
-        return out
+        idx = np.fromiter(site_indices, dtype=np.uint64)
+        return ((self.bitmasks()[:, None] >> idx) & np.uint64(1)) \
+            .astype(np.uint8)
 
     def inside_counts(self, mask):
         """Per-state particle count inside the site set given as a bitmask."""
-        return np.fromiter(
-            ((b & mask).bit_count() for b in self.bitmasks()),
-            dtype=np.int64,
-            count=self.size,
-        )
+        sites = list(_iter_bits(mask & ((1 << self.M) - 1)))
+        return self.site_occupancy(sites).sum(axis=1, dtype=np.int64)

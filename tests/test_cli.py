@@ -221,6 +221,10 @@ def test_size_cap_exit_4(tmp_path):
     cfg = write_cfg(tmp_path, kernel=NN, N=40, K=40)
     assert main(["exact", "--config", cfg, "--out",
                  str(tmp_path / "big")]) == 4
+    # 65 environment sites: only 65 states, but wider than one bitmask word
+    cfg = write_cfg(tmp_path, "wide.yaml", kernel=NN, N=33, K=2)
+    assert main(["exact", "--config", cfg, "--out",
+                 str(tmp_path / "wide")]) == 4
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -183,12 +183,10 @@ def test_sparse_operator_invariants(nn1d):
     op = full_generator(space_1d(2, 2), nn1d)
     assert op.size == 3
     assert op.max_exit_rate() == pytest.approx(2.0)
-    # diagonal equals minus the row sums, rows() agrees with the matrix
+    # diagonal equals minus the row sums, offdiag holds the rest
     dense = op.to_dense()
     assert np.allclose(dense.sum(axis=1), 0.0, atol=1e-15)
-    for i, cols, rates in op.rows():
-        for j, r in zip(cols, rates):
-            assert dense[i, j] == r
+    assert np.array_equal(op.offdiag.toarray() + np.diag(op.diag), dense)
     with pytest.raises(ValueError):
         SparseOperator(2, scipy.sparse.csr_matrix(np.array([[0.0, -1.0],
                                                             [1.0, 0.0]])))
@@ -239,3 +237,6 @@ def test_assembly_size_cap(nn1d):
         full_generator(sp, nn1d)
     with pytest.raises(SizeCapError):
         full_generator(space_1d(3, 3), nn1d, max_states=5)
+    # 10 states with 24 environment moves: the nonzero cap trips mid-assembly
+    with pytest.raises(SizeCapError, match="nonzeros"):
+        full_generator(space_1d(3, 3), nn1d, max_nnz=5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -46,6 +47,36 @@ def test_table_and_direct_paths_identical(meanzero1d):
         assert np.array_equal(t1.position, t2.position)
         assert np.array_equal(t1.jump_counts, t2.jump_counts)
         assert t1.config.bits == t2.config.bits
+
+
+def test_table_matches_per_state_reference(meanzero1d, nn2d):
+    # canonical channel order: environment moves by occupied site, then
+    # kernel entry; then tagged jumps in kernel order; rates summed in order
+    for sp, kernel in ((space_1d(3, 3), meanzero1d),
+                       (StateSpace(TorusGeometry(2, 2), 4), nn2d)):
+        geo = sp.geometry
+        table = TransitionTable(sp, kernel)
+        for r, cfg in enumerate(sp.states()):
+            targets, jumps, rates = [], [], []
+            for i in cfg.occupied_indices:
+                x = geo.env_sites[i]
+                for z, p in kernel.entries:
+                    y = geo.wrap(tuple(a + b for a, b in zip(x, z)))
+                    if y == geo.origin or cfg.occupied(geo.env_index(y)):
+                        continue
+                    targets.append(sp.rank(sp.exchange(cfg, x, y)))
+                    jumps.append(-1)
+                    rates.append(p)
+            for zi, (z, p) in enumerate(kernel.entries):
+                if cfg.occupied(geo.env_index(z)):
+                    continue
+                targets.append(sp.rank(sp.shift(cfg, z)))
+                jumps.append(zi)
+                rates.append(p)
+            assert table.target[r] == targets
+            assert table.jump[r] == jumps
+            assert table.cum[r] == list(itertools.accumulate(rates))
+            assert table.total[r] == (table.cum[r][-1] if rates else 0.0)
 
 
 def test_fixed_start_overrides_uniform_draw(nn1d):

@@ -1,0 +1,75 @@
+"""Property tests of the move enumeration over random kernels and tori,
+against the brute-force generator of ``_oracle``."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from sepdiff import (  # noqa: E402
+    ReducibleError,
+    StateSpace,
+    TorusGeometry,
+    TransitionTable,
+    build_kernel,
+    full_generator,
+)
+
+import _oracle  # noqa: E402
+
+#: the dense oracle stays cheap below this many states
+MAX_STATES = 400
+
+
+@st.composite
+def systems(draw):
+    """(StateSpace, kernel): d in {1, 2}, range <= 2, rational weights."""
+    d = draw(st.sampled_from([1, 2]))
+    R = draw(st.integers(1, 2))
+    moves = [z for z in itertools.product(range(-R, R + 1), repeat=d)
+             if any(z)]
+    support = draw(st.lists(st.sampled_from(moves), min_size=d, max_size=5,
+                            unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(support),
+                            max_size=len(support)))
+    entries = [(z, Fraction(w, sum(weights)))
+               for z, w in zip(support, weights)]
+    try:
+        kernel = build_kernel(d, entries)
+    except ReducibleError:
+        assume(False)
+    # 2N > 2R, and small enough for the dense oracle
+    N = draw(st.integers(kernel.range + 1, kernel.range + (3 if d == 1 else 1)))
+    M = (2 * N) ** d - 1
+    Ks = [K for K in range(1, M + 2) if math.comb(M, K - 1) <= MAX_STATES]
+    K = draw(st.sampled_from(Ks))
+    return StateSpace(TorusGeometry(d, N), K), kernel
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_generator_and_table_match_oracle(system):
+    sp, kernel = system
+    g = sp.geometry
+    _, Q = _oracle.dense_generator(g.N, g.dimension, sp.K, kernel.entries)
+    op = full_generator(sp, kernel)
+    L = op.to_dense()
+    assert np.max(np.abs(L - Q)) <= 1e-14
+    # rows sum to zero, and the uniform measure is stationary
+    assert np.max(np.abs(L.sum(axis=1))) <= 1e-14
+    assert np.max(np.abs(L.sum(axis=0))) <= 1e-14
+    # the MC table, summed per target without self-loops, is the generator
+    table = TransitionTable(sp, kernel)
+    rates = np.zeros_like(L)
+    for r in range(sp.size):
+        steps = np.diff([0.0] + table.cum[r])
+        for t, p in zip(table.target[r], steps):
+            if t != r:
+                rates[r, t] += p
+    off = op.offdiag.toarray()
+    assert np.max(np.abs(rates - off)) <= 1e-14

@@ -11,7 +11,10 @@ from sepdiff import (
     TargetOccupiedError,
     TorusGeometry,
     WrongCountError,
+    build_kernel,
+    full_generator,
 )
+from sepdiff.statespace import BITMASK_WIDTH
 
 import _oracle
 
@@ -62,6 +65,12 @@ def test_rank_unrank_round_trip():
         for r, cfg in enumerate(sp.states()):
             assert sp.rank(cfg) == r
             assert sp.unrank(r).bits == cfg.bits
+        # the bulk bitmask array and its ranking agree with the same order
+        masks = sp.bitmasks()
+        assert masks.dtype == np.uint64
+        assert masks.tolist() == [c.bits for c in sp.states()]
+        assert sp.rank_masks(masks[::-1]).tolist() == \
+            list(range(sp.size))[::-1]
 
 
 def test_config_from_sites_validation():
@@ -142,3 +151,18 @@ def test_size_cap():
     assert sp.size > 500_000
     with pytest.raises(SizeCapError):
         sp.bitmasks()
+
+
+def test_bitmask_width_cap():
+    # side 64: 63 environment sites, the widest torus one word holds
+    sp = make_space(1, 32, 2)
+    assert sp.M == 63 <= BITMASK_WIDTH
+    assert sp.bitmasks().tolist() == [1 << i for i in range(63)]
+    # side 66: 65 sites need a 65-bit mask, refused rather than wrapped
+    sp = make_space(1, 33, 2)
+    assert sp.M == 65 and sp.size == 65
+    with pytest.raises(SizeCapError, match="64-bit"):
+        sp.bitmasks()
+    kernel = build_kernel(1, [((1,), 0.5), ((-1,), 0.5)])
+    with pytest.raises(SizeCapError, match="64-bit"):
+        full_generator(sp, kernel)
