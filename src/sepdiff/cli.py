@@ -48,7 +48,7 @@ from .errors import (
 )
 from .generator import full_generator, symmetric_part
 from .kernel import TorusGeometry, build_kernel
-from .montecarlo import arbitrate_sign, estimate_diffusion
+from .montecarlo import RNG_STREAM, _arbitrate, estimate_diffusion
 from .sobolev import (
     DENSE_EIG_MAX,
     resolvent_sweep,
@@ -320,7 +320,8 @@ def cmd_mc(cfg, out_dir):
                     + [_fmt(v) for v in h.drift]
                     + [_fmt(float(h.njumps.mean()))])
     _write_csv(os.path.join(out_dir, "mc.csv"), cfg, columns, rows,
-               extra={"M": str(est.M), "alpha": _fmt(space.alpha)})
+               extra={"M": str(est.M), "alpha": _fmt(space.alpha),
+                      "rng_stream": str(RNG_STREAM)})
     lines = [
         f"M: {est.M}",
         f"seed: {est.seed}",
@@ -435,17 +436,15 @@ def cmd_arbitrate_sign(cfg, out_dir):
     if cfg.direction is not None:
         directions = [np.asarray(cfg.direction, dtype=float)]
     T = arb.get("T")
-    sign = arbitrate_sign(
-        space, cfg.kernel, directions=directions,
-        T=None if T is None else float(T),
-        M=int(arb.get("M", 4000)),
-        seed=int(arb.get("seed", cfg.seed)),
-        max_doublings=int(arb.get("max_doublings", 3)),
-        tol=cfg.tolerance,
+    sign, exact = _arbitrate(
+        space, cfg.kernel, directions,
+        None if T is None else float(T),
+        int(arb.get("M", 4000)),
+        int(arb.get("seed", cfg.seed)),
+        int(arb.get("max_doublings", 3)),
+        cfg.tolerance,
     )
-    rep_plus = compute_D_matrix(space, cfg.kernel, sign=+1, tol=cfg.tolerance)
-    rows = [[f"{sign:+d}", _fmt(r.D_plus), _fmt(r.D_minus)]
-            for r in rep_plus.directions]
+    rows = [[f"{sign:+d}", _fmt(r.D_plus), _fmt(r.D_minus)] for r in exact]
     _write_csv(os.path.join(out_dir, "arbitrate.csv"), cfg,
                ["chosen_sign", "D_plus", "D_minus"], rows)
     _write_report(os.path.join(out_dir, "arbitrate_report.txt"),

@@ -96,6 +96,7 @@ def test_seed_override_recorded_and_effective(tmp_path):
                  "--seed", "99"]) == 0
     a = (outa / "mc.csv").read_text()
     b = (outb / "mc.csv").read_text()
+    assert "# rng_stream: 2" in a
     assert "# seed: 4" in a
     assert "# seed: 99" in b
     assert a != b
@@ -180,6 +181,20 @@ def test_arbitrate_sign_cli(tmp_path):
     assert rows[0]["chosen_sign"] == "-1"
     assert float(rows[0]["D_minus"]) == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert float(rows[0]["D_plus"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_arbitrate_sign_cli_rows_follow_direction(tmp_path):
+    # a configured direction is the one arbitrated and reported: a = 2
+    # scales both conventions of a^t D a by 4
+    cfg = write_cfg(tmp_path, kernel=NN, N=2, K=2, direction=[2.0],
+                    arbitrate={"M": 1200, "seed": 11})
+    out = tmp_path / "arb2"
+    assert main(["arbitrate-sign", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_rows(out / "arbitrate.csv")
+    assert len(rows) == 1
+    assert rows[0]["chosen_sign"] == "-1"
+    assert float(rows[0]["D_minus"]) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert float(rows[0]["D_plus"]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -20,7 +20,8 @@ from sepdiff import (
     simulate,
     step,
 )
-from sepdiff.montecarlo import TrajectoryState
+from sepdiff import montecarlo
+from sepdiff.montecarlo import TrajectoryState, _lockstep
 
 
 
@@ -73,10 +74,12 @@ def test_table_matches_per_state_reference(meanzero1d, nn2d):
                 targets.append(sp.rank(sp.shift(cfg, z)))
                 jumps.append(zi)
                 rates.append(p)
-            assert table.target[r] == targets
-            assert table.jump[r] == jumps
-            assert table.cum[r] == list(itertools.accumulate(rates))
-            assert table.total[r] == (table.cum[r][-1] if rates else 0.0)
+            n = table.fill[r]
+            assert table.target[r, :n].tolist() == targets
+            assert table.jump[r, :n].tolist() == jumps
+            cum = table.cum[r, :n].tolist()
+            assert cum == list(itertools.accumulate(rates))
+            assert table.total[r] == (cum[-1] if rates else 0.0)
 
 
 def test_fixed_start_overrides_uniform_draw(nn1d):
@@ -86,13 +89,49 @@ def test_fixed_start_overrides_uniform_draw(nn1d):
     assert t.t == pytest.approx(0.0001)
 
 
-def test_estimate_thread_count_does_not_change_results(nn1d):
-    sp = space_1d(2, 2)
-    e1 = estimate_diffusion(sp, nn1d, 8.0, 64, 3, threads=1)
-    e4 = estimate_diffusion(sp, nn1d, 8.0, 64, 3, threads=4)
-    for h1, h4 in zip(e1.horizons, e4.horizons):
-        assert np.array_equal(h1.X, h4.X)
-        assert np.array_equal(h1.njumps, h4.njumps)
+def test_estimate_thread_count_does_not_change_results(meanzero1d,
+                                                       monkeypatch):
+    # neither the thread count, the lane chunk nor the uniform refill may
+    # change which doubles a replica consumes
+    sp = space_1d(3, 3)
+    ref = estimate_diffusion(sp, meanzero1d, 6.0, 40, 9)
+    for lanes, refill in ((1, 1), (7, 7), (1, 7), (7, 1),
+                          (montecarlo.LANES, montecarlo.REFILL)):
+        monkeypatch.setattr(montecarlo, "LANES", lanes)
+        monkeypatch.setattr(montecarlo, "REFILL", refill)
+        for threads in (1, 3, 4):
+            est = estimate_diffusion(sp, meanzero1d, 6.0, 40, 9,
+                                     threads=threads)
+            for h, h_ref in zip(est.horizons, ref.horizons):
+                assert np.array_equal(h.X, h_ref.X)
+                assert np.array_equal(h.njumps, h_ref.njumps)
+
+
+@pytest.mark.parametrize("system", ["meanzero1d", "nn2d", "frozen"])
+def test_lockstep_lanes_match_direct_path(system, request):
+    # every lane of one lockstep run equals the re-enumerating path driven
+    # by the same replica stream, though the lanes leave at different events
+    sp, kernel, T = {
+        "meanzero1d": (space_1d(3, 3), "meanzero1d", 12.0),
+        "nn2d": (StateSpace(TorusGeometry(2, 2), 3), "nn2d", 6.0),
+        "frozen": (space_1d(2, 4), "nn1d", 5.0),
+    }[system]
+    kernel = request.getfixturevalue(kernel)
+    table = TransitionTable(sp, kernel)
+    for seed in range(4):
+        rngs = [replica_rng(seed, 0, r) for r in range(9)]
+        starts = [rng.integers(sp.size) for rng in rngs]
+        final, counts = _lockstep(table, rngs, starts, T)
+        for r in range(9):
+            ref = simulate(sp, kernel, T, replica_rng(seed, 0, r),
+                           method="direct")
+            assert final[r] == sp.rank(ref.config)
+            assert np.array_equal(counts[r], ref.jump_counts)
+        jumps = counts.sum(axis=1)
+        if system == "frozen":
+            assert not jumps.any()
+        else:
+            assert len(set(jumps.tolist())) > 1
 
 
 def test_position_is_sum_of_jumps(meanzero1d):

@@ -67,8 +67,9 @@ def test_generator_and_table_match_oracle(system):
     table = TransitionTable(sp, kernel)
     rates = np.zeros_like(L)
     for r in range(sp.size):
-        steps = np.diff([0.0] + table.cum[r])
-        for t, p in zip(table.target[r], steps):
+        n = table.fill[r]
+        steps = np.diff([0.0] + table.cum[r, :n].tolist())
+        for t, p in zip(table.target[r, :n], steps):
             if t != r:
                 rates[r, t] += p
     off = op.offdiag.toarray()
