@@ -336,14 +336,13 @@ def conditional_expectation(space, v, l):
         filler = 0
         for i in outside[:rem]:
             filler |= 1 << i
+        masks = [filler | sum(1 << i for i in combo)
+                 for combo in itertools.combinations(inside, j)]
+        # summed one arrangement at a time, in enumeration order
         total = 0.0
-        n_arr = math.comb(m_in, j)
-        for combo in itertools.combinations(inside, j):
-            bits = filler
-            for i in combo:
-                bits |= 1 << i
-            total += vvals[space.rank_bits(bits)]
-        avg[j] = total / n_arr
+        for x in vvals[space.rank_masks(masks)].tolist():
+            total += x
+        avg[j] = total / len(masks)
     counts = space.inside_counts(inside_mask)
     out = np.array([avg[int(c)] for c in counts])
     return ObservableVector(out)

@@ -3,8 +3,13 @@
 States are occupancy patterns of K-1 indistinguishable particles on the
 punctured torus (the tagged particle is pinned at the origin and excluded).
 The space is enumerated in lexicographic order of the sorted occupied-site
-index lists, which matches ``itertools.combinations`` order; ranks are
-computed with exact integer binomial tables.
+index lists, which matches ``itertools.combinations`` order. Ranks follow
+in closed form from the combinatorial number system (Knuth, TAOCP 4A,
+7.2.1.3): a state with set bits p has rank C(M, k) - 1 - sum_p
+C(M-1-p, i_p), where i_p counts the set bits at positions >= p. The sum is
+read one byte of the bitmask at a time from a per-space table
+(:func:`_rank_table`), so ranking an array of bitmasks takes a few numpy
+lookups per byte and no search; ``unrank`` walks exact integer binomials.
 
 Bulk work runs on a ``uint64`` array of occupancy bitmasks in rank order,
 so an environment has at most 64 sites. Particle moves are enumerated one
@@ -65,6 +70,40 @@ def _require_word(M):
             f"{M} environment sites exceed the {BITMASK_WIDTH}-bit "
             f"occupancy bitmask"
         )
+
+
+#: per byte value, 256 x its popcount: the step to the rank table row
+#: the next byte down reads
+_ROW_STEP = 256 * ((np.arange(256)[:, None] >> np.arange(8)) & 1).sum(axis=1)
+
+
+def _rank_table(M, k, binom):
+    """int64 table T[q, c, v]: the share of byte q (sites 8q .. 8q+7)
+    holding v in the sum sum_p C(M-1-p, i_p) of the rank formula, given c
+    set bits in the bytes above it; ``binom[n][r]`` is C(n, r).
+
+    Built over the byte's bits from the lowest: a set bit at site p with
+    c' set bits above it adds C(M-1-p, c'+1), and the bits below it see
+    one more set bit above. Terms with i_p > k, or at sites p >= M, are
+    zero; no state has them. Every entry fits int64 for M <= 64: it adds
+    at most 8 terms, each at most C(63, 31) < 2^60.
+    """
+    nbytes = -(-M // 8)
+    sites = np.arange(8 * nbytes).reshape(nbytes, 8)
+    # term[q, j, i] = C(M-1-p, i) for the site p = 8q + j
+    term = np.zeros((nbytes, 8, M + 9), dtype=np.int64)
+    inside = sites < M
+    term[inside, :k + 1] = np.array(binom, dtype=np.int64)[
+        M - 1 - sites[inside], :k + 1]
+    # part[q, c, v]: share of the low j bits of v, given c set bits above
+    # them; one row is used up per bit, leaving c = 0 .. M
+    part = np.zeros((nbytes, M + 9, 1), dtype=np.int64)
+    for j in range(8):
+        rows = part.shape[1] - 1
+        part = np.concatenate(
+            [part[:, :rows], term[:, j, 1:rows + 1, None] + part[:, 1:]],
+            axis=2)
+    return part
 
 
 def _lex_bitmasks(M, k):
@@ -182,7 +221,7 @@ class StateSpace:
         self._C = [[math.comb(n, r) for r in range(self.k + 2)]
                    for n in range(M + 1)]
         self._bitmasks = None
-        self._sorted = None          # (sorted bitmasks, their ranks)
+        self._rank = None            # _rank_table, built on first use
         self._channels = {}          # kernel -> channels
 
     def __repr__(self):
@@ -200,23 +239,7 @@ class StateSpace:
             )
         if config.bits >> self.M:
             raise OutOfRangeError("configuration occupies sites beyond the torus")
-        return self.rank_bits(config.bits)
-
-    def rank_bits(self, bits):
-        """Rank an occupancy bitmask (no validation; assembly fast path)."""
-        C, M, k = self._C, self.M, self.k
-        r = 0
-        prev = -1
-        i = 0
-        while bits:
-            low = bits & -bits
-            s = low.bit_length() - 1
-            bits ^= low
-            j = k - i
-            r += C[M - 1 - prev][j] - C[M - s][j]
-            prev = s
-            i += 1
-        return r
+        return int(self.rank_masks([config.bits])[0])
 
     def unrank(self, rank):
         """Configuration at a given lexicographic rank."""
@@ -261,14 +284,36 @@ class StateSpace:
         return self._bitmasks
 
     def rank_masks(self, masks):
-        """Ranks of states given as a uint64 bitmask array; every entry
-        must be a state of this space."""
-        if self._sorted is None:
-            all_masks = self.bitmasks()
-            order = np.argsort(all_masks)
-            self._sorted = (all_masks[order], order)
-        sorted_masks, order = self._sorted
-        return order[np.searchsorted(sorted_masks, masks)]
+        """Lexicographic ranks (int64) of states given as uint64 bitmasks.
+
+        Arithmetic, by the combinatorial number system: the bitmasks are
+        walked one byte at a time from the top, adding each byte's share
+        of the rank sum from a table (built on first use) indexed by the
+        byte and the set bits seen so far. Raises ``OutOfRangeError`` when
+        a bitmask occupies a site beyond the torus and ``WrongCountError``
+        when it does not hold exactly k particles.
+        """
+        if self._rank is None:
+            _require_word(self.M)
+            table = _rank_table(self.M, self.k, self._C)
+            # one flat table per byte: row c starts at 256 c
+            self._rank = table.reshape(len(table), -1)
+        masks = np.asarray(masks, dtype=np.uint64)
+        if masks.size and int(masks.max()) >> self.M:
+            raise OutOfRangeError("bitmask occupies sites beyond the torus")
+        # bytes of each bitmask, low byte first
+        by = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8) \
+            .reshape(masks.size, 8)
+        share = np.zeros(masks.size, dtype=np.int64)
+        row = np.zeros(masks.size, dtype=np.intp)  # 256 x set bits above
+        for q in reversed(range(len(self._rank))):
+            byte = by[:, q].astype(np.intp)
+            share += self._rank[q].take(row + byte)
+            row += _ROW_STEP[byte]
+        if np.any(row != 256 * self.k):
+            raise WrongCountError(
+                f"bitmask does not hold the {self.k} particles of the space")
+        return ((self.size - 1) - share).reshape(masks.shape)
 
     def move_channels(self, kernel):
         """The kernel's channels on this torus, cached per kernel, in

@@ -74,3 +74,38 @@ def test_generator_and_table_match_oracle(system):
                 rates[r, t] += p
     off = op.offdiag.toarray()
     assert np.max(np.abs(rates - off)) <= 1e-14
+
+
+def _lex_rank(sites, M):
+    """Rank of a sorted k-subset of range(M) among all k-subsets in
+    lexicographic order: the subsets that agree on the first i-1 sites and
+    put a smaller one in place i, counted with ``math.comb``."""
+    k, r, prev = len(sites), 0, -1
+    for i, s in enumerate(sites):
+        r += sum(math.comb(M - 1 - t, k - 1 - i) for t in range(prev + 1, s))
+        prev = s
+    return r
+
+
+@st.composite
+def subsets(draw):
+    """(StateSpace, k-subsets of its sites): 1d tori of up to 64 sites,
+    including spaces far beyond the enumeration cap."""
+    N = draw(st.integers(1, 32))
+    M = 2 * N - 1
+    K = draw(st.integers(1, M + 1))
+    sets = draw(st.lists(
+        st.sets(st.integers(0, M - 1), min_size=K - 1, max_size=K - 1),
+        min_size=1, max_size=20))
+    return StateSpace(TorusGeometry(1, N), K), [sorted(x) for x in sets]
+
+
+@settings(max_examples=200, deadline=None)
+@given(subsets())
+def test_rank_matches_combinatorial_reference(case):
+    sp, sets = case
+    masks = [sum(1 << s for s in sites) for sites in sets]
+    want = [_lex_rank(sites, sp.M) for sites in sets]
+    assert sp.rank_masks(np.array(masks, dtype=np.uint64)).tolist() == want
+    for bits, r in zip(masks, want):
+        assert sp.unrank(r).bits == bits

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sepdiff import (
+    OutOfRangeError,
     SiteIsOriginError,
     SizeCapError,
     StateSpace,
@@ -71,6 +72,53 @@ def test_rank_unrank_round_trip():
         assert masks.tolist() == [c.bits for c in sp.states()]
         assert sp.rank_masks(masks[::-1]).tolist() == \
             list(range(sp.size))[::-1]
+
+
+@pytest.mark.parametrize("N,K", [
+    (4, 1),     # k = 0: the empty environment
+    (4, 8),     # k = M: the full lattice
+    (4, 4),     # M = 7, one byte
+    (5, 5),     # M = 9, just past a byte boundary
+    (8, 8),     # M = 15
+    (9, 5),     # M = 17
+    (9, 17),
+    (32, 1),    # M = 63, the widest torus a word holds
+    (32, 2),
+    (32, 3),
+    (32, 64),
+])
+def test_rank_at_edges_and_byte_boundaries(N, K):
+    sp = make_space(1, N, K)
+    masks = sp.bitmasks()
+    assert masks.tolist() == [c.bits for c in sp.states()]
+    assert sp.rank_masks(masks).tolist() == list(range(sp.size))
+    perm = np.random.default_rng(0).permutation(sp.size)
+    assert sp.rank_masks(masks[perm]).tolist() == perm.tolist()
+    for r in range(0, sp.size, max(1, sp.size // 200)):
+        cfg = sp.unrank(r)
+        assert cfg.bits == int(masks[r])
+        assert sp.rank(cfg) == r
+
+
+def test_rank_masks_rejects_non_states():
+    sp = make_space(1, 3, 3)                 # M = 5, k = 2
+    assert sp.rank_masks([0b11, 0b11000]).tolist() == [0, sp.size - 1]
+    with pytest.raises(WrongCountError):
+        sp.rank_masks([0b111])               # three particles
+    with pytest.raises(WrongCountError):
+        sp.rank_masks([0b11, 0b1])           # one particle
+    with pytest.raises(OutOfRangeError):
+        sp.rank_masks([0b100001])            # site 5 is beyond the torus
+    with pytest.raises(OutOfRangeError):
+        sp.rank_masks(np.array([(1 << 63) | 1], dtype=np.uint64))
+    # the widest torus: sites 61, 62 are its last state, bit 63 is beyond
+    wide = make_space(1, 32, 3)
+    assert wide.rank_masks([(1 << 62) | (1 << 61)]).tolist() == \
+        [wide.size - 1]
+    with pytest.raises(WrongCountError):
+        wide.rank_masks([1 << 62])
+    with pytest.raises(OutOfRangeError):
+        wide.rank_masks([(1 << 63) | (1 << 62)])
 
 
 def test_config_from_sites_validation():
@@ -163,6 +211,8 @@ def test_bitmask_width_cap():
     assert sp.M == 65 and sp.size == 65
     with pytest.raises(SizeCapError, match="64-bit"):
         sp.bitmasks()
+    with pytest.raises(SizeCapError, match="64-bit"):
+        sp.rank(sp.unrank(0))
     kernel = build_kernel(1, [((1,), 0.5), ((-1,), 0.5)])
     with pytest.raises(SizeCapError, match="64-bit"):
         full_generator(sp, kernel)
