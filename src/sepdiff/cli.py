@@ -353,6 +353,17 @@ def cmd_diagnostics(cfg, out_dir):
         rows.append([section, name, _fmt(value) if not isinstance(value, str)
                      else value])
 
+    def along_N(section):
+        """The section's block and its N_list, for a sweep at fixed density."""
+        block = diag[section] or {}
+        n_list = [int(n) for n in block.get("N_list", [])]
+        if not n_list:
+            raise ConfigError(f"{section} needs N_list")
+        if cfg.alpha is None:
+            raise ConfigError(f"{section} runs at fixed density: give "
+                              "'alpha', not 'K'")
+        return block, n_list
+
     op = None
     if space.size > 1:
         op = full_generator(space, cfg.kernel)
@@ -393,13 +404,7 @@ def cmd_diagnostics(cfg, out_dir):
         if rep.fitted_exponent is not None:
             add("multiscale", "fitted_exponent", rep.fitted_exponent)
     if "hminus1_sweep" in diag:
-        block = diag["hminus1_sweep"] or {}
-        n_list = [int(n) for n in block.get("N_list", [])]
-        if not n_list:
-            raise ConfigError("hminus1_sweep needs N_list")
-        if cfg.alpha is None:
-            raise ConfigError("hminus1_sweep runs at fixed density: give "
-                              "'alpha', not 'K'")
+        block, n_list = along_N("hminus1_sweep")
         rep = hminus1_convergence_diagnostic(
             cfg.kernel, cfg.alpha, cfg.observable_recipe(), n_list,
             tol=cfg.tolerance,
@@ -409,13 +414,7 @@ def cmd_diagnostics(cfg, out_dir):
         for n, dv in zip(rep.N_list[1:], rep.diffs):
             add("hminus1_sweep", f"diff@N={n}", dv)
     if "approximation" in diag:
-        block = diag["approximation"] or {}
-        n_list = [int(n) for n in block.get("N_list", [])]
-        if not n_list:
-            raise ConfigError("approximation needs N_list")
-        if cfg.alpha is None:
-            raise ConfigError("approximation runs at fixed density: give "
-                              "'alpha', not 'K'")
+        block, n_list = along_N("approximation")
         rep = approximation_residual_diagnostic(
             cfg.kernel, cfg.alpha, cfg.observable_recipe(), n_list,
             basis_scale=int(block.get("basis_scale", 1)), tol=cfg.tolerance,

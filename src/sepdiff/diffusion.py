@@ -34,12 +34,13 @@ from .generator import (
     ObservableVector,
     assemble_environment,
     center,
+    check_ergodicity,
     full_generator,
     inner,
 )
 from .kernel import TorusGeometry, symmetrize
-from .sobolev import solve_general
-from .statespace import StateSpace
+from .sobolev import approximation_residual, hminus1_norm, solve_general
+from .statespace import StateSpace, _lex_bitmasks
 
 #: correction sign validated by arbitrate_sign on the calibration systems
 DEFAULT_CORRECTION_SIGN = -1
@@ -336,8 +337,12 @@ def conditional_expectation(space, v, l):
         filler = 0
         for i in outside[:rem]:
             filler |= 1 << i
-        masks = [filler | sum(1 << i for i in combo)
-                 for combo in itertools.combinations(inside, j)]
+        # local bit b is block site inside[b]; lexicographic order of the
+        # local subsets is that of itertools.combinations(inside, j)
+        local = _lex_bitmasks(m_in, j)
+        masks = np.full(local.size, filler, dtype=np.uint64)
+        for b, site in enumerate(inside):
+            masks |= ((local >> np.uint64(b)) & np.uint64(1)) << np.uint64(site)
         # summed one arrangement at a time, in enumeration order
         total = 0.0
         for x in vvals[space.rank_masks(masks)].tolist():
@@ -393,15 +398,11 @@ def occupancy_difference_observable(space, site_a, site_b):
     return ObservableVector(center(occ[:, 0] - occ[:, 1]), mean_zero=True)
 
 
-def hminus1_convergence_diagnostic(kernel, alpha, recipe, N_list, tol=1e-10):
-    """Dual norm of a centered observable against the symmetrized
-    environment generator, tracked along increasing N at fixed density.
-
-    ``recipe`` maps a StateSpace to the observable for that torus.
-    """
-    from .generator import check_ergodicity
-    from .sobolev import hminus1_norm
-
+def _along_N(kernel, alpha, recipe, N_list, value):
+    """ConvergenceReport of value(space, h, s0) along increasing N at fixed
+    density, with h = center(recipe(space)) and s0 the environment
+    generator of the symmetrized kernel; a one-state space or a vanishing
+    observable reads 0."""
     sym_kernel = symmetrize(kernel)
     values, Ks = [], []
     for N in N_list:
@@ -409,16 +410,26 @@ def hminus1_convergence_diagnostic(kernel, alpha, recipe, N_list, tol=1e-10):
         geo.require_kernel_fits(kernel)
         K = choose_K(alpha, geo)
         space = StateSpace(geo, K)
-        vbar = center(recipe(space))
-        if space.size == 1 or not np.any(vbar):
-            values.append(0.0)
-        else:
-            s0 = assemble_environment(space, sym_kernel)
-            check_ergodicity(s0)
-            values.append(hminus1_norm(s0, vbar, tol=tol))
+        h = center(recipe(space))
+        trivial = space.size == 1 or not np.any(h)
+        values.append(0.0 if trivial else value(
+            space, h, assemble_environment(space, sym_kernel)))
         Ks.append(K)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     return ConvergenceReport(list(N_list), Ks, values, diffs)
+
+
+def hminus1_convergence_diagnostic(kernel, alpha, recipe, N_list, tol=1e-10):
+    """Dual norm of a centered observable against the symmetrized
+    environment generator, tracked along increasing N at fixed density.
+
+    ``recipe`` maps a StateSpace to the observable for that torus.
+    """
+    def value(space, vbar, s0):
+        check_ergodicity(s0)
+        return hminus1_norm(s0, vbar, tol=tol)
+
+    return _along_N(kernel, alpha, recipe, N_list, value)
 
 
 def approximation_residual_diagnostic(kernel, alpha, recipe, N_list,
@@ -430,26 +441,11 @@ def approximation_residual_diagnostic(kernel, alpha, recipe, N_list,
     ``basis_scale``; the fit residual is measured in the dual norm of the
     symmetrized environment generator.
     """
-    from .sobolev import approximation_residual
-
-    sym_kernel = symmetrize(kernel)
-    values, Ks = [], []
-    for N in N_list:
-        geo = TorusGeometry(kernel.dimension, N)
-        geo.require_kernel_fits(kernel)
-        K = choose_K(alpha, geo)
-        space = StateSpace(geo, K)
-        h = center(recipe(space))
-        if space.size == 1 or not np.any(h):
-            values.append(0.0)
-            Ks.append(K)
-            continue
+    def value(space, h, s0):
         op = full_generator(space, kernel)
-        s0 = assemble_environment(space, sym_kernel)
         basis = [occupancy_observable(space, space.geometry.env_sites[i]).values
                  for i in block_env_indices(space.geometry, basis_scale)]
         resid, _ = approximation_residual(op, h, basis, weight_op=s0, tol=tol)
-        values.append(resid)
-        Ks.append(K)
-    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
-    return ConvergenceReport(list(N_list), Ks, values, diffs)
+        return resid
+
+    return _along_N(kernel, alpha, recipe, N_list, value)

@@ -1,11 +1,18 @@
-"""Energy norms and linear solves against generator operators.
+"""Energy norms, linear solves and spectra of generator operators.
 
 Every linear solve goes through :func:`solve_general`, which solves
 (lam I - L) u = f on the mean-zero subspace. At lam = 0 the system is
 singular with the constants as (left and right) null space; lam > 0 gives
-the resolvent. The H1 seminorm is the square root of the Dirichlet form;
-the dual H-1 norm is realized by one solve against the symmetric part:
+the resolvent. Its iterative path is scipy's conjugate gradients or
+restarted GMRES on an operator that re-projects onto the mean-zero
+subspace. The H1 seminorm is the square root of the Dirichlet form; the
+dual H-1 norm is realized by one solve against the symmetric part:
 (-S) u = f gives |f|_{-1}^2 = <f, u>.
+
+The spectral gap and the sector constant are top eigenvalues of
+operators applied through such solves, found by ARPACK's implicitly
+restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX`` states and by a
+dense eigendecomposition below.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, gmres
 
 from .errors import NotConvergedError, NotMeanZeroError, PropertyViolatedError
 from .generator import ObservableVector, dirichlet_form, inner, symmetric_part
@@ -23,6 +30,10 @@ from .generator import ObservableVector, dirichlet_form, inner, symmetric_part
 DENSE_SOLVE_MAX = 5000
 DENSE_EIG_MAX = 2000
 GMRES_RESTART = 50
+#: tolerance of the solves inside the Lanczos eigenvalue routines
+EIG_SOLVE_TOL = 1e-12
+#: Lanczos basis size, ARPACK's default for one eigenvalue
+LANCZOS_NCV = 20
 
 
 @dataclass
@@ -39,6 +50,11 @@ def _vec(f):
 
 def _project(v):
     return v - v.mean()
+
+
+def _check_method(method):
+    if method not in ("auto", "iterative", "dense"):
+        raise ValueError(f"unknown solve method {method!r}")
 
 
 def _require_mean_zero(b, what="right-hand side"):
@@ -66,36 +82,13 @@ def _replay(op, u, b, lam):
     return float(np.linalg.norm(_shifted(op, lam, u) - b)) / bn
 
 
-def _cg_projected(op, b, tol, max_iter, lam):
-    """Conjugate gradients for (lam I - op) u = b, re-projecting onto the
-    mean-zero subspace at every iteration."""
-    x = np.zeros_like(b)
-    r = _project(b.copy())
-    p = r.copy()
-    rs = float(r @ r)
-    bnorm = math.sqrt(float(b @ b))
-    if bnorm == 0.0:
-        return x, 0, True
-    for it in range(1, max_iter + 1):
-        ap = _project(_shifted(op, lam, _project(p)))
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            return x, it, False
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        r = _project(r)
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) <= tol * bnorm:
-            return _project(x), it, True
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return _project(x), max_iter, False
+def _krylov_projected(op, b, tol, lam):
+    """Krylov solve of (lam I - op) u = b on the operator wrapped so every
+    application re-projects onto the mean-zero subspace: scipy's conjugate
+    gradients when op is symmetric, restarted GMRES otherwise.
 
-
-def _gmres_projected(op, b, tol, max_iter, lam):
-    """Restarted GMRES for (lam I - op) u = b on the operator wrapped so
-    every application re-projects onto the mean-zero subspace."""
+    Returns (u, iterations, converged, path).
+    """
     n = op.size
     amv = LinearOperator(
         (n, n), matvec=lambda v: _project(_shifted(op, lam, _project(v))),
@@ -106,12 +99,19 @@ def _gmres_projected(op, b, tol, max_iter, lam):
     def _cb(_):
         count[0] += 1
 
-    x, info = gmres(amv, b, rtol=tol, atol=0.0, restart=GMRES_RESTART,
-                    maxiter=max_iter, callback=_cb, callback_type="pr_norm")
-    return _project(x), count[0], info == 0
+    opts = dict(rtol=tol, atol=0.0, maxiter=min(10 * n + 100, 100_000),
+                callback=_cb)
+    if op.is_symmetric():
+        path = "iterative-symmetric"
+        x, info = cg(amv, b, **opts)
+    else:
+        path = "iterative-nonsymmetric"
+        x, info = gmres(amv, b, restart=GMRES_RESTART,
+                        callback_type="pr_norm", **opts)
+    return _project(x), count[0], info == 0, path
 
 
-def solve_general(op, b, tol=1e-10, method="auto", max_iter=None, lam=0.0):
+def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
     """Solve (lam I - op) u = b for the mean-zero u, op a generator.
 
     Parameters
@@ -122,8 +122,10 @@ def solve_general(op, b, tol=1e-10, method="auto", max_iter=None, lam=0.0):
     b : array or ObservableVector
         Mean-zero right-hand side.
     method : {"auto", "iterative", "dense"}
-        "iterative" runs projected conjugate gradients when op is
-        symmetric and projected restarted GMRES otherwise; "dense" factors
+        "iterative" runs scipy's conjugate gradients when op is symmetric
+        and restarted GMRES otherwise, both on the operator re-projected
+        onto the mean-zero subspace and capped at min(10 n + 100, 100000)
+        iterations (GMRES: restart cycles); "dense" factors
         lam I - op + 1/n, whose flat shift lifts the constant direction and
         leaves the mean-zero solution unchanged; "auto" tries the iterative
         path first and falls back to dense for sizes up to
@@ -138,24 +140,17 @@ def solve_general(op, b, tol=1e-10, method="auto", max_iter=None, lam=0.0):
     """
     if lam < 0.0:
         raise ValueError(f"resolvent parameter must be >= 0, got {lam}")
-    if method not in ("auto", "iterative", "dense"):
-        raise ValueError(f"unknown solve method {method!r}")
+    _check_method(method)
     b = _vec(b)
     _require_mean_zero(b)
     n = op.size
     if n == 1:
         sol = ObservableVector(np.zeros(1), mean_zero=True)
         return SolveReport(sol, 0.0, 0, "dense")
-    if max_iter is None:
-        max_iter = min(10 * n + 100, 100_000)
 
     failures = []
     if method != "dense":
-        if op.is_symmetric():
-            solver, path = _cg_projected, "iterative-symmetric"
-        else:
-            solver, path = _gmres_projected, "iterative-nonsymmetric"
-        x, its, converged = solver(op, b, tol, max_iter, lam)
+        x, its, converged, path = _krylov_projected(op, b, tol, lam)
         res = _replay(op, x, b, lam)
         if converged and res <= 2.0 * tol:
             return SolveReport(ObservableVector(x, mean_zero=True), res, its,
@@ -181,17 +176,14 @@ def h1_norm(op, f):
     return math.sqrt(max(q, 0.0))
 
 
-def hminus1_norm(op, f, tol=1e-10, method="auto", return_report=False):
+def hminus1_norm(op, f, tol=1e-10, method="auto"):
     """Dual norm of a mean-zero f, via one SPD solve against the symmetric
     part of op: |f|_{-1}^2 = <f, u> with (-S) u = f."""
     f = _vec(f)
     _require_mean_zero(f, "observable")
     sym = op if op.is_symmetric() else symmetric_part(op)
     rep = solve_general(sym, f, tol=tol, method=method)
-    val = math.sqrt(max(inner(f, rep.solution.values), 0.0))
-    if return_report:
-        return val, rep
-    return val
+    return math.sqrt(max(inner(f, rep.solution.values), 0.0))
 
 
 @dataclass
@@ -298,49 +290,76 @@ def verify_prop1(op, n_pairs=100, seed=0, tol=1e-9):
                        min_iii, max_gap_iii)
 
 
-def spectral_gap(op, method="auto", tol=1e-10, max_iter=500):
+def _lanczos_top(n, matvec, tol, m=None, minv=None):
+    """Largest eigenvalue of an operator self-adjoint on the mean-zero
+    subspace (of the pencil (A, M) when ``m`` applies M and ``minv`` its
+    inverse) by ARPACK's implicitly restarted Lanczos, started from the
+    alternating vector; ARPACK failures raise NotConvergedError."""
+    def lin(f):
+        return None if f is None else LinearOperator((n, n), matvec=f,
+                                                     dtype=float)
+
+    try:
+        top = eigsh(lin(matvec), k=1, M=lin(m), Minv=lin(minv), which="LA",
+                    v0=_alternating_start(n), ncv=LANCZOS_NCV, tol=tol,
+                    return_eigenvectors=False)
+    except ArpackError as exc:
+        raise NotConvergedError(f"Lanczos iteration failed: {exc}") from exc
+    return float(top[0])
+
+
+def _pinv(op):
+    """v -> (-op)^+ v on the mean-zero subspace, solved to EIG_SOLVE_TOL."""
+    return lambda v: solve_general(op, _project(v),
+                                   tol=EIG_SOLVE_TOL).solution.values
+
+
+def _eig_dense(method, n):
+    """Whether an eigenvalue routine runs dense: on request, under "auto"
+    up to ``DENSE_EIG_MAX`` states, and when the Lanczos basis would span
+    the mean-zero subspace, where a spectrum with few distinct eigenvalues
+    makes ARPACK restart from a random vector, and may make it fail."""
+    _check_method(method)
+    return (method == "dense" or n <= LANCZOS_NCV + 1
+            or (method == "auto" and n <= DENSE_EIG_MAX))
+
+
+def spectral_gap(op, method="auto", tol=1e-10):
     """Smallest nonzero eigenvalue of -op on the mean-zero subspace.
 
     op must be a symmetric generator of a connected system. The dense path
-    is a full eigendecomposition; the iterative path is inverse power
-    iteration driven by :func:`solve_general`, started from the deterministic
-    alternating vector.
+    (see ``_eig_dense`` for when it runs) is a full eigendecomposition.
+    The iterative path runs Lanczos on the mean-zero pseudo-inverse of
+    -op, applied by :func:`solve_general` at tolerance ``EIG_SOLVE_TOL``,
+    and returns one over its top eigenvalue; ``tol`` is the relative
+    accuracy Lanczos asks of that eigenvalue.
     """
+    n = op.size
+    dense = _eig_dense(method, n)
     if not op.is_symmetric():
         raise ValueError("spectral_gap expects a symmetric generator")
-    n = op.size
     if n == 1:
         return math.inf
-    if method == "dense" or (method == "auto" and n <= DENSE_EIG_MAX):
+    if dense:
         evals = np.linalg.eigvalsh(-op.to_dense())
         return float(evals[1])
-    v = _alternating_start(n)
-    v /= np.linalg.norm(v)
-    gap = math.inf
-    for _ in range(max_iter):
-        w = solve_general(op, v, tol=min(tol, 1e-12) * 1e2).solution.values
-        w = _project(w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise NotConvergedError("inverse iteration collapsed to zero")
-        v = w / nw
-        new_gap = dirichlet_form(op, v) / inner(v, v)
-        if abs(new_gap - gap) <= tol * max(new_gap, 1e-300):
-            return float(new_gap)
-        gap = new_gap
-    raise NotConvergedError(
-        f"inverse iteration did not settle within {max_iter} sweeps"
-    )
+    return 1.0 / _lanczos_top(n, _pinv(op), tol)
 
 
-def sector_constant(op, method="auto", tol=1e-10, max_iter=5000):
+def sector_constant(op, method="auto", tol=1e-10):
     """Sharp constant C in <f, B g>^2 <= C <f,-op f> <g,-op g>, where B is
     the skew part of -op restricted to the mean-zero subspace.
 
     Equals the squared operator norm of S^{-1/2} B S^{-1/2} with S the
-    symmetric part of -op. Symmetric operators give exactly 0.
+    symmetric part of -op, that is the top eigenvalue of the pencil
+    (P B^T S^{-1} P B, S) with P the mean-zero projection. The dense path
+    takes it from an eigendecomposition of S; the iterative path runs
+    Lanczos on the pencil with S^{-1} applied by :func:`solve_general` at
+    tolerance ``EIG_SOLVE_TOL``, and ``tol`` is the relative accuracy it
+    asks of C. Symmetric operators give exactly 0.
     """
     n = op.size
+    dense = _eig_dense(method, n)
     if n == 1:
         return 0.0
     a = -op.to_csr()
@@ -350,7 +369,7 @@ def sector_constant(op, method="auto", tol=1e-10, max_iter=5000):
     if bmax <= 1e-14 * scale:
         return 0.0
 
-    if method == "dense" or (method == "auto" and n <= DENSE_EIG_MAX):
+    if dense:
         s_dense = 0.5 * (a + a.T).toarray()
         w, q = np.linalg.eigh(s_dense)
         keep = w > max(w.max(), 1e-300) * 1e-12
@@ -360,32 +379,15 @@ def sector_constant(op, method="auto", tol=1e-10, max_iter=5000):
         smax = np.linalg.svd(m, compute_uv=False)[0]
         return float(smax) ** 2
 
-    # power iteration on G = S^{-1} B^T S^{-1} B (self-adjoint in the
-    # S-inner product, similar to M^T M, so eigenvalues are real >= 0)
     sym = symmetric_part(op)
-    v = _alternating_start(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        t1 = _project(b_skew @ v)
-        t2 = solve_general(sym, t1, tol=1e-12).solution.values
-        t3 = _project(-(b_skew @ t2))
-        t4 = solve_general(sym, t3, tol=1e-12).solution.values
-        num = float(t1 @ t2)
-        den = float(v @ (-sym.matvec(v)))
-        if den <= 0.0:
-            raise NotConvergedError("degenerate S-norm in power iteration")
-        new_lam = num / den
-        nv = np.linalg.norm(t4)
-        if nv == 0.0:
-            return 0.0
-        v = t4 / nv
-        if abs(new_lam - lam) <= tol * max(new_lam, 1e-300):
-            return float(new_lam)
-        lam = new_lam
-    raise NotConvergedError(
-        f"sector power iteration did not settle within {max_iter} sweeps"
-    )
+    s_solve = _pinv(sym)
+
+    def pencil(v):
+        # B^T = -B
+        return _project(-(b_skew @ s_solve(b_skew @ v)))
+
+    return _lanczos_top(n, pencil, tol, m=lambda v: _project(-sym.matvec(v)),
+                        minv=s_solve)
 
 
 def resolvent_sweep(op, h, lambdas, tol=1e-10):

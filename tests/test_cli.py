@@ -3,9 +3,12 @@ import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import sepdiff.sobolev
 from sepdiff import StateSpace, TorusGeometry, build_kernel, compute_D
 from sepdiff.cli import main
 
@@ -230,6 +233,18 @@ def test_config_errors_exit_2(tmp_path):
     # mc without a horizon
     cfg = write_cfg(tmp_path, "noT.yaml", kernel=NN, N=2, K=2, mc={"M": 10})
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "oA")]) == 2
+    # the per-N diagnostics need N_list and a density, not K
+    obs = {"type": "occupancy", "site": [1]}
+    for i, (section, body) in enumerate([
+            ("approximation", {"N": 3, "alpha": 0.5}),
+            ("approximation", {"N": 3, "K": 3}),
+            ("hminus1_sweep", {"N": 3, "K": 3})]):
+        cfg = write_cfg(tmp_path, f"diag{i}.yaml", kernel=NN, **body,
+                        diagnostics={"observable": obs,
+                                     section: {"N_list": [2, 3]}
+                                     if "K" in body else None})
+        assert main(["diagnostics", "--config", cfg, "--out",
+                     str(tmp_path / f"oD{i}")]) == 2
 
 
 def test_size_cap_exit_4(tmp_path):
@@ -248,6 +263,20 @@ def test_numerical_failure_exit_3(tmp_path):
                     arbitrate={"M": 50, "seed": 0})
     assert main(["arbitrate-sign", "--config", cfg, "--out",
                  str(tmp_path / "arb")]) == 3
+
+
+def test_lanczos_failure_exit_3(tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                  np.zeros((0, 0)))
+
+    monkeypatch.setattr(sepdiff.sobolev, "eigsh", no_convergence)
+    # 1d mean-zero N=4 K=4: 35 states, enough for the Lanczos path
+    cfg = write_cfg(tmp_path, kernel=MZ, N=4, K=4, method="iterative",
+                    diagnostics={"sector_constant": True})
+    assert main(["diagnostics", "--config", cfg, "--out",
+                 str(tmp_path / "lz")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_console_script_runs(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 
 import numpy as np
 import pytest
@@ -240,6 +241,29 @@ def test_conditional_expectation_tower_property():
     # projecting twice changes nothing
     again = conditional_expectation(sp, proj, l).values
     assert np.allclose(again, proj, atol=1e-13)
+
+
+def test_conditional_expectation_matches_combinations_reference():
+    # 2d N=3: a 15-site block inside a 35-site environment
+    sp = StateSpace(TorusGeometry(2, 3), 4)
+    l = 2
+    inside = block_env_indices(sp.geometry, l)
+    assert len(inside) == 15
+    v = np.random.default_rng(5).standard_normal(sp.size)
+    mask = sum(1 << i for i in inside)
+    outside = [i for i in range(sp.M) if not (mask >> i) & 1]
+    avg = {}
+    for j in range(sp.k + 1):
+        filler = sum(1 << i for i in outside[:sp.k - j])
+        masks = [filler | sum(1 << i for i in combo)
+                 for combo in itertools.combinations(inside, j)]
+        total = 0.0
+        for x in v[sp.rank_masks(masks)].tolist():
+            total += x
+        avg[j] = total / len(masks)
+    want = np.array([avg[int(c)] for c in sp.inside_counts(mask)])
+    got = conditional_expectation(sp, v, l).values
+    assert np.array_equal(got, want)
 
 
 def test_conditional_expectation_matches_hypergeometric_moment():

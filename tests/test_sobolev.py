@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import sepdiff.sobolev
 from sepdiff import (
+    NotConvergedError,
     NotMeanZeroError,
     StateSpace,
     TorusGeometry,
@@ -24,7 +27,10 @@ from sepdiff import (
 )
 
 import _oracle
-from conftest import ASYM1D, MZ1D, NN1D
+from conftest import ASYM1D, MZ1D, NN1D, NN2D
+
+#: 2d kernel with a drift: unequal +-e1 and +-e2 weights
+ASYM2D = [((1, 0), 0.4), ((-1, 0), 0.1), ((0, 1), 0.3), ((0, -1), 0.2)]
 
 
 def make(entries, N=3, K=3):
@@ -145,6 +151,52 @@ def test_spectral_gap_dense_vs_iterative(entries):
     _, Q = _oracle.dense_generator(3, 1, 3, entries)
     assert d == pytest.approx(_oracle.spectral_gap_value(Q), rel=1e-10)
     assert i == pytest.approx(d, rel=1e-8)
+
+
+def make_2d(entries, K):
+    kernel = build_kernel(2, entries)
+    sp = StateSpace(TorusGeometry(2, 2), K)
+    return full_generator(sp, kernel)
+
+
+def test_spectral_gap_lanczos_matches_dense_on_close_spectrum():
+    # 2d NN, N=2, K=3: 105 states; the gap 0.727 sits below a double
+    # eigenvalue 0.798, a ratio that stalls inverse power iteration
+    sym = symmetric_part(make_2d(NN2D, 3))
+    d = spectral_gap(sym, method="dense")
+    i = spectral_gap(sym, method="iterative")
+    assert i == pytest.approx(d, rel=1e-10)
+    assert spectral_gap(sym, method="iterative") == i
+
+
+def test_sector_constant_lanczos_matches_dense_2d():
+    op = make_2d(ASYM2D, 4)
+    d = sector_constant(op, method="dense")
+    i = sector_constant(op, method="iterative")
+    assert d > 0.0
+    assert i == pytest.approx(d, rel=1e-10)
+    assert sector_constant(op, method="iterative") == i
+
+
+def test_lanczos_failure_is_not_converged(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                  np.zeros((0, 0)))
+
+    monkeypatch.setattr(sepdiff.sobolev, "eigsh", no_convergence)
+    op = make_2d(ASYM2D, 4)
+    with pytest.raises(NotConvergedError):
+        spectral_gap(symmetric_part(op), method="iterative")
+    with pytest.raises(NotConvergedError):
+        sector_constant(op, method="iterative")
+
+
+def test_eigenvalue_routines_reject_unknown_method():
+    _, op = make(MZ1D)
+    with pytest.raises(ValueError):
+        spectral_gap(symmetric_part(op), method="lanczos")
+    with pytest.raises(ValueError):
+        sector_constant(op, method="power")
 
 
 def test_spectral_gap_requires_symmetry():
