@@ -63,12 +63,6 @@ def _require_mean_zero(b, what="right-hand side"):
         raise NotMeanZeroError(f"{what} has mean {b.mean():.3e}")
 
 
-def _alternating_start(n):
-    """Deterministic start vector: alternating +-1, mean removed."""
-    v = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return _project(v)
-
-
 def _shifted(op, lam, v):
     """(lam I - op) v."""
     return lam * v - op.matvec(v)
@@ -293,15 +287,30 @@ def verify_prop1(op, n_pairs=100, seed=0, tol=1e-9):
 def _lanczos_top(n, matvec, tol, m=None, minv=None):
     """Largest eigenvalue of an operator self-adjoint on the mean-zero
     subspace (of the pencil (A, M) when ``m`` applies M and ``minv`` its
-    inverse) by ARPACK's implicitly restarted Lanczos, started from the
-    alternating vector; ARPACK failures raise NotConvergedError."""
-    def lin(f):
-        return None if f is None else LinearOperator((n, n), matvec=f,
-                                                     dtype=float)
+    inverse) by ARPACK's implicitly restarted Lanczos from the alternating
+    +-1 vector; ARPACK failures raise NotConvergedError.
 
+    Lanczos runs on the first n - 1 coordinates after the Householder
+    reflection that swaps the last unit vector with the normalized
+    constant, so every vector ARPACK builds is mean-zero, including the
+    random one it restarts from when the start's Krylov space runs out.
+    """
+    w = np.full(n, -1.0 / math.sqrt(n))
+    w[-1] += 1.0
+    w /= np.linalg.norm(w)
+
+    def reflect(x):
+        return x - 2.0 * float(w @ x) * w
+
+    def lin(f):
+        return None if f is None else LinearOperator(
+            (n - 1, n - 1), dtype=float,
+            matvec=lambda y: reflect(f(reflect(np.append(y, 0.0))))[:-1])
+
+    v0 = reflect(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))[:-1]
     try:
         top = eigsh(lin(matvec), k=1, M=lin(m), Minv=lin(minv), which="LA",
-                    v0=_alternating_start(n), ncv=LANCZOS_NCV, tol=tol,
+                    v0=v0, ncv=min(LANCZOS_NCV, n - 1), tol=tol,
                     return_eigenvectors=False)
     except ArpackError as exc:
         raise NotConvergedError(f"Lanczos iteration failed: {exc}") from exc
@@ -316,11 +325,10 @@ def _pinv(op):
 
 def _eig_dense(method, n):
     """Whether an eigenvalue routine runs dense: on request, under "auto"
-    up to ``DENSE_EIG_MAX`` states, and when the Lanczos basis would span
-    the mean-zero subspace, where a spectrum with few distinct eigenvalues
-    makes ARPACK restart from a random vector, and may make it fail."""
+    up to ``DENSE_EIG_MAX`` states, and on spaces of two states, whose
+    one-dimensional mean-zero subspace is too small for Lanczos."""
     _check_method(method)
-    return (method == "dense" or n <= LANCZOS_NCV + 1
+    return (method == "dense" or n <= 2
             or (method == "auto" and n <= DENSE_EIG_MAX))
 
 
@@ -341,8 +349,7 @@ def spectral_gap(op, method="auto", tol=1e-10):
     if n == 1:
         return math.inf
     if dense:
-        evals = np.linalg.eigvalsh(-op.to_dense())
-        return float(evals[1])
+        return float(np.linalg.eigvalsh(-op.to_dense())[1])
     return 1.0 / _lanczos_top(n, _pinv(op), tol)
 
 
@@ -370,8 +377,7 @@ def sector_constant(op, method="auto", tol=1e-10):
         return 0.0
 
     if dense:
-        s_dense = 0.5 * (a + a.T).toarray()
-        w, q = np.linalg.eigh(s_dense)
+        w, q = np.linalg.eigh(0.5 * (a + a.T).toarray())
         keep = w > max(w.max(), 1e-300) * 1e-12
         q = q[:, keep]
         inv_sqrt = 1.0 / np.sqrt(w[keep])
@@ -381,13 +387,9 @@ def sector_constant(op, method="auto", tol=1e-10):
 
     sym = symmetric_part(op)
     s_solve = _pinv(sym)
-
-    def pencil(v):
-        # B^T = -B
-        return _project(-(b_skew @ s_solve(b_skew @ v)))
-
-    return _lanczos_top(n, pencil, tol, m=lambda v: _project(-sym.matvec(v)),
-                        minv=s_solve)
+    # B^T = -B; _lanczos_top drops the constant part of every image
+    return _lanczos_top(n, lambda v: -(b_skew @ s_solve(b_skew @ v)), tol,
+                        m=lambda v: -sym.matvec(v), minv=s_solve)
 
 
 def resolvent_sweep(op, h, lambdas, tol=1e-10):

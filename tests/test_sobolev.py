@@ -153,9 +153,9 @@ def test_spectral_gap_dense_vs_iterative(entries):
     assert i == pytest.approx(d, rel=1e-8)
 
 
-def make_2d(entries, K):
+def make_2d(entries, K, N=2):
     kernel = build_kernel(2, entries)
-    sp = StateSpace(TorusGeometry(2, 2), K)
+    sp = StateSpace(TorusGeometry(2, N), K)
     return full_generator(sp, kernel)
 
 
@@ -176,6 +176,48 @@ def test_sector_constant_lanczos_matches_dense_2d():
     assert d > 0.0
     assert i == pytest.approx(d, rel=1e-10)
     assert sector_constant(op, method="iterative") == i
+
+
+@pytest.mark.parametrize("entries", [NN1D, MZ1D, ASYM1D])
+def test_lanczos_matches_oracle_above_basis_size(entries):
+    # 1d N=4 K=4: 35 states, more than the 20-vector Lanczos basis
+    _, op = make(entries, N=4, K=4)
+    _, Q = _oracle.dense_generator(4, 1, 4, entries)
+    gap = spectral_gap(symmetric_part(op), method="iterative")
+    assert gap == pytest.approx(_oracle.spectral_gap_value(Q), rel=1e-10)
+    c = sector_constant(op, method="iterative")
+    assert c == pytest.approx(_oracle.sector_value(Q), rel=1e-10, abs=1e-12)
+
+
+def test_spectral_gap_lanczos_on_symmetric_2d_space():
+    # 2d NN, N=3, K=2: 35 states with 23 distinct eigenvalues; the gap's
+    # eigenvector is nearly orthogonal to the alternating start
+    sym = symmetric_part(make_2d(NN2D, 2, N=3))
+    d = spectral_gap(sym, method="dense")
+    i = spectral_gap(sym, method="iterative")
+    assert i == pytest.approx(d, rel=1e-10)
+    assert spectral_gap(sym, method="iterative") == i
+
+
+def test_lanczos_restart_stays_on_mean_zero_subspace(monkeypatch):
+    # 1d totally asymmetric, N=3, K=3: 10 states whose symmetric part has
+    # 7 distinct eigenvalues, so the Krylov space of the start vector runs
+    # out and ARPACK restarts from a random vector
+    calls = []
+    real_eigsh = sepdiff.sobolev.eigsh
+    monkeypatch.setattr(sepdiff.sobolev, "eigsh",
+                        lambda *a, **kw: calls.append(1) or real_eigsh(*a, **kw))
+    _, op = make(ASYM1D)
+    _, Q = _oracle.dense_generator(3, 1, 3, ASYM1D)
+    values = {sector_constant(op, method="iterative") for _ in range(20)}
+    assert len(values) == 1
+    assert values.pop() == pytest.approx(_oracle.sector_value(Q), rel=1e-10)
+    gaps = {spectral_gap(symmetric_part(op), method="iterative")
+            for _ in range(20)}
+    assert len(gaps) == 1
+    assert gaps.pop() == pytest.approx(_oracle.spectral_gap_value(Q),
+                                       rel=1e-10)
+    assert len(calls) == 40
 
 
 def test_lanczos_failure_is_not_converged(monkeypatch):
