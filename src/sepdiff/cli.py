@@ -48,9 +48,13 @@ from .errors import (
 )
 from .generator import full_generator, symmetric_part
 from .kernel import TorusGeometry, build_kernel
-from .montecarlo import RNG_STREAM, _arbitrate, estimate_diffusion
+from .montecarlo import (
+    RNG_STREAM,
+    _arbitrate,
+    estimate_diffusion,
+    relaxation_gap,
+)
 from .sobolev import (
-    DENSE_EIG_MAX,
     resolvent_sweep,
     sector_constant,
     spectral_gap,
@@ -112,9 +116,11 @@ class RunConfig:
                     f"direction has {len(self.direction)} components, "
                     f"kernel dimension is {self.dimension}"
                 )
-        self.sign = raw.get("sign", DEFAULT_CORRECTION_SIGN)
-        if self.sign not in (1, -1):
-            raise ConfigError(f"sign must be +1 or -1, got {self.sign!r}")
+        # ignoring another value would hand back a convention the config
+        # did not ask for
+        if raw.get("sign", DEFAULT_CORRECTION_SIGN) != DEFAULT_CORRECTION_SIGN:
+            raise ConfigError(f"sign is fixed at {DEFAULT_CORRECTION_SIGN:+d}, "
+                              f"got {raw['sign']!r}")
         self.tolerance = float(raw.get("tolerance", 1e-10))
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be > 0")
@@ -177,7 +183,7 @@ def _header_lines(cfg, extra=None):
     lines = [
         f"# version: {__version__}",
         f"# seed: {cfg.seed}",
-        f"# sign: {cfg.sign:+d}",
+        f"# sign: {DEFAULT_CORRECTION_SIGN:+d}",
         f"# tolerance: {_fmt(cfg.tolerance)}",
     ]
     for k, v in (extra or {}).items():
@@ -217,7 +223,7 @@ def _direction_rows(report):
         rows.append([
             str(report.N), str(report.K), _fmt(report.alpha), str(i),
             _fmt(res.free_term), _fmt(res.correction), _fmt(res.D),
-            _fmt(res.residual), f"{report.sign:+d}",
+            _fmt(res.residual), f"{DEFAULT_CORRECTION_SIGN:+d}",
         ])
     return rows
 
@@ -232,7 +238,7 @@ def _report_lines_for(report):
         f"N: {report.N}",
         f"K: {report.K}",
         f"alpha: {_fmt(report.alpha)}",
-        f"sign: {report.sign:+d}",
+        f"sign: {DEFAULT_CORRECTION_SIGN:+d}",
         f"solver_tolerance: {_fmt(report.solver_tolerance)}",
     ]
     for i, res in enumerate(report.directions):
@@ -257,11 +263,11 @@ def _report_lines_for(report):
 def cmd_exact(cfg, out_dir):
     space = cfg.space()
     if cfg.direction is not None:
-        report = compute_D(space, cfg.kernel, cfg.direction, sign=cfg.sign,
+        report = compute_D(space, cfg.kernel, cfg.direction,
                            tol=cfg.tolerance, method=cfg.method)
     else:
-        report = compute_D_matrix(space, cfg.kernel, sign=cfg.sign,
-                                  tol=cfg.tolerance, method=cfg.method)
+        report = compute_D_matrix(space, cfg.kernel, tol=cfg.tolerance,
+                                  method=cfg.method)
     _write_csv(os.path.join(out_dir, "exact.csv"), cfg, _CSV_COLUMNS,
                _direction_rows(report))
     _write_report(os.path.join(out_dir, "exact_report.txt"),
@@ -275,7 +281,7 @@ def cmd_sweep(cfg, out_dir):
     if not cfg.N_list:
         raise ConfigError("sweep needs 'N_list'")
     rtol = float(cfg.sweep_opts.get("rtol", 0.05))
-    rep = sweep(cfg.kernel, cfg.alpha, cfg.N_list, sign=cfg.sign, rtol=rtol,
+    rep = sweep(cfg.kernel, cfg.alpha, cfg.N_list, rtol=rtol,
                 tol=cfg.tolerance, method=cfg.method)
     rows = []
     for r in rep.reports:
@@ -301,9 +307,7 @@ def cmd_mc(cfg, out_dir):
     T = float(mc["T"])
     M = int(mc.get("M", 10000))
     second = bool(mc.get("second_horizon", True))
-    gap = None
-    if space.size > 1 and space.size <= DENSE_EIG_MAX:
-        gap = spectral_gap(symmetric_part(full_generator(space, cfg.kernel)))
+    gap = relaxation_gap(space, cfg.kernel)
     est = estimate_diffusion(space, cfg.kernel, T, M, cfg.seed,
                              threads=cfg.threads, second_horizon=second,
                              relax_gap=gap)

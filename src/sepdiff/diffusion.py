@@ -5,14 +5,16 @@ The quadratic form in a direction a splits into a free-walk term
 against the full generator L: with v_a, w_a the centered local drift
 observables and u_a = (-L)^{-1} v_a,
 
-    a^t D a = free(a) - sign * 2 <w_a, u_a>.
+    a^t D a = free(a) + 2 <w_a, u_a>.
 
-The default sign is -1, so D = free + 2 <w_a, u_a>. For a symmetric kernel
-w_a = -v_a, and this is the variational form free - 2 |v_a|_{-1}^2
-(Kipnis and Varadhan); the Monte Carlo arbiter confirms the same sign on
-non-symmetric kernels. Since v_a, w_a and u_a are linear in a, the whole
-d x d matrix follows from the d solves u_j = (-L)^{-1} v_j along the
-coordinate directions, through C_ij = 2 <w_i, u_j> symmetrized.
+For a symmetric kernel w_a = -v_a, and this is the variational form
+free - 2 |v_a|_{-1}^2 (Kipnis and Varadhan), which fixes the sign of the
+correction. Every DirectionResult still records both conventions
+(``D_minus`` is D, ``D_plus`` = free - 2 <w_a, u_a>), so the Monte Carlo
+arbiter can confirm the sign on non-symmetric kernels. Since v_a, w_a and
+u_a are linear in a, the whole d x d matrix follows from the d solves
+u_j = (-L)^{-1} v_j along the coordinate directions, through
+C_ij = 2 <w_i, u_j> symmetrized.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ from .generator import (
     check_ergodicity,
     full_generator,
     inner,
+    values_of,
 )
 from .kernel import TorusGeometry, symmetrize
 from .sobolev import approximation_residual, hminus1_norm, solve_general
 from .statespace import StateSpace, _lex_bitmasks
 
-#: correction sign validated by arbitrate_sign on the calibration systems
+#: the fixed correction sign of D = free - sign * 2 <w_a, u_a>, printed in CSVs
 DEFAULT_CORRECTION_SIGN = -1
 
 #: largest block (site count) that conditional_expectation will enumerate
@@ -53,10 +56,10 @@ MAX_BLOCK_SITES = 24
 class DirectionResult:
     a: np.ndarray
     free_term: float
-    correction: float          # signed term actually added: D = free + correction
+    correction: float          # 2 <w_a, u_a>: D = free + correction
     D: float
-    D_plus: float              # value under sign = +1
-    D_minus: float             # value under sign = -1
+    D_plus: float              # free - correction, the other convention
+    D_minus: float             # free + correction, equal to D
     residual: float
     iterations: int
     method: str
@@ -68,7 +71,6 @@ class DiffusionReport:
     N: int
     K: int
     alpha: float
-    sign: int
     solver_tolerance: float
     directions: list = field(default_factory=list)
     matrix: np.ndarray | None = None
@@ -139,117 +141,83 @@ def local_drift_functions(space, kernel, a):
             ObservableVector(center(w), mean_zero=True))
 
 
-def _poisson_solve(space, kernel, a, op, tol, method):
-    """w_a and the solve report of u_a = (-L)^{-1} v_a along a."""
-    v, w = local_drift_functions(space, kernel, a)
-    return w.values, solve_general(op, v.values, tol=tol, method=method)
+def _solve_directions(space, kernel, directions, tol, method, operator=None):
+    """The exact route along directions a_1..a_m.
 
-
-def _make_result(a, free, raw, sign, rep):
-    """DirectionResult for a^t D a = free - sign * raw, with raw the
-    unsigned correction 2 <w_a, u_a>."""
-    d_val = free - sign * raw
-    if d_val < -1e-9 * max(1.0, abs(free)):
-        raise NonPositiveDError(
-            f"a^t D a = {d_val!r} < 0 along a = {a.tolist()} "
-            f"(sign convention {sign:+d})"
-        )
-    if rep is None:
-        return DirectionResult(a, free, 0.0, free, free, free, 0.0, 0,
-                               "degenerate")
-    return DirectionResult(a, free, -sign * raw, d_val, free - raw,
-                           free + raw, rep.relative_residual, rep.iterations,
-                           rep.method)
-
-
-def _direction_result(space, kernel, a, op, sign, tol, method):
-    a = np.asarray(a, dtype=float)
-    free = free_term(kernel, a, space.alpha)
-    if space.size == 1:
-        return _make_result(a, free, 0.0, sign, None)
-    w, rep = _poisson_solve(space, kernel, a, op, tol, method)
-    raw = 2.0 * inner(w, rep.solution.values)
-    return _make_result(a, free, raw, sign, rep)
-
-
-def compute_D(space, kernel, a, sign=None, tol=1e-10, method="auto",
-              operator=None):
-    """Diffusion form a^t D a for one direction.
-
-    Returns a DiffusionReport with a single DirectionResult; both sign
-    conventions are always recorded.
+    Returns the free matrix F_ij = (1 - alpha) sum_z (a_i.z)(a_j.z) p(z),
+    the unsigned correction C_ij = 2 <w_i, u_j> with u_j = (-L)^{-1} v_j
+    (one solve per direction, against ``operator`` or the assembled full
+    generator), and the DirectionResult of each a_i, whose D = F_ii + C_ii
+    must be nonnegative within 1e-9.
     """
-    sign = _check_sign(sign)
-    t0 = time.perf_counter()
-    op = operator
-    if op is None and space.size > 1:
-        op = full_generator(space, kernel)
-    res = _direction_result(space, kernel, a, op, sign, tol, method)
+    dirs = [np.asarray(a, dtype=float) for a in directions]
+    free = np.array([[_free_form(kernel, a, b, space.alpha) for b in dirs]
+                     for a in dirs])
+    corr = np.zeros_like(free)
+    reps = [None] * len(dirs)
+    if space.size > 1:
+        op = operator if operator is not None else full_generator(space, kernel)
+        ws = []
+        for i, a in enumerate(dirs):
+            v, w = local_drift_functions(space, kernel, a)
+            ws.append(w.values)
+            reps[i] = solve_general(op, v.values, tol=tol, method=method)
+        corr = np.array([[2.0 * inner(w, rep.solution.values) for rep in reps]
+                         for w in ws])
+    results = []
+    for i, (a, rep) in enumerate(zip(dirs, reps)):
+        f, c = float(free[i, i]), float(corr[i, i])
+        if f + c < -1e-9 * max(1.0, abs(f)):
+            raise NonPositiveDError(
+                f"a^t D a = {f + c!r} < 0 along a = {a.tolist()}")
+        solve = ((0.0, 0, "degenerate") if rep is None else
+                 (rep.relative_residual, rep.iterations, rep.method))
+        results.append(DirectionResult(a, f, c, f + c, f - c, f + c, *solve))
+    return free, corr, results
+
+
+def _report(space, tol, t0, results, matrix=None, min_eigenvalue=None):
     return DiffusionReport(
         dimension=space.geometry.dimension,
         N=space.geometry.N,
         K=space.K,
         alpha=space.alpha,
-        sign=sign,
         solver_tolerance=tol,
-        directions=[res],
+        directions=results,
+        matrix=matrix,
+        min_eigenvalue=min_eigenvalue,
         wall_time_s=time.perf_counter() - t0,
     )
 
 
-def compute_D_matrix(space, kernel, sign=None, tol=1e-10, method="auto",
-                     operator=None):
+def compute_D(space, kernel, a, tol=1e-10, method="auto", operator=None):
+    """Diffusion form a^t D a for one direction.
+
+    Returns a DiffusionReport with a single DirectionResult; both sign
+    conventions are always recorded.
+    """
+    t0 = time.perf_counter()
+    _, _, results = _solve_directions(space, kernel, [a], tol, method,
+                                      operator)
+    return _report(space, tol, t0, results)
+
+
+def compute_D_matrix(space, kernel, tol=1e-10, method="auto", operator=None):
     """Full d x d diffusion matrix from d solves.
 
     Solves u_j = (-L)^{-1} v_j along each coordinate direction e_j and
-    forms D = F - sign * (C + C^t) / 2 with F the free-walk matrix and
+    forms D = F + (C + C^t) / 2 with F the free-walk matrix and
     C_ij = 2 <w_i, u_j>. ``directions`` holds the d coordinate results.
     The result must be positive semidefinite within 1e-9.
     """
-    sign = _check_sign(sign)
     t0 = time.perf_counter()
-    d = space.geometry.dimension
-    eye = np.eye(d)
-    free = np.array([[_free_form(kernel, eye[i], eye[j], space.alpha)
-                      for j in range(d)] for i in range(d)])
-    corr = np.zeros((d, d))
-    reps = [None] * d
-    if space.size > 1:
-        op = operator if operator is not None else full_generator(space, kernel)
-        solved = [_poisson_solve(space, kernel, e, op, tol, method)
-                  for e in eye]
-        reps = [rep for _, rep in solved]
-        corr = np.array([[2.0 * inner(w, rep.solution.values)
-                          for _, rep in solved] for w, _ in solved])
-    results = [_make_result(eye[i], free[i, i], corr[i, i], sign, reps[i])
-               for i in range(d)]
-    mat = free - sign * 0.5 * (corr + corr.T)
+    free, corr, results = _solve_directions(
+        space, kernel, np.eye(space.geometry.dimension), tol, method, operator)
+    mat = free + 0.5 * (corr + corr.T)
     evals = np.linalg.eigvalsh(mat)
     if evals[0] < -1e-9 * max(1.0, float(np.trace(mat))):
-        raise NonPositiveDError(
-            f"D matrix has eigenvalue {evals[0]!r} < 0 "
-            f"(sign convention {sign:+d})"
-        )
-    return DiffusionReport(
-        dimension=d,
-        N=space.geometry.N,
-        K=space.K,
-        alpha=space.alpha,
-        sign=sign,
-        solver_tolerance=tol,
-        directions=results,
-        matrix=mat,
-        min_eigenvalue=float(evals[0]),
-        wall_time_s=time.perf_counter() - t0,
-    )
-
-
-def _check_sign(sign):
-    if sign is None:
-        return DEFAULT_CORRECTION_SIGN
-    if sign not in (+1, -1):
-        raise OutOfRangeError(f"correction sign must be +1 or -1, got {sign}")
-    return int(sign)
+        raise NonPositiveDError(f"D matrix has eigenvalue {evals[0]!r} < 0")
+    return _report(space, tol, t0, results, mat, float(evals[0]))
 
 
 def choose_K(alpha, geometry):
@@ -264,20 +232,22 @@ def choose_K(alpha, geometry):
     return min(max(k, 1), geometry.n_sites)
 
 
-def sweep(kernel, alpha, N_list, sign=None, rtol=0.05, tol=1e-10,
-          method="auto"):
+def _fixed_density_space(kernel, alpha, N):
+    """StateSpace on the torus of side 2N with choose_K(alpha) particles."""
+    geo = TorusGeometry(kernel.dimension, N)
+    geo.require_kernel_fits(kernel)
+    return StateSpace(geo, choose_K(alpha, geo))
+
+
+def sweep(kernel, alpha, N_list, rtol=0.05, tol=1e-10, method="auto"):
     """Diffusion matrices along increasing N at (approximately) fixed
     density; flags a plateau when the last successive change is below
     rtol relative to the final matrix scale."""
     if len(N_list) < 1:
         raise OutOfRangeError("sweep needs at least one N")
-    reports = []
-    for N in N_list:
-        geo = TorusGeometry(kernel.dimension, N)
-        geo.require_kernel_fits(kernel)
-        space = StateSpace(geo, choose_K(alpha, geo))
-        reports.append(compute_D_matrix(space, kernel, sign=sign, tol=tol,
-                                        method=method))
+    reports = [compute_D_matrix(_fixed_density_space(kernel, alpha, N),
+                                kernel, tol=tol, method=method)
+               for N in N_list]
     diffs = []
     for prev, cur in zip(reports, reports[1:]):
         diffs.append(float(np.max(np.abs(cur.matrix - prev.matrix))))
@@ -317,7 +287,7 @@ def conditional_expectation(space, v, l):
     a canonical completion (leftover particles parked on the first sites
     outside the block).
     """
-    vvals = np.asarray(getattr(v, "values", v), dtype=float)
+    vvals = values_of(v)
     inside = block_env_indices(space.geometry, l)
     m_in = len(inside)
     if m_in > MAX_BLOCK_SITES:
@@ -406,15 +376,12 @@ def _along_N(kernel, alpha, recipe, N_list, value):
     sym_kernel = symmetrize(kernel)
     values, Ks = [], []
     for N in N_list:
-        geo = TorusGeometry(kernel.dimension, N)
-        geo.require_kernel_fits(kernel)
-        K = choose_K(alpha, geo)
-        space = StateSpace(geo, K)
+        space = _fixed_density_space(kernel, alpha, N)
         h = center(recipe(space))
         trivial = space.size == 1 or not np.any(h)
         values.append(0.0 if trivial else value(
             space, h, assemble_environment(space, sym_kernel)))
-        Ks.append(K)
+        Ks.append(space.K)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     return ConvergenceReport(list(N_list), Ks, values, diffs)
 

@@ -15,8 +15,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import NotConnectedError, NotMeanZeroError, NotStationaryError, SizeCapError
-from .statespace import DEFAULT_MAX_STATES, enabled_moves
+from .statespace import enabled_moves
 
+#: refuse to assemble a generator with more off-diagonal entries, counted
+#: over the environment and tagged parts together
 DEFAULT_MAX_NNZ = 50_000_000
 
 #: absolute tolerance for the mean-zero flag on observables
@@ -27,17 +29,31 @@ MEAN_ZERO_TOL = 1e-12
 SYMMETRY_TOL = 1e-13
 
 
+def values_of(f):
+    """The float array of an ObservableVector or array-like."""
+    return np.asarray(getattr(f, "values", f), dtype=float)
+
+
 def inner(f, g):
     """Inner product under the uniform measure: (f . g) / size."""
-    f = np.asarray(getattr(f, "values", f), dtype=float)
-    g = np.asarray(getattr(g, "values", g), dtype=float)
-    return float(f @ g) / f.size
+    f = values_of(f)
+    return float(f @ values_of(g)) / f.size
 
 
 def center(f):
     """Subtract the flat mean."""
-    f = np.asarray(getattr(f, "values", f), dtype=float)
+    f = values_of(f)
     return f - f.mean()
+
+
+def require_mean_zero(values, what="observable"):
+    """Raise NotMeanZeroError unless the flat mean of a float array is
+    within ``MEAN_ZERO_TOL`` of 0, relative to max(1, max |value|)."""
+    m = abs(float(values.mean())) if values.size else 0.0
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    if m > MEAN_ZERO_TOL * scale:
+        raise NotMeanZeroError(f"{what} has mean {m:.3e}, above "
+                               f"{MEAN_ZERO_TOL} * {scale:.3e}")
 
 
 @dataclass
@@ -54,10 +70,7 @@ class ObservableVector:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.mean_zero:
-            m = abs(float(self.values.mean())) if self.values.size else 0.0
-            scale = max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
-            if m > MEAN_ZERO_TOL * scale:
-                raise NotMeanZeroError(f"mean {m:.3e} exceeds {MEAN_ZERO_TOL}")
+            require_mean_zero(self.values)
 
     def __len__(self):
         return self.values.size
@@ -93,7 +106,7 @@ class SparseOperator:
         return self._off
 
     def matvec(self, f):
-        f = np.asarray(getattr(f, "values", f), dtype=float)
+        f = values_of(f)
         return self._off @ f + self.diag * f
 
     def to_csr(self):
@@ -127,18 +140,17 @@ class SparseOperator:
         return f"SparseOperator(size={self.size}, nnz={self.nnz})"
 
 
-def _check_caps(n_states, n_entries, max_states, max_nnz):
-    if n_states > max_states:
-        raise SizeCapError(f"{n_states} states exceed cap {max_states}")
-    if n_entries > max_nnz:
-        raise SizeCapError(f"{n_entries} nonzeros exceed cap {max_nnz}")
+def _check_nnz(n_entries):
+    if n_entries > DEFAULT_MAX_NNZ:
+        raise SizeCapError(
+            f"{n_entries} nonzeros exceed cap {DEFAULT_MAX_NNZ}")
 
 
-def _assemble(space, kernel, tagged, max_states, max_nnz):
+def _assemble(space, kernel, tagged):
     """Off-diagonal rates of the environment moves, or of the tagged jumps,
-    from the channel enumeration over all states."""
+    from the channel enumeration over all states (whose count
+    ``StateSpace.bitmasks`` caps)."""
     space.geometry.require_kernel_fits(kernel)
-    _check_caps(space.size, 0, max_states, max_nnz)
     masks = space.bitmasks()
     channels = [ch for ch in space.move_channels(kernel)
                 if (ch.jump >= 0) == tagged]
@@ -148,7 +160,7 @@ def _assemble(space, kernel, tagged, max_states, max_nnz):
         moved = targets != masks[src]
         src, targets = src[moved], targets[moved]
         n += src.size
-        _check_caps(space.size, n, max_states, max_nnz)
+        _check_nnz(n)
         rows.append(src)
         cols.append(space.rank_masks(targets))
         vals.append(np.full(src.size, ch.rate))
@@ -161,33 +173,31 @@ def _assemble(space, kernel, tagged, max_states, max_nnz):
     return SparseOperator(space.size, off)
 
 
-def assemble_environment(space, kernel, max_states=DEFAULT_MAX_STATES,
-                         max_nnz=DEFAULT_MAX_NNZ):
+def assemble_environment(space, kernel):
     """Generator of the environment exchanges around the pinned origin.
 
     For each state and each occupied site x with p(z) > 0, the particle may
     move to y = wrap(x + z) when y is a vacant environment site (never the
     origin). Transitions landing on the same target accumulate.
     """
-    return _assemble(space, kernel, False, max_states, max_nnz)
+    return _assemble(space, kernel, False)
 
 
-def assemble_tagged(space, kernel, max_states=DEFAULT_MAX_STATES,
-                    max_nnz=DEFAULT_MAX_NNZ):
+def assemble_tagged(space, kernel):
     """Generator of the tagged-particle jumps (environment re-centering).
 
     A jump by z is enabled when wrap(z) is vacant; the state moves to the
     shifted configuration. Jumps that map a state to itself contribute
     nothing to the generator and are dropped.
     """
-    return _assemble(space, kernel, True, max_states, max_nnz)
+    return _assemble(space, kernel, True)
 
 
-def full_generator(space, kernel, max_states=DEFAULT_MAX_STATES,
-                   max_nnz=DEFAULT_MAX_NNZ):
-    """Environment part plus tagged part."""
-    env = assemble_environment(space, kernel, max_states, max_nnz)
-    tag = assemble_tagged(space, kernel, max_states, max_nnz)
+def full_generator(space, kernel):
+    """Environment part plus tagged part, their nonzeros capped together."""
+    env = assemble_environment(space, kernel)
+    tag = assemble_tagged(space, kernel)
+    _check_nnz(env.offdiag.nnz + tag.offdiag.nnz)
     return env + tag
 
 
@@ -208,7 +218,7 @@ def symmetric_part(op):
 
 def dirichlet_form(op, f):
     """Quadratic form <f, -op f> under the uniform measure."""
-    f = np.asarray(getattr(f, "values", f), dtype=float)
+    f = values_of(f)
     return -inner(f, op.matvec(f))
 
 

@@ -33,8 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diffusion import _solve_directions
 from .errors import FrozenError, InconclusiveError, OutOfRangeError
 from .generator import full_generator, symmetric_part
+from .kernel import classify
+from .sobolev import DENSE_EIG_MAX, spectral_gap
 from .statespace import Configuration, enabled_moves
 
 
@@ -113,6 +116,10 @@ RNG_STREAM = 2
 LANES = 512
 #: events per lane whose uniforms are drawn in one refill
 REFILL = 32
+
+#: relaxation times (one over the spectral gap) a horizon must span to set
+#: ``t_relax_ok``; also the arbitration horizon when none is given
+RELAX_TIMES = 10.0
 
 
 class TransitionTable:
@@ -300,10 +307,7 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1,
     """
     if M < 2:
         raise OutOfRangeError(f"need at least 2 replicas, got {M}")
-    mean = np.zeros(space.geometry.dimension)
-    for z, p in kernel.entries:
-        mean += p * np.asarray(z, dtype=float)
-    expected = mean * (1.0 - space.alpha)
+    expected = classify(kernel)[1] * (1.0 - space.alpha)
     table = TransitionTable(space, kernel)
     horizons = [float(T)] + ([2.0 * float(T)] if second_horizon else [])
 
@@ -334,10 +338,21 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1,
 
     ok = None
     if relax_gap is not None and math.isfinite(relax_gap) and relax_gap > 0:
-        ok = bool(T >= 10.0 / relax_gap)
+        ok = bool(T >= RELAX_TIMES / relax_gap)
     elif relax_gap is not None:
         ok = True
     return MCEstimate(M, int(seed), space.alpha, expected, stats, ok)
+
+
+def relaxation_gap(space, kernel, op=None):
+    """Spectral gap of the symmetrized generator (``op``, when given, is
+    the full generator), computed densely; None on one state or above
+    ``DENSE_EIG_MAX`` states."""
+    if not 1 < space.size <= DENSE_EIG_MAX:
+        return None
+    if op is None:
+        op = full_generator(space, kernel)
+    return spectral_gap(symmetric_part(op))
 
 
 def arbitrate_sign(space, kernel, directions=None, T=None, M=4000,
@@ -357,27 +372,23 @@ def arbitrate_sign(space, kernel, directions=None, T=None, M=4000,
 def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
     """The work of :func:`arbitrate_sign`: the chosen sign and the exact
     DirectionResult (both conventions) of each arbitrated direction."""
-    from .diffusion import _direction_result
-    from .sobolev import DENSE_EIG_MAX, spectral_gap
-
-    d = space.geometry.dimension
     if directions is None:
-        directions = [np.eye(d)[i] for i in range(d)]
+        directions = np.eye(space.geometry.dimension)
     op = full_generator(space, kernel) if space.size > 1 else None
-    exact = [_direction_result(space, kernel, a, op, +1, tol, "auto")
-             for a in directions]
+    _, _, exact = _solve_directions(space, kernel, directions, tol, "auto",
+                                    op)
     scale = max(max(abs(r.D_plus), abs(r.D_minus), 1e-12) for r in exact)
     if all(abs(r.D_plus - r.D_minus) <= 1e-12 * scale for r in exact):
         raise InconclusiveError(
             "correction term vanishes; both conventions coincide"
         )
     if T is None:
-        if op is None or op.size > DENSE_EIG_MAX:
+        gap = relaxation_gap(space, kernel, op)
+        if gap is None:
             raise OutOfRangeError(
                 "no horizon given and the relaxation gap is not computable"
             )
-        gap = spectral_gap(symmetric_part(op))
-        T = 10.0 / gap if math.isfinite(gap) else 10.0
+        T = RELAX_TIMES / gap
 
     m_run = int(M)
     n_passing = 2

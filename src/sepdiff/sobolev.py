@@ -24,8 +24,16 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, gmres
 
-from .errors import NotConvergedError, NotMeanZeroError, PropertyViolatedError
-from .generator import ObservableVector, dirichlet_form, inner, symmetric_part
+from .errors import NotConvergedError, PropertyViolatedError
+from .generator import (
+    ObservableVector,
+    center,
+    dirichlet_form,
+    inner,
+    require_mean_zero,
+    symmetric_part,
+    values_of,
+)
 
 DENSE_SOLVE_MAX = 5000
 DENSE_EIG_MAX = 2000
@@ -44,23 +52,9 @@ class SolveReport:
     method: str
 
 
-def _vec(f):
-    return np.asarray(getattr(f, "values", f), dtype=float)
-
-
-def _project(v):
-    return v - v.mean()
-
-
 def _check_method(method):
     if method not in ("auto", "iterative", "dense"):
         raise ValueError(f"unknown solve method {method!r}")
-
-
-def _require_mean_zero(b, what="right-hand side"):
-    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    if abs(float(b.mean())) > 1e-12 * scale:
-        raise NotMeanZeroError(f"{what} has mean {b.mean():.3e}")
 
 
 def _shifted(op, lam, v):
@@ -85,7 +79,7 @@ def _krylov_projected(op, b, tol, lam):
     """
     n = op.size
     amv = LinearOperator(
-        (n, n), matvec=lambda v: _project(_shifted(op, lam, _project(v))),
+        (n, n), matvec=lambda v: center(_shifted(op, lam, center(v))),
         dtype=float,
     )
     count = [0]
@@ -102,7 +96,7 @@ def _krylov_projected(op, b, tol, lam):
         path = "iterative-nonsymmetric"
         x, info = gmres(amv, b, restart=GMRES_RESTART,
                         callback_type="pr_norm", **opts)
-    return _project(x), count[0], info == 0, path
+    return center(x), count[0], info == 0, path
 
 
 def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
@@ -135,8 +129,8 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
     if lam < 0.0:
         raise ValueError(f"resolvent parameter must be >= 0, got {lam}")
     _check_method(method)
-    b = _vec(b)
-    _require_mean_zero(b)
+    b = values_of(b)
+    require_mean_zero(b, "right-hand side")
     n = op.size
     if n == 1:
         sol = ObservableVector(np.zeros(1), mean_zero=True)
@@ -155,7 +149,7 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         a = -op.to_dense()
         a[np.diag_indices_from(a)] += lam
         a += 1.0 / n
-        x = _project(np.linalg.solve(a, b))
+        x = center(np.linalg.solve(a, b))
         res = _replay(op, x, b, lam)
         if res <= 2.0 * tol:
             return SolveReport(ObservableVector(x, mean_zero=True), res, 0,
@@ -173,8 +167,8 @@ def h1_norm(op, f):
 def hminus1_norm(op, f, tol=1e-10, method="auto"):
     """Dual norm of a mean-zero f, via one SPD solve against the symmetric
     part of op: |f|_{-1}^2 = <f, u> with (-S) u = f."""
-    f = _vec(f)
-    _require_mean_zero(f, "observable")
+    f = values_of(f)
+    require_mean_zero(f)
     sym = op if op.is_symmetric() else symmetric_part(op)
     rep = solve_general(sym, f, tol=tol, method=method)
     return math.sqrt(max(inner(f, rep.solution.values), 0.0))
@@ -216,7 +210,7 @@ def verify_prop1(op, n_pairs=100, seed=0, tol=1e-9):
     lu = scipy.linalg.lu_factor(a)
 
     def dual_solve(v):
-        return _project(scipy.linalg.lu_solve(lu, v))
+        return center(scipy.linalg.lu_solve(lu, v))
 
     max_dual = 0.0
     max_gap_i = 0.0
@@ -224,9 +218,9 @@ def verify_prop1(op, n_pairs=100, seed=0, tol=1e-9):
     min_iii = math.inf
     max_gap_iii = 0.0
     for trial in range(n_pairs):
-        f = _project(rng.standard_normal(n))
-        g = _project(rng.standard_normal(n))
-        h = _project(rng.standard_normal(n))
+        f = center(rng.standard_normal(n))
+        g = center(rng.standard_normal(n))
+        h = center(rng.standard_normal(n))
         u_g = dual_solve(g)
         gm1 = math.sqrt(max(inner(g, u_g), 0.0))
 
@@ -261,7 +255,7 @@ def verify_prop1(op, n_pairs=100, seed=0, tol=1e-9):
                 )
 
         # (iii)
-        af = _project(-op.matvec(f))
+        af = center(-op.matvec(f))
         u_af = dual_solve(af)
         afm1 = math.sqrt(max(inner(af, u_af), 0.0))
         if h1_f > 0:
@@ -319,7 +313,7 @@ def _lanczos_top(n, matvec, tol, m=None, minv=None):
 
 def _pinv(op):
     """v -> (-op)^+ v on the mean-zero subspace, solved to EIG_SOLVE_TOL."""
-    return lambda v: solve_general(op, _project(v),
+    return lambda v: solve_general(op, center(v),
                                    tol=EIG_SOLVE_TOL).solution.values
 
 
@@ -395,7 +389,7 @@ def sector_constant(op, method="auto", tol=1e-10):
 def resolvent_sweep(op, h, lambdas, tol=1e-10):
     """Resolvent ladder: for each lam (descending) report the energy norm
     of u_lam and its H1 distance to the lam -> 0 limit solve."""
-    h = _vec(h)
+    h = values_of(h)
     limit = solve_general(op, h, tol=tol).solution.values
     out = []
     for lam in sorted(lambdas, reverse=True):
@@ -416,12 +410,12 @@ def approximation_residual(op, h, basis, weight_op=None, tol=1e-10):
     Returns (residual, coefficients). Solved through the Gram system of
     the basis images in the dual inner product.
     """
-    h = _vec(h)
-    _require_mean_zero(h, "target")
+    h = values_of(h)
+    require_mean_zero(h, "target")
     weight = weight_op if weight_op is not None else symmetric_part(op)
     if not weight.is_symmetric():
         weight = symmetric_part(weight)
-    cols = [_project(-op.matvec(_vec(b))) for b in basis]
+    cols = [center(-op.matvec(values_of(b))) for b in basis]
     y_h = solve_general(weight, h, tol=tol).solution.values
     base = inner(h, y_h)
     if not cols:

@@ -230,6 +230,9 @@ def test_config_errors_exit_2(tmp_path):
     # torus too small for the kernel range
     cfg = write_cfg(tmp_path, "small.yaml", kernel=MZ, N=2, K=2)
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o9")]) == 2
+    # the correction sign is fixed at -1
+    cfg = write_cfg(tmp_path, "sign.yaml", kernel=NN, N=3, K=3, sign=1)
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "oS")]) == 2
     # mc without a horizon
     cfg = write_cfg(tmp_path, "noT.yaml", kernel=NN, N=2, K=2, mc={"M": 10})
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "oA")]) == 2

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import sepdiff.generator
+import sepdiff.statespace
 from sepdiff import (
     NotConnectedError,
     NotMeanZeroError,
@@ -231,12 +233,23 @@ def test_write_operator_round_trip(tmp_path, meanzero1d):
     assert np.allclose(rebuilt, op.to_dense(), atol=0.0)
 
 
-def test_assembly_size_cap(nn1d):
+def test_assembly_size_cap(nn1d, monkeypatch):
     sp = StateSpace(TorusGeometry(1, 40), 40)
     with pytest.raises(SizeCapError):
         full_generator(sp, nn1d)
-    with pytest.raises(SizeCapError):
-        full_generator(space_1d(3, 3), nn1d, max_states=5)
+    # the caps are read when called
+    with monkeypatch.context() as m:
+        m.setattr(sepdiff.statespace, "DEFAULT_MAX_STATES", 5)
+        with pytest.raises(SizeCapError, match="states"):
+            full_generator(space_1d(3, 3), nn1d)
     # 10 states with 24 environment moves: the nonzero cap trips mid-assembly
+    monkeypatch.setattr(sepdiff.generator, "DEFAULT_MAX_NNZ", 5)
     with pytest.raises(SizeCapError, match="nonzeros"):
-        full_generator(space_1d(3, 3), nn1d, max_nnz=5)
+        full_generator(space_1d(3, 3), nn1d)
+    # 24 environment plus 12 tagged nonzeros: each part fits a cap of 30,
+    # the generator does not
+    monkeypatch.setattr(sepdiff.generator, "DEFAULT_MAX_NNZ", 30)
+    assert assemble_environment(space_1d(3, 3), nn1d).offdiag.nnz == 24
+    assert assemble_tagged(space_1d(3, 3), nn1d).offdiag.nnz == 12
+    with pytest.raises(SizeCapError, match="36 nonzeros"):
+        full_generator(space_1d(3, 3), nn1d)
