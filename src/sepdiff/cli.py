@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -74,8 +75,66 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _number(value, kind, what, low=None, above=False):
+    """``value`` as a finite number of type ``kind`` (int or float), at
+    least ``low``, or above it when ``above``; a ConfigError otherwise.
+    An int is not read from a float with a fractional part."""
+    try:
+        x = kind(value)
+        ok = math.isfinite(x) and not (isinstance(value, float) and x != value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if ok and low is not None:
+        ok = x > low if above else x >= low
+    if not ok:
+        bound = "" if low is None else f" {'>' if above else '>='} {low}"
+        raise ConfigError(f"{what} must be a finite {kind.__name__}{bound}, "
+                          f"got {value!r}")
+    return x
+
+
+def _numbers(value, kind, what, low=None, above=False):
+    """A list of :func:`_number` values; a ConfigError if not a list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return [_number(v, kind, what, low, above) for v in value]
+
+
+def _section(raw, key, what, numbers=None, lists=None):
+    """Copy of the mapping ``raw[key]`` ({} when absent or null) whose keys
+    named in ``numbers`` or ``lists``, {name: (kind, low, above)}, are
+    coerced by :func:`_number` or :func:`_numbers` where present."""
+    block = raw.get(key)
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be a mapping, got {block!r}")
+    block = dict(block)
+    for coerce, spec in ((_number, numbers), (_numbers, lists)):
+        for name, args in (spec or {}).items():
+            if name in block:
+                block[name] = coerce(block[name], args[0], f"{what}.{name}",
+                                     *args[1:])
+    return block
+
+
+#: the diagnostics sections with options, and their numeric keys:
+#: {name: (kind, low, above)} for numbers, then for lists of numbers
+_DIAGNOSTIC_SECTIONS = {
+    "prop1": ({"pairs": (int, 1), "seed": (int, 0)}, None),
+    "resolvent": (None, {"lambdas": (float, 0.0)}),
+    "multiscale": ({"l": (int,), "q": (int,), "n_max": (int,)}, None),
+    "hminus1_sweep": (None, {"N_list": (int,)}),
+    "approximation": ({"basis_scale": (int,)}, {"N_list": (int,)}),
+}
+
+
 class RunConfig:
-    """Validated view of the YAML config plus the raw dict for echoing."""
+    """Validated view of the YAML config plus the raw dict for echoing.
+
+    Every value the commands read is coerced and range-checked here, so a
+    malformed config raises ConfigError before any work starts.
+    """
 
     def __init__(self, raw, seed_override=None, threads_override=None):
         if not isinstance(raw, dict):
@@ -86,31 +145,40 @@ class RunConfig:
             raise ConfigError("missing 'kernel' block")
         if "dimension" not in kblock or "entries" not in kblock:
             raise ConfigError("kernel block needs 'dimension' and 'entries'")
+        if not isinstance(kblock["entries"], list):
+            raise ConfigError(f"kernel entries must be a list, got "
+                              f"{kblock['entries']!r}")
         entries = []
         for e in kblock["entries"]:
             if not isinstance(e, dict) or "z" not in e or "p" not in e:
                 raise ConfigError(f"kernel entry {e!r} needs keys 'z' and 'p'")
             entries.append((e["z"], e["p"]))
-        self.kernel = build_kernel(int(kblock["dimension"]), entries)
+        dimension = _number(kblock["dimension"], int, "kernel dimension", 1)
+        try:
+            self.kernel = build_kernel(dimension, entries)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            # z or p that does not parse as a displacement or probability
+            raise ConfigError(f"kernel entries: {exc}") from None
         self.dimension = self.kernel.dimension
 
         self.N = raw.get("N")
         self.N_list = raw.get("N_list")
         if self.N is not None:
-            self.N = int(self.N)
+            self.N = _number(self.N, int, "N")
         if self.N_list is not None:
-            self.N_list = [int(n) for n in self.N_list]
+            self.N_list = _numbers(self.N_list, int, "N_list")
 
         if ("K" in raw) == ("alpha" in raw):
             raise ConfigError("give exactly one of 'K' and 'alpha'")
-        self.K = int(raw["K"]) if "K" in raw else None
-        self.alpha = float(raw["alpha"]) if "alpha" in raw else None
+        self.K = _number(raw["K"], int, "K") if "K" in raw else None
+        self.alpha = (_number(raw["alpha"], float, "alpha")
+                      if "alpha" in raw else None)
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha = {self.alpha} outside [0, 1]")
 
         self.direction = raw.get("direction")
         if self.direction is not None:
-            self.direction = [float(c) for c in self.direction]
+            self.direction = _numbers(self.direction, float, "direction")
             if len(self.direction) != self.dimension:
                 raise ConfigError(
                     f"direction has {len(self.direction)} components, "
@@ -121,25 +189,32 @@ class RunConfig:
         if raw.get("sign", DEFAULT_CORRECTION_SIGN) != DEFAULT_CORRECTION_SIGN:
             raise ConfigError(f"sign is fixed at {DEFAULT_CORRECTION_SIGN:+d}, "
                               f"got {raw['sign']!r}")
-        self.tolerance = float(raw.get("tolerance", 1e-10))
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be > 0")
+        self.tolerance = _number(raw.get("tolerance", 1e-10), float,
+                                 "tolerance", 0.0, above=True)
         self.method = raw.get("method", "auto")
         if self.method not in ("auto", "dense", "iterative"):
             raise ConfigError(f"unknown solver method {self.method!r}")
-        self.threads = int(raw.get("threads", 1))
-        if threads_override is not None:
-            self.threads = int(threads_override)
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        self.threads = _number(
+            raw.get("threads", 1) if threads_override is None
+            else threads_override, int, "threads", 1)
 
-        self.mc = dict(raw.get("mc", {}))
-        self.arbitrate = dict(raw.get("arbitrate", {}))
-        self.sweep_opts = dict(raw.get("sweep", {}))
-        self.diagnostics = dict(raw.get("diagnostics", {}))
-        self.seed = int(self.mc.get("seed", 0))
+        horizon = (float, 0.0, True)
+        self.mc = _section(raw, "mc", "mc", {
+            "T": horizon, "M": (int,), "seed": (int, 0)})
+        self.arbitrate = _section(raw, "arbitrate", "arbitrate", {
+            "T": horizon, "M": (int,), "seed": (int, 0),
+            "max_doublings": (int, 0)})
+        self.sweep_opts = _section(raw, "sweep", "sweep",
+                                   {"rtol": (float, 0.0)})
+        self.diagnostics = _section(raw, "diagnostics", "diagnostics")
+        for name, (numbers, lists) in _DIAGNOSTIC_SECTIONS.items():
+            if name in self.diagnostics:
+                self.diagnostics[name] = _section(
+                    self.diagnostics, name, f"diagnostics.{name}", numbers,
+                    lists)
+        self.seed = self.mc.get("seed", 0)
         if seed_override is not None:
-            self.seed = int(seed_override)
+            self.seed = _number(seed_override, int, "--seed", 0)
 
     # -- derived objects ----------------------------------------------------
 
@@ -162,13 +237,18 @@ class RunConfig:
         obs = block if block is not None else self.diagnostics.get("observable")
         if not obs:
             raise ConfigError("diagnostics need an 'observable' block")
+        if not isinstance(obs, dict):
+            raise ConfigError(f"observable must be a mapping, got {obs!r}")
         typ = obs.get("type")
+
+        def site(key):
+            return tuple(_numbers(obs.get(key), int, f"observable {key}"))
+
         if typ == "occupancy":
-            return occupancy_observable(space, tuple(obs["site"]))
+            return occupancy_observable(space, site("site"))
         if typ == "difference":
-            return occupancy_difference_observable(
-                space, tuple(obs["site"]), tuple(obs["site2"])
-            )
+            return occupancy_difference_observable(space, site("site"),
+                                                   site("site2"))
         raise ConfigError(f"unknown observable type {typ!r}")
 
     def observable_recipe(self, block=None):
@@ -280,7 +360,7 @@ def cmd_sweep(cfg, out_dir):
         raise ConfigError("sweep runs at fixed density: give 'alpha', not 'K'")
     if not cfg.N_list:
         raise ConfigError("sweep needs 'N_list'")
-    rtol = float(cfg.sweep_opts.get("rtol", 0.05))
+    rtol = cfg.sweep_opts.get("rtol", 0.05)
     rep = sweep(cfg.kernel, cfg.alpha, cfg.N_list, rtol=rtol,
                 tol=cfg.tolerance, method=cfg.method)
     rows = []
@@ -304,8 +384,8 @@ def cmd_mc(cfg, out_dir):
     mc = cfg.mc
     if "T" not in mc:
         raise ConfigError("mc block needs a horizon 'T'")
-    T = float(mc["T"])
-    M = int(mc.get("M", 10000))
+    T = mc["T"]
+    M = mc.get("M", 10000)
     second = bool(mc.get("second_horizon", True))
     gap = relaxation_gap(space, cfg.kernel)
     est = estimate_diffusion(space, cfg.kernel, T, M, cfg.seed,
@@ -359,8 +439,8 @@ def cmd_diagnostics(cfg, out_dir):
 
     def along_N(section):
         """The section's block and its N_list, for a sweep at fixed density."""
-        block = diag[section] or {}
-        n_list = [int(n) for n in block.get("N_list", [])]
+        block = diag[section]
+        n_list = block.get("N_list", [])
         if not n_list:
             raise ConfigError(f"{section} needs N_list")
         if cfg.alpha is None:
@@ -378,9 +458,9 @@ def cmd_diagnostics(cfg, out_dir):
     if diag.get("sector_constant") and op is not None:
         add("sector_constant", "C", sector_constant(op, method=cfg.method))
     if "prop1" in diag and op is not None:
-        block = diag["prop1"] or {}
-        rep = verify_prop1(op, n_pairs=int(block.get("pairs", 100)),
-                           seed=int(block.get("seed", 0)))
+        block = diag["prop1"]
+        rep = verify_prop1(op, n_pairs=block.get("pairs", 100),
+                           seed=block.get("seed", 0))
         add("prop1", "pairs", rep.n_pairs)
         add("prop1", "max_duality_ratio", rep.max_duality_ratio)
         add("prop1", "max_equality_gap_i", rep.max_equality_gap_i)
@@ -388,19 +468,18 @@ def cmd_diagnostics(cfg, out_dir):
         add("prop1", "min_bound_ratio_iii", rep.min_bound_ratio_iii)
         add("prop1", "max_equality_gap_iii", rep.max_equality_gap_iii)
     if "resolvent" in diag and op is not None:
-        block = diag["resolvent"] or {}
-        lambdas = [float(x) for x in block.get("lambdas", [1.0, 0.1, 0.01])]
+        block = diag["resolvent"]
+        lambdas = block.get("lambdas", [1.0, 0.1, 0.01])
         h = cfg.observable(space).values
         for entry in resolvent_sweep(op, h, lambdas, tol=cfg.tolerance):
             add("resolvent", f"u_h1@lam={_fmt(entry['lam'])}", entry["u_h1"])
             add("resolvent", f"dist_to_limit@lam={_fmt(entry['lam'])}",
                 entry["dist_to_limit_h1"])
     if "multiscale" in diag:
-        block = diag["multiscale"] or {}
+        block = diag["multiscale"]
         v = cfg.observable(space)
-        rep = multiscale_diagnostic(space, v, int(block.get("l", 1)),
-                                    int(block.get("q", 2)),
-                                    int(block.get("n_max", 2)))
+        rep = multiscale_diagnostic(space, v, block.get("l", 1),
+                                    block.get("q", 2), block.get("n_max", 2))
         for s, m2 in zip(rep.scales, rep.second_moments):
             add("multiscale", f"second_moment@l={s}", m2)
         for n, var in enumerate(rep.increment_variances, start=1):
@@ -421,7 +500,7 @@ def cmd_diagnostics(cfg, out_dir):
         block, n_list = along_N("approximation")
         rep = approximation_residual_diagnostic(
             cfg.kernel, cfg.alpha, cfg.observable_recipe(), n_list,
-            basis_scale=int(block.get("basis_scale", 1)), tol=cfg.tolerance,
+            basis_scale=block.get("basis_scale", 1), tol=cfg.tolerance,
         )
         for n, kk, v in zip(rep.N_list, rep.K_list, rep.values):
             add("approximation", f"residual@N={n},K={kk}", v)
@@ -438,13 +517,9 @@ def cmd_arbitrate_sign(cfg, out_dir):
     directions = None
     if cfg.direction is not None:
         directions = [np.asarray(cfg.direction, dtype=float)]
-    T = arb.get("T")
     sign, exact = _arbitrate(
-        space, cfg.kernel, directions,
-        None if T is None else float(T),
-        int(arb.get("M", 4000)),
-        int(arb.get("seed", cfg.seed)),
-        int(arb.get("max_doublings", 3)),
+        space, cfg.kernel, directions, arb.get("T"), arb.get("M", 4000),
+        arb.get("seed", cfg.seed), arb.get("max_doublings", 3),
         cfg.tolerance,
     )
     rows = [[f"{sign:+d}", _fmt(r.D_plus), _fmt(r.D_minus)] for r in exact]

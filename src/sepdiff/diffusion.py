@@ -15,6 +15,14 @@ arbiter can confirm the sign on non-symmetric kernels. Since v_a, w_a and
 u_a are linear in a, the whole d x d matrix follows from the d solves
 u_j = (-L)^{-1} v_j along the coordinate directions, through
 C_ij = 2 <w_i, u_j> symmetrized.
+
+Directions related by a lattice symmetry share one solve. Let g be a signed
+permutation of the lattice with p(g z) = p(z) for every z. It fixes the
+origin and the torus, so it permutes the states, eta -> g.eta, and L
+commutes with that permutation. Since v_a(g.eta) = v_{g^t a}(eta), it
+follows that u_{g a}(g.eta) = u_a(eta). So when g a_j = s a_i with
+s = +1 or -1, the driver forms u_i(g.eta) = s u_j(eta) instead of solving,
+and replays its residual against v_i.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import numpy as np
 from .errors import (
     BlockTooLargeError,
     NonPositiveDError,
+    NotConvergedError,
     OutOfRangeError,
     SupportTooLargeError,
 )
@@ -42,7 +51,12 @@ from .generator import (
     values_of,
 )
 from .kernel import TorusGeometry, symmetrize
-from .sobolev import approximation_residual, hminus1_norm, solve_general
+from .sobolev import (
+    _replay,
+    approximation_residual,
+    hminus1_norm,
+    solve_general,
+)
 from .statespace import StateSpace, _lex_bitmasks
 
 #: the fixed correction sign of D = free - sign * 2 <w_a, u_a>, printed in CSVs
@@ -141,38 +155,81 @@ def local_drift_functions(space, kernel, a):
             ObservableVector(center(w), mean_zero=True))
 
 
+def _symmetries(kernel):
+    """Signed permutation matrices g of Z^d with p(g z) == p(z) exactly
+    for every kernel entry, the identity first."""
+    d = kernel.dimension
+    prob = dict(kernel.entries)
+    group = []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            g = np.zeros((d, d), dtype=np.int64)
+            g[range(d), perm] = signs
+            if all(prob.get(tuple(int(c) for c in g @ z)) == p
+                   for z, p in kernel.entries):
+                group.append(g)
+    return group
+
+
+def _image(group, solved, a):
+    """(j, g, s) with g solved[j] == s a exactly and s = +1 or -1, or None."""
+    for j, b in enumerate(solved):
+        for g in group:
+            gb = g @ b
+            for s in (1.0, -1.0):
+                if np.array_equal(gb, s * a):
+                    return j, g, s
+    return None
+
+
 def _solve_directions(space, kernel, directions, tol, method, operator=None):
     """The exact route along directions a_1..a_m.
 
     Returns the free matrix F_ij = (1 - alpha) sum_z (a_i.z)(a_j.z) p(z),
-    the unsigned correction C_ij = 2 <w_i, u_j> with u_j = (-L)^{-1} v_j
-    (one solve per direction, against ``operator`` or the assembled full
-    generator), and the DirectionResult of each a_i, whose D = F_ii + C_ii
-    must be nonnegative within 1e-9.
+    the unsigned correction C_ij = 2 <w_i, u_j> with u_j = (-L)^{-1} v_j,
+    and the DirectionResult of each a_i, whose D = F_ii + C_ii must be
+    nonnegative within 1e-9. Each u_i is mapped from an earlier u_j when a
+    kernel symmetry g has g a_j = +-a_i (method "symmetry", 0 iterations,
+    its replayed residual at most 2 tol), and otherwise solved against
+    ``operator`` or the assembled full generator.
     """
     dirs = [np.asarray(a, dtype=float) for a in directions]
     free = np.array([[_free_form(kernel, a, b, space.alpha) for b in dirs]
                      for a in dirs])
     corr = np.zeros_like(free)
-    reps = [None] * len(dirs)
+    solves = [(0.0, 0, "degenerate")] * len(dirs)
     if space.size > 1:
         op = operator if operator is not None else full_generator(space, kernel)
-        ws = []
+        group = _symmetries(kernel)
+        us, ws = [], []
         for i, a in enumerate(dirs):
             v, w = local_drift_functions(space, kernel, a)
             ws.append(w.values)
-            reps[i] = solve_general(op, v.values, tol=tol, method=method)
-        corr = np.array([[2.0 * inner(w, rep.solution.values) for rep in reps]
-                         for w in ws])
+            hit = _image(group, dirs[:i], a)
+            if hit is None:
+                rep = solve_general(op, v.values, tol=tol, method=method)
+                u = rep.solution.values
+                solves[i] = (rep.relative_residual, rep.iterations, rep.method)
+            else:
+                j, g, s = hit
+                u = np.empty(space.size)
+                u[space.mapped_ranks(g)] = s * us[j]
+                res = _replay(op, u, v.values, 0.0)
+                if res > 2.0 * tol:
+                    raise NotConvergedError(
+                        f"u along {a.tolist()} mapped by symmetry left "
+                        f"replayed residual {res:.3e}; tol {tol:.1e}")
+                solves[i] = (res, 0, "symmetry")
+            us.append(u)
+        corr = np.array([[2.0 * inner(w, u) for u in us] for w in ws])
     results = []
-    for i, (a, rep) in enumerate(zip(dirs, reps)):
+    for i, a in enumerate(dirs):
         f, c = float(free[i, i]), float(corr[i, i])
         if f + c < -1e-9 * max(1.0, abs(f)):
             raise NonPositiveDError(
                 f"a^t D a = {f + c!r} < 0 along a = {a.tolist()}")
-        solve = ((0.0, 0, "degenerate") if rep is None else
-                 (rep.relative_residual, rep.iterations, rep.method))
-        results.append(DirectionResult(a, f, c, f + c, f - c, f + c, *solve))
+        results.append(DirectionResult(a, f, c, f + c, f - c, f + c,
+                                       *solves[i]))
     return free, corr, results
 
 
@@ -203,9 +260,10 @@ def compute_D(space, kernel, a, tol=1e-10, method="auto", operator=None):
 
 
 def compute_D_matrix(space, kernel, tol=1e-10, method="auto", operator=None):
-    """Full d x d diffusion matrix from d solves.
+    """Full d x d diffusion matrix from at most d solves.
 
-    Solves u_j = (-L)^{-1} v_j along each coordinate direction e_j and
+    Finds u_j = (-L)^{-1} v_j along each coordinate direction e_j, solving
+    one axis per orbit of the kernel's symmetries and mapping the rest, and
     forms D = F + (C + C^t) / 2 with F the free-walk matrix and
     C_ij = 2 <w_i, u_j>. ``directions`` holds the d coordinate results.
     The result must be positive semidefinite within 1e-9.
@@ -313,11 +371,10 @@ def conditional_expectation(space, v, l):
         masks = np.full(local.size, filler, dtype=np.uint64)
         for b, site in enumerate(inside):
             masks |= ((local >> np.uint64(b)) & np.uint64(1)) << np.uint64(site)
-        # summed one arrangement at a time, in enumeration order
-        total = 0.0
-        for x in vvals[space.rank_masks(masks)].tolist():
-            total += x
-        avg[j] = total / len(masks)
+        # summed left to right in enumeration order (cumsum, unlike sum,
+        # does not pair terms)
+        total = np.cumsum(vvals[space.rank_masks(masks)])[-1]
+        avg[j] = float(total) / len(masks)
     counts = space.inside_counts(inside_mask)
     out = np.array([avg[int(c)] for c in counts])
     return ObservableVector(out)

@@ -150,17 +150,31 @@ def _shifted(x, shift):
     return x
 
 
+def _shift_groups(images):
+    """(bits, shift) groups that move site i to ``images[i]``, skipping the
+    sites whose image is None: sites that move by one shift share a group."""
+    by_shift = {}
+    for i, t in enumerate(images):
+        if t is not None:
+            by_shift[t - i] = by_shift.get(t - i, 0) | (1 << i)
+    return tuple((np.uint64(bits), shift) for shift, bits in by_shift.items())
+
+
+def _moved(masks, groups):
+    """The uint64 bitmasks ``masks`` with their bits moved by ``groups``."""
+    out = np.zeros_like(masks)
+    for bits, shift in groups:
+        out |= _shifted(masks & bits, shift)
+    return out
+
+
 def enabled_moves(masks, channels):
     """Yield (channel, src, targets) for each channel in turn: ``src`` are
     the positions in the uint64 array ``masks`` where the channel is
     enabled, ascending, and ``targets`` the bitmasks it leads to there."""
     for ch in channels:
         src = np.flatnonzero((masks & ch.test) == ch.want)
-        b = masks[src]
-        targets = np.zeros_like(b)
-        for bits, shift in ch.groups:
-            targets |= _shifted(b & bits, shift)
-        yield ch, src, targets
+        yield ch, src, _moved(masks[src], ch.groups)
 
 
 def _build_channels(geo, kernel):
@@ -182,14 +196,10 @@ def _build_channels(geo, kernel):
         # every occupied y moves to wrap(y - z); the seat wrap(z) is vacant
         seat = geo.wrap(z)
         ti = geo.env_index(seat)
-        by_shift = {}
-        for i, site in enumerate(geo.env_sites):
-            if i == ti:
-                continue
-            moved = geo.env_index(tuple(a - b for a, b in zip(site, seat)))
-            by_shift[moved - i] = by_shift.get(moved - i, 0) | (1 << i)
-        groups = tuple((np.uint64(bits), shift)
-                       for shift, bits in by_shift.items())
+        groups = _shift_groups([
+            None if i == ti else
+            geo.env_index(tuple(a - b for a, b in zip(site, seat)))
+            for i, site in enumerate(geo.env_sites)])
         tagged.append(Channel(zi, p, np.uint64(1 << ti), np.uint64(0), groups))
     return tuple(env + tagged)
 
@@ -314,6 +324,20 @@ class StateSpace:
             raise WrongCountError(
                 f"bitmask does not hold the {self.k} particles of the space")
         return ((self.size - 1) - share).reshape(masks.shape)
+
+    def mapped_ranks(self, g):
+        """Ranks of g.eta_r for every state eta_r, in rank order, with g a
+        signed permutation matrix of the lattice.
+
+        g fixes the origin and maps the torus onto itself, so it moves
+        environment site x to wrap(g x). The bits of every bitmask are
+        moved to match, and the results ranked.
+        """
+        geo = self.geometry
+        g = np.asarray(g)
+        groups = _shift_groups([geo.env_index(tuple(int(c) for c in g @ x))
+                                for x in geo.env_sites])
+        return self.rank_masks(_moved(self.bitmasks(), groups))
 
     def move_channels(self, kernel):
         """The kernel's channels on this torus, cached per kernel, in

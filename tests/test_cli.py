@@ -200,7 +200,7 @@ def test_arbitrate_sign_cli_rows_follow_direction(tmp_path):
     assert float(rows[0]["D_plus"]) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "broken.yaml"
     bad.write_text("kernel: [unbalanced\n")
     assert main(["exact", "--config", str(bad), "--out",
@@ -248,6 +248,34 @@ def test_config_errors_exit_2(tmp_path):
                                      if "K" in body else None})
         assert main(["diagnostics", "--config", cfg, "--out",
                      str(tmp_path / f"oD{i}")]) == 2
+    # values that do not parse, or lie out of range, in any block
+    res = {"observable": {"type": "occupancy", "site": [1]},
+           "resolvent": {"lambdas": [-1]}}
+    for i, (command, body) in enumerate([
+            ("exact", dict(kernel=dict(NN, dimension="abc"), N=3, K=3)),
+            ("exact", dict(kernel=dict(NN, entries=5), N=3, K=3)),
+            ("exact", dict(kernel=NN, N=[3], K=3)),
+            ("exact", dict(kernel=NN, N=3, K="x")),
+            ("exact", dict(kernel=NN, N=3, K=3.7)),
+            ("exact", dict(kernel=NN, N=3, K=3, tolerance="abc")),
+            ("exact", dict(kernel=NN, N=3, alpha="abc")),
+            ("exact", dict(kernel=dict(NN, entries=[
+                {"z": [1], "p": "abc"}, {"z": [-1], "p": 0.5}]), N=3, K=3)),
+            ("exact", dict(kernel=dict(NN, entries=[
+                {"z": "abc", "p": 0.5}, {"z": [-1], "p": 0.5}]), N=3, K=3)),
+            ("exact", dict(kernel=NN, N=3, K=3, direction=[float("nan")])),
+            ("mc", dict(kernel=NN, N=2, K=2, mc={"T": -1})),
+            ("mc", dict(kernel=NN, N=2, K=2, mc={"T": "abc"})),
+            ("mc", dict(kernel=NN, N=2, K=2, mc=[1, 2])),
+            ("mc", dict(kernel=NN, N=2, K=2, mc={"T": 1, "seed": -5})),
+            ("arbitrate-sign", dict(kernel=NN, N=2, K=2,
+                                    arbitrate={"M": "abc"})),
+            ("sweep", dict(kernel=NN, N_list=5, alpha=0.5)),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=res))]):
+        cfg = write_cfg(tmp_path, f"bad{i}.yaml", **body)
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / f"oB{i}")]) == 2, body
+        assert "config error" in capsys.readouterr().err
 
 
 def test_size_cap_exit_4(tmp_path):

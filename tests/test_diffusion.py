@@ -5,6 +5,7 @@ import pytest
 
 from sepdiff import (
     BlockTooLargeError,
+    NotConvergedError,
     OutOfRangeError,
     StateSpace,
     SupportTooLargeError,
@@ -30,7 +31,7 @@ from sepdiff import (
 )
 
 import _oracle
-from conftest import ASYM1D, MZ1D, NN1D, NN2D
+from conftest import ASYM1D, MZ1D, NN1D, NN2D, check_symmetry_route
 
 
 def space_1d(N, K):
@@ -109,9 +110,18 @@ def test_suppression_below_free_walk_for_symmetric(nn1d):
 ASYM2D = [((1, 0), 0.4), ((-1, 0), 0.1), ((0, 1), 0.3), ((0, -1), 0.2)]
 
 
-def test_matrix_polarization_consistency(meanzero1d, monkeypatch):
-    # the matrix from d solves reproduces the form along any direction,
-    # including a 2d kernel with a nonzero off-diagonal entry
+#: p(e1) = p(-e2): its one non-trivial symmetry (x, y) -> (-y, -x) maps
+#: e1 to -e2, and its generator is not symmetric
+SIGN2D = [((1, 0), 0.4), ((0, -1), 0.4), ((-1, 0), 0.1), ((0, 1), 0.1)]
+#: drifts along (1, 1); invariant under swapping the axes
+SWAP2D = [((1, 0), 0.3), ((0, 1), 0.3), ((-1, 0), 0.2), ((0, -1), 0.2)]
+NN3D = [(z, 1.0 / 6.0) for e in np.eye(3, dtype=int) for z in
+        (tuple(e.tolist()), tuple((-e).tolist()))]
+
+
+def counted_solves(monkeypatch):
+    """The list that gains one entry per solve_general call of the exact
+    driver."""
     import sepdiff.diffusion
 
     solve = sepdiff.diffusion.solve_general
@@ -122,6 +132,38 @@ def test_matrix_polarization_consistency(meanzero1d, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(sepdiff.diffusion, "solve_general", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d,N,K,entries,solves", [
+    (2, 2, 4, NN2D, 1), (3, 2, 3, NN3D, 1), (2, 2, 4, SIGN2D, 1),
+    (2, 2, 4, SWAP2D, 1), (2, 2, 4, ASYM2D, 2)])
+def test_matrix_solves_one_axis_per_symmetry_orbit(d, N, K, entries, solves,
+                                                   monkeypatch):
+    calls = counted_solves(monkeypatch)
+    sp = StateSpace(TorusGeometry(d, N), K)
+    kernel = build_kernel(d, entries)
+    rep = compute_D_matrix(sp, kernel, tol=1e-12)
+    assert len(calls) == solves
+    check_symmetry_route(sp, kernel, rep, len(calls))
+    if entries is SIGN2D:
+        assert rep.directions[0].method == "iterative-nonsymmetric"
+        assert abs(rep.matrix[0, 1]) > 1e-3
+
+
+def test_mapped_direction_checks_its_residual(nn2d):
+    # an operator that does not commute with the kernel's symmetries
+    # leaves the mapped axis a large replayed residual
+    sp = StateSpace(TorusGeometry(2, 2), 4)
+    op = full_generator(sp, build_kernel(2, ASYM2D))
+    with pytest.raises(NotConvergedError, match="mapped by symmetry"):
+        compute_D_matrix(sp, nn2d, operator=op)
+
+
+def test_matrix_polarization_consistency(meanzero1d, monkeypatch):
+    # the matrix from d solves reproduces the form along any direction,
+    # including a 2d kernel with a nonzero off-diagonal entry
+    calls = counted_solves(monkeypatch)
     systems = [(space_1d(3, 3), meanzero1d),
                (StateSpace(TorusGeometry(2, 2), 4), build_kernel(2, ASYM2D))]
     rng = np.random.default_rng(2)

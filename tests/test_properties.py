@@ -1,9 +1,11 @@
-"""Property tests of the move enumeration over random kernels and tori,
-against the brute-force generator of ``_oracle``."""
+"""Property tests of the move enumeration and the exact route over random
+kernels and tori, against the brute-force references of ``_oracle``."""
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from sepdiff import (  # noqa: E402
     TorusGeometry,
     TransitionTable,
     build_kernel,
+    compute_D_matrix,
     full_generator,
+    solve_general,
 )
 
 import _oracle  # noqa: E402
+from conftest import check_symmetry_route  # noqa: E402
 
 #: the dense oracle stays cheap below this many states
 MAX_STATES = 400
@@ -109,3 +114,54 @@ def test_rank_matches_combinatorial_reference(case):
     assert sp.rank_masks(np.array(masks, dtype=np.uint64)).tolist() == want
     for bits, r in zip(masks, want):
         assert sp.unrank(r).bits == bits
+
+
+#: the signed permutations of Z^2
+SIGNED_PERMUTATIONS_2D = [np.array(g) for g in (
+    [[1, 0], [0, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, 1]], [[-1, 0], [0, -1]],
+    [[0, 1], [1, 0]], [[0, 1], [-1, 0]], [[0, -1], [1, 0]], [[0, -1], [-1, 0]])]
+
+
+@st.composite
+def invariant_systems(draw):
+    """(StateSpace, kernel, h): 2d kernels of range <= 2 whose rational
+    weights are averaged over the cyclic group of a signed permutation h,
+    so p(h z) == p(z) holds exactly in floating point."""
+    R = draw(st.integers(1, 2))
+    moves = [z for z in itertools.product(range(-R, R + 1), repeat=2)
+             if any(z)]
+    support = draw(st.lists(st.sampled_from(moves), min_size=1, max_size=4,
+                            unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(support),
+                            max_size=len(support)))
+    h = draw(st.sampled_from(SIGNED_PERMUTATIONS_2D))
+    group = [np.eye(2, dtype=int)]
+    while not np.array_equal(group[-1] @ h, group[0]):
+        group.append(group[-1] @ h)
+    p = defaultdict(Fraction)
+    for z, w in zip(support, weights):
+        for g in group:
+            p[tuple(int(c) for c in g @ z)] += Fraction(
+                w, sum(weights) * len(group))
+    try:
+        kernel = build_kernel(2, list(p.items()))
+    except ReducibleError:
+        assume(False)
+    N = kernel.range + 1
+    M = (2 * N) ** 2 - 1
+    Ks = [K for K in range(1, M + 2) if math.comb(M, K - 1) <= MAX_STATES]
+    K = draw(st.sampled_from(Ks))
+    return StateSpace(TorusGeometry(2, N), K), kernel, h
+
+
+@settings(max_examples=25, deadline=None)
+@given(invariant_systems())
+def test_symmetry_route_matches_dense_and_oracle(system):
+    sp, kernel, h = system
+    with mock.patch("sepdiff.diffusion.solve_general",
+                    wraps=solve_general) as solve:
+        rep = compute_D_matrix(sp, kernel, tol=1e-12)
+    check_symmetry_route(sp, kernel, rep, solve.call_count)
+    if sp.size > 1 and h[0, 0] == 0:
+        # h maps e1 to +-e2, so the second axis is mapped
+        assert solve.call_count == 1

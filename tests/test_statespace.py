@@ -182,6 +182,22 @@ def test_shift_matches_reference_rule():
             )) == want
 
 
+@pytest.mark.parametrize("d,N,K,g", [
+    (2, 2, 4, [[0, -1], [1, 0]]), (2, 2, 3, [[0, -1], [-1, 0]]),
+    (1, 3, 3, [[-1]]), (3, 2, 2, [[0, 0, 1], [-1, 0, 0], [0, 1, 0]])])
+def test_mapped_ranks_match_per_state_rule(d, N, K, g):
+    # state r goes to the rank of its sites moved to wrap(g x)
+    sp = make_space(d, N, K)
+    geo = sp.geometry
+    want = [sp.rank(sp.config_from_sites(
+                [tuple(int(c) for c in np.dot(g, geo.env_sites[i]))
+                 for i in cfg.occupied_indices]))
+            for cfg in sp.states()]
+    got = sp.mapped_ranks(np.array(g))
+    assert got.tolist() == want
+    assert sorted(want) == list(range(sp.size))
+
+
 def test_site_occupancy_and_inside_counts():
     sp = make_space(1, 2, 2)
     occ = sp.site_occupancy([0, 1, 2])
