@@ -1,11 +1,12 @@
 """Exact linear algebra vs kinetic Monte Carlo, three kernel classes.
 
 The exact route solves the singular Poisson problem on the full state
-space; the stochastic route runs independent Gillespie replicas to two
-horizons (T, 2T) and removes the leading O(1/T) finite-horizon bias by
-extrapolation.  The two must agree within a few standard errors for every
-kernel class, and the sign arbitration must pick the shipped convention
-(sign -1, D = free + 2 <w, (-L)^{-1} v>) on its own.
+space; the stochastic route runs independent Gillespie replicas once to
+2T, records each one's position at T on the way, and removes the leading
+O(1/T) finite-horizon bias by extrapolation.  The two must agree within
+a few standard errors for every kernel class, and the sign arbitration
+must pick the shipped convention (sign -1, D = free + 2 <w, (-L)^{-1} v>)
+on its own.
 """
 
 import time

@@ -131,11 +131,6 @@ class SparseOperator:
             self._symmetric = bool(worst <= SYMMETRY_TOL * scale)
         return self._symmetric
 
-    def __add__(self, other):
-        if self.size != other.size:
-            raise ValueError("operator sizes differ")
-        return SparseOperator(self.size, self._off + other._off)
-
     def __repr__(self):
         return f"SparseOperator(size={self.size}, nnz={self.nnz})"
 
@@ -146,30 +141,34 @@ def _check_nnz(n_entries):
             f"{n_entries} nonzeros exceed cap {DEFAULT_MAX_NNZ}")
 
 
-def _assemble(space, kernel, tagged):
-    """Off-diagonal rates of the environment moves, or of the tagged jumps,
-    from the channel enumeration over all states (whose count
-    ``StateSpace.bitmasks`` caps)."""
+def _assemble(space, kernel, tagged=None):
+    """Off-diagonal rates of the environment moves (``tagged=False``), of
+    the tagged jumps (``True``) or of both (``None``), from the channel
+    enumeration over all states (whose count ``StateSpace.bitmasks``
+    caps)."""
     space.geometry.require_kernel_fits(kernel)
     masks = space.bitmasks()
     channels = [ch for ch in space.move_channels(kernel)
-                if (ch.jump >= 0) == tagged]
-    rows, cols, vals = [], [], []
+                if tagged is None or (ch.jump >= 0) == tagged]
+    # 32-bit ranks (the state cap keeps them small) and one rate per
+    # channel keep the triples of the full generator compact
+    rows, cols, rates, sizes = [], [], [], []
     n = 0
     for ch, src, targets in enabled_moves(masks, channels):
         moved = targets != masks[src]
         src, targets = src[moved], targets[moved]
         n += src.size
         _check_nnz(n)
-        rows.append(src)
-        cols.append(space.rank_masks(targets))
-        vals.append(np.full(src.size, ch.rate))
+        sizes.append(src.size)
+        rows.append(src.astype(np.int32))
+        cols.append(space.rank_masks(targets).astype(np.int32))
+        rates.append(ch.rate)
     # channel-major order keeps each row's entries in channel order, so
     # coinciding targets are summed in the same order as a per-state loop
-    off = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.size, space.size),
-    )
+    # rebinding frees the per-channel lists before the CSR conversion
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    off = sp.coo_matrix((np.repeat(rates, sizes), (rows, cols)),
+                        shape=(space.size, space.size))
     return SparseOperator(space.size, off)
 
 
@@ -194,11 +193,9 @@ def assemble_tagged(space, kernel):
 
 
 def full_generator(space, kernel):
-    """Environment part plus tagged part, their nonzeros capped together."""
-    env = assemble_environment(space, kernel)
-    tag = assemble_tagged(space, kernel)
-    _check_nnz(env.offdiag.nnz + tag.offdiag.nnz)
-    return env + tag
+    """Environment part plus tagged part, assembled as one operator from
+    all channels, their nonzeros capped together."""
+    return _assemble(space, kernel)
 
 
 def adjoint(op):

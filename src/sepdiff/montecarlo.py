@@ -6,21 +6,25 @@ tagged position is accumulated on the unwrapped lattice as the sum of
 jump displacements, so its covariance over a long horizon estimates the
 diffusion matrix directly.
 
-Reproducibility contract (stream rule ``RNG_STREAM`` = 2): replica r of
-horizon block h under master seed s uses
-``numpy.random.default_rng(SeedSequence([s, h, r]))``. It draws its start
-state with ``integers(size)``, then two ``random()`` doubles per event:
-u1 gives the waiting time ``-log1p(-u1) / lam`` (numpy's ``log1p``) and
-u2 the channel, the first whose cumulative rate exceeds ``u2 * lam``.
-Results are reduced in replica order, so estimates do not depend on how
-replicas are grouped into lockstep chunks or split over threads.
+Reproducibility contract (stream rule ``RNG_STREAM`` = 3): replica r under
+master seed s uses ``numpy.random.default_rng(SeedSequence([s, r]))``. It
+draws its start state with ``integers(size)``, then two ``random()``
+doubles per event: u1 gives the waiting time ``-log1p(-u1) / lam``
+(numpy's ``log1p``) and u2 the channel, the first whose cumulative rate
+exceeds ``u2 * lam``. Results are reduced in replica order, so estimates
+do not depend on how replicas are grouped into lockstep chunks or split
+over threads.
+
+Each replica runs once, to the last horizon (2T by default), and its
+displacement at T is the sum of its jumps at event times below T. The
+horizon blocks therefore share their replicas and are correlated, and
+:func:`extrapolated_direction_stats` takes the standard error of the
+per-replica extrapolated square.
 
 ``estimate_diffusion`` advances chunks of ``LANES`` replicas together, one
 event per numpy step. Each step spends most of its time in short numpy
 calls that hold the GIL, so ``threads`` splits replica blocks over threads
-without a speed-up: on a 2-vCPU Xeon VM, 1d mean-zero N=6 K=6, M=4000,
-horizons 50 and 100, six runs each gave 3.1-4.4 M events/s on one worker
-and 2.1-3.0 M events/s on two.
+without a speed-up.
 """
 
 from __future__ import annotations
@@ -51,6 +55,12 @@ class TrajectoryState:
     jump_counts: np.ndarray         # per kernel entry, int64
 
 
+def _replica_mean(p):
+    """sum(p) / (m - 1) over m per-replica terms, with its standard error."""
+    m = p.size
+    return float(p.sum()) / (m - 1), float(p.std(ddof=1)) / math.sqrt(m)
+
+
 @dataclass
 class HorizonStats:
     T: float
@@ -73,17 +83,18 @@ class HorizonStats:
         prods = z[:, :, None] * z[:, None, :]
         self.covariance_se = prods.std(axis=0, ddof=1) / math.sqrt(m)
 
-    def direction_stats(self, a):
-        """Estimate of a^t D a with its standard error."""
+    def direction_squares(self, a):
+        """Per-replica squares p(r) of the centred projection on a of
+        (X - drift * T) / sqrt(T); their sum over m - 1 estimates a^t D a."""
         a = np.asarray(a, dtype=float)
         y = (self.X - self.expected_drift * self.T) / math.sqrt(self.T)
         s = y @ a
         s = s - s.mean()
-        p = s * s
-        m = p.size
-        value = float(p.sum()) / (m - 1)
-        se = float(p.std(ddof=1)) / math.sqrt(m)
-        return value, se
+        return s * s
+
+    def direction_stats(self, a):
+        """Estimate of a^t D a with its standard error."""
+        return _replica_mean(self.direction_squares(a))
 
 
 @dataclass
@@ -100,16 +111,14 @@ class MCEstimate:
         return self.horizons[0]
 
 
-def replica_rng(master_seed, horizon_index, replica_index):
+def replica_rng(master_seed, replica_index):
     """The documented replica-stream rule."""
-    seq = np.random.SeedSequence(
-        [int(master_seed), int(horizon_index), int(replica_index)]
-    )
+    seq = np.random.SeedSequence([int(master_seed), int(replica_index)])
     return np.random.default_rng(seq)
 
 
 #: version of the per-replica random stream rule in the module docstring
-RNG_STREAM = 2
+RNG_STREAM = 3
 
 #: replica lanes the lockstep kernel advances together; chunking bounds
 #: its working arrays to a few hundred kB whatever the replica count
@@ -194,46 +203,52 @@ def step(space, kernel, state, rng):
     )
 
 
-def _lockstep(table, rngs, ranks, T):
-    """Run one lane per generator from the given start ranks to horizon T.
+def _lockstep(table, rngs, ranks, horizons):
+    """Run one lane per generator from the given start ranks to the last of
+    the ascending ``horizons``.
 
     Each numpy step advances every live lane by one event, consuming two
     uniforms of its own generator as :func:`step` does; lanes leave when
-    their clock passes T or their state is frozen. Uniforms are drawn
-    ``REFILL`` events at a time, and consecutive draws of one generator
-    give the same doubles as a single draw, so results do not depend on
-    how replicas are grouped. Returns the final ranks and the
-    (lane, kernel entry) tagged-jump counts.
+    their clock passes the last horizon or their state is frozen. An event
+    at time t is tallied in window w, the number of earlier horizons <= t,
+    so the counts up to horizon h are those of a run to h alone. Uniforms
+    are drawn ``REFILL`` events at a time, and consecutive draws of one
+    generator give the same doubles as a single draw, so results do not
+    depend on how replicas are grouped. Returns the final ranks at the last
+    horizon and the (lane, horizon, kernel entry) tagged-jump counts.
     """
     n = len(rngs)
+    cuts = np.asarray(horizons[:-1], dtype=float)
+    end = horizons[-1]
     stride = len(table.kernel.entries) + 1
+    wide = len(horizons) * stride
     width = table.cum.shape[1]
     total, cum, last = table.total, table.cum, table.fill - 1
     jump, target = table.jump.ravel(), table.target.ravel()
     ones = np.ones(width)
-    # lane i counts its events at i * stride + 1 + jump label, so slot 0
-    # takes the environment moves (label -1)
-    counts = np.zeros(n * stride, dtype=np.int64)
+    # lane i counts its window-w events at i * wide + w * stride + 1 + jump
+    # label, so slot 0 of each window takes the environment moves (label -1)
+    counts = np.zeros(n * wide, dtype=np.int64)
     final = np.array(ranks, dtype=np.intp)
     rank = final.copy()
-    slot = np.arange(n) * stride + 1
+    slot = np.arange(n) * wide + 1
     t = np.zeros(n)
     u = np.empty((n, 2 * REFILL))
     rows = list(u)
-    # a frozen lane has lam = 0: its clock becomes inf (or nan), never < T
+    # a frozen lane has lam = 0: its clock becomes inf (or nan), never < end
     with np.errstate(divide="ignore", invalid="ignore"):
         while rank.size:
-            for k, i in enumerate((slot // stride).tolist()):
+            for k, i in enumerate((slot // wide).tolist()):
                 rngs[i].random(out=rows[k])
             row = np.arange(rank.size)
-            moves = []
+            moves, times = [], []
             for s in range(0, 2 * REFILL, 2):
                 lam = total.take(rank)
                 t += _waiting_exponentials(u[:, s].take(row)) / lam
-                keep = t < T
+                keep = t < end
                 if not keep.all():
                     done = ~keep
-                    final[slot[done] // stride] = rank[done]
+                    final[slot[done] // wide] = rank[done]
                     rank, t, slot, row, lam = (rank[keep], t[keep], slot[keep],
                                                row[keep], lam[keep])
                     if not rank.size:
@@ -246,11 +261,17 @@ def _lockstep(table, rngs, ranks, T):
                 np.minimum(j, last.take(rank), out=j)
                 flat = rank * width + j
                 moves.append(slot + jump.take(flat))
+                if cuts.size:
+                    times.append(t.copy())
                 rank = target.take(flat)
             if moves:
-                counts += np.bincount(np.concatenate(moves),
-                                      minlength=counts.size)
-    return final, counts.reshape(n, stride)[:, 1:]
+                index = np.concatenate(moves)
+                if cuts.size:
+                    index += stride * np.searchsorted(
+                        cuts, np.concatenate(times), side="right")
+                counts += np.bincount(index, minlength=counts.size)
+    counts = counts.reshape(n, len(horizons), stride)[:, :, 1:]
+    return final, np.cumsum(counts, axis=1)
 
 
 def simulate(space, kernel, T, seed, start=None, method="table", table=None):
@@ -273,9 +294,9 @@ def simulate(space, kernel, T, seed, start=None, method="table", table=None):
     if method == "table":
         if table is None:
             table = TransitionTable(space, kernel)
-        final, counts = _lockstep(table, [rng], [rank0], T)
+        final, counts = _lockstep(table, [rng], [rank0], (T,))
         return TrajectoryState(space.unrank(int(final[0])),
-                               counts[0] @ table.zvecs, T, counts[0])
+                               counts[0, 0] @ table.zvecs, T, counts[0, 0])
     if method != "direct":
         raise OutOfRangeError(f"unknown simulation method {method!r}")
     state = TrajectoryState(
@@ -300,41 +321,37 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1,
                        second_horizon=True, relax_gap=None):
     """Replica estimate of drift and diffusion from final positions.
 
-    Runs M independent replicas to horizon T (and, by default, M more to
-    2T to expose finite-horizon bias). The drift target is m(1 - alpha)
-    with m the kernel mean; the covariance of (X_T - m(1-alpha)T)/sqrt(T)
-    estimates the diffusion matrix.
+    Runs M independent replicas to horizon T (by default on to 2T, with
+    the positions at T recorded on the way, to expose finite-horizon
+    bias). The drift target is m(1 - alpha) with m the kernel mean; the
+    covariance of (X_T - m(1-alpha)T)/sqrt(T) estimates the diffusion
+    matrix.
     """
     if M < 2:
         raise OutOfRangeError(f"need at least 2 replicas, got {M}")
     expected = classify(kernel)[1] * (1.0 - space.alpha)
     table = TransitionTable(space, kernel)
-    horizons = [float(T)] + ([2.0 * float(T)] if second_horizon else [])
+    horizons = (float(T), 2.0 * float(T)) if second_horizon else (float(T),)
 
-    def run_block(h_index, horizon, lo, hi):
+    def run_block(lo, hi):
         counts = []
         for a in range(lo, hi, LANES):
-            rngs = [replica_rng(seed, h_index, r)
-                    for r in range(a, min(a + LANES, hi))]
+            rngs = [replica_rng(seed, r) for r in range(a, min(a + LANES, hi))]
             starts = [rng.integers(space.size) for rng in rngs]
-            counts.append(_lockstep(table, rngs, starts, horizon)[1])
-        counts = np.concatenate(counts)
-        return counts @ table.zvecs, counts.sum(axis=1)
+            counts.append(_lockstep(table, rngs, starts, horizons)[1])
+        return np.concatenate(counts)
 
     # the calling thread runs the first block and threads - 1 workers the
     # rest; threads=1 submits nothing, so the pool starts no thread
     bounds = np.linspace(0, M, max(threads, 1) + 1, dtype=int)
     blocks = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
-    stats = []
     with concurrent.futures.ThreadPoolExecutor(max(threads - 1, 1)) as pool:
-        for h_index, horizon in enumerate(horizons):
-            futs = [pool.submit(run_block, h_index, horizon, lo, hi)
-                    for lo, hi in blocks[1:]]
-            parts = [run_block(h_index, horizon, *blocks[0])]
-            parts += [f.result() for f in futs]
-            xs = np.concatenate([p[0] for p in parts])
-            nj = np.concatenate([p[1] for p in parts])
-            stats.append(HorizonStats(horizon, expected, xs, nj))
+        futs = [pool.submit(run_block, lo, hi) for lo, hi in blocks[1:]]
+        parts = [run_block(*blocks[0])] + [f.result() for f in futs]
+    counts = np.concatenate(parts)
+    stats = [HorizonStats(h, expected, counts[:, w] @ table.zvecs,
+                          counts[:, w].sum(axis=1))
+             for w, h in enumerate(horizons)]
 
     ok = None
     if relax_gap is not None and math.isfinite(relax_gap) and relax_gap > 0:
@@ -419,11 +436,12 @@ def extrapolated_direction_stats(estimate, a):
     """Horizon-bias-corrected estimate of a^t D a.
 
     The per-horizon estimator carries an O(1/T) bias, so the (T, 2T) pair
-    extrapolates as 2 * v(2T) - v(T); the replicas of the two horizons are
-    independent, so the errors add in quadrature.
+    extrapolates as 2 * v(2T) - v(T). Both horizons come from the same
+    replicas, so the error is that of the per-replica terms
+    q(r) = 2 * p_2T(r) - p_T(r) (see ``HorizonStats.direction_squares``).
     """
     if len(estimate.horizons) < 2:
         return estimate.primary.direction_stats(a)
-    v1, se1 = estimate.horizons[0].direction_stats(a)
-    v2, se2 = estimate.horizons[1].direction_stats(a)
-    return 2.0 * v2 - v1, math.sqrt(4.0 * se2 * se2 + se1 * se1)
+    p1 = estimate.horizons[0].direction_squares(a)
+    p2 = estimate.horizons[1].direction_squares(a)
+    return _replica_mean(2.0 * p2 - p1)

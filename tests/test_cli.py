@@ -99,7 +99,7 @@ def test_seed_override_recorded_and_effective(tmp_path):
                  "--seed", "99"]) == 0
     a = (outa / "mc.csv").read_text()
     b = (outb / "mc.csv").read_text()
-    assert "# rng_stream: 2" in a
+    assert "# rng_stream: 3" in a
     assert "# seed: 4" in a
     assert "# seed: 99" in b
     assert a != b

@@ -30,10 +30,10 @@ def space_1d(N, K):
 
 
 def test_replica_rng_reproducible_and_distinct():
-    a = replica_rng(5, 0, 7).standard_normal(4)
-    b = replica_rng(5, 0, 7).standard_normal(4)
-    c = replica_rng(5, 1, 7).standard_normal(4)
-    d = replica_rng(6, 0, 7).standard_normal(4)
+    a = replica_rng(5, 7).standard_normal(4)
+    b = replica_rng(5, 7).standard_normal(4)
+    c = replica_rng(5, 8).standard_normal(4)
+    d = replica_rng(6, 7).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -109,8 +109,10 @@ def test_estimate_thread_count_does_not_change_results(meanzero1d,
 
 @pytest.mark.parametrize("system", ["meanzero1d", "nn2d", "frozen"])
 def test_lockstep_lanes_match_direct_path(system, request):
-    # every lane of one lockstep run equals the re-enumerating path driven
-    # by the same replica stream, though the lanes leave at different events
+    # every lane of one lockstep run to (T, 2T) equals the re-enumerating
+    # path driven by the same replica stream at both horizons, though the
+    # lanes leave at different events; a run to T alone ends in the same
+    # states as the direct path does at T
     sp, kernel, T = {
         "meanzero1d": (space_1d(3, 3), "meanzero1d", 12.0),
         "nn2d": (StateSpace(TorusGeometry(2, 2), 3), "nn2d", 6.0),
@@ -119,19 +121,62 @@ def test_lockstep_lanes_match_direct_path(system, request):
     kernel = request.getfixturevalue(kernel)
     table = TransitionTable(sp, kernel)
     for seed in range(4):
-        rngs = [replica_rng(seed, 0, r) for r in range(9)]
+        rngs = [replica_rng(seed, r) for r in range(9)]
         starts = [rng.integers(sp.size) for rng in rngs]
-        final, counts = _lockstep(table, rngs, starts, T)
+        final, counts = _lockstep(table, rngs, starts, (T, 2 * T))
+        assert counts.shape == (9, 2, len(kernel.entries))
+        rngs = [replica_rng(seed, r) for r in range(9)]
+        starts = [rng.integers(sp.size) for rng in rngs]
+        final_t, counts_t = _lockstep(table, rngs, starts, (T,))
+        assert np.array_equal(counts_t[:, 0], counts[:, 0])
         for r in range(9):
-            ref = simulate(sp, kernel, T, replica_rng(seed, 0, r),
-                           method="direct")
-            assert final[r] == sp.rank(ref.config)
-            assert np.array_equal(counts[r], ref.jump_counts)
-        jumps = counts.sum(axis=1)
+            for w, horizon, end in ((0, T, final_t[r]), (1, 2 * T, final[r])):
+                ref = simulate(sp, kernel, horizon, replica_rng(seed, r),
+                               method="direct")
+                assert end == sp.rank(ref.config)
+                assert np.array_equal(counts[r, w], ref.jump_counts)
+        jumps = counts.sum(axis=2)
         if system == "frozen":
             assert not jumps.any()
         else:
-            assert len(set(jumps.tolist())) > 1
+            assert len(set(jumps[:, 0].tolist())) > 1
+            assert (jumps[:, 1] >= jumps[:, 0]).all()
+            assert (jumps[:, 1] > jumps[:, 0]).any()
+
+
+def test_first_horizon_equals_single_horizon_run(meanzero1d):
+    # the T block of a default run is the run to T alone, bit for bit
+    sp = space_1d(3, 3)
+    both = estimate_diffusion(sp, meanzero1d, 6.0, 40, 9)
+    alone = estimate_diffusion(sp, meanzero1d, 6.0, 40, 9,
+                               second_horizon=False)
+    assert [h.T for h in both.horizons] == [6.0, 12.0]
+    assert len(alone.horizons) == 1
+    for name in ("X", "njumps", "drift", "drift_se", "covariance",
+                 "covariance_se"):
+        assert np.array_equal(getattr(both.primary, name),
+                              getattr(alone.primary, name))
+
+
+def test_extrapolated_stats_from_per_replica_terms(meanzero1d):
+    # the two horizons share their replicas: value and error are those of
+    # q(r) = 2 p_2T(r) - p_T(r), computed here by hand
+    sp = space_1d(3, 3)
+    est = estimate_diffusion(sp, meanzero1d, 5.0, 300, 3)
+    a = np.array([1.0])
+    p = []
+    for h in est.horizons:
+        s = ((h.X - est.expected_drift * h.T) / math.sqrt(h.T)) @ a
+        p.append((s - s.mean()) ** 2)
+    q = 2.0 * p[1] - p[0]
+    m = est.M
+    val, se = extrapolated_direction_stats(est, a)
+    assert val == pytest.approx(q.sum() / (m - 1), rel=1e-12)
+    assert se == pytest.approx(math.sqrt(((q - q.mean()) ** 2).sum()
+                                         / (m - 1) / m), rel=1e-12)
+    v1, _ = est.horizons[0].direction_stats(a)
+    v2, _ = est.horizons[1].direction_stats(a)
+    assert val == pytest.approx(2.0 * v2 - v1, rel=1e-12)
 
 
 def test_position_is_sum_of_jumps(meanzero1d):
@@ -263,3 +308,26 @@ def test_extrapolated_stats_fall_back_to_single_horizon(nn1d):
     val, se = extrapolated_direction_stats(est, [1.0])
     v0, s0 = est.primary.direction_stats([1.0])
     assert val == v0 and se == s0
+
+
+def test_one_pass_per_chunk_and_one_generator_per_replica(meanzero1d,
+                                                          monkeypatch):
+    sp = space_1d(3, 3)
+    seeds, passes = [], []
+    rng_rule, lockstep = montecarlo.replica_rng, montecarlo._lockstep
+
+    def counted_rng(seed, r):
+        seeds.append(r)
+        return rng_rule(seed, r)
+
+    def counted_lockstep(table, rngs, ranks, horizons):
+        passes.append((len(rngs), horizons))
+        return lockstep(table, rngs, ranks, horizons)
+
+    monkeypatch.setattr(montecarlo, "replica_rng", counted_rng)
+    monkeypatch.setattr(montecarlo, "_lockstep", counted_lockstep)
+    monkeypatch.setattr(montecarlo, "LANES", 16)
+    est = estimate_diffusion(sp, meanzero1d, 4.0, 40, 2)
+    assert sorted(seeds) == list(range(40))
+    assert passes == [(16, (4.0, 8.0)), (16, (4.0, 8.0)), (8, (4.0, 8.0))]
+    assert [h.X.shape for h in est.horizons] == [(40, 1), (40, 1)]
