@@ -59,7 +59,6 @@ from .generator import (
     full_generator,
     inner,
     symmetric_part,
-    write_operator,
 )
 from .kernel import (
     JumpKernel,

@@ -201,6 +201,11 @@ class RunConfig:
         horizon = (float, 0.0, True)
         self.mc = _section(raw, "mc", "mc", {
             "T": horizon, "M": (int,), "seed": (int, 0)})
+        # the run shape is fixed: each replica runs to 2T and records T on
+        # the way, so any other value would ask for a run that cannot happen
+        if self.mc.get("second_horizon", True) is not True:
+            raise ConfigError(f"mc.second_horizon is fixed at true, got "
+                              f"{self.mc['second_horizon']!r}")
         self.arbitrate = _section(raw, "arbitrate", "arbitrate", {
             "T": horizon, "M": (int,), "seed": (int, 0),
             "max_doublings": (int, 0)})
@@ -386,11 +391,9 @@ def cmd_mc(cfg, out_dir):
         raise ConfigError("mc block needs a horizon 'T'")
     T = mc["T"]
     M = mc.get("M", 10000)
-    second = bool(mc.get("second_horizon", True))
     gap = relaxation_gap(space, cfg.kernel)
     est = estimate_diffusion(space, cfg.kernel, T, M, cfg.seed,
-                             threads=cfg.threads, second_horizon=second,
-                             relax_gap=gap)
+                             threads=cfg.threads, relax_gap=gap)
     d = space.geometry.dimension
     columns = ["replica", "T"] + [f"X_{i + 1}" for i in range(d)] + ["njumps"]
     rows = []

@@ -240,15 +240,3 @@ def check_ergodicity(op):
         raise NotConnectedError(
             f"transition graph splits into {n} components", n_components=n
         )
-
-
-def write_operator(op, path):
-    """Dump the full matrix as text: header, then 1-based `row col rate`
-    triples with 17 significant digits (diagonal included)."""
-    full = op.to_csr()
-    full.sort_indices()
-    coo = full.tocoo()
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"%%sparse-generator {op.size} {op.size} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")

@@ -84,10 +84,6 @@ class JumpKernel:
         return tuple(z for z, _ in self.entries)
 
     @property
-    def probabilities(self):
-        return np.array([p for _, p in self.entries], dtype=float)
-
-    @property
     def range(self):
         """Sup-norm radius R of the support."""
         return max((max(abs(c) for c in z) for z, _ in self.entries), default=0)

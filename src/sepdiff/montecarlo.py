@@ -15,11 +15,10 @@ exceeds ``u2 * lam``. Results are reduced in replica order, so estimates
 do not depend on how replicas are grouped into lockstep chunks or split
 over threads.
 
-Each replica runs once, to the last horizon (2T by default), and its
-displacement at T is the sum of its jumps at event times below T. The
-horizon blocks therefore share their replicas and are correlated, and
-:func:`extrapolated_direction_stats` takes the standard error of the
-per-replica extrapolated square.
+Each replica runs once, to 2T, and its displacement at T is the sum of
+its jumps at event times below T. The two horizon blocks therefore share
+their replicas and are correlated, and :func:`extrapolated_direction_stats`
+takes the standard error of the per-replica extrapolated square.
 
 ``estimate_diffusion`` advances chunks of ``LANES`` replicas together, one
 event per numpy step. Each step spends most of its time in short numpy
@@ -103,7 +102,7 @@ class MCEstimate:
     seed: int
     alpha: float
     expected_drift: np.ndarray
-    horizons: list                  # HorizonStats, primary first
+    horizons: list                  # HorizonStats at T (primary) and 2T
     t_relax_ok: bool | None = None  # None when no gap information was given
 
     @property
@@ -203,31 +202,30 @@ def step(space, kernel, state, rng):
     )
 
 
-def _lockstep(table, rngs, ranks, horizons):
-    """Run one lane per generator from the given start ranks to the last of
-    the ascending ``horizons``.
+def _lockstep(table, rngs, ranks, T):
+    """Run one lane per generator from the given start ranks to 2T.
 
     Each numpy step advances every live lane by one event, consuming two
     uniforms of its own generator as :func:`step` does; lanes leave when
-    their clock passes the last horizon or their state is frozen. An event
-    at time t is tallied in window w, the number of earlier horizons <= t,
-    so the counts up to horizon h are those of a run to h alone. Uniforms
-    are drawn ``REFILL`` events at a time, and consecutive draws of one
-    generator give the same doubles as a single draw, so results do not
-    depend on how replicas are grouped. Returns the final ranks at the last
-    horizon and the (lane, horizon, kernel entry) tagged-jump counts.
+    their clock passes 2T or their state is frozen. An event at time t is
+    tallied in the second window when t >= T, so the counts up to T are
+    those of a run stopped at T. Uniforms are drawn ``REFILL`` events at a
+    time, and consecutive draws of one generator give the same doubles as a
+    single draw, so results do not depend on how replicas are grouped.
+    Returns the final ranks at 2T and the (lane, horizon, kernel entry)
+    tagged-jump counts at T and 2T.
     """
     n = len(rngs)
-    cuts = np.asarray(horizons[:-1], dtype=float)
-    end = horizons[-1]
+    end = 2.0 * T
     stride = len(table.kernel.entries) + 1
-    wide = len(horizons) * stride
+    wide = 2 * stride
     width = table.cum.shape[1]
     total, cum, last = table.total, table.cum, table.fill - 1
     jump, target = table.jump.ravel(), table.target.ravel()
     ones = np.ones(width)
-    # lane i counts its window-w events at i * wide + w * stride + 1 + jump
-    # label, so slot 0 of each window takes the environment moves (label -1)
+    # lane i counts its events before T at i * wide + 1 + jump label and
+    # later ones a stride further on, so slot 0 of each window takes the
+    # environment moves (label -1)
     counts = np.zeros(n * wide, dtype=np.int64)
     final = np.array(ranks, dtype=np.intp)
     rank = final.copy()
@@ -241,7 +239,7 @@ def _lockstep(table, rngs, ranks, horizons):
             for k, i in enumerate((slot // wide).tolist()):
                 rngs[i].random(out=rows[k])
             row = np.arange(rank.size)
-            moves, times = [], []
+            moves = []
             for s in range(0, 2 * REFILL, 2):
                 lam = total.take(rank)
                 t += _waiting_exponentials(u[:, s].take(row)) / lam
@@ -260,27 +258,22 @@ def _lockstep(table, rngs, ranks, horizons):
                     np.intp)
                 np.minimum(j, last.take(rank), out=j)
                 flat = rank * width + j
-                moves.append(slot + jump.take(flat))
-                if cuts.size:
-                    times.append(t.copy())
+                moves.append(slot + jump.take(flat) + stride * (t >= T))
                 rank = target.take(flat)
             if moves:
-                index = np.concatenate(moves)
-                if cuts.size:
-                    index += stride * np.searchsorted(
-                        cuts, np.concatenate(times), side="right")
-                counts += np.bincount(index, minlength=counts.size)
-    counts = counts.reshape(n, len(horizons), stride)[:, :, 1:]
+                counts += np.bincount(np.concatenate(moves),
+                                      minlength=counts.size)
+    counts = counts.reshape(n, 2, stride)[:, :, 1:]
     return final, np.cumsum(counts, axis=1)
 
 
-def simulate(space, kernel, T, seed, start=None, method="table", table=None):
+def simulate(space, kernel, T, seed, start=None):
     """One trajectory over [0, T] from a uniformly drawn stationary start.
 
-    method "table" runs the lockstep kernel with one lane on precomputed
-    per-state channels; "direct" re-enumerates every step. Both consume
-    the random stream identically, so equal seeds give identical
-    trajectories (the table path may draw uniforms past the last event).
+    The reference path: re-enumerates the enabled channels at every event
+    (:func:`step`). It consumes the random stream as a lockstep lane does,
+    so a lane driven by the same generator ends in the same state with the
+    same jump counts.
     """
     if T <= 0.0:
         raise OutOfRangeError(f"horizon must be > 0, got {T}")
@@ -290,15 +283,6 @@ def simulate(space, kernel, T, seed, start=None, method="table", table=None):
         rank0 = int(rng.integers(space.size))
     else:
         rank0 = space.rank(start)
-
-    if method == "table":
-        if table is None:
-            table = TransitionTable(space, kernel)
-        final, counts = _lockstep(table, [rng], [rank0], (T,))
-        return TrajectoryState(space.unrank(int(final[0])),
-                               counts[0, 0] @ table.zvecs, T, counts[0, 0])
-    if method != "direct":
-        raise OutOfRangeError(f"unknown simulation method {method!r}")
     state = TrajectoryState(
         space.unrank(rank0),
         np.zeros(space.geometry.dimension, dtype=np.int64),
@@ -317,28 +301,25 @@ def simulate(space, kernel, T, seed, start=None, method="table", table=None):
         state = nxt
 
 
-def estimate_diffusion(space, kernel, T, M, seed, threads=1,
-                       second_horizon=True, relax_gap=None):
+def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
     """Replica estimate of drift and diffusion from final positions.
 
-    Runs M independent replicas to horizon T (by default on to 2T, with
-    the positions at T recorded on the way, to expose finite-horizon
-    bias). The drift target is m(1 - alpha) with m the kernel mean; the
-    covariance of (X_T - m(1-alpha)T)/sqrt(T) estimates the diffusion
-    matrix.
+    Runs M independent replicas to 2T and records their positions at T on
+    the way, to expose finite-horizon bias. The drift target is
+    m(1 - alpha) with m the kernel mean; the covariance of
+    (X_T - m(1-alpha)T)/sqrt(T) estimates the diffusion matrix.
     """
     if M < 2:
         raise OutOfRangeError(f"need at least 2 replicas, got {M}")
     expected = classify(kernel)[1] * (1.0 - space.alpha)
     table = TransitionTable(space, kernel)
-    horizons = (float(T), 2.0 * float(T)) if second_horizon else (float(T),)
 
     def run_block(lo, hi):
         counts = []
         for a in range(lo, hi, LANES):
             rngs = [replica_rng(seed, r) for r in range(a, min(a + LANES, hi))]
             starts = [rng.integers(space.size) for rng in rngs]
-            counts.append(_lockstep(table, rngs, starts, horizons)[1])
+            counts.append(_lockstep(table, rngs, starts, T)[1])
         return np.concatenate(counts)
 
     # the calling thread runs the first block and threads - 1 workers the
@@ -351,13 +332,8 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1,
     counts = np.concatenate(parts)
     stats = [HorizonStats(h, expected, counts[:, w] @ table.zvecs,
                           counts[:, w].sum(axis=1))
-             for w, h in enumerate(horizons)]
-
-    ok = None
-    if relax_gap is not None and math.isfinite(relax_gap) and relax_gap > 0:
-        ok = bool(T >= RELAX_TIMES / relax_gap)
-    elif relax_gap is not None:
-        ok = True
+             for w, h in enumerate((float(T), 2.0 * T))]
+    ok = None if relax_gap is None else bool(T * relax_gap >= RELAX_TIMES)
     return MCEstimate(M, int(seed), space.alpha, expected, stats, ok)
 
 
@@ -440,8 +416,6 @@ def extrapolated_direction_stats(estimate, a):
     replicas, so the error is that of the per-replica terms
     q(r) = 2 * p_2T(r) - p_T(r) (see ``HorizonStats.direction_squares``).
     """
-    if len(estimate.horizons) < 2:
-        return estimate.primary.direction_stats(a)
     p1 = estimate.horizons[0].direction_squares(a)
     p2 = estimate.horizons[1].direction_squares(a)
     return _replica_mean(2.0 * p2 - p1)

@@ -236,6 +236,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # mc without a horizon
     cfg = write_cfg(tmp_path, "noT.yaml", kernel=NN, N=2, K=2, mc={"M": 10})
     assert main(["mc", "--config", cfg, "--out", str(tmp_path / "oA")]) == 2
+    # every mc run records both horizons; the string "false" is not true
+    for i, value in enumerate((False, "false")):
+        cfg = write_cfg(tmp_path, f"second{i}.yaml", kernel=NN, N=2, K=2,
+                        mc={"T": 5.0, "M": 10, "second_horizon": value})
+        assert main(["mc", "--config", cfg,
+                     "--out", str(tmp_path / f"oH{i}")]) == 2
     # the per-N diagnostics need N_list and a density, not K
     obs = {"type": "occupancy", "site": [1]}
     for i, (section, body) in enumerate([

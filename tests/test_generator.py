@@ -25,7 +25,6 @@ from sepdiff import (
     inner,
     symmetric_part,
     symmetrize,
-    write_operator,
 )
 
 import _oracle
@@ -219,22 +218,6 @@ def test_observable_vector_mean_zero_guard():
     c = center(v)
     assert abs(c.mean()) <= 1e-15
     assert inner(v, np.ones(3)) == pytest.approx(2.0)
-
-
-def test_write_operator_round_trip(tmp_path, meanzero1d):
-    op = full_generator(space_1d(3, 2), meanzero1d)
-    path = tmp_path / "op.txt"
-    write_operator(op, path)
-    lines = path.read_text().splitlines()
-    head = lines[0].split()
-    assert head[0] == "%%sparse-generator"
-    n, m, nnz = int(head[1]), int(head[2]), int(head[3])
-    assert n == m == op.size and nnz == len(lines) - 1
-    rebuilt = np.zeros((n, n))
-    for line in lines[1:]:
-        i, j, v = line.split()
-        rebuilt[int(i) - 1, int(j) - 1] += float(v)
-    assert np.allclose(rebuilt, op.to_dense(), atol=0.0)
 
 
 def test_assembly_size_cap(nn1d, monkeypatch):
