@@ -336,6 +336,8 @@ def _report_lines_for(report):
         lines.append(f"  residual: {_fmt(res.residual)}")
         lines.append(f"  iterations: {res.iterations}")
         lines.append(f"  method: {res.method}")
+        lines.append(f"  states_solved: {res.rows} of {report.states} "
+                     f"(|H| = {res.group_order})")
     if report.matrix is not None:
         lines.append("matrix_D:")
         for row in report.matrix:

@@ -23,6 +23,19 @@ commutes with that permutation. Since v_a(g.eta) = v_{g^t a}(eta), it
 follows that u_{g a}(g.eta) = u_a(eta). So when g a_j = s a_i with
 s = +1 or -1, the driver forms u_i(g.eta) = s u_j(eta) instead of solving,
 and replays its residual against v_i.
+
+The same symmetries shrink each solve. The g with g a = chi(g) a,
+chi(g) = +1 or -1, form a group H_a, and for them v_a(g.eta) =
+chi(g) v_a(eta); u_a, the unique mean-zero solution, inherits this. Such a
+function is fixed by its values at one representative per orbit of H_a on
+the states, and vanishes on the orbits whose stabilizer holds an element
+with chi = -1. So the driver assembles L only on the representatives
+(``generator.ReducedAssembly``), solves in the orthonormal coordinates
+x_O = sqrt(|O|) u(r_O), where a symmetric L stays symmetric, and lifts u
+back to every state for the inner products. Euclidean norms agree in both
+coordinates, so the residual replayed on the reduced system, solved or
+mapped, is the full-space relative residual. Directions whose H_a is the
+identity alone, and calls that pass ``operator``, solve on all states.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from .errors import (
 )
 from .generator import (
     ObservableVector,
+    ReducedAssembly,
     assemble_environment,
     center,
     check_ergodicity,
@@ -77,6 +91,8 @@ class DirectionResult:
     residual: float
     iterations: int
     method: str
+    rows: int                  # unknowns of the system solved or replayed
+    group_order: int           # |H_a|: 1 unless the system was reduced
 
 
 @dataclass
@@ -90,6 +106,7 @@ class DiffusionReport:
     matrix: np.ndarray | None = None
     min_eigenvalue: float | None = None
     wall_time_s: float = 0.0
+    states: int = 0
 
 
 @dataclass
@@ -182,6 +199,20 @@ def _image(group, solved, a):
     return None
 
 
+def _stabilizer(group, a):
+    """(indices, chi): the elements g of ``group`` with g a == chi a
+    exactly, chi = +1 or -1, the identity first, and their chi."""
+    keep, chi = [], []
+    for h, g in enumerate(group):
+        ga = g @ a
+        for s in (1.0, -1.0):
+            if np.array_equal(ga, s * a):
+                keep.append(h)
+                chi.append(s)
+                break
+    return tuple(keep), np.array(chi)
+
+
 def _solve_directions(space, kernel, directions, tol, method, operator=None):
     """The exact route along directions a_1..a_m.
 
@@ -190,36 +221,54 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
     and the DirectionResult of each a_i, whose D = F_ii + C_ii must be
     nonnegative within 1e-9. Each u_i is mapped from an earlier u_j when a
     kernel symmetry g has g a_j = +-a_i (method "symmetry", 0 iterations,
-    its replayed residual at most 2 tol), and otherwise solved against
-    ``operator`` or the assembled full generator.
+    its replayed residual at most 2 tol), and otherwise solved. The
+    system along a_i is ``operator`` when given; else the full generator
+    reduced to the symmetry type of v_i when a_i has a nontrivial
+    stabilizer; else the full generator, assembled once.
     """
     dirs = [np.asarray(a, dtype=float) for a in directions]
     free = np.array([[_free_form(kernel, a, b, space.alpha) for b in dirs]
                      for a in dirs])
     corr = np.zeros_like(free)
-    solves = [(0.0, 0, "degenerate")] * len(dirs)
+    solves = [(0.0, 0, "degenerate", 0, 1)] * len(dirs)
     if space.size > 1:
-        op = operator if operator is not None else full_generator(space, kernel)
         group = _symmetries(kernel)
+        full = operator
+        assemblies = {}                   # stabilizer -> ReducedAssembly
         us, ws = [], []
         for i, a in enumerate(dirs):
             v, w = local_drift_functions(space, kernel, a)
             ws.append(w.values)
+            keep, chi = _stabilizer(group, a)
+            reduced = operator is None and len(keep) > 1
+            if reduced:
+                if keep not in assemblies:
+                    assemblies[keep] = ReducedAssembly(
+                        space, kernel, space.orbits([group[h] for h in keep]))
+                op = assemblies[keep].operator(chi)
+                b = op.restrict(v.values)
+            else:
+                if full is None:
+                    full = full_generator(space, kernel)
+                op, b = full, v.values
+            order = len(keep) if reduced else 1
             hit = _image(group, dirs[:i], a)
             if hit is None:
-                rep = solve_general(op, v.values, tol=tol, method=method)
-                u = rep.solution.values
-                solves[i] = (rep.relative_residual, rep.iterations, rep.method)
+                rep = solve_general(op, b, tol=tol, method=method)
+                x = rep.solution.values
+                u = op.lift(x) if reduced else x
+                solves[i] = (rep.relative_residual, rep.iterations, rep.method,
+                             op.size, order)
             else:
                 j, g, s = hit
                 u = np.empty(space.size)
                 u[space.mapped_ranks(g)] = s * us[j]
-                res = _replay(op, u, v.values, 0.0)
+                res = _replay(op, op.restrict(u) if reduced else u, b, 0.0)
                 if res > 2.0 * tol:
                     raise NotConvergedError(
                         f"u along {a.tolist()} mapped by symmetry left "
                         f"replayed residual {res:.3e}; tol {tol:.1e}")
-                solves[i] = (res, 0, "symmetry")
+                solves[i] = (res, 0, "symmetry", op.size, order)
             us.append(u)
         corr = np.array([[2.0 * inner(w, u) for u in us] for w in ws])
     results = []
@@ -244,6 +293,7 @@ def _report(space, tol, t0, results, matrix=None, min_eigenvalue=None):
         matrix=matrix,
         min_eigenvalue=min_eigenvalue,
         wall_time_s=time.perf_counter() - t0,
+        states=space.size,
     )
 
 

@@ -3,7 +3,9 @@
 Operators keep only strictly positive off-diagonal rates; the diagonal is
 always the negative row sum, so row sums vanish identically. The reference
 measure is uniform on the state space, and all inner products are taken
-with the flat weight 1/size.
+with the flat weight 1/size. A ``ReducedOperator`` is the exception: a
+generator restricted to one symmetry type, in orbit coordinates, with
+signed off-diagonal entries and a stored diagonal.
 """
 
 from __future__ import annotations
@@ -80,9 +82,14 @@ class ObservableVector:
 
 
 class SparseOperator:
-    """Generator matrix: positive off-diagonal rates, diagonal = -row sum."""
+    """Generator matrix: positive off-diagonal rates, diagonal = -row sum.
 
-    def __init__(self, size, offdiag):
+    ``symmetric``, when given, is whether the rates are symmetric, decided
+    by the caller; otherwise :meth:`is_symmetric` compares the stored
+    rates with their transpose. The null direction is the constants.
+    """
+
+    def __init__(self, size, offdiag, symmetric=None):
         off = sp.csr_matrix(offdiag, shape=(size, size), copy=True)
         off.sum_duplicates()
         off.eliminate_zeros()
@@ -94,7 +101,7 @@ class SparseOperator:
         self.size = size
         self._off = off
         self.diag = -np.asarray(off.sum(axis=1)).ravel()
-        self._symmetric = None
+        self._symmetric = symmetric
 
     @property
     def nnz(self):
@@ -104,6 +111,25 @@ class SparseOperator:
     @property
     def offdiag(self):
         return self._off
+
+    @property
+    def null(self):
+        """Unit vector spanning the null space: the normalized constants."""
+        return np.full(self.size, 1.0 / np.sqrt(self.size))
+
+    def project(self, f):
+        """f less its component along the null direction: the flat mean."""
+        return center(f)
+
+    def null_projector(self):
+        """The projector onto the null direction, to add to a dense matrix:
+        1/size in every entry."""
+        return 1.0 / self.size
+
+    def require_range(self, b, what):
+        """Raise NotMeanZeroError unless b is orthogonal to the null
+        direction, that is mean-zero."""
+        require_mean_zero(b, what)
 
     def matvec(self, f):
         f = values_of(f)
@@ -122,8 +148,9 @@ class SparseOperator:
         return float(np.max(-self.diag, initial=0.0))
 
     def is_symmetric(self):
-        """Off-diagonal rates symmetric within SYMMETRY_TOL; computed once,
-        since the stored rates never change."""
+        """Off-diagonal rates symmetric, as decided at construction or
+        else within SYMMETRY_TOL; computed once, since the stored rates
+        never change."""
         if self._symmetric is None:
             d = self._off - self._off.T
             scale = max(1.0, self.max_exit_rate())
@@ -132,7 +159,64 @@ class SparseOperator:
         return self._symmetric
 
     def __repr__(self):
-        return f"SparseOperator(size={self.size}, nnz={self.nnz})"
+        return f"{type(self).__name__}(size={self.size}, nnz={self.nnz})"
+
+
+class ReducedOperator(SparseOperator):
+    """A generator L restricted to the functions with u(g.eta) = chi(g)
+    u(eta) for g in a group H of lattice symmetries, in the orthonormal
+    coordinates x_O = sqrt(|O|) u(r_O), one per orbit O that carries such
+    functions (see ``Orbits.isotypic``).
+
+    Its matrix is sqrt(|O|) A_{O,O'} / sqrt(|O'|), with A_{O,O'} the sum of
+    L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric whenever L
+    is. The off-diagonal entries may be negative, are stored in COO form
+    with repeated coordinates summed by every product, and the diagonal is
+    stored. The null direction is sqrt(|O|), normalized, when chi is
+    trivial (the constants) and there is none otherwise: such functions
+    sum to zero, and L is nonsingular on them. Euclidean norms in these
+    coordinates equal those of the lifted functions, so a replayed
+    residual here is the full-space one.
+    """
+
+    def __init__(self, offdiag, diag, null, symmetric, lift):
+        self.size = diag.size
+        self._off = offdiag
+        self.diag = diag
+        self._null = null
+        self._symmetric = symmetric
+        self._reps, self._roots, self._gather, self._coef = lift
+
+    @property
+    def null(self):
+        """Unit null direction, or None when the operator is nonsingular."""
+        return self._null
+
+    def project(self, f):
+        if self._null is None:
+            return f
+        return f - self._null * float(self._null @ f)
+
+    def null_projector(self):
+        if self._null is None:
+            return 0.0
+        return np.outer(self._null, self._null)
+
+    def require_range(self, b, what):
+        if self._null is None:
+            return
+        c = abs(float(self._null @ b))
+        scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+        if c > MEAN_ZERO_TOL * scale * np.sqrt(self.size):
+            raise NotMeanZeroError(f"{what} has null component {c:.3e}")
+
+    def restrict(self, f):
+        """Coordinates of a full-space function of the subspace."""
+        return values_of(f)[self._reps] * self._roots
+
+    def lift(self, x):
+        """The full-space function with coordinates x."""
+        return self._coef * np.append(x, 0.0)[self._gather]
 
 
 def _check_nnz(n_entries):
@@ -141,17 +225,19 @@ def _check_nnz(n_entries):
             f"{n_entries} nonzeros exceed cap {DEFAULT_MAX_NNZ}")
 
 
-def _assemble(space, kernel, tagged=None):
-    """Off-diagonal rates of the environment moves (``tagged=False``), of
-    the tagged jumps (``True``) or of both (``None``), from the channel
-    enumeration over all states (whose count ``StateSpace.bitmasks``
-    caps)."""
+def _moves(space, kernel, masks, tagged=None):
+    """(rows, cols, rates) of the moves out of the states with bitmasks
+    ``masks`` that change them: environment moves (``tagged=False``),
+    tagged jumps (``True``) or both (``None``). ``rows`` index ``masks``,
+    ``cols`` are target ranks; both int32, which the state cap allows.
+
+    Channel-major order keeps each row's entries in channel order, so
+    coinciding targets are summed in the same order as a per-state loop.
+    """
     space.geometry.require_kernel_fits(kernel)
-    masks = space.bitmasks()
     channels = [ch for ch in space.move_channels(kernel)
                 if tagged is None or (ch.jump >= 0) == tagged]
-    # 32-bit ranks (the state cap keeps them small) and one rate per
-    # channel keep the triples of the full generator compact
+    # one rate per channel keeps the triples compact until the end
     rows, cols, rates, sizes = [], [], [], []
     n = 0
     for ch, src, targets in enabled_moves(masks, channels):
@@ -163,13 +249,34 @@ def _assemble(space, kernel, tagged=None):
         rows.append(src.astype(np.int32))
         cols.append(space.rank_masks(targets).astype(np.int32))
         rates.append(ch.rate)
-    # channel-major order keeps each row's entries in channel order, so
-    # coinciding targets are summed in the same order as a per-state loop
-    # rebinding frees the per-channel lists before the CSR conversion
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    off = sp.coo_matrix((np.repeat(rates, sizes), (rows, cols)),
-                        shape=(space.size, space.size))
-    return SparseOperator(space.size, off)
+    return np.concatenate(rows), np.concatenate(cols), np.repeat(rates, sizes)
+
+
+def _symmetric_rates(space, kernel, tagged=None):
+    """Whether the generator of ``kernel`` on ``space`` (its part picked by
+    ``tagged``, as in ``_moves``) is symmetric, decided from the kernel
+    instead of the rates: a move by z and its reverse by -z have rates
+    p(z) and p(-z), so a kernel with p(z) == p(-z) exactly gives a
+    symmetric generator. So does a one-state space. With one environment
+    particle the full generator is symmetric for any kernel: its relative
+    position moves by z at rate p(z) + p(-z), from its own jump by z or
+    the tagged jump by -z.
+    """
+    prob = dict(kernel.entries)
+    mirrored = all(prob.get(tuple(-c for c in z)) == p
+                   for z, p in kernel.entries)
+    return mirrored or space.size == 1 or (tagged is None and space.k == 1)
+
+
+def _assemble(space, kernel, tagged=None):
+    """Off-diagonal rates of the environment moves (``tagged=False``), of
+    the tagged jumps (``True``) or of both (``None``), from the channel
+    enumeration over all states (whose count ``StateSpace.bitmasks``
+    caps)."""
+    rows, cols, rates = _moves(space, kernel, space.bitmasks(), tagged)
+    off = sp.coo_matrix((rates, (rows, cols)), shape=(space.size, space.size))
+    return SparseOperator(space.size, off,
+                          _symmetric_rates(space, kernel, tagged))
 
 
 def assemble_environment(space, kernel):
@@ -196,6 +303,61 @@ def full_generator(space, kernel):
     """Environment part plus tagged part, assembled as one operator from
     all channels, their nonzeros capped together."""
     return _assemble(space, kernel)
+
+
+class ReducedAssembly:
+    """The moves out of each orbit representative of ``orbits`` (a
+    ``StateSpace.orbits`` table of kernel symmetries), enumerated once and
+    read as a :class:`ReducedOperator` under any character of the group.
+    """
+
+    def __init__(self, space, kernel, orbits):
+        self.orbits = orbits
+        self.size = space.size
+        self.symmetric = _symmetric_rates(space, kernel)
+        src, targets, rates = _moves(space, kernel,
+                                     space.bitmasks()[orbits.reps])
+        # each target as its orbit and the group element that maps it to
+        # the orbit's representative; the rate carries sqrt(|O| / |O'|)
+        cols = orbits.index[targets]
+        movers = orbits.mover[targets]
+        roots = np.sqrt(orbits.sizes)
+        weights = rates * roots[src] / roots[cols]
+        within = src == cols
+        self._exit = np.bincount(src, weights=rates,
+                                 minlength=orbits.reps.size)
+        self._within = (src[within], weights[within], movers[within])
+        across = ~within
+        self._across = (src[across], cols[across], weights[across],
+                        movers[across])
+
+    def operator(self, chi):
+        """The generator restricted to the functions with u(g.eta) =
+        chi(g) u(eta), chi given as +-1 per group element."""
+        orb = self.orbits
+        chi = np.asarray(chi, dtype=float)
+        sign, kept = orb.isotypic(chi)
+        row = (np.cumsum(kept) - 1).astype(np.int32)
+        roots = np.sqrt(orb.sizes[kept])
+        n = roots.size
+        # moves within an orbit land on the diagonal
+        src, weights, movers = self._within
+        diag = (np.bincount(src, weights=weights * chi[movers],
+                            minlength=kept.size) - self._exit)[kept]
+        # left in COO form, duplicates and all: its matvec costs little
+        # more than CSR's, and converting would cost more than the solve
+        # saves
+        src, cols, weights, movers = self._across
+        live = kept[src] & kept[cols]
+        off = sp.coo_matrix(
+            (weights[live] * chi[movers[live]],
+             (row[src[live]], row[cols[live]])), shape=(n, n))
+        null = None if np.any(chi < 0) else roots / np.sqrt(self.size)
+        # states of orbits without such functions gather the appended 0
+        gather = np.where(kept, row, -1)[orb.index]
+        coef = sign / np.sqrt(orb.sizes)[orb.index]
+        lift = (orb.reps[kept], roots, gather, coef)
+        return ReducedOperator(off, diag, null, self.symmetric, lift)
 
 
 def adjoint(op):

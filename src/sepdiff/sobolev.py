@@ -5,9 +5,13 @@ Every linear solve goes through :func:`solve_general`, which solves
 singular with the constants as (left and right) null space; lam > 0 gives
 the resolvent. Its iterative path is scipy's conjugate gradients or
 restarted GMRES on an operator that re-projects onto the mean-zero
-subspace. The H1 seminorm is the square root of the Dirichlet form; the
-dual H-1 norm is realized by one solve against the symmetric part:
-(-S) u = f gives |f|_{-1}^2 = <f, u>.
+subspace. The operator carries its null direction: the constants for a
+generator, and for a generator reduced to one symmetry type
+(``generator.ReducedOperator``) the reduced constants or none.
+
+The H1 seminorm is the square root of the Dirichlet form; the dual H-1
+norm is realized by one solve against the symmetric part: (-S) u = f
+gives |f|_{-1}^2 = <f, u>.
 
 The spectral gap and the sector constant are top eigenvalues of
 operators applied through such solves, found by ARPACK's implicitly
@@ -72,14 +76,14 @@ def _replay(op, u, b, lam):
 
 def _krylov_projected(op, b, tol, lam):
     """Krylov solve of (lam I - op) u = b on the operator wrapped so every
-    application re-projects onto the mean-zero subspace: scipy's conjugate
+    application re-projects off its null direction: scipy's conjugate
     gradients when op is symmetric, restarted GMRES otherwise.
 
     Returns (u, iterations, converged, path).
     """
     n = op.size
     amv = LinearOperator(
-        (n, n), matvec=lambda v: center(_shifted(op, lam, center(v))),
+        (n, n), matvec=lambda v: op.project(_shifted(op, lam, op.project(v))),
         dtype=float,
     )
     count = [0]
@@ -96,28 +100,32 @@ def _krylov_projected(op, b, tol, lam):
         path = "iterative-nonsymmetric"
         x, info = gmres(amv, b, restart=GMRES_RESTART,
                         callback_type="pr_norm", **opts)
-    return center(x), count[0], info == 0, path
+    return op.project(x), count[0], info == 0, path
 
 
 def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
-    """Solve (lam I - op) u = b for the mean-zero u, op a generator.
+    """Solve (lam I - op) u = b for the u orthogonal to op's null
+    direction.
 
     Parameters
     ----------
-    op : SparseOperator
+    op : SparseOperator or ReducedOperator
         Generator of a connected system that keeps the uniform measure
-        stationary, so for lam = 0 the constants span both null spaces.
+        stationary, so for lam = 0 the constants span both null spaces; or
+        a generator reduced to one symmetry type, whose null direction
+        (``op.null``) is the reduced constants or none at all.
     b : array or ObservableVector
-        Mean-zero right-hand side.
+        Right-hand side orthogonal to the null direction: mean-zero for a
+        generator.
     method : {"auto", "iterative", "dense"}
         "iterative" runs scipy's conjugate gradients when op is symmetric
         and restarted GMRES otherwise, both on the operator re-projected
-        onto the mean-zero subspace and capped at min(10 n + 100, 100000)
+        off the null direction and capped at min(10 n + 100, 100000)
         iterations (GMRES: restart cycles); "dense" factors
-        lam I - op + 1/n, whose flat shift lifts the constant direction and
-        leaves the mean-zero solution unchanged; "auto" tries the iterative
-        path first and falls back to dense for sizes up to
-        ``DENSE_SOLVE_MAX``.
+        lam I - op + P, whose projector P onto the null direction (1/n in
+        every entry for a generator) lifts that direction and leaves the
+        solution unchanged; "auto" tries the iterative path first and
+        falls back to dense for sizes up to ``DENSE_SOLVE_MAX``.
     lam : float
         Resolvent parameter, >= 0; 0 is the singular Poisson problem.
 
@@ -130,30 +138,28 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         raise ValueError(f"resolvent parameter must be >= 0, got {lam}")
     _check_method(method)
     b = values_of(b)
-    require_mean_zero(b, "right-hand side")
+    op.require_range(b, "right-hand side")
     n = op.size
-    if n == 1:
-        sol = ObservableVector(np.zeros(1), mean_zero=True)
-        return SolveReport(sol, 0.0, 0, "dense")
+    if n == 0 or (n == 1 and op.null is not None):
+        # the only solution off the null direction is 0
+        return SolveReport(ObservableVector(np.zeros(n)), 0.0, 0, "dense")
 
     failures = []
     if method != "dense":
         x, its, converged, path = _krylov_projected(op, b, tol, lam)
         res = _replay(op, x, b, lam)
         if converged and res <= 2.0 * tol:
-            return SolveReport(ObservableVector(x, mean_zero=True), res, its,
-                               path)
+            return SolveReport(ObservableVector(x), res, its, path)
         failures.append(f"{path} stopped after {its} iterations "
                         f"(converged={converged}, replayed residual {res:.3e})")
     if method == "dense" or (method == "auto" and n <= DENSE_SOLVE_MAX):
         a = -op.to_dense()
         a[np.diag_indices_from(a)] += lam
-        a += 1.0 / n
-        x = center(np.linalg.solve(a, b))
+        a += op.null_projector()
+        x = op.project(np.linalg.solve(a, b))
         res = _replay(op, x, b, lam)
         if res <= 2.0 * tol:
-            return SolveReport(ObservableVector(x, mean_zero=True), res, 0,
-                               "dense")
+            return SolveReport(ObservableVector(x), res, 0, "dense")
         failures.append(f"dense solve left replayed residual {res:.3e}")
     raise NotConvergedError("; ".join(failures) + f"; tol {tol:.1e}")
 

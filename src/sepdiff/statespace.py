@@ -204,6 +204,35 @@ def _build_channels(geo, kernel):
     return tuple(env + tagged)
 
 
+@dataclass(frozen=True)
+class Orbits:
+    """Orbits of a group H = (g_0 = id, g_1, ...) on the states.
+
+    ``index`` holds each state's orbit, ``reps`` each orbit's
+    representative r_O (its smallest rank) and ``sizes`` its |O|.
+    ``mover[eta]`` is the index h of one element with g_h.eta = r_O, and
+    ``stabilizers`` the bitmask (bit h for g_h) of each representative's
+    stabilizer.
+    """
+
+    index: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+    mover: np.ndarray
+    stabilizers: np.ndarray
+
+    def isotypic(self, chi):
+        """(sign, kept) for a character chi of H, given as +-1 per element:
+        the sign chi(g) of each state, for any g with g.eta = r_O, and
+        whether each orbit carries functions with u(g.eta) = chi(g) u(eta).
+        Those functions vanish on an orbit whose stabilizer holds an
+        element with chi = -1.
+        """
+        chi = np.asarray(chi)
+        neg = np.uint64(sum(1 << h for h in np.flatnonzero(chi < 0)))
+        return chi[self.mover], (self.stabilizers & neg) == 0
+
+
 class StateSpace:
     """All configurations of K-1 particles on the environment sites.
 
@@ -338,6 +367,34 @@ class StateSpace:
         groups = _shift_groups([geo.env_index(tuple(int(c) for c in g @ x))
                                 for x in geo.env_sites])
         return self.rank_masks(_moved(self.bitmasks(), groups))
+
+    def orbits(self, group):
+        """Orbit tables of a group H of signed lattice permutations, the
+        identity first, acting on the states by ``mapped_ranks``.
+
+        Each orbit is represented by its smallest rank. One pass per group
+        element keeps a running minimum of the mapped ranks, the index of
+        an element reaching it and the bitmask of all elements reaching it;
+        no |H| x states array is built. At a representative that bitmask
+        is its stabilizer. H has at most 48 elements (a torus whose
+        environment fits the bitmask has d <= 3), so it fits a uint64.
+        """
+        best = np.arange(self.size, dtype=np.int64)
+        mover = np.zeros(self.size, dtype=np.int8)
+        ties = np.ones(self.size, dtype=np.uint64)
+        for h, g in enumerate(group[1:], 1):
+            ranks = self.mapped_ranks(g)
+            lower = ranks < best
+            best[lower] = ranks[lower]
+            mover[lower] = h
+            ties[lower] = 0
+            ties[ranks == best] |= np.uint64(1 << h)
+        is_rep = best == np.arange(self.size)
+        reps = np.flatnonzero(is_rep)
+        index = (np.cumsum(is_rep) - 1)[best].astype(np.int32)
+        return Orbits(index, reps,
+                      np.bincount(index, minlength=reps.size), mover,
+                      ties[reps])
 
     def move_channels(self, kernel):
         """The kernel's channels on this torus, cached per kernel, in

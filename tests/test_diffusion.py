@@ -26,9 +26,13 @@ from sepdiff import (
     multiscale_diagnostic,
     occupancy_difference_observable,
     occupancy_observable,
+    solve_general,
     sweep,
     symmetric_part,
 )
+from sepdiff.diffusion import _symmetries
+from sepdiff.generator import ReducedAssembly
+from sepdiff.sobolev import _replay
 
 import _oracle
 from conftest import ASYM1D, MZ1D, NN1D, NN2D, check_symmetry_route
@@ -383,3 +387,150 @@ def test_approximation_residual_diagnostic(meanzero1d):
     assert len(rep.values) == 2
     assert all(v >= 0.0 for v in rep.values)
     assert all(np.isfinite(v) for v in rep.values)
+
+
+# -- the symmetry-adapted solve ---------------------------------------------
+
+#: p(x, y) = p(x, -y) only: e1's stabilizer {id, y -> -y} fixes e1, so its
+#: character is trivial and the reduced system keeps a null direction
+YSYM2D = [((1, 0), 0.4), ((-1, 0), 0.2), ((0, 1), 0.2), ((0, -1), 0.2)]
+
+
+def unreduced_D(sp, kernel, a=None):
+    """D through the full generator, which skips the reduction."""
+    op = full_generator(sp, kernel)
+    if a is None:
+        return compute_D_matrix(sp, kernel, tol=1e-12, operator=op).matrix
+    return compute_D(sp, kernel, a, tol=1e-12, operator=op).directions[0].D
+
+
+@pytest.mark.parametrize("d,N,K,entries,a,order", [
+    (1, 5, 5, NN1D, None, 2),
+    (2, 2, 5, NN2D, None, 4),
+    (2, 3, 4, NN2D, None, 4),
+    (2, 2, 6, NN2D, [1.0, 1.0], 4),
+    (2, 2, 5, YSYM2D, None, 2),
+    (3, 2, 3, NN3D, None, 16),
+    (2, 2, 4, SWAP2D, [1.0, 1.0], 2)])
+def test_reduced_D_equals_unreduced(d, N, K, entries, a, order):
+    sp = StateSpace(TorusGeometry(d, N), K)
+    kernel = build_kernel(d, entries)
+    if a is None:
+        rep = compute_D_matrix(sp, kernel, tol=1e-12)
+        got = rep.matrix
+    else:
+        rep = compute_D(sp, kernel, a, tol=1e-12)
+        got = rep.directions[0].D
+    want = unreduced_D(sp, kernel, a)
+    assert np.max(np.abs(got - want)) <= 1e-10
+    first = rep.directions[0]
+    assert first.group_order == order
+    assert first.rows < sp.size
+    assert all(r.residual <= 2e-12 for r in rep.directions)
+
+
+def test_trivial_character_keeps_the_null_direction():
+    # e1 of YSYM2D: every orbit carries functions, the reduced constants
+    # are the null direction; e2: y -> -y flips it, so none
+    sp = StateSpace(TorusGeometry(2, 2), 5)
+    kernel = build_kernel(2, YSYM2D)
+    group = _symmetries(kernel)
+    assert len(group) == 2
+    orbits = sp.orbits(group)
+    assembly = ReducedAssembly(sp, kernel, orbits)
+    even, odd = assembly.operator([1.0, 1.0]), assembly.operator([1.0, -1.0])
+    assert even.size == orbits.reps.size
+    assert even.null @ even.null == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(even.matvec(even.null)).max() <= 1e-14
+    assert odd.null is None and odd.size < orbits.reps.size
+    # the reduced symmetric part is the restriction of -L's: lifting and
+    # restricting back is the identity, and the quadratic forms agree
+    full = full_generator(sp, kernel)
+    x = np.random.default_rng(4).standard_normal(odd.size)
+    u = odd.lift(x)
+    assert np.allclose(odd.restrict(u), x, rtol=1e-15, atol=0.0)
+    assert x @ odd.matvec(x) == pytest.approx(u @ full.matvec(u), rel=1e-12)
+
+
+def test_reduced_replay_is_the_full_space_residual(nn2d):
+    # e1 solved on its reduced system, then mapped onto e2 by the swap of
+    # the axes and replayed on e2's: both residuals are the full-space ones
+    sp = StateSpace(TorusGeometry(2, 2), 6)
+    group = _symmetries(nn2d)
+    diagonal = [h for h, g in enumerate(group) if g[0, 1] == 0]
+    assembly = ReducedAssembly(sp, nn2d,
+                               sp.orbits([group[h] for h in diagonal]))
+    full = full_generator(sp, nn2d)
+    swap = next(g for g in group if g[0, 1] == 1 and g[1, 0] == 1)
+    u = None
+    for axis in range(2):
+        chi = np.array([float(group[h][axis, axis]) for h in diagonal])
+        op = assembly.operator(chi)
+        v, _ = local_drift_functions(sp, nn2d, np.eye(2)[axis])
+        if u is None:
+            rep = solve_general(op, op.restrict(v.values), tol=1e-8)
+            res = rep.relative_residual
+            u = op.lift(rep.solution.values)
+            assert 0.0 < res <= 2e-8
+        else:
+            mapped = np.empty(sp.size)
+            mapped[sp.mapped_ranks(swap)] = u
+            u = mapped
+            res = _replay(op, op.restrict(u), op.restrict(v.values), 0.0)
+        want = _replay(full, u, v.values, 0.0)
+        assert res == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("entries", [NN2D, YSYM2D])
+def test_reduced_dense_path(entries):
+    # the dense factorization adds the reduced null projector, if any
+    sp = StateSpace(TorusGeometry(2, 2), 5)
+    kernel = build_kernel(2, entries)
+    rep = compute_D_matrix(sp, kernel, tol=1e-12, method="dense")
+    assert rep.directions[0].method == "dense"
+    assert np.max(np.abs(rep.matrix - unreduced_D(sp, kernel))) <= 1e-10
+
+
+@pytest.mark.parametrize("d,N,K,entries", [(1, 4, 4, MZ1D),
+                                           (1, 3, 3, ASYM1D),
+                                           (2, 2, 4, ASYM2D)])
+def test_trivial_stabilizer_builds_no_orbit_tables(d, N, K, entries,
+                                                   monkeypatch):
+    sp = StateSpace(TorusGeometry(d, N), K)
+    kernel = build_kernel(d, entries)
+    want = unreduced_D(sp, kernel)
+
+    def refuse(*args):
+        raise AssertionError("orbit tables built")
+
+    monkeypatch.setattr(StateSpace, "orbits", refuse)
+    rep = compute_D_matrix(sp, kernel, tol=1e-12)
+    assert np.array_equal(rep.matrix, want)
+    assert all(r.rows == sp.size and r.group_order == 1
+               for r in rep.directions)
+
+
+def closed_form_1d(N, K):
+    """D = (1 - alpha) / K of the symmetric nearest-neighbour kernel on a
+    ring of 2N sites, alpha = (K - 1) / (2N - 1): the tagged particle and
+    the centre of mass share D, and the centre of mass jumps by +-1/K at
+    the stationary mean rate of particle-hole neighbour pairs."""
+    return (1.0 - (K - 1) / (2 * N - 1)) / K
+
+
+@pytest.mark.parametrize("N,K", [(2, 2), (3, 3), (4, 4), (5, 6), (6, 5),
+                                 (7, 7), (8, 6), (10, 8)])
+def test_symmetric_1d_closed_form(nn1d, N, K):
+    rep = compute_D(space_1d(N, K), nn1d, [1.0])
+    res = rep.directions[0]
+    assert abs(res.D - closed_form_1d(N, K)) <= 1e-12
+    assert res.group_order == 2
+
+
+@pytest.mark.slow
+def test_symmetric_1d_closed_form_490k_states(nn1d):
+    sp = space_1d(12, 9)
+    assert sp.size == 490_314
+    res = compute_D(sp, nn1d, [1.0]).directions[0]
+    assert abs(res.D - closed_form_1d(12, 9)) <= 1e-12
+    assert res.rows < sp.size

@@ -15,9 +15,12 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from sepdiff import (  # noqa: E402
     ReducibleError,
+    SparseOperator,
     StateSpace,
     TorusGeometry,
     TransitionTable,
+    assemble_environment,
+    assemble_tagged,
     build_kernel,
     compute_D_matrix,
     full_generator,
@@ -165,3 +168,59 @@ def test_symmetry_route_matches_dense_and_oracle(system):
     if sp.size > 1 and h[0, 0] == 0:
         # h maps e1 to +-e2, so the second axis is mapped
         assert solve.call_count == 1
+
+
+@st.composite
+def paired_systems(draw, mirrored=None):
+    """(StateSpace, kernel) as in ``systems``, but every displacement z
+    drawn comes with -z, at the same integer weight (exactly mirrored
+    probabilities) or at another one (probabilities at least 1/90 apart).
+    ``mirrored=True`` mirrors every pair."""
+    d = draw(st.sampled_from([1, 2]))
+    R = draw(st.integers(1, 2))
+    moves = [z for z in itertools.product(range(-R, R + 1), repeat=d)
+             if z > tuple(-c for c in z)]
+    half = draw(st.lists(st.sampled_from(moves), min_size=1, max_size=4,
+                         unique=True))
+    weights = {}
+    for z in half:
+        w = draw(st.integers(1, 9))
+        same = mirrored or draw(st.booleans())
+        other = w if same else draw(st.integers(1, 9).filter(lambda x: x != w))
+        weights[z], weights[tuple(-c for c in z)] = w, other
+    total = sum(weights.values())
+    try:
+        kernel = build_kernel(d, [(z, Fraction(w, total))
+                                  for z, w in weights.items()])
+    except ReducibleError:
+        assume(False)
+    R = kernel.range
+    N = draw(st.integers(R + 1, R + (3 if d == 1 else 1)))
+    M = (2 * N) ** d - 1
+    Ks = [K for K in range(1, M + 2) if math.comb(M, K - 1) <= MAX_STATES]
+    return StateSpace(TorusGeometry(d, N), draw(st.sampled_from(Ks))), kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(paired_systems())
+def test_kernel_decides_symmetry_as_the_rates_do(system):
+    # operators assembled from a kernel take the CG/GMRES choice from it;
+    # the same rates rebuilt by hand are compared with their transpose
+    sp, kernel = system
+    for op in (full_generator(sp, kernel), assemble_environment(sp, kernel),
+               assemble_tagged(sp, kernel)):
+        numeric = SparseOperator(op.size, op.offdiag)
+        assert op.is_symmetric() == numeric.is_symmetric()
+
+
+@settings(max_examples=30, deadline=None)
+@given(paired_systems(mirrored=True))
+def test_reduced_D_equals_unreduced_on_symmetric_kernels(system):
+    sp, kernel = system
+    rep = compute_D_matrix(sp, kernel, tol=1e-12)
+    op = full_generator(sp, kernel)
+    want = compute_D_matrix(sp, kernel, tol=1e-12, operator=op).matrix
+    assert np.max(np.abs(rep.matrix - want)) <= 1e-10
+    if sp.size > 1:
+        # x -> -x maps every axis to minus itself
+        assert all(r.group_order >= 2 for r in rep.directions)
