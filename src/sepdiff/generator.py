@@ -313,7 +313,6 @@ class ReducedAssembly:
 
     def __init__(self, space, kernel, orbits):
         self.orbits = orbits
-        self.size = space.size
         self.symmetric = _symmetric_rates(space, kernel)
         src, targets, rates = _moves(space, kernel,
                                      space.bitmasks()[orbits.reps])
@@ -352,7 +351,8 @@ class ReducedAssembly:
         off = sp.coo_matrix(
             (weights[live] * chi[movers[live]],
              (row[src[live]], row[cols[live]])), shape=(n, n))
-        null = None if np.any(chi < 0) else roots / np.sqrt(self.size)
+        null = (None if np.any(chi < 0)
+                else roots / np.sqrt(orb.sizes.sum()))
         # states of orbits without such functions gather the appended 0
         gather = np.where(kept, row, -1)[orb.index]
         coef = sign / np.sqrt(orb.sizes)[orb.index]

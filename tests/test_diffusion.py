@@ -443,8 +443,8 @@ def test_trivial_character_keeps_the_null_direction():
     assert even.null @ even.null == pytest.approx(1.0, abs=1e-15)
     assert np.abs(even.matvec(even.null)).max() <= 1e-14
     assert odd.null is None and odd.size < orbits.reps.size
-    # the reduced symmetric part is the restriction of -L's: lifting and
-    # restricting back is the identity, and the quadratic forms agree
+    # the reduced operator is L restricted to the lifted functions:
+    # restricting a lift gives x back, and the quadratic forms agree
     full = full_generator(sp, kernel)
     x = np.random.default_rng(4).standard_normal(odd.size)
     u = odd.lift(x)
