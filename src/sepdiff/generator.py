@@ -6,6 +6,9 @@ measure is uniform on the state space, and all inner products are taken
 with the flat weight 1/size. A ``ReducedOperator`` is the exception: a
 generator restricted to one symmetry type, in orbit coordinates, with
 signed off-diagonal entries and a stored diagonal.
+
+scipy is imported inside the functions that build or traverse sparse
+matrices, so the Monte Carlo route, which needs none, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NotConnectedError, NotMeanZeroError, NotStationaryError, SizeCapError
 from .statespace import enabled_moves
@@ -90,6 +91,8 @@ class SparseOperator:
     """
 
     def __init__(self, size, offdiag, symmetric=None):
+        import scipy.sparse as sp
+
         off = sp.csr_matrix(offdiag, shape=(size, size), copy=True)
         off.sum_duplicates()
         off.eliminate_zeros()
@@ -137,6 +140,8 @@ class SparseOperator:
 
     def to_csr(self):
         """Full matrix including the diagonal."""
+        import scipy.sparse as sp
+
         return (self._off + sp.diags(self.diag, format="csr")).tocsr()
 
     def to_dense(self):
@@ -273,6 +278,8 @@ def _assemble(space, kernel, tagged=None):
     the tagged jumps (``True``) or of both (``None``), from the channel
     enumeration over all states (whose count ``StateSpace.bitmasks``
     caps)."""
+    import scipy.sparse as sp
+
     rows, cols, rates = _moves(space, kernel, space.bitmasks(), tagged)
     off = sp.coo_matrix((rates, (rows, cols)), shape=(space.size, space.size))
     return SparseOperator(space.size, off,
@@ -333,6 +340,8 @@ class ReducedAssembly:
     def operator(self, chi):
         """The generator restricted to the functions with u(g.eta) =
         chi(g) u(eta), chi given as +-1 per group element."""
+        import scipy.sparse as sp
+
         orb = self.orbits
         chi = np.asarray(chi, dtype=float)
         sign, kept = orb.isotypic(chi)
@@ -395,6 +404,8 @@ def check_stationarity(op, tol=1e-10):
 
 def check_ergodicity(op):
     """Verify the transition graph is connected (weak connectivity)."""
+    from scipy.sparse.csgraph import connected_components
+
     if op.size <= 1:
         return
     n, _ = connected_components(op.offdiag, directed=False)

@@ -38,9 +38,9 @@ import numpy as np
 
 from .diffusion import _solve_directions
 from .errors import FrozenError, InconclusiveError, OutOfRangeError
-from .generator import full_generator, symmetric_part
+from .generator import _moves, full_generator
 from .kernel import classify
-from .sobolev import DENSE_EIG_MAX, spectral_gap
+from .sobolev import DENSE_EIG_MAX
 from .statespace import Configuration, enabled_moves
 
 
@@ -337,15 +337,30 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
     return MCEstimate(M, int(seed), space.alpha, expected, stats, ok)
 
 
-def relaxation_gap(space, kernel, op=None):
-    """Spectral gap of the symmetrized generator (``op``, when given, is
-    the full generator), computed densely; None on one state or above
-    ``DENSE_EIG_MAX`` states."""
-    if not 1 < space.size <= DENSE_EIG_MAX:
+def relaxation_gap(space, kernel):
+    """Spectral gap of the symmetrized generator, computed densely; None on
+    one state or above ``DENSE_EIG_MAX`` states.
+
+    The dense matrix is built from the move triples of
+    ``generator._moves``, so this needs no sparse linear algebra. It
+    equals ``spectral_gap(symmetric_part(full_generator(space, kernel)))``
+    bit for bit: duplicate moves are summed in enumeration order, the
+    symmetric part is 0.5 (A + A^T), and each diagonal entry is minus the
+    sum of its row's nonzeros in column order, taken by
+    ``np.add.reduceat`` as scipy sums a CSR row. A full-row ``sum`` or a
+    matvec rounds differently in the last bit.
+    """
+    n = space.size
+    if not 1 < n <= DENSE_EIG_MAX:
         return None
-    if op is None:
-        op = full_generator(space, kernel)
-    return spectral_gap(symmetric_part(op))
+    rows, cols, rates = _moves(space, kernel, space.bitmasks())
+    a = np.zeros((n, n))
+    np.add.at(a, (rows, cols), rates)
+    s = 0.5 * (a + a.T)
+    r, c = np.nonzero(s)
+    live = np.unique(r)
+    s[live, live] = -np.add.reduceat(s[r, c], np.searchsorted(r, live))
+    return float(np.linalg.eigvalsh(-s)[1])
 
 
 def arbitrate_sign(space, kernel, directions=None, T=None, M=4000,
@@ -376,7 +391,7 @@ def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
             "correction term vanishes; both conventions coincide"
         )
     if T is None:
-        gap = relaxation_gap(space, kernel, op)
+        gap = relaxation_gap(space, kernel)
         if gap is None:
             raise OutOfRangeError(
                 "no horizon given and the relaxation gap is not computable"

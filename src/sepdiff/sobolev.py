@@ -17,6 +17,8 @@ The spectral gap and the sector constant are top eigenvalues of
 operators applied through such solves, found by ARPACK's implicitly
 restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX`` states and by a
 dense eigendecomposition below.
+
+scipy is imported inside the functions that call it, on first use.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, gmres
 
 from .errors import NotConvergedError, PropertyViolatedError
 from .generator import (
@@ -81,6 +81,8 @@ def _krylov_projected(op, b, tol, lam):
 
     Returns (u, iterations, converged, path).
     """
+    from scipy.sparse.linalg import LinearOperator, cg, gmres
+
     n = op.size
     amv = LinearOperator(
         (n, n), matvec=lambda v: op.project(_shifted(op, lam, op.project(v))),
@@ -204,6 +206,8 @@ def verify_prop1(op, n_pairs=100, seed=0, tol=1e-9):
 
     Raises PropertyViolatedError with a witness on the first failure.
     """
+    import scipy.linalg
+
     n = op.size
     if n < 2:
         raise PropertyViolatedError("need at least 2 states to test norms")
@@ -295,6 +299,8 @@ def _lanczos_top(n, matvec, tol, m=None, minv=None):
     constant, so every vector ARPACK builds is mean-zero, including the
     random one it restarts from when the start's Krylov space runs out.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     w = np.full(n, -1.0 / math.sqrt(n))
     w[-1] += 1.0
     w /= np.linalg.norm(w)

@@ -1,14 +1,15 @@
 import csv
 import io
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 import yaml
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-import sepdiff.sobolev
 from sepdiff import StateSpace, TorusGeometry, build_kernel, compute_D
 from sepdiff.cli import main
 
@@ -307,7 +308,7 @@ def test_lanczos_failure_exit_3(tmp_path, monkeypatch, capsys):
         raise ArpackNoConvergence("no convergence", np.zeros(0),
                                   np.zeros((0, 0)))
 
-    monkeypatch.setattr(sepdiff.sobolev, "eigsh", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     # 1d mean-zero N=4 K=4: 35 states, enough for the Lanczos path
     cfg = write_cfg(tmp_path, kernel=MZ, N=4, K=4, method="iterative",
                     diagnostics={"sector_constant": True})
@@ -325,3 +326,47 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub" / "exact.csv").exists()
+
+
+_SCIPY_AFTER = """
+import json
+import sys
+from sepdiff.cli import RunConfig, main
+RunConfig({"kernel": %r, "N": 8, "K": 6}).space()
+for argv in %r:
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                       if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_after(*argvs):
+    """The scipy modules loaded in a fresh interpreter after parsing a
+    config, building its state space and running ``main`` on each argv."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_AFTER % (MZ, list(argvs))],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_mc_runs_without_scipy(tmp_path):
+    # 1d mean-zero N=6 K=6: 462 states, gap computed; N=8 K=6: 3003 states,
+    # above DENSE_EIG_MAX, gap unknown
+    small = write_cfg(tmp_path, "small.yaml", kernel=MZ, N=6, K=6,
+                      mc={"T": 2.0, "M": 20, "seed": 1})
+    big = write_cfg(tmp_path, "big.yaml", kernel=MZ, N=8, K=6,
+                    mc={"T": 2.0, "M": 20, "seed": 1})
+    loaded = _scipy_after(["mc", "--config", small, "--out",
+                           str(tmp_path / "small")],
+                          ["mc", "--config", big, "--out",
+                           str(tmp_path / "big")])
+    assert loaded == []
+    small_report = (tmp_path / "small" / "mc_report.txt").read_text()
+    big_report = (tmp_path / "big" / "mc_report.txt").read_text()
+    assert "relaxation_gap: 0." in small_report
+    assert "relaxation_gap: unknown" in big_report
+    # the control: a command that solves does load scipy
+    assert "scipy.sparse" in _scipy_after(
+        ["exact", "--config", small, "--out", str(tmp_path / "exact")])

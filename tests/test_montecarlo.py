@@ -16,12 +16,16 @@ from sepdiff import (
     compute_D,
     estimate_diffusion,
     extrapolated_direction_stats,
+    full_generator,
     replica_rng,
     simulate,
+    spectral_gap,
     step,
+    symmetric_part,
 )
 from sepdiff import montecarlo
-from sepdiff.montecarlo import TrajectoryState, _lockstep
+from sepdiff.montecarlo import TrajectoryState, _lockstep, relaxation_gap
+from sepdiff.sobolev import DENSE_EIG_MAX
 
 
 
@@ -261,6 +265,30 @@ def test_full_lattice_is_frozen(nn1d):
                             np.zeros(2, dtype=np.int64))
     with pytest.raises(FrozenError):
         step(sp, nn1d, state, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("d, entries, N, K", [
+    (1, [((2,), "1/3"), ((-1,), "2/3")], 6, 6),
+    (1, [((1,), 0.5), ((-1,), 0.5)], 5, 4),
+    (1, [((1,), 0.8), ((-1,), 0.2)], 6, 5),
+    (1, [((1,), 0.5), ((-2,), 0.3), ((3,), 0.2)], 7, 4),
+    (2, [((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)],
+     2, 3),
+    (2, [((1, 0), 0.4), ((-1, 0), 0.1), ((0, 1), 0.3), ((0, -1), 0.2)],
+     2, 4),
+])
+def test_relaxation_gap_is_the_sparse_route_bit_for_bit(d, entries, N, K):
+    kernel = build_kernel(d, entries)
+    sp = StateSpace(TorusGeometry(d, N), K)
+    want = spectral_gap(symmetric_part(full_generator(sp, kernel)))
+    assert relaxation_gap(sp, kernel) == want
+
+
+def test_relaxation_gap_unknown_on_one_state_and_above_dense_cap(nn1d):
+    assert relaxation_gap(space_1d(3, 1), nn1d) is None
+    big = space_1d(8, 6)
+    assert big.size > DENSE_EIG_MAX
+    assert relaxation_gap(big, nn1d) is None
 
 
 def test_arbitrate_sign_three_state(nn1d):

@@ -25,7 +25,10 @@ from sepdiff import (  # noqa: E402
     compute_D_matrix,
     full_generator,
     solve_general,
+    spectral_gap,
+    symmetric_part,
 )
+from sepdiff.montecarlo import relaxation_gap  # noqa: E402
 
 import _oracle  # noqa: E402
 from conftest import check_symmetry_route  # noqa: E402
@@ -82,6 +85,17 @@ def test_generator_and_table_match_oracle(system):
                 rates[r, t] += p
     off = op.offdiag.toarray()
     assert np.max(np.abs(rates - off)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_relaxation_gap_is_the_sparse_route_bit_for_bit(system):
+    sp, kernel = system
+    got = relaxation_gap(sp, kernel)
+    if sp.size == 1:
+        assert got is None
+    else:
+        assert got == spectral_gap(symmetric_part(full_generator(sp, kernel)))
 
 
 def _lex_rank(sites, M):
