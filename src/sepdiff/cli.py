@@ -400,10 +400,9 @@ def cmd_mc(cfg, out_dir):
     columns = ["replica", "T"] + [f"X_{i + 1}" for i in range(d)] + ["njumps"]
     rows = []
     for h in est.horizons:
-        for r in range(est.M):
-            rows.append([str(r), _fmt(h.T)]
-                        + [str(int(x)) for x in h.X[r]]
-                        + [str(int(h.njumps[r]))])
+        horizon = _fmt(h.T)
+        for r, (x, n) in enumerate(zip(h.X.tolist(), h.njumps.tolist())):
+            rows.append([str(r), horizon] + [str(v) for v in x] + [str(n)])
     for h in est.horizons:
         rows.append(["summary", _fmt(h.T)]
                     + [_fmt(v) for v in h.drift]

@@ -13,7 +13,11 @@ doubles per event: u1 gives the waiting time ``-log1p(-u1) / lam``
 (numpy's ``log1p``) and u2 the channel, the first whose cumulative rate
 exceeds ``u2 * lam``. Results are reduced in replica order, so estimates
 do not depend on how replicas are grouped into lockstep chunks or split
-over threads.
+over threads. :func:`replica_rng` states the rule; ``estimate_diffusion``
+builds the same generators a chunk at a time, running numpy's SeedSequence
+mixing over all the chunk's replica indices in one vectorized pass and
+seeding each ``PCG64`` with its row of words, so the streams are unchanged.
+The replica index is one 32-bit entropy word, so M < 2**32.
 
 Each replica runs once, to 2T, and its displacement at T is the sum of
 its jumps at event times below T. The two horizon blocks therefore share
@@ -114,6 +118,82 @@ def replica_rng(master_seed, replica_index):
     """The documented replica-stream rule."""
     seq = np.random.SeedSequence([int(master_seed), int(replica_index)])
     return np.random.default_rng(seq)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _replica_seed_words(seed, lo, hi):
+    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for every r
+    in [lo, hi), as one (hi - lo, 4) uint64 array.
+
+    Runs numpy's SeedSequence mixing (pool of four 32-bit words) over r in
+    uint32 array arithmetic. The entropy is the little-endian 32-bit words
+    of ``seed`` followed by r, one word while r < 2**32. The hash constants
+    evolve the same way for every r, so they stay Python scalars.
+    """
+    s = int(seed)
+    words = [s & _MASK32]
+    while s > _MASK32:
+        s >>= 32
+        words.append(s & _MASK32)
+    n = hi - lo
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(lo, hi, dtype=np.uint32))
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * _MULT_A & _MASK32
+        value *= np.uint32(h)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = _MIX_L * x - _MIX_R * y
+        return x ^ x >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy)
+                    else np.zeros(n, dtype=np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = np.empty((n, 8), dtype=np.uint32)
+    h = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        value *= np.uint32(h)
+        out[:, i] = value ^ value >> 16
+    # word pairs are little-endian uint64s, as generate_state assembles them
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+def _replica_generators(seed, lo, hi):
+    """``replica_rng(seed, r)`` for every r in [lo, hi), seeded from the
+    words of :func:`_replica_seed_words`."""
+    # imported here: numpy 2 loads numpy.random lazily, and loading it with
+    # this module, before relaxation_gap's dense matrices, raises the peak
+    # resident set of `sepdiff mc`
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(Words(w)))
+            for w in _replica_seed_words(seed, lo, hi)]
 
 
 #: version of the per-replica random stream rule in the module docstring
@@ -239,10 +319,14 @@ def _lockstep(table, rngs, ranks, T):
             for k, i in enumerate((slot // wide).tolist()):
                 rngs[i].random(out=rows[k])
             row = np.arange(rank.size)
+            # event s reads row s of the waiting times and row 2 s + 1 of
+            # the transposed uniforms, one entry per live lane
+            ut = u[:rank.size].T.copy()
+            waits = _waiting_exponentials(ut[0::2])
             moves = []
-            for s in range(0, 2 * REFILL, 2):
+            for s in range(REFILL):
                 lam = total.take(rank)
-                t += _waiting_exponentials(u[:, s].take(row)) / lam
+                t += waits[s].take(row) / lam
                 keep = t < end
                 if not keep.all():
                     done = ~keep
@@ -251,7 +335,7 @@ def _lockstep(table, rngs, ranks, T):
                                                row[keep], lam[keep])
                     if not rank.size:
                         break
-                thr = u[:, s + 1].take(row) * lam
+                thr = ut[2 * s + 1].take(row) * lam
                 # rows ascend, so the count of entries <= thr is
                 # bisect_right; a product with ones counts them fastest
                 j = ((cum.take(rank, axis=0) <= thr[:, None]) @ ones).astype(
@@ -311,13 +395,18 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
     """
     if M < 2:
         raise OutOfRangeError(f"need at least 2 replicas, got {M}")
+    # the stream seeding takes one 32-bit entropy word per replica index
+    if M >= 2**32:
+        raise OutOfRangeError(f"need fewer than 2**32 replicas, got {M}")
+    if seed < 0:
+        raise OutOfRangeError(f"master seed must be >= 0, got {seed}")
     expected = classify(kernel)[1] * (1.0 - space.alpha)
     table = TransitionTable(space, kernel)
 
     def run_block(lo, hi):
         counts = []
         for a in range(lo, hi, LANES):
-            rngs = [replica_rng(seed, r) for r in range(a, min(a + LANES, hi))]
+            rngs = _replica_generators(seed, a, min(a + LANES, hi))
             starts = [rng.integers(space.size) for rng in rngs]
             counts.append(_lockstep(table, rngs, starts, T)[1])
         return np.concatenate(counts)
@@ -358,8 +447,10 @@ def relaxation_gap(space, kernel):
     np.add.at(a, (rows, cols), rates)
     s = 0.5 * (a + a.T)
     r, c = np.nonzero(s)
-    live = np.unique(r)
-    s[live, live] = -np.add.reduceat(s[r, c], np.searchsorted(r, live))
+    # r ascends, so each row's nonzeros start where r changes
+    starts = np.flatnonzero(np.diff(r, prepend=-1))
+    live = r[starts]
+    s[live, live] = -np.add.reduceat(s[r, c], starts)
     return float(np.linalg.eigvalsh(-s)[1])
 
 

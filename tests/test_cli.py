@@ -275,6 +275,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("mc", dict(kernel=NN, N=2, K=2, mc={"T": "abc"})),
             ("mc", dict(kernel=NN, N=2, K=2, mc=[1, 2])),
             ("mc", dict(kernel=NN, N=2, K=2, mc={"T": 1, "seed": -5})),
+            ("mc", dict(kernel=NN, N=2, K=2, mc={"T": 1, "M": 2**32})),
             ("arbitrate-sign", dict(kernel=NN, N=2, K=2,
                                     arbitrate={"M": "abc"})),
             ("sweep", dict(kernel=NN, N_list=5, alpha=0.5)),

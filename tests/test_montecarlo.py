@@ -8,6 +8,7 @@ import scipy.stats
 from sepdiff import (
     FrozenError,
     InconclusiveError,
+    OutOfRangeError,
     StateSpace,
     TorusGeometry,
     TransitionTable,
@@ -41,6 +42,40 @@ def test_replica_rng_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 1,
+                                  2**128 + 7])
+def test_batch_streams_are_the_replica_rule(seed):
+    # 2**64 + 1 fills the four-word pool with the replica index last, and
+    # 2**128 + 7 (five words) mixes it in as remaining entropy
+    lo, hi = montecarlo.LANES - 3, 2 * montecarlo.LANES + 5
+    words = montecarlo._replica_seed_words(seed, lo, hi)
+    assert words.dtype == np.uint64 and words.shape == (hi - lo, 4)
+    want = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
+            for r in range(lo, hi)]
+    assert np.array_equal(words, want)
+    rngs = montecarlo._replica_generators(seed, lo, hi)
+    assert len(rngs) == hi - lo
+    for r in (lo, montecarlo.LANES - 1, montecarlo.LANES,
+              2 * montecarlo.LANES, hi - 1):
+        ref = replica_rng(seed, r)
+        rng = rngs[r - lo]
+        assert rng.integers(1000) == ref.integers(1000)
+        assert np.array_equal(rng.random(5), ref.random(5))
+
+
+def test_estimate_refuses_unseedable_replica_counts(meanzero1d, monkeypatch):
+    # one 32-bit entropy word per replica index: 2**32 replicas or more,
+    # or a negative master seed, are refused before the table is built
+    def no_table(space, kernel):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(montecarlo, "TransitionTable", no_table)
+    sp = space_1d(3, 3)
+    for M, seed in ((2**32, 1), (2**40, 1), (40, -1)):
+        with pytest.raises(OutOfRangeError):
+            estimate_diffusion(sp, meanzero1d, 4.0, M, seed)
 
 
 def test_table_matches_per_state_reference(meanzero1d, nn2d):
@@ -307,17 +342,19 @@ def test_one_pass_per_chunk_and_one_generator_per_replica(meanzero1d,
                                                           monkeypatch):
     sp = space_1d(3, 3)
     seeds, passes = [], []
-    rng_rule, lockstep = montecarlo.replica_rng, montecarlo._lockstep
+    batch, lockstep = montecarlo._replica_generators, montecarlo._lockstep
 
-    def counted_rng(seed, r):
-        seeds.append(r)
-        return rng_rule(seed, r)
+    def counted_batch(seed, lo, hi):
+        rngs = batch(seed, lo, hi)
+        seeds.extend(range(lo, hi))
+        assert len(rngs) == hi - lo
+        return rngs
 
     def counted_lockstep(table, rngs, ranks, T):
         passes.append((len(rngs), T))
         return lockstep(table, rngs, ranks, T)
 
-    monkeypatch.setattr(montecarlo, "replica_rng", counted_rng)
+    monkeypatch.setattr(montecarlo, "_replica_generators", counted_batch)
     monkeypatch.setattr(montecarlo, "_lockstep", counted_lockstep)
     monkeypatch.setattr(montecarlo, "LANES", 16)
     est = estimate_diffusion(sp, meanzero1d, 4.0, 40, 2)
