@@ -88,7 +88,11 @@ class SparseOperator:
     ``symmetric``, when given, is whether the rates are symmetric, decided
     by the caller; otherwise :meth:`is_symmetric` compares the stored
     rates with their transpose. The null direction is the constants.
+    ``source`` is the (space, kernel) pair whose full generator this is,
+    recorded by :func:`full_generator`, and None for any other operator.
     """
+
+    source = None
 
     def __init__(self, size, offdiag, symmetric=None):
         import scipy.sparse as sp
@@ -308,8 +312,11 @@ def assemble_tagged(space, kernel):
 
 def full_generator(space, kernel):
     """Environment part plus tagged part, assembled as one operator from
-    all channels, their nonzeros capped together."""
-    return _assemble(space, kernel)
+    all channels, their nonzeros capped together; its ``source`` records
+    (space, kernel)."""
+    op = _assemble(space, kernel)
+    op.source = (space, kernel)
+    return op
 
 
 class ReducedAssembly:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .diffusion import _solve_directions
 from .errors import FrozenError, InconclusiveError, OutOfRangeError
-from .generator import _moves, full_generator
+from .generator import _moves
 from .kernel import classify
 from .sobolev import DENSE_EIG_MAX
 from .statespace import Configuration, enabled_moves
@@ -473,9 +473,7 @@ def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
     DirectionResult (both conventions) of each arbitrated direction."""
     if directions is None:
         directions = np.eye(space.geometry.dimension)
-    op = full_generator(space, kernel) if space.size > 1 else None
-    _, _, exact = _solve_directions(space, kernel, directions, tol, "auto",
-                                    op)
+    _, _, exact = _solve_directions(space, kernel, directions, tol, "auto")
     scale = max(max(abs(r.D_plus), abs(r.D_minus), 1e-12) for r in exact)
     if all(abs(r.D_plus - r.D_minus) <= 1e-12 * scale for r in exact):
         raise InconclusiveError(

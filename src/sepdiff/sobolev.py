@@ -16,7 +16,11 @@ gives |f|_{-1}^2 = <f, u>.
 The spectral gap and the sector constant are top eigenvalues of
 operators applied through such solves, found by ARPACK's implicitly
 restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX`` states and by a
-dense eigendecomposition below.
+dense eigendecomposition below. Lanczos finds the sector constant on the
+functions odd under the point reflection eta -> -eta, about half the
+states: the reflection commutes with the symmetric part of the generator
+and anticommutes with its skew part, so the constant has an odd
+eigenvector (see :func:`sector_constant`).
 
 scipy is imported inside the functions that call it, on first use.
 """
@@ -31,6 +35,7 @@ import numpy as np
 from .errors import NotConvergedError, PropertyViolatedError
 from .generator import (
     ObservableVector,
+    ReducedAssembly,
     center,
     dirichlet_form,
     inner,
@@ -38,6 +43,7 @@ from .generator import (
     symmetric_part,
     values_of,
 )
+from .kernel import symmetrize
 
 DENSE_SOLVE_MAX = 5000
 DENSE_EIG_MAX = 2000
@@ -288,35 +294,53 @@ def verify_prop1(op, n_pairs=100, seed=0, tol=1e-9):
                        min_iii, max_gap_iii)
 
 
-def _lanczos_top(n, matvec, tol, m=None, minv=None):
-    """Largest eigenvalue of an operator self-adjoint on the mean-zero
-    subspace (of the pencil (A, M) when ``m`` applies M and ``minv`` its
-    inverse) by ARPACK's implicitly restarted Lanczos from the alternating
+def _lanczos_top(n, null, matvec, tol, m=None, minv=None):
+    """Largest eigenvalue of an operator on R^n, self-adjoint on the
+    complement of the unit vector ``null`` (on all of R^n when ``null`` is
+    None), or of the pencil (A, M) when ``m`` applies M and ``minv`` its
+    inverse, by ARPACK's implicitly restarted Lanczos from the alternating
     +-1 vector; ARPACK failures raise NotConvergedError.
 
-    Lanczos runs on the first n - 1 coordinates after the Householder
-    reflection that swaps the last unit vector with the normalized
-    constant, so every vector ARPACK builds is mean-zero, including the
-    random one it restarts from when the start's Krylov space runs out.
+    With a null direction, Lanczos runs on the first n - 1 coordinates
+    after the Householder reflection that swaps the last unit vector with
+    ``null``, so every vector ARPACK builds is orthogonal to it, including
+    the random one it restarts from when the start's Krylov space runs
+    out. The sector constant's odd half of the point reflection has no
+    null direction and runs on R^n as it is.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    w = np.full(n, -1.0 / math.sqrt(n))
-    w[-1] += 1.0
-    w /= np.linalg.norm(w)
+    if null is None:
+        dim = n
 
-    def reflect(x):
-        return x - 2.0 * float(w @ x) * w
+        def inside(x):
+            return x
+
+        def outside(y):
+            return y
+    else:
+        dim = n - 1
+        w = -null
+        w[-1] += 1.0
+        w /= np.linalg.norm(w)
+
+        def reflect(x):
+            return x - 2.0 * float(w @ x) * w
+
+        def inside(x):
+            return reflect(x)[:-1]
+
+        def outside(y):
+            return reflect(np.append(y, 0.0))
 
     def lin(f):
         return None if f is None else LinearOperator(
-            (n - 1, n - 1), dtype=float,
-            matvec=lambda y: reflect(f(reflect(np.append(y, 0.0))))[:-1])
+            (dim, dim), dtype=float, matvec=lambda y: inside(f(outside(y))))
 
-    v0 = reflect(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))[:-1]
+    v0 = inside(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
     try:
         top = eigsh(lin(matvec), k=1, M=lin(m), Minv=lin(minv), which="LA",
-                    v0=v0, ncv=min(LANCZOS_NCV, n - 1), tol=tol,
+                    v0=v0, ncv=min(LANCZOS_NCV, dim), tol=tol,
                     return_eigenvectors=False)
     except ArpackError as exc:
         raise NotConvergedError(f"Lanczos iteration failed: {exc}") from exc
@@ -324,8 +348,8 @@ def _lanczos_top(n, matvec, tol, m=None, minv=None):
 
 
 def _pinv(op):
-    """v -> (-op)^+ v on the mean-zero subspace, solved to EIG_SOLVE_TOL."""
-    return lambda v: solve_general(op, center(v),
+    """v -> (-op)^+ v off op's null direction, solved to EIG_SOLVE_TOL."""
+    return lambda v: solve_general(op, op.project(v),
                                    tol=EIG_SOLVE_TOL).solution.values
 
 
@@ -356,20 +380,55 @@ def spectral_gap(op, method="auto", tol=1e-10):
         return math.inf
     if dense:
         return float(np.linalg.eigvalsh(-op.to_dense())[1])
-    return 1.0 / _lanczos_top(n, _pinv(op), tol)
+    return 1.0 / _lanczos_top(n, op.null, _pinv(op), tol)
+
+
+def _reflection_halves(op):
+    """(even, odd): the symmetric part of the full generator ``op`` on the
+    functions even and odd under the point reflection eta -> -eta, as
+    ``ReducedOperator``s of the symmetrized kernel. The even half has the
+    reduced constants as its null direction, the odd half none.
+
+    Raises ValueError unless ``op`` records its (space, kernel), as
+    :func:`generator.full_generator`'s operators do.
+    """
+    if op.source is None:
+        raise ValueError("the iterative sector constant needs an operator "
+                         "from full_generator, which records its space "
+                         "and kernel")
+    space, kernel = op.source
+    eye = np.eye(space.geometry.dimension, dtype=np.int64)
+    halves = ReducedAssembly(space, symmetrize(kernel),
+                             space.orbits([eye, -eye]))
+    return halves.operator([1, 1]), halves.operator([1, -1])
 
 
 def sector_constant(op, method="auto", tol=1e-10):
     """Sharp constant C in <f, B g>^2 <= C <f,-op f> <g,-op g>, where B is
     the skew part of -op restricted to the mean-zero subspace.
 
-    Equals the squared operator norm of S^{-1/2} B S^{-1/2} with S the
+    Equals the squared operator norm of T = S^{-1/2} B S^{-1/2} with S the
     symmetric part of -op, that is the top eigenvalue of the pencil
     (P B^T S^{-1} P B, S) with P the mean-zero projection. The dense path
-    takes it from an eigendecomposition of S; the iterative path runs
-    Lanczos on the pencil with S^{-1} applied by :func:`solve_general` at
-    tolerance ``EIG_SOLVE_TOL``, and ``tol`` is the relative accuracy it
-    asks of C. Symmetric operators give exactly 0.
+    takes it from an eigendecomposition of S on all states.
+
+    The iterative path works on the odd half of the point reflection
+    R: eta -> -eta (environment site x -> -x), which exists on every
+    torus. R maps the kernel p to p(-.), and L_z^T = L_{-z} under the
+    uniform measure for environment moves and tagged jumps alike, so R
+    commutes with S and anticommutes with B. T then swaps even and odd
+    functions, every eigenvalue of T^T T has an odd eigenvector, and the
+    top one on the odd functions is C. So Lanczos runs on the pencil
+    (B_eo^T S_e^+ B_eo, S_o) in the coordinates of the odd functions,
+    about half the states, where S_e and S_o are S on the even and odd
+    functions, B_eo maps odd to even, and every S_e^+ and S_o^{-1} is one
+    :func:`solve_general` call at tolerance ``EIG_SOLVE_TOL``; ``tol`` is
+    the relative accuracy Lanczos asks of C. The odd half has no null
+    direction. On the full space C is a double eigenvalue, one even and
+    one odd copy, which also slows Lanczos. This path needs an operator
+    from :func:`generator.full_generator` and raises ValueError on any
+    other; an odd half of at most 2 states, too small for Lanczos, takes
+    the dense path. Symmetric operators give exactly 0.
     """
     n = op.size
     dense = _eig_dense(method, n)
@@ -381,6 +440,9 @@ def sector_constant(op, method="auto", tol=1e-10):
     bmax = abs(b_skew).max() if b_skew.nnz else 0.0
     if bmax <= 1e-14 * scale:
         return 0.0
+    if not dense:
+        even, odd = _reflection_halves(op)
+        dense = odd.size <= 2
 
     if dense:
         w, q = np.linalg.eigh(0.5 * (a + a.T).toarray())
@@ -391,11 +453,15 @@ def sector_constant(op, method="auto", tol=1e-10):
         smax = np.linalg.svd(m, compute_uv=False)[0]
         return float(smax) ** 2
 
-    sym = symmetric_part(op)
-    s_solve = _pinv(sym)
-    # B^T = -B; _lanczos_top drops the constant part of every image
-    return _lanczos_top(n, lambda v: -(b_skew @ s_solve(b_skew @ v)), tol,
-                        m=lambda v: -sym.matvec(v), minv=s_solve)
+    s_even = _pinv(even)
+
+    def pencil(y):
+        # B_eo^T = -B_oe, as B^T = -B
+        b_eo_y = even.restrict(b_skew @ odd.lift(y))
+        return -odd.restrict(b_skew @ even.lift(s_even(b_eo_y)))
+
+    return _lanczos_top(odd.size, None, pencil, tol,
+                        m=lambda y: -odd.matvec(y), minv=_pinv(odd))
 
 
 def resolvent_sweep(op, h, lambdas, tol=1e-10):

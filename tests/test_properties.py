@@ -24,6 +24,7 @@ from sepdiff import (  # noqa: E402
     build_kernel,
     compute_D_matrix,
     full_generator,
+    sector_constant,
     solve_general,
     spectral_gap,
     symmetric_part,
@@ -96,6 +97,15 @@ def test_relaxation_gap_is_the_sparse_route_bit_for_bit(system):
         assert got is None
     else:
         assert got == spectral_gap(symmetric_part(full_generator(sp, kernel)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_sector_constant_odd_half_matches_dense(system):
+    sp, kernel = system
+    op = full_generator(sp, kernel)
+    assert sector_constant(op, method="iterative") == pytest.approx(
+        sector_constant(op, method="dense"), rel=1e-8)
 
 
 def _lex_rank(sites, M):
@@ -227,7 +237,7 @@ def test_kernel_decides_symmetry_as_the_rates_do(system):
         assert op.is_symmetric() == numeric.is_symmetric()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(paired_systems(mirrored=True))
 def test_reduced_D_equals_unreduced_on_symmetric_kernels(system):
     sp, kernel = system

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from sepdiff import (
     NotConvergedError,
     NotMeanZeroError,
+    SparseOperator,
     StateSpace,
     TorusGeometry,
     build_kernel,
@@ -26,11 +27,15 @@ from sepdiff import (
     approximation_residual,
 )
 
+from sepdiff.sobolev import _reflection_halves
+
 import _oracle
 from conftest import ASYM1D, MZ1D, NN1D, NN2D
 
 #: 2d kernel with a drift: unequal +-e1 and +-e2 weights
 ASYM2D = [((1, 0), 0.4), ((-1, 0), 0.1), ((0, 1), 0.3), ((0, -1), 0.2)]
+#: 1d kernel with three entries and a drift
+THREE1D = [((1,), 0.2), ((2,), 0.3), ((-2,), 0.5)]
 
 
 def make(entries, N=3, K=3):
@@ -218,6 +223,46 @@ def test_lanczos_restart_stays_on_mean_zero_subspace(monkeypatch):
     assert gaps.pop() == pytest.approx(_oracle.spectral_gap_value(Q),
                                        rel=1e-10)
     assert len(calls) == 40
+
+
+@pytest.mark.parametrize("d, entries, N, K", [
+    (1, ASYM1D, 3, 3), (1, MZ1D, 4, 4), (1, ASYM1D, 4, 4), (2, ASYM2D, 2, 3),
+    (2, ASYM2D, 2, 4), (1, THREE1D, 5, 5), (1, MZ1D, 6, 6)])
+def test_sector_constant_odd_half_matches_oracle(d, entries, N, K):
+    # 10 to 462 states; the two halves of the point reflection split the
+    # states, and the odd one, nonsingular and above the dense size, is
+    # where Lanczos runs
+    sp = StateSpace(TorusGeometry(d, N), K)
+    op = full_generator(sp, build_kernel(d, entries))
+    even, odd = _reflection_halves(op)
+    assert even.size + odd.size == op.size
+    assert odd.size > 2 and odd.null is None and even.null is not None
+    _, Q = _oracle.dense_generator(N, d, K, entries)
+    assert sector_constant(op, method="iterative") == pytest.approx(
+        _oracle.sector_value(Q), rel=1e-10)
+
+
+def test_iterative_sector_constant_needs_full_generator():
+    _, op = make(ASYM1D)
+    raw = SparseOperator(op.size, op.offdiag)
+    with pytest.raises(ValueError):
+        sector_constant(raw, method="iterative")
+    assert sector_constant(raw, method="dense") == sector_constant(
+        op, method="dense")
+
+
+@pytest.mark.parametrize("entries", [ASYM1D, MZ1D])
+def test_sector_constant_small_odd_half_runs_dense(entries, monkeypatch):
+    # 1d N=3 K=5: 5 states, of which 2 carry odd functions, too few for
+    # Lanczos
+    calls = []
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *a, **kw: calls.append(1))
+    _, op = make(entries, N=3, K=5)
+    assert _reflection_halves(op)[1].size == 2
+    c = sector_constant(op, method="iterative")
+    assert c > 0.0 and calls == []
+    assert c == sector_constant(op, method="dense")
 
 
 def test_lanczos_failure_is_not_converged(monkeypatch):
