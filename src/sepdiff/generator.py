@@ -180,12 +180,12 @@ class ReducedOperator(SparseOperator):
     Its matrix is sqrt(|O|) A_{O,O'} / sqrt(|O'|), with A_{O,O'} the sum of
     L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric whenever L
     is. The off-diagonal entries may be negative, are stored in COO form
-    with repeated coordinates summed by every product, and the diagonal is
-    stored. The null direction is sqrt(|O|), normalized, when chi is
-    trivial (the constants) and there is none otherwise: such functions
-    sum to zero, and L is nonsingular on them. Euclidean norms in these
-    coordinates equal those of the lifted functions, so a replayed
-    residual here is the full-space one.
+    with repeated coordinates summed by every product (CSR after
+    :meth:`compress`), and the diagonal is stored. The null direction is
+    sqrt(|O|), normalized, when chi is trivial (the constants) and there
+    is none otherwise: such functions sum to zero, and L is nonsingular on
+    them. Euclidean norms in these coordinates equal those of the lifted
+    functions, so a replayed residual here is the full-space one.
     """
 
     def __init__(self, offdiag, diag, null, symmetric, lift):
@@ -226,6 +226,12 @@ class ReducedOperator(SparseOperator):
     def lift(self, x):
         """The full-space function with coordinates x."""
         return self._coef * np.append(x, 0.0)[self._gather]
+
+    def compress(self):
+        """Store the off-diagonal entries as CSR, duplicates summed, for a
+        caller that applies the operator many times; returns self."""
+        self._off = self._off.tocsr()
+        return self
 
 
 def _check_nnz(n_entries):
@@ -359,9 +365,10 @@ class ReducedAssembly:
         src, weights, movers = self._within
         diag = (np.bincount(src, weights=weights * chi[movers],
                             minlength=kept.size) - self._exit)[kept]
-        # left in COO form, duplicates and all: its matvec costs little
-        # more than CSR's, and converting would cost more than the solve
-        # saves
+        # left in COO form, duplicates and all: the exact route applies it
+        # in one solve, which saves less than converting to CSR costs;
+        # sobolev._reflection_halves converts (ReducedOperator.compress),
+        # since the sector constant applies each half thousands of times
         src, cols, weights, movers = self._across
         live = kept[src] & kept[cols]
         off = sp.coo_matrix(

@@ -13,14 +13,16 @@ The H1 seminorm is the square root of the Dirichlet form; the dual H-1
 norm is realized by one solve against the symmetric part: (-S) u = f
 gives |f|_{-1}^2 = <f, u>.
 
-The spectral gap and the sector constant are top eigenvalues of
-operators applied through such solves, found by ARPACK's implicitly
-restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX`` states and by a
-dense eigendecomposition below. Lanczos finds the sector constant on the
-functions odd under the point reflection eta -> -eta, about half the
-states: the reflection commutes with the symmetric part of the generator
-and anticommutes with its skew part, so the constant has an odd
-eigenvector (see :func:`sector_constant`).
+The spectral gap and the sector constant are top eigenvalues, found by
+ARPACK's implicitly restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX``
+states and by a dense eigendecomposition below. The gap is the top
+eigenvalue of the symmetric generator itself off the constants, so
+Lanczos applies only its matvec. The sector constant is that of a pencil
+whose every application is one solve of the kind above; Lanczos finds it
+on the functions odd under the point reflection eta -> -eta, about half
+the states: the reflection commutes with the symmetric part of the
+generator and anticommutes with its skew part, so the constant has an
+odd eigenvector (see :func:`sector_constant`).
 
 scipy is imported inside the functions that call it, on first use.
 """
@@ -48,7 +50,7 @@ from .kernel import symmetrize
 DENSE_SOLVE_MAX = 5000
 DENSE_EIG_MAX = 2000
 GMRES_RESTART = 50
-#: tolerance of the solves inside the Lanczos eigenvalue routines
+#: tolerance of the solves inside the sector constant's Lanczos pencil
 EIG_SOLVE_TOL = 1e-12
 #: Lanczos basis size, ARPACK's default for one eigenvalue
 LANCZOS_NCV = 20
@@ -298,8 +300,8 @@ def _lanczos_top(n, null, matvec, tol, m=None, minv=None):
     """Largest eigenvalue of an operator on R^n, self-adjoint on the
     complement of the unit vector ``null`` (on all of R^n when ``null`` is
     None), or of the pencil (A, M) when ``m`` applies M and ``minv`` its
-    inverse, by ARPACK's implicitly restarted Lanczos from the alternating
-    +-1 vector; ARPACK failures raise NotConvergedError.
+    inverse, by ARPACK's implicitly restarted Lanczos from a fixed
+    pseudo-random vector; ARPACK failures raise NotConvergedError.
 
     With a null direction, Lanczos runs on the first n - 1 coordinates
     after the Householder reflection that swaps the last unit vector with
@@ -337,7 +339,10 @@ def _lanczos_top(n, null, matvec, tol, m=None, minv=None):
         return None if f is None else LinearOperator(
             (dim, dim), dtype=float, matvec=lambda y: inside(f(outside(y))))
 
-    v0 = inside(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
+    # a generic start: a structured one, such as the alternating +-1
+    # vector, can be orthogonal to the top eigenvector by a symmetry of the
+    # state space, and Lanczos then returns the next eigenvalue
+    v0 = inside(np.random.default_rng(0).standard_normal(n))
     try:
         top = eigsh(lin(matvec), k=1, M=lin(m), Minv=lin(minv), which="LA",
                     v0=v0, ncv=min(LANCZOS_NCV, dim), tol=tol,
@@ -367,10 +372,11 @@ def spectral_gap(op, method="auto", tol=1e-10):
 
     op must be a symmetric generator of a connected system. The dense path
     (see ``_eig_dense`` for when it runs) is a full eigendecomposition.
-    The iterative path runs Lanczos on the mean-zero pseudo-inverse of
-    -op, applied by :func:`solve_general` at tolerance ``EIG_SOLVE_TOL``,
-    and returns one over its top eigenvalue; ``tol`` is the relative
-    accuracy Lanczos asks of that eigenvalue.
+    The iterative path runs Lanczos on op itself with the constants
+    deflated: op is negative semidefinite, so its top eigenvalue on the
+    mean-zero subspace is minus the gap. Each step is one matvec and no
+    linear solve; ``tol`` is the relative accuracy Lanczos asks of that
+    eigenvalue.
     """
     n = op.size
     dense = _eig_dense(method, n)
@@ -380,14 +386,16 @@ def spectral_gap(op, method="auto", tol=1e-10):
         return math.inf
     if dense:
         return float(np.linalg.eigvalsh(-op.to_dense())[1])
-    return 1.0 / _lanczos_top(n, op.null, _pinv(op), tol)
+    return -_lanczos_top(n, op.null, op.matvec, tol)
 
 
 def _reflection_halves(op):
     """(even, odd): the symmetric part of the full generator ``op`` on the
     functions even and odd under the point reflection eta -> -eta, as
     ``ReducedOperator``s of the symmetrized kernel. The even half has the
-    reduced constants as its null direction, the odd half none.
+    reduced constants as its null direction, the odd half none. Both are
+    stored as CSR: the sector constant applies each of them thousands of
+    times, which pays for the conversion from the assembly's COO form.
 
     Raises ValueError unless ``op`` records its (space, kernel), as
     :func:`generator.full_generator`'s operators do.
@@ -400,7 +408,8 @@ def _reflection_halves(op):
     eye = np.eye(space.geometry.dimension, dtype=np.int64)
     halves = ReducedAssembly(space, symmetrize(kernel),
                              space.orbits([eye, -eye]))
-    return halves.operator([1, 1]), halves.operator([1, -1])
+    return (halves.operator([1, 1]).compress(),
+            halves.operator([1, -1]).compress())
 
 
 def sector_constant(op, method="auto", tol=1e-10):

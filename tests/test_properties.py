@@ -30,6 +30,7 @@ from sepdiff import (  # noqa: E402
     symmetric_part,
 )
 from sepdiff.montecarlo import relaxation_gap  # noqa: E402
+from sepdiff.sobolev import LANCZOS_NCV  # noqa: E402
 
 import _oracle  # noqa: E402
 from conftest import check_symmetry_route  # noqa: E402
@@ -39,8 +40,9 @@ MAX_STATES = 400
 
 
 @st.composite
-def systems(draw):
-    """(StateSpace, kernel): d in {1, 2}, range <= 2, rational weights."""
+def systems(draw, min_states=1):
+    """(StateSpace, kernel): d in {1, 2}, range <= 2, rational weights, at
+    least ``min_states`` states."""
     d = draw(st.sampled_from([1, 2]))
     R = draw(st.integers(1, 2))
     moves = [z for z in itertools.product(range(-R, R + 1), repeat=d)
@@ -58,7 +60,9 @@ def systems(draw):
     # 2N > 2R, and small enough for the dense oracle
     N = draw(st.integers(kernel.range + 1, kernel.range + (3 if d == 1 else 1)))
     M = (2 * N) ** d - 1
-    Ks = [K for K in range(1, M + 2) if math.comb(M, K - 1) <= MAX_STATES]
+    Ks = [K for K in range(1, M + 2)
+          if min_states <= math.comb(M, K - 1) <= MAX_STATES]
+    assume(Ks)
     K = draw(st.sampled_from(Ks))
     return StateSpace(TorusGeometry(d, N), K), kernel
 
@@ -106,6 +110,15 @@ def test_sector_constant_odd_half_matches_dense(system):
     op = full_generator(sp, kernel)
     assert sector_constant(op, method="iterative") == pytest.approx(
         sector_constant(op, method="dense"), rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems(min_states=LANCZOS_NCV + 1))
+def test_spectral_gap_lanczos_matches_dense(system):
+    sp, kernel = system
+    sym = symmetric_part(full_generator(sp, kernel))
+    assert spectral_gap(sym, method="iterative") == pytest.approx(
+        spectral_gap(sym, method="dense"), rel=1e-10)
 
 
 def _lex_rank(sites, M):

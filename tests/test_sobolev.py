@@ -27,6 +27,7 @@ from sepdiff import (
     approximation_residual,
 )
 
+from sepdiff import sobolev
 from sepdiff.sobolev import _reflection_halves
 
 import _oracle
@@ -196,12 +197,49 @@ def test_lanczos_matches_oracle_above_basis_size(entries):
 
 def test_spectral_gap_lanczos_on_symmetric_2d_space():
     # 2d NN, N=3, K=2: 35 states with 23 distinct eigenvalues; the gap's
-    # eigenvector is nearly orthogonal to the alternating start
+    # eigenvector is nearly orthogonal to the alternating +-1 vector
     sym = symmetric_part(make_2d(NN2D, 2, N=3))
     d = spectral_gap(sym, method="dense")
     i = spectral_gap(sym, method="iterative")
     assert i == pytest.approx(d, rel=1e-10)
     assert spectral_gap(sym, method="iterative") == i
+
+
+def test_spectral_gap_lanczos_start_is_generic():
+    # 2d N=3, K=2 under a five-entry kernel: 35 states whose gap
+    # eigenvector is orthogonal to the alternating +-1 vector, from which
+    # Lanczos returned the next eigenvalue, 1.4597
+    kernel = build_kernel(2, [((-2, 0), 0.2), ((-1, -1), 0.2), ((0, 2), 0.2),
+                              ((1, -2), 0.2), ((2, 1), 0.2)])
+    sp = StateSpace(TorusGeometry(2, 3), 2)
+    sym = symmetric_part(full_generator(sp, kernel))
+    w, q = np.linalg.eigh(-sym.to_dense())
+    alternating = np.where(np.arange(sp.size) % 2 == 0, 1.0, -1.0)
+    assert abs(q[:, 1] @ alternating) < 1e-10
+    assert spectral_gap(sym, method="iterative") == pytest.approx(
+        w[1], rel=1e-10)
+
+
+def test_iterative_spectral_gap_makes_no_solve(monkeypatch):
+    # Lanczos applies the symmetric generator itself, never its inverse
+    def no_solve(*args, **kwargs):
+        raise AssertionError("spectral_gap called solve_general")
+
+    sym = symmetric_part(make_2d(NN2D, 3))
+    d = spectral_gap(sym, method="dense")
+    monkeypatch.setattr(sobolev, "solve_general", no_solve)
+    assert spectral_gap(sym, method="iterative") == pytest.approx(d, rel=1e-10)
+
+
+def test_spectral_gap_lanczos_small_gap_against_spectrum_top():
+    # 1d NN, N=24, K=3: 1,081 states; the gap 0.0060 is small against the
+    # top of the spectrum, so Lanczos on the generator itself sees it
+    # poorly separated from the next eigenvalues
+    _, op = make(NN1D, N=24, K=3)
+    sym = symmetric_part(op)
+    d = spectral_gap(sym, method="dense")
+    assert d == pytest.approx(0.0060, rel=0.01)
+    assert spectral_gap(sym, method="iterative") == pytest.approx(d, rel=1e-10)
 
 
 def test_lanczos_restart_stays_on_mean_zero_subspace(monkeypatch):
@@ -237,6 +275,7 @@ def test_sector_constant_odd_half_matches_oracle(d, entries, N, K):
     even, odd = _reflection_halves(op)
     assert even.size + odd.size == op.size
     assert odd.size > 2 and odd.null is None and even.null is not None
+    assert even.offdiag.format == odd.offdiag.format == "csr"
     _, Q = _oracle.dense_generator(N, d, K, entries)
     assert sector_constant(op, method="iterative") == pytest.approx(
         _oracle.sector_value(Q), rel=1e-10)
