@@ -25,7 +25,6 @@ from .diffusion import (
 from .errors import (
     BlockTooLargeError,
     ConfigError,
-    FrozenError,
     InconclusiveError,
     NonPositiveDError,
     NotAProbabilityError,
@@ -38,11 +37,8 @@ from .errors import (
     PropertyViolatedError,
     ReducibleError,
     SepdiffError,
-    SiteIsOriginError,
     SizeCapError,
     SupportTooLargeError,
-    TargetIsOriginError,
-    TargetOccupiedError,
     TorusSizeError,
     WrongCountError,
 )
@@ -75,8 +71,6 @@ from .montecarlo import (
     estimate_diffusion,
     extrapolated_direction_stats,
     replica_rng,
-    simulate,
-    step,
 )
 from .sobolev import (
     approximation_residual,
@@ -88,6 +82,6 @@ from .sobolev import (
     spectral_gap,
     verify_prop1,
 )
-from .statespace import Configuration, StateSpace
+from .statespace import StateSpace
 
 __version__ = "0.1.0"

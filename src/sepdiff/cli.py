@@ -37,6 +37,7 @@ from .diffusion import (
     sweep,
 )
 from .errors import (
+    BlockTooLargeError,
     ConfigError,
     NotAProbabilityError,
     OriginMassError,
@@ -44,6 +45,7 @@ from .errors import (
     ReducibleError,
     SepdiffError,
     SizeCapError,
+    SupportTooLargeError,
     TorusSizeError,
     WrongCountError,
 )
@@ -65,7 +67,7 @@ from .statespace import StateSpace
 
 _CONFIG_ERRORS = (ConfigError, NotAProbabilityError, OriginMassError,
                   ReducibleError, TorusSizeError, WrongCountError,
-                  OutOfRangeError)
+                  OutOfRangeError, BlockTooLargeError, SupportTooLargeError)
 
 
 def _fmt(x):

@@ -34,23 +34,12 @@ class TorusSizeError(SepdiffError):
 # --- statespace -----------------------------------------------------------
 
 class WrongCountError(SepdiffError):
-    """Configuration particle count does not match the state space."""
+    """Particle count K outside the torus, or a bitmask that does not hold
+    the K - 1 environment particles of the state space."""
 
 
 class OutOfRangeError(SepdiffError):
     """Rank outside [0, size) or site outside the torus."""
-
-
-class SiteIsOriginError(SepdiffError):
-    """Site argument refers to the excluded origin."""
-
-
-class TargetOccupiedError(SepdiffError):
-    """Move target site is already occupied."""
-
-
-class TargetIsOriginError(SepdiffError):
-    """Move target site wraps onto the excluded origin."""
 
 
 # --- generator ------------------------------------------------------------
@@ -100,10 +89,6 @@ class BlockTooLargeError(SepdiffError):
 
 
 # --- montecarlo -----------------------------------------------------------
-
-class FrozenError(SepdiffError):
-    """No enabled transition from the current state."""
-
 
 class InconclusiveError(SepdiffError):
     """Sign arbitration could not separate the two conventions."""

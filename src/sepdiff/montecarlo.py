@@ -33,29 +33,17 @@ without a speed-up.
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diffusion import _solve_directions
-from .errors import FrozenError, InconclusiveError, OutOfRangeError
+from .errors import InconclusiveError, OutOfRangeError
 from .generator import _moves
 from .kernel import classify
 from .sobolev import DENSE_EIG_MAX
-from .statespace import Configuration, enabled_moves
-
-
-@dataclass
-class TrajectoryState:
-    """Snapshot of one trajectory: environment, lifted position, clock."""
-
-    config: Configuration
-    position: np.ndarray            # int64, on the unwrapped lattice
-    t: float
-    jump_counts: np.ndarray         # per kernel entry, int64
+from .statespace import enabled_moves
 
 
 def _replica_mean(p):
@@ -216,10 +204,9 @@ class TransitionTable:
     Row r lists the channels enabled in state r in canonical order (see
     ``StateSpace.move_channels``) in its first ``fill[r]`` columns: target
     ranks, jump labels (-1 for environment moves) and cumulative rates,
-    accumulated in the order :func:`step` uses for one state. Padding
-    columns repeat the row total in ``cum``, so ``total[r] = cum[r, -1]``.
-    Trajectories driven by the table are therefore bitwise identical to the
-    re-enumerating reference path for equal seeds.
+    summed left to right. Padding columns repeat the row total in ``cum``,
+    so ``total[r] = cum[r, -1]``. The stream rule of the module docstring
+    picks the channel of an event from these cumulative rates.
     """
 
     def __init__(self, space, kernel):
@@ -243,55 +230,22 @@ class TransitionTable:
             self.jump[src, slot] = ch.jump
             self.cum[src, slot] = ch.rate
             self.fill[src] += 1
-        # accumulating along each row adds in channel order, as step() does
+        # accumulating along each row adds in channel order
         np.cumsum(self.cum, axis=1, out=self.cum)
         self.total = self.cum[:, -1].copy()
-
-
-def _waiting_exponentials(u):
-    """Standard exponential waiting times from uniforms in [0, 1); the one
-    ufunc both simulation paths use, so their clocks agree bit for bit."""
-    return -np.log1p(-u)
-
-
-def step(space, kernel, state, rng):
-    """One event with full re-enumeration of enabled transitions.
-
-    Reference path: runs every channel on the one state. Draws two
-    uniforms per event, the waiting time from the first and the channel
-    from the second. Raises FrozenError when no transition is enabled.
-    """
-    masks = np.array([state.config.bits], dtype=np.uint64)
-    chans = [(ch, int(targets[0])) for ch, src, targets
-             in enabled_moves(masks, space.move_channels(kernel)) if src.size]
-    if not chans:
-        raise FrozenError("no enabled transition")
-    cum = list(itertools.accumulate(ch.rate for ch, _ in chans))
-    lam = cum[-1]
-    u = rng.random(2)
-    dt = float(_waiting_exponentials(u[0]) / lam)
-    j = min(bisect_right(cum, float(u[1] * lam)), len(cum) - 1)
-    ch, target_bits = chans[j]
-    pos = state.position.copy()
-    counts = state.jump_counts.copy()
-    if ch.jump >= 0:
-        pos += np.asarray(kernel.entries[ch.jump][0], dtype=np.int64)
-        counts[ch.jump] += 1
-    return TrajectoryState(
-        Configuration(target_bits, state.config.k), pos, state.t + dt, counts
-    )
 
 
 def _lockstep(table, rngs, ranks, T):
     """Run one lane per generator from the given start ranks to 2T.
 
     Each numpy step advances every live lane by one event, consuming two
-    uniforms of its own generator as :func:`step` does; lanes leave when
-    their clock passes 2T or their state is frozen. An event at time t is
-    tallied in the second window when t >= T, so the counts up to T are
-    those of a run stopped at T. Uniforms are drawn ``REFILL`` events at a
-    time, and consecutive draws of one generator give the same doubles as a
-    single draw, so results do not depend on how replicas are grouped.
+    uniforms of its own generator by the stream rule of the module
+    docstring; lanes leave when their clock passes 2T or their state is
+    frozen. An event at time t is tallied in the second window when
+    t >= T, so the counts up to T are those of a run stopped at T.
+    Uniforms are drawn ``REFILL`` events at a time, and consecutive draws
+    of one generator give the same doubles as a single draw, so results do
+    not depend on how replicas are grouped.
     Returns the final ranks at 2T and the (lane, horizon, kernel entry)
     tagged-jump counts at T and 2T.
     """
@@ -322,7 +276,7 @@ def _lockstep(table, rngs, ranks, T):
             # event s reads row s of the waiting times and row 2 s + 1 of
             # the transposed uniforms, one entry per live lane
             ut = u[:rank.size].T.copy()
-            waits = _waiting_exponentials(ut[0::2])
+            waits = -np.log1p(-ut[0::2])
             moves = []
             for s in range(REFILL):
                 lam = total.take(rank)
@@ -349,40 +303,6 @@ def _lockstep(table, rngs, ranks, T):
                                       minlength=counts.size)
     counts = counts.reshape(n, 2, stride)[:, :, 1:]
     return final, np.cumsum(counts, axis=1)
-
-
-def simulate(space, kernel, T, seed, start=None):
-    """One trajectory over [0, T] from a uniformly drawn stationary start.
-
-    The reference path: re-enumerates the enabled channels at every event
-    (:func:`step`). It consumes the random stream as a lockstep lane does,
-    so a lane driven by the same generator ends in the same state with the
-    same jump counts.
-    """
-    if T <= 0.0:
-        raise OutOfRangeError(f"horizon must be > 0, got {T}")
-    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) \
-        else seed
-    if start is None:
-        rank0 = int(rng.integers(space.size))
-    else:
-        rank0 = space.rank(start)
-    state = TrajectoryState(
-        space.unrank(rank0),
-        np.zeros(space.geometry.dimension, dtype=np.int64),
-        0.0,
-        np.zeros(len(kernel.entries), dtype=np.int64),
-    )
-    while True:
-        try:
-            nxt = step(space, kernel, state, rng)
-        except FrozenError:
-            state.t = T
-            return state
-        if nxt.t >= T:
-            state.t = T
-            return state
-        state = nxt
 
 
 def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):

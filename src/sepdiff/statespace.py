@@ -20,48 +20,18 @@ tagged particle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    OutOfRangeError,
-    SiteIsOriginError,
-    SizeCapError,
-    TargetIsOriginError,
-    TargetOccupiedError,
-    WrongCountError,
-)
+from .errors import OutOfRangeError, SizeCapError, WrongCountError
 
 #: refuse to materialize per-state tables beyond this many states
 DEFAULT_MAX_STATES = 500_000
 
 #: bits in one occupancy word, so the most environment sites bulk work takes
 BITMASK_WIDTH = 64
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Occupancy pattern: bit i set <=> environment site i occupied."""
-
-    bits: int
-    k: int
-
-    @property
-    def occupied_indices(self):
-        return tuple(_iter_bits(self.bits))
-
-    def occupied(self, index):
-        return (self.bits >> index) & 1 == 1
-
-
-def _iter_bits(bits):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def _require_word(M):
@@ -269,19 +239,12 @@ class StateSpace:
 
     # -- ranking ------------------------------------------------------------
 
-    def rank(self, config):
-        """Lexicographic rank of a configuration."""
-        if config.k != self.k or config.bits.bit_count() != self.k:
-            raise WrongCountError(
-                f"configuration has {config.bits.bit_count()} particles, "
-                f"space expects {self.k}"
-            )
-        if config.bits >> self.M:
-            raise OutOfRangeError("configuration occupies sites beyond the torus")
-        return int(self.rank_masks([config.bits])[0])
-
     def unrank(self, rank):
-        """Configuration at a given lexicographic rank."""
+        """Occupancy bitmask (an int) of the state at a lexicographic rank.
+
+        The inverse of :meth:`rank_masks`, by exact integer binomials; it
+        builds no per-state table, so it works past the state cap.
+        """
         if not 0 <= rank < self.size:
             raise OutOfRangeError(f"rank {rank} outside [0, {self.size})")
         C, M, k = self._C, self.M, self.k
@@ -298,15 +261,7 @@ class StateSpace:
                 s += 1
             bits |= 1 << s
             s += 1
-        return Configuration(bits, k)
-
-    def states(self):
-        """Iterate configurations in rank order."""
-        for occ in itertools.combinations(range(self.M), self.k):
-            bits = 0
-            for i in occ:
-                bits |= 1 << i
-            yield Configuration(bits, self.k)
+        return bits
 
     def bitmasks(self):
         """Read-only uint64 array of occupancy bitmasks indexed by rank
@@ -409,57 +364,6 @@ class StateSpace:
                                                              kernel)
         return chans
 
-    def config_from_sites(self, sites):
-        """Configuration occupying the given canonical sites."""
-        bits = 0
-        for s in sites:
-            i = self.geometry.env_index(s)
-            if (bits >> i) & 1:
-                raise TargetOccupiedError(f"site {s} listed twice")
-            bits |= 1 << i
-        if bits.bit_count() != self.k:
-            raise WrongCountError(
-                f"{bits.bit_count()} sites given, space expects {self.k}"
-            )
-        return Configuration(bits, self.k)
-
-    # -- moves --------------------------------------------------------------
-
-    def exchange(self, config, x, y):
-        """Swap the occupancies of environment sites x and y."""
-        gx, gy = self.geometry.wrap(x), self.geometry.wrap(y)
-        if gx == self.geometry.origin or gy == self.geometry.origin:
-            raise SiteIsOriginError(f"exchange touches the origin: {x}, {y}")
-        ix, iy = self.geometry.env_index(gx), self.geometry.env_index(gy)
-        if ix == iy:
-            return config
-        bits = config.bits
-        bx, by = (bits >> ix) & 1, (bits >> iy) & 1
-        if bx != by:
-            bits ^= (1 << ix) | (1 << iy)
-        return Configuration(bits, config.k)
-
-    def shift(self, config, z):
-        """Re-center after a tagged jump by displacement z.
-
-        The jump target wrap(z) must be a vacant environment site. Every
-        occupied site y moves to wrap(y - z); the vacated seat wrap(-z)
-        ends up empty, preserving the particle count.
-        """
-        geo = self.geometry
-        target = geo.wrap(z)
-        if target == geo.origin:
-            raise TargetIsOriginError(f"displacement {z} wraps onto the origin")
-        it = geo.env_index(target)
-        if (config.bits >> it) & 1:
-            raise TargetOccupiedError(f"jump target {target} is occupied")
-        bits = 0
-        for i in _iter_bits(config.bits):
-            y = geo.env_sites[i]
-            moved = geo.wrap(tuple(a - b for a, b in zip(y, target)))
-            bits |= 1 << geo.env_index(moved)
-        return Configuration(bits, config.k)
-
     # -- observable support ---------------------------------------------------
 
     def site_occupancy(self, site_indices):
@@ -470,5 +374,5 @@ class StateSpace:
 
     def inside_counts(self, mask):
         """Per-state particle count inside the site set given as a bitmask."""
-        sites = list(_iter_bits(mask & ((1 << self.M) - 1)))
+        sites = [i for i in range(self.M) if (mask >> i) & 1]
         return self.site_occupancy(sites).sum(axis=1, dtype=np.int64)

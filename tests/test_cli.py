@@ -279,7 +279,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("arbitrate-sign", dict(kernel=NN, N=2, K=2,
                                     arbitrate={"M": "abc"})),
             ("sweep", dict(kernel=NN, N_list=5, alpha=0.5)),
-            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=res))]):
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=res)),
+            # block scales that do not fit the torus
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                observable=res["observable"],
+                multiscale={"l": 1, "q": 2, "n_max": 5}))),
+            ("diagnostics", dict(kernel=NN, N=3, alpha=0.5, diagnostics=dict(
+                observable=res["observable"],
+                approximation={"basis_scale": 9, "N_list": [2, 3]})))]):
         cfg = write_cfg(tmp_path, f"bad{i}.yaml", **body)
         assert main([command, "--config", cfg, "--out",
                      str(tmp_path / f"oB{i}")]) == 2, body

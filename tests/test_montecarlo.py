@@ -1,12 +1,11 @@
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from sepdiff import (
-    FrozenError,
     InconclusiveError,
     OutOfRangeError,
     StateSpace,
@@ -19,19 +18,88 @@ from sepdiff import (
     extrapolated_direction_stats,
     full_generator,
     replica_rng,
-    simulate,
     spectral_gap,
-    step,
     symmetric_part,
 )
 from sepdiff import montecarlo
-from sepdiff.montecarlo import TrajectoryState, _lockstep, relaxation_gap
+from sepdiff.montecarlo import _lockstep, relaxation_gap
 from sepdiff.sobolev import DENSE_EIG_MAX
 
+import _oracle
 
 
 def space_1d(N, K):
     return StateSpace(TorusGeometry(1, N), K)
+
+
+def oracle_rows(N, d, K, entries):
+    """Per state in rank order, its enabled channels as (target rank, jump
+    label, rate) in canonical order: environment moves by site, then
+    kernel entry (label -1); then tagged jumps by kernel entry (label its
+    index), self-loops included. Built on the brute-force oracle alone."""
+    states = _oracle.all_states(N, d, K)
+    index = {occ: r for r, occ in enumerate(states)}
+    origin = (0,) * d
+    rows = []
+    for occ in states:
+        occset = set(occ)
+        row = []
+        for x in _oracle.env_sites(N, d):
+            if x not in occset:
+                continue
+            for z, p in entries:
+                y = _oracle.wrap(_oracle.add(x, z), N)
+                if y == origin or y in occset:
+                    continue
+                row.append((index[tuple(sorted((occset - {x}) | {y}))], -1, p))
+        for zi, (z, p) in enumerate(entries):
+            seat = _oracle.wrap(z, N)
+            if seat in occset:
+                continue
+            moved = sorted(_oracle.wrap(_oracle.sub(y, seat), N) for y in occ)
+            row.append((index[tuple(moved)], zi, p))
+        rows.append(row)
+    return rows
+
+
+def oracle_lane(rows, n_entries, rng, start, T):
+    """Scalar Gillespie run over ``rows`` from rank ``start`` to 2T by the
+    stream rule: two ``random()`` draws per event, the wait
+    -log1p(-u1) / lam and the first channel whose cumulative rate exceeds
+    u2 * lam. Returns the tagged-jump counts at T and 2T, the rank at 2T
+    and the number of events whose u2 * lam equals a cumulative rate."""
+    counts = np.zeros((2, n_entries), dtype=np.int64)
+    r, t, ties = start, 0.0, 0
+    while rows[r]:
+        cum = list(itertools.accumulate(rate for _, _, rate in rows[r]))
+        lam = cum[-1]
+        u1, u2 = rng.random(2)
+        t += -np.log1p(-u1) / lam
+        if t >= 2.0 * T:
+            break
+        j = min(bisect_right(cum, u2 * lam), len(cum) - 1)
+        ties += u2 * lam in cum
+        target, label, _ = rows[r][j]
+        if label >= 0:
+            counts[int(t >= T), label] += 1
+        r = target
+    return np.cumsum(counts, axis=0), r, ties
+
+
+class EighthsStream:
+    """Uniforms rounded down to multiples of 1/8. With dyadic rates,
+    u2 * lam then often equals a cumulative rate exactly, which the stream
+    rule breaks towards the later channel."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        u *= 8.0
+        np.floor(u, out=u)
+        u /= 8.0
+        return u
 
 
 def test_replica_rng_reproducible_and_distinct():
@@ -78,43 +146,29 @@ def test_estimate_refuses_unseedable_replica_counts(meanzero1d, monkeypatch):
             estimate_diffusion(sp, meanzero1d, 4.0, M, seed)
 
 
-def test_table_matches_per_state_reference(meanzero1d, nn2d):
+def test_table_matches_per_state_reference(meanzero1d, nn1d, nn2d):
     # canonical channel order: environment moves by occupied site, then
-    # kernel entry; then tagged jumps in kernel order; rates summed in order
-    for sp, kernel in ((space_1d(3, 3), meanzero1d),
-                       (StateSpace(TorusGeometry(2, 2), 4), nn2d)):
-        geo = sp.geometry
+    # kernel entry; then tagged jumps in kernel order; rates summed in
+    # order. On 1d N=3 K=4 the tagged jump +1 from {-2, -1, 3} wraps -2
+    # through the seam to 3, giving {-2, 2, 3}
+    for (d, N, K), kernel in (((1, 3, 3), meanzero1d), ((2, 2, 4), nn2d),
+                              ((1, 3, 4), nn1d)):
+        sp = StateSpace(TorusGeometry(d, N), K)
         table = TransitionTable(sp, kernel)
-        for r, cfg in enumerate(sp.states()):
-            targets, jumps, rates = [], [], []
-            for i in cfg.occupied_indices:
-                x = geo.env_sites[i]
-                for z, p in kernel.entries:
-                    y = geo.wrap(tuple(a + b for a, b in zip(x, z)))
-                    if y == geo.origin or cfg.occupied(geo.env_index(y)):
-                        continue
-                    targets.append(sp.rank(sp.exchange(cfg, x, y)))
-                    jumps.append(-1)
-                    rates.append(p)
-            for zi, (z, p) in enumerate(kernel.entries):
-                if cfg.occupied(geo.env_index(z)):
-                    continue
-                targets.append(sp.rank(sp.shift(cfg, z)))
-                jumps.append(zi)
-                rates.append(p)
+        rows = oracle_rows(N, d, K, kernel.entries)
+        assert len(rows) == sp.size
+        for r, row in enumerate(rows):
             n = table.fill[r]
-            assert table.target[r, :n].tolist() == targets
-            assert table.jump[r, :n].tolist() == jumps
+            assert table.target[r, :n].tolist() == [c[0] for c in row]
+            assert table.jump[r, :n].tolist() == [c[1] for c in row]
             cum = table.cum[r, :n].tolist()
-            assert cum == list(itertools.accumulate(rates))
-            assert table.total[r] == (cum[-1] if rates else 0.0)
-
-
-def test_fixed_start_overrides_uniform_draw(nn1d):
-    sp = space_1d(2, 2)
-    cfg = sp.config_from_sites([(2,)])
-    t = simulate(sp, nn1d, 0.0001, 3, start=cfg)
-    assert t.t == pytest.approx(0.0001)
+            assert cum == list(itertools.accumulate(c[2] for c in row))
+            assert table.total[r] == (cum[-1] if row else 0.0)
+    # rows are the last system's, 1d N=3 K=4
+    states = _oracle.all_states(3, 1, 4)
+    seam = rows[states.index(((-2,), (-1,), (3,)))]
+    plus_one = [z for z, _ in nn1d.entries].index((1,))
+    assert (states.index(((-2,), (2,), (3,))), plus_one, 0.5) in seam
 
 
 def test_estimate_thread_count_does_not_change_results(meanzero1d,
@@ -137,26 +191,30 @@ def test_estimate_thread_count_does_not_change_results(meanzero1d,
 
 @pytest.mark.parametrize("system", ["meanzero1d", "nn2d", "frozen"])
 def test_lockstep_lanes_match_direct_path(system, request):
-    # every lane of one lockstep run to 2T equals the re-enumerating path
-    # driven by the same replica stream at both horizons, though the lanes
-    # leave at different events
-    sp, kernel, T = {
-        "meanzero1d": (space_1d(3, 3), "meanzero1d", 12.0),
-        "nn2d": (StateSpace(TorusGeometry(2, 2), 3), "nn2d", 6.0),
-        "frozen": (space_1d(2, 4), "nn1d", 5.0),
+    # every lane of one lockstep run to 2T equals a scalar Gillespie run
+    # over the oracle's channels, driven by the same replica stream, at
+    # both horizons, though the lanes leave at different events
+    (d, N, K), kernel, T = {
+        "meanzero1d": ((1, 3, 3), "meanzero1d", 12.0),
+        "nn2d": ((2, 2, 3), "nn2d", 6.0),
+        "frozen": ((1, 2, 4), "nn1d", 5.0),
     }[system]
     kernel = request.getfixturevalue(kernel)
+    sp = StateSpace(TorusGeometry(d, N), K)
     table = TransitionTable(sp, kernel)
+    rows = oracle_rows(N, d, K, kernel.entries)
+    nz = len(kernel.entries)
     for seed in range(4):
         rngs = [replica_rng(seed, r) for r in range(9)]
         starts = [rng.integers(sp.size) for rng in rngs]
         final, counts = _lockstep(table, rngs, starts, T)
-        assert counts.shape == (9, 2, len(kernel.entries))
+        assert counts.shape == (9, 2, nz)
         for r in range(9):
-            for w, horizon in enumerate((T, 2 * T)):
-                ref = simulate(sp, kernel, horizon, replica_rng(seed, r))
-                assert np.array_equal(counts[r, w], ref.jump_counts)
-            assert final[r] == sp.rank(ref.config)
+            ref = replica_rng(seed, r)
+            want, rank, _ = oracle_lane(rows, nz, ref,
+                                        int(ref.integers(len(rows))), T)
+            assert np.array_equal(counts[r], want)
+            assert final[r] == rank
         jumps = counts.sum(axis=2)
         if system == "frozen":
             assert not jumps.any()
@@ -164,6 +222,30 @@ def test_lockstep_lanes_match_direct_path(system, request):
             assert len(set(jumps[:, 0].tolist())) > 1
             assert (jumps[:, 1] >= jumps[:, 0]).all()
             assert (jumps[:, 1] > jumps[:, 0]).any()
+
+
+@pytest.mark.parametrize("system", ["nn1d", "nn2d"])
+def test_lockstep_breaks_rate_ties_as_the_stream_rule(system, request):
+    # dyadic rates and uniforms in eighths make u2 * lam land exactly on a
+    # cumulative rate at many events; the lanes must still pick the first
+    # channel whose cumulative rate exceeds it, as the scalar run does
+    (d, N, K), T = {"nn1d": ((1, 3, 3), 6.0), "nn2d": ((2, 2, 3), 4.0)}[system]
+    kernel = request.getfixturevalue(system)
+    sp = StateSpace(TorusGeometry(d, N), K)
+    table = TransitionTable(sp, kernel)
+    rows = oracle_rows(N, d, K, kernel.entries)
+    nz = len(kernel.entries)
+    starts = [r % sp.size for r in range(12)]
+    final, counts = _lockstep(table, [EighthsStream(r) for r in range(12)],
+                              starts, T)
+    ties = 0
+    for r, start in enumerate(starts):
+        want, rank, n = oracle_lane(rows, nz, EighthsStream(r), start, T)
+        assert np.array_equal(counts[r], want)
+        assert final[r] == rank
+        ties += n
+    assert ties > 50
+    assert counts[:, 1].sum() > 0
 
 
 def test_extrapolated_stats_from_per_replica_terms(meanzero1d):
@@ -187,15 +269,6 @@ def test_extrapolated_stats_from_per_replica_terms(meanzero1d):
     assert val == pytest.approx(2.0 * v2 - v1, rel=1e-12)
 
 
-def test_position_is_sum_of_jumps(meanzero1d):
-    sp = space_1d(3, 3)
-    zs = np.array([z[0] for z, _ in meanzero1d.entries], dtype=np.int64)
-    for seed in (1, 2, 3):
-        t = simulate(sp, meanzero1d, 30.0, seed)
-        assert t.position[0] == int(np.dot(zs, t.jump_counts))
-        assert int(t.jump_counts.sum()) >= 0
-
-
 def test_one_step_frequencies_match_hand_rates(meanzero1d):
     # start {1, 2}: channels are
     #   env (1)+2 -> {2,3}  rate 1/3
@@ -203,39 +276,27 @@ def test_one_step_frequencies_match_hand_rates(meanzero1d):
     #   tagged -1 (recenter) -> {2,3} rate 2/3
     # so {2,3} at rate 1, {-2,1} at rate 1/3, total 4/3
     sp = space_1d(3, 3)
-    cfg = sp.config_from_sites([(1,), (2,)])
-    to_a = sp.rank(sp.config_from_sites([(2,), (3,)]))
-    to_b = sp.rank(sp.config_from_sites([(-2,), (1,)]))
-    n = 4000
-    counts = {to_a: 0, to_b: 0}
-    dts = np.empty(n)
-    rng = np.random.default_rng(12345)
-    for i in range(n):
-        state = TrajectoryState(cfg, np.zeros(1, dtype=np.int64), 0.0,
-                                np.zeros(2, dtype=np.int64))
-        out = step(sp, meanzero1d, state, rng)
-        counts[sp.rank(out.config)] += 1
-        dts[i] = out.t
-    assert counts[to_a] + counts[to_b] == n
-    chi = scipy.stats.chisquare(
-        [counts[to_a], counts[to_b]], [n * 0.75, n * 0.25]
-    )
-    assert chi.pvalue > 1e-4
-    # holding time is exponential with rate 4/3
-    assert dts.mean() == pytest.approx(0.75, abs=5 * 0.75 / math.sqrt(n))
+    table = TransitionTable(sp, meanzero1d)
+    states = _oracle.all_states(3, 1, 3)
+    r = states.index(((1,), (2,)))
+    to_a = states.index(((2,), (3,)))
+    to_b = states.index(((-2,), (1,)))
+    assert table.fill[r] == 3
+    assert table.target[r, :3].tolist() == [to_a, to_b, to_a]
+    minus_one = [z for z, _ in meanzero1d.entries].index((-1,))
+    assert table.jump[r, :3].tolist() == [-1, -1, minus_one]
+    assert table.cum[r, :3].tolist() == [1 / 3, 2 / 3, 1 / 3 + 1 / 3 + 2 / 3]
+    assert table.total[r] == pytest.approx(4 / 3, rel=1e-15)
 
 
 def test_lone_walker_jump_rate(nn1d):
+    # a lone tagged particle jumps at rate 1: Poisson(T) jumps by T, with
+    # mean T and sd sqrt(T), at both horizons
     sp = space_1d(3, 1)
-    njumps = []
-    for seed in range(200):
-        t = simulate(sp, nn1d, 50.0, seed)
-        njumps.append(int(t.jump_counts.sum()))
-    njumps = np.asarray(njumps, dtype=float)
-    # Poisson(T): mean T, sd sqrt(T)
-    assert njumps.mean() == pytest.approx(
-        50.0, abs=5 * math.sqrt(50.0 / len(njumps))
-    )
+    est = estimate_diffusion(sp, nn1d, 25.0, 200, 0)
+    for h in est.horizons:
+        assert h.njumps.mean() == pytest.approx(
+            h.T, abs=5 * math.sqrt(h.T / est.M))
 
 
 def test_uniform_start_stays_uniform(nn1d):
@@ -244,10 +305,11 @@ def test_uniform_start_stays_uniform(nn1d):
     sp = space_1d(2, 2)
     site = sp.geometry.env_index((1,))
     m = 4000
-    occ = 0
-    for seed in range(m):
-        t = simulate(sp, nn1d, 1.5, seed)
-        occ += (t.config.bits >> site) & 1
+    rngs = [np.random.default_rng(seed) for seed in range(m)]
+    starts = [rng.integers(sp.size) for rng in rngs]
+    final, _ = _lockstep(TransitionTable(sp, nn1d), rngs, starts, 0.75)
+    occ = int(((sp.bitmasks()[final] >> np.uint64(site)) & np.uint64(1))
+              .sum())
     alpha = sp.alpha
     se = math.sqrt(alpha * (1 - alpha) / m)
     assert occ / m == pytest.approx(alpha, abs=4.5 * se)
@@ -292,14 +354,12 @@ def test_relaxation_flag():
 
 
 def test_full_lattice_is_frozen(nn1d):
+    # one state and no enabled channel: no replica ever moves
     sp = space_1d(2, 4)
-    t = simulate(sp, nn1d, 5.0, 0)
-    assert t.position[0] == 0
-    assert int(t.jump_counts.sum()) == 0
-    state = TrajectoryState(sp.unrank(0), np.zeros(1, dtype=np.int64), 0.0,
-                            np.zeros(2, dtype=np.int64))
-    with pytest.raises(FrozenError):
-        step(sp, nn1d, state, np.random.default_rng(0))
+    est = estimate_diffusion(sp, nn1d, 5.0, 20, 0)
+    for h in est.horizons:
+        assert not h.X.any()
+        assert not h.njumps.any()
 
 
 @pytest.mark.parametrize("d, entries, N, K", [

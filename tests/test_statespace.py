@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,23 +6,33 @@ import pytest
 
 from sepdiff import (
     OutOfRangeError,
-    SiteIsOriginError,
     SizeCapError,
     StateSpace,
-    TargetIsOriginError,
-    TargetOccupiedError,
     TorusGeometry,
     WrongCountError,
     build_kernel,
     full_generator,
 )
-from sepdiff.statespace import BITMASK_WIDTH
+from sepdiff.statespace import BITMASK_WIDTH, enabled_moves
 
 import _oracle
 
 
 def make_space(d, N, K):
     return StateSpace(TorusGeometry(d, N), K)
+
+
+def lex_bitmasks(M, k):
+    """Bitmasks of the k-subsets of range(M) in itertools.combinations
+    order."""
+    return [sum(1 << i for i in c) for c in itertools.combinations(range(M), k)]
+
+
+def oracle_bitmasks(d, N, K):
+    """The oracle's states, rank order, as bitmasks over its site order."""
+    index = {s: i for i, s in enumerate(_oracle.env_sites(N, d))}
+    return [sum(1 << index[s] for s in occ)
+            for occ in _oracle.all_states(N, d, K)]
 
 
 def test_size_and_alpha():
@@ -47,31 +58,32 @@ def test_k_range_checked():
 
 
 def test_enumeration_matches_reference_order():
-    sp = make_space(1, 3, 3)
-    ref = _oracle.all_states(3, 1, 3)
-    assert len(ref) == sp.size
-    for r, occ in enumerate(ref):
-        cfg = sp.config_from_sites(occ)
-        assert sp.rank(cfg) == r
-        got = tuple(sp.geometry.env_sites[i] for i in cfg.occupied_indices)
-        assert got == occ
+    for d, N, K in [(1, 3, 3), (2, 2, 3)]:
+        sp = make_space(d, N, K)
+        assert sp.geometry.env_sites == _oracle.env_sites(N, d)
+        want = oracle_bitmasks(d, N, K)
+        assert sp.size == len(want)
+        assert sp.bitmasks().tolist() == want
+        assert sp.rank_masks(want).tolist() == list(range(sp.size))
+        assert [sp.unrank(r) for r in range(sp.size)] == want
 
 
 def test_rank_unrank_round_trip():
     for (d, N, K) in [(1, 2, 2), (1, 3, 4), (2, 2, 3)]:
         sp = make_space(d, N, K)
+        want = lex_bitmasks(sp.M, sp.k)
         for r in range(sp.size):
-            assert sp.rank(sp.unrank(r)) == r
-        # spot-check against the combinatorial enumeration
-        for r, cfg in enumerate(sp.states()):
-            assert sp.rank(cfg) == r
-            assert sp.unrank(r).bits == cfg.bits
+            bits = sp.unrank(r)
+            assert isinstance(bits, int) and bits == want[r]
+            assert sp.rank_masks([bits]).tolist() == [r]
         # the bulk bitmask array and its ranking agree with the same order
         masks = sp.bitmasks()
         assert masks.dtype == np.uint64
-        assert masks.tolist() == [c.bits for c in sp.states()]
+        assert masks.tolist() == want
         assert sp.rank_masks(masks[::-1]).tolist() == \
             list(range(sp.size))[::-1]
+    with pytest.raises(OutOfRangeError):
+        sp.unrank(sp.size)
 
 
 @pytest.mark.parametrize("N,K", [
@@ -90,14 +102,13 @@ def test_rank_unrank_round_trip():
 def test_rank_at_edges_and_byte_boundaries(N, K):
     sp = make_space(1, N, K)
     masks = sp.bitmasks()
-    assert masks.tolist() == [c.bits for c in sp.states()]
+    assert masks.tolist() == lex_bitmasks(sp.M, sp.k)
     assert sp.rank_masks(masks).tolist() == list(range(sp.size))
     perm = np.random.default_rng(0).permutation(sp.size)
     assert sp.rank_masks(masks[perm]).tolist() == perm.tolist()
     for r in range(0, sp.size, max(1, sp.size // 200)):
-        cfg = sp.unrank(r)
-        assert cfg.bits == int(masks[r])
-        assert sp.rank(cfg) == r
+        assert sp.unrank(r) == int(masks[r])
+        assert sp.rank_masks([sp.unrank(r)]).tolist() == [r]
 
 
 def test_rank_masks_rejects_non_states():
@@ -121,65 +132,42 @@ def test_rank_masks_rejects_non_states():
         wide.rank_masks([(1 << 63) | (1 << 62)])
 
 
-def test_config_from_sites_validation():
-    sp = make_space(1, 2, 3)
-    with pytest.raises(TargetOccupiedError):
-        sp.config_from_sites([(1,), (1,)])
-    with pytest.raises(WrongCountError):
-        sp.config_from_sites([(1,)])
-    cfg = sp.config_from_sites([(2,), (-1,)])
-    assert cfg.bits == 0b101
+def tagged_moves(sp, kernel, z):
+    """{source bitmask: target bitmask} of the tagged jump by z."""
+    zi = [zz for zz, _ in kernel.entries].index(z)
+    ch = sp.move_channels(kernel)[zi - len(kernel.entries)]
+    assert ch.jump == zi
+    masks = sp.bitmasks()
+    _, src, targets = next(enabled_moves(masks, [ch]))
+    return dict(zip(masks[src].tolist(), targets.tolist()))
 
 
-def test_exchange():
-    sp = make_space(1, 2, 2)
-    cfg = sp.config_from_sites([(1,)])
-    swapped = sp.exchange(cfg, (1,), (2,))
-    assert tuple(sp.geometry.env_sites[i] for i in swapped.occupied_indices) \
-        == ((2,),)
-    # both-empty and both-occupied swaps change nothing
-    assert sp.exchange(cfg, (-1,), (2,)).bits == cfg.bits
-    # wrap applies before swapping
-    assert sp.exchange(cfg, (1,), (-2,)).bits == swapped.bits
-    with pytest.raises(SiteIsOriginError):
-        sp.exchange(cfg, (0,), (1,))
+def bits_of(sp, sites):
+    return sum(1 << sp.geometry.env_index(s) for s in sites)
 
 
-def test_shift_recenters_environment():
+def test_shift_recenters_environment(nn1d):
     # tagged jump by z: occupied y moves to wrap(y - z), seat z must be free
     sp = make_space(1, 2, 2)
-    cfg = sp.config_from_sites([(2,)])
-    moved = sp.shift(cfg, (1,))
-    assert tuple(sp.geometry.env_sites[i] for i in moved.occupied_indices) \
-        == ((1,),)
-    with pytest.raises(TargetOccupiedError):
-        sp.shift(cfg, (2,))
-    with pytest.raises(TargetIsOriginError):
-        sp.shift(cfg, (4,))     # wraps to the origin
+    moves = tagged_moves(sp, nn1d, (1,))
+    assert moves[bits_of(sp, [(2,)])] == bits_of(sp, [(1,)])
+    assert bits_of(sp, [(1,)]) not in moves
     # count is preserved even when a particle wraps through the seam:
     # {-2, -1, 3} shifted by z=1 -> {wrap(-3)=3, -2, 2}
     sp3 = make_space(1, 3, 4)
-    cfg3 = sp3.config_from_sites([(-2,), (-1,), (3,)])
-    out = sp3.shift(cfg3, (1,))
-    occ = sorted(sp3.geometry.env_sites[i] for i in out.occupied_indices)
-    assert occ == [(-2,), (2,), (3,)]
+    moves = tagged_moves(sp3, nn1d, (1,))
+    assert moves[bits_of(sp3, [(-2,), (-1,), (3,)])] == \
+        bits_of(sp3, [(-2,), (2,), (3,)])
 
 
 def test_shift_matches_reference_rule():
     sp = make_space(1, 3, 3)
-    for cfg in sp.states():
-        occ = {sp.geometry.env_sites[i] for i in cfg.occupied_indices}
-        for z in [(1,), (-1,), (2,)]:
-            if z in occ:
-                with pytest.raises(TargetOccupiedError):
-                    sp.shift(cfg, z)
-                continue
-            got = sp.shift(cfg, z)
-            want = tuple(sorted(_oracle.wrap(_oracle.sub(y, z), 3)
-                                for y in occ))
-            assert tuple(sorted(
-                sp.geometry.env_sites[i] for i in got.occupied_indices
-            )) == want
+    kernel = build_kernel(1, [((1,), 0.25), ((-1,), 0.25), ((2,), 0.5)])
+    for z in [(1,), (-1,), (2,)]:
+        want = {bits_of(sp, occ):
+                bits_of(sp, [_oracle.wrap(_oracle.sub(y, z), 3) for y in occ])
+                for occ in _oracle.all_states(3, 1, 3) if z not in occ}
+        assert tagged_moves(sp, kernel, z) == want
 
 
 @pytest.mark.parametrize("d,N,K,g", [
@@ -188,11 +176,12 @@ def test_shift_matches_reference_rule():
 def test_mapped_ranks_match_per_state_rule(d, N, K, g):
     # state r goes to the rank of its sites moved to wrap(g x)
     sp = make_space(d, N, K)
-    geo = sp.geometry
-    want = [sp.rank(sp.config_from_sites(
-                [tuple(int(c) for c in np.dot(g, geo.env_sites[i]))
-                 for i in cfg.occupied_indices]))
-            for cfg in sp.states()]
+    states = _oracle.all_states(N, d, K)
+    index = {occ: r for r, occ in enumerate(states)}
+    want = [index[tuple(sorted(
+                _oracle.wrap(tuple(int(c) for c in np.dot(g, x)), N)
+                for x in occ))]
+            for occ in states]
     got = sp.mapped_ranks(np.array(g))
     assert got.tolist() == want
     assert sorted(want) == list(range(sp.size))
@@ -228,7 +217,7 @@ def test_bitmask_width_cap():
     with pytest.raises(SizeCapError, match="64-bit"):
         sp.bitmasks()
     with pytest.raises(SizeCapError, match="64-bit"):
-        sp.rank(sp.unrank(0))
+        sp.rank_masks([sp.unrank(0)])
     kernel = build_kernel(1, [((1,), 0.5), ((-1,), 0.5)])
     with pytest.raises(SizeCapError, match="64-bit"):
         full_generator(sp, kernel)
