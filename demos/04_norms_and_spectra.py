@@ -56,6 +56,6 @@ for N in (3, 4):
 print("\nresolvent ladder, mean-zero kernel, side 6, K = 3")
 sp = StateSpace(TorusGeometry(1, 3), 3)
 op = full_generator(sp, mz)
-h = occupancy_observable(sp, (1,)).values
+h = occupancy_observable(sp, (1,))
 for e in resolvent_sweep(op, h, [1.0, 0.1, 0.01, 0.001], tol=1e-12):
     print(f"  lam = {e['lam']:<7g} |u_lam - u_0|_1 = {e['dist_to_limit_h1']:.3e}")

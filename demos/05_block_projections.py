@@ -41,7 +41,7 @@ assert all(b < a for a, b in
 print("\nH_-1 norm of the site observable along N, mean-zero kernel")
 mz = build_kernel(1, [((2,), "1/3"), ((-1,), "2/3")])
 conv = hminus1_convergence_diagnostic(
-    mz, 0.5, lambda s: occupancy_observable(s, (1,)).values, [3, 4, 5, 6])
+    mz, 0.5, lambda s: occupancy_observable(s, (1,)), [3, 4, 5, 6])
 for N, K, val in zip(conv.N_list, conv.K_list, conv.values):
     print(f"  side {2 * N} (K = {K}): {val:.6f}")
 print("  successive diffs:", ", ".join(f"{d:.4f}" for d in conv.diffs))

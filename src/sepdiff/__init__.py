@@ -23,7 +23,6 @@ from .diffusion import (
     sweep,
 )
 from .errors import (
-    BlockTooLargeError,
     ConfigError,
     InconclusiveError,
     NonPositiveDError,
@@ -43,7 +42,6 @@ from .errors import (
     WrongCountError,
 )
 from .generator import (
-    ObservableVector,
     SparseOperator,
     adjoint,
     assemble_environment,

@@ -26,6 +26,7 @@ import yaml
 from . import __version__
 from .diffusion import (
     DEFAULT_CORRECTION_SIGN,
+    MAX_BLOCK_SITES,
     approximation_residual_diagnostic,
     choose_K,
     compute_D,
@@ -37,7 +38,6 @@ from .diffusion import (
     sweep,
 )
 from .errors import (
-    BlockTooLargeError,
     ConfigError,
     NotAProbabilityError,
     OriginMassError,
@@ -67,7 +67,7 @@ from .statespace import StateSpace
 
 _CONFIG_ERRORS = (ConfigError, NotAProbabilityError, OriginMassError,
                   ReducibleError, TorusSizeError, WrongCountError,
-                  OutOfRangeError, BlockTooLargeError, SupportTooLargeError)
+                  OutOfRangeError, SupportTooLargeError)
 
 
 def _fmt(x):
@@ -125,10 +125,35 @@ def _section(raw, key, what, numbers=None, lists=None):
 _DIAGNOSTIC_SECTIONS = {
     "prop1": ({"pairs": (int, 1), "seed": (int, 0)}, None),
     "resolvent": (None, {"lambdas": (float, 0.0)}),
-    "multiscale": ({"l": (int,), "q": (int,), "n_max": (int,)}, None),
+    "multiscale": ({"l": (int, 1), "q": (int, 2), "n_max": (int, 1)}, None),
     "hminus1_sweep": (None, {"N_list": (int,)}),
-    "approximation": ({"basis_scale": (int,)}, {"N_list": (int,)}),
+    "approximation": ({"basis_scale": (int, 1)}, {"N_list": (int,)}),
 }
+
+
+def _check_block_scales(diag, N, dimension):
+    """Fill in the block scales of the ``multiscale`` and ``approximation``
+    sections of ``diag``, and refuse a block that does not fit the torus
+    or, for ``multiscale``, has more than ``MAX_BLOCK_SITES`` sites."""
+    ms = diag.get("multiscale")
+    if ms is not None:
+        for key, default in (("l", 1), ("q", 2), ("n_max", 2)):
+            ms.setdefault(key, default)
+        if N is not None:
+            # exact when it fits; q >= 2, so a larger n_max overshoots N
+            top = ms["l"] * ms["q"] ** min(ms["n_max"], N.bit_length())
+            if top > N or (2 * top) ** dimension - 1 > MAX_BLOCK_SITES:
+                raise ConfigError(
+                    f"diagnostics.multiscale: largest scale l * q**n_max "
+                    f"does not fit a torus with N = {N} in blocks of at "
+                    f"most {MAX_BLOCK_SITES} sites")
+    approx = diag.get("approximation")
+    if approx is not None:
+        scale = approx.setdefault("basis_scale", 1)
+        if approx.get("N_list") and scale > min(approx["N_list"]):
+            raise ConfigError(
+                f"diagnostics.approximation: basis_scale {scale} does not "
+                f"fit a torus with N = {min(approx['N_list'])}")
 
 
 class RunConfig:
@@ -202,15 +227,20 @@ class RunConfig:
 
         horizon = (float, 0.0, True)
         self.mc = _section(raw, "mc", "mc", {
-            "T": horizon, "M": (int,), "seed": (int, 0)})
+            "T": horizon, "M": (int, 2), "seed": (int, 0)})
         # the run shape is fixed: each replica runs to 2T and records T on
         # the way, so any other value would ask for a run that cannot happen
         if self.mc.get("second_horizon", True) is not True:
             raise ConfigError(f"mc.second_horizon is fixed at true, got "
                               f"{self.mc['second_horizon']!r}")
         self.arbitrate = _section(raw, "arbitrate", "arbitrate", {
-            "T": horizon, "M": (int,), "seed": (int, 0),
+            "T": horizon, "M": (int, 2), "seed": (int, 0),
             "max_doublings": (int, 0)})
+        # the replica streams take one 32-bit entropy word per replica
+        for name, block in (("mc", self.mc), ("arbitrate", self.arbitrate)):
+            if block.get("M", 2) >= 2**32:
+                raise ConfigError(f"{name}.M must be below 2**32, got "
+                                  f"{block['M']}")
         self.sweep_opts = _section(raw, "sweep", "sweep",
                                    {"rtol": (float, 0.0)})
         self.diagnostics = _section(raw, "diagnostics", "diagnostics")
@@ -219,6 +249,7 @@ class RunConfig:
                 self.diagnostics[name] = _section(
                     self.diagnostics, name, f"diagnostics.{name}", numbers,
                     lists)
+        _check_block_scales(self.diagnostics, self.N, self.dimension)
         self.seed = self.mc.get("seed", 0)
         if seed_override is not None:
             self.seed = _number(seed_override, int, "--seed", 0)
@@ -240,8 +271,8 @@ class RunConfig:
             raise ConfigError(f"K = {K} outside [1, {geo.n_sites}]")
         return StateSpace(geo, K)
 
-    def observable(self, space, block=None):
-        obs = block if block is not None else self.diagnostics.get("observable")
+    def observable(self, space):
+        obs = self.diagnostics.get("observable")
         if not obs:
             raise ConfigError("diagnostics need an 'observable' block")
         if not isinstance(obs, dict):
@@ -257,9 +288,6 @@ class RunConfig:
             return occupancy_difference_observable(space, site("site"),
                                                    site("site2"))
         raise ConfigError(f"unknown observable type {typ!r}")
-
-    def observable_recipe(self, block=None):
-        return lambda space: self.observable(space, block).values
 
     def echo(self):
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"),
@@ -476,7 +504,7 @@ def cmd_diagnostics(cfg, out_dir):
     if "resolvent" in diag and op is not None:
         block = diag["resolvent"]
         lambdas = block.get("lambdas", [1.0, 0.1, 0.01])
-        h = cfg.observable(space).values
+        h = cfg.observable(space)
         for entry in resolvent_sweep(op, h, lambdas, tol=cfg.tolerance):
             add("resolvent", f"u_h1@lam={_fmt(entry['lam'])}", entry["u_h1"])
             add("resolvent", f"dist_to_limit@lam={_fmt(entry['lam'])}",
@@ -484,8 +512,8 @@ def cmd_diagnostics(cfg, out_dir):
     if "multiscale" in diag:
         block = diag["multiscale"]
         v = cfg.observable(space)
-        rep = multiscale_diagnostic(space, v, block.get("l", 1),
-                                    block.get("q", 2), block.get("n_max", 2))
+        rep = multiscale_diagnostic(space, v, block["l"], block["q"],
+                                    block["n_max"])
         for s, m2 in zip(rep.scales, rep.second_moments):
             add("multiscale", f"second_moment@l={s}", m2)
         for n, var in enumerate(rep.increment_variances, start=1):
@@ -495,8 +523,7 @@ def cmd_diagnostics(cfg, out_dir):
     if "hminus1_sweep" in diag:
         block, n_list = along_N("hminus1_sweep")
         rep = hminus1_convergence_diagnostic(
-            cfg.kernel, cfg.alpha, cfg.observable_recipe(), n_list,
-            tol=cfg.tolerance,
+            cfg.kernel, cfg.alpha, cfg.observable, n_list, tol=cfg.tolerance,
         )
         for n, kk, v in zip(rep.N_list, rep.K_list, rep.values):
             add("hminus1_sweep", f"norm@N={n},K={kk}", v)
@@ -505,8 +532,8 @@ def cmd_diagnostics(cfg, out_dir):
     if "approximation" in diag:
         block, n_list = along_N("approximation")
         rep = approximation_residual_diagnostic(
-            cfg.kernel, cfg.alpha, cfg.observable_recipe(), n_list,
-            basis_scale=block.get("basis_scale", 1), tol=cfg.tolerance,
+            cfg.kernel, cfg.alpha, cfg.observable, n_list,
+            basis_scale=block["basis_scale"], tol=cfg.tolerance,
         )
         for n, kk, v in zip(rep.N_list, rep.K_list, rep.values):
             add("approximation", f"residual@N={n},K={kk}", v)

@@ -48,21 +48,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BlockTooLargeError,
     NonPositiveDError,
     NotConvergedError,
     OutOfRangeError,
     SupportTooLargeError,
 )
 from .generator import (
-    ObservableVector,
     ReducedAssembly,
     assemble_environment,
     center,
     check_ergodicity,
     full_generator,
     inner,
-    values_of,
 )
 from .kernel import TorusGeometry, symmetrize
 from .sobolev import (
@@ -149,7 +146,7 @@ def free_term(kernel, a, alpha):
 
 
 def local_drift_functions(space, kernel, a):
-    """Centered drift observables (v_a, w_a) on the state space.
+    """Centered drift observables (v_a, w_a), float arrays over the ranks.
 
     v_a reads the occupancy at the jump targets z, w_a at the mirrored
     sites -z:  v_a = sum_z (z.a) p(z) (alpha - eta(z)), centered exactly.
@@ -168,8 +165,7 @@ def local_drift_functions(space, kernel, a):
     for j, c in enumerate(coef):
         v += c * (alpha - occ_v[:, j])
         w += c * (alpha - occ_w[:, j])
-    return (ObservableVector(center(v), mean_zero=True),
-            ObservableVector(center(w), mean_zero=True))
+    return center(v), center(w)
 
 
 def _symmetries(kernel):
@@ -238,7 +234,7 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
         us, ws = [], []
         for i, a in enumerate(dirs):
             v, w = local_drift_functions(space, kernel, a)
-            ws.append(w.values)
+            ws.append(w)
             keep, chi = _stabilizer(group, a)
             reduced = operator is None and len(keep) > 1
             if reduced:
@@ -246,17 +242,16 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
                     assemblies[keep] = ReducedAssembly(
                         space, kernel, space.orbits([group[h] for h in keep]))
                 op = assemblies[keep].operator(chi)
-                b = op.restrict(v.values)
+                b = op.restrict(v)
             else:
                 if full is None:
                     full = full_generator(space, kernel)
-                op, b = full, v.values
+                op, b = full, v
             order = len(keep) if reduced else 1
             hit = _image(group, dirs[:i], a)
             if hit is None:
                 rep = solve_general(op, b, tol=tol, method=method)
-                x = rep.solution.values
-                u = op.lift(x) if reduced else x
+                u = op.lift(rep.solution) if reduced else rep.solution
                 solves[i] = (rep.relative_residual, rep.iterations, rep.method,
                              op.size, order)
             else:
@@ -395,7 +390,7 @@ def conditional_expectation(space, v, l):
     a canonical completion (leftover particles parked on the first sites
     outside the block).
     """
-    vvals = values_of(v)
+    v = np.asarray(v, dtype=float)
     inside = block_env_indices(space.geometry, l)
     m_in = len(inside)
     if m_in > MAX_BLOCK_SITES:
@@ -423,11 +418,10 @@ def conditional_expectation(space, v, l):
             masks |= ((local >> np.uint64(b)) & np.uint64(1)) << np.uint64(site)
         # summed left to right in enumeration order (cumsum, unlike sum,
         # does not pair terms)
-        total = np.cumsum(vvals[space.rank_masks(masks)])[-1]
+        total = np.cumsum(v[space.rank_masks(masks)])[-1]
         avg[j] = float(total) / len(masks)
     counts = space.inside_counts(inside_mask)
-    out = np.array([avg[int(c)] for c in counts])
-    return ObservableVector(out)
+    return np.array([avg[int(c)] for c in counts])
 
 
 def multiscale_diagnostic(space, v, l, q, n_max):
@@ -443,11 +437,11 @@ def multiscale_diagnostic(space, v, l, q, n_max):
         raise OutOfRangeError(f"n_max must be >= 1, got {n_max}")
     scales = [l * q ** n for n in range(n_max + 1)]
     if scales[-1] > space.geometry.N:
-        raise BlockTooLargeError(
+        raise SupportTooLargeError(
             f"scale {scales[-1]} does not fit a torus with N = "
             f"{space.geometry.N}"
         )
-    gs = [conditional_expectation(space, v, s).values for s in scales]
+    gs = [conditional_expectation(space, v, s) for s in scales]
     second = [inner(g, g) for g in gs]
     incr = [inner(gs[n] - gs[n - 1], gs[n] - gs[n - 1])
             for n in range(1, n_max + 1)]
@@ -464,7 +458,7 @@ def occupancy_observable(space, site):
     """eta(site) - alpha, centered exactly."""
     idx = space.geometry.env_index(site)
     occ = space.site_occupancy([idx]).astype(float)[:, 0]
-    return ObservableVector(center(occ), mean_zero=True)
+    return center(occ)
 
 
 def occupancy_difference_observable(space, site_a, site_b):
@@ -472,7 +466,7 @@ def occupancy_difference_observable(space, site_a, site_b):
     ia = space.geometry.env_index(site_a)
     ib = space.geometry.env_index(site_b)
     occ = space.site_occupancy([ia, ib]).astype(float)
-    return ObservableVector(center(occ[:, 0] - occ[:, 1]), mean_zero=True)
+    return center(occ[:, 0] - occ[:, 1])
 
 
 def _along_N(kernel, alpha, recipe, N_list, value):
@@ -517,7 +511,7 @@ def approximation_residual_diagnostic(kernel, alpha, recipe, N_list,
     """
     def value(space, h, s0):
         op = full_generator(space, kernel)
-        basis = [occupancy_observable(space, space.geometry.env_sites[i]).values
+        basis = [occupancy_observable(space, space.geometry.env_sites[i])
                  for i in block_env_indices(space.geometry, basis_scale)]
         resid, _ = approximation_residual(op, h, basis, weight_op=s0, tol=tol)
         return resid

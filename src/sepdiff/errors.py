@@ -81,11 +81,8 @@ class NonPositiveDError(SepdiffError):
 
 
 class SupportTooLargeError(SepdiffError):
-    """Observable block does not fit the torus or exceeds the block cap."""
-
-
-class BlockTooLargeError(SepdiffError):
-    """Requested coarse-graining scale does not fit the torus."""
+    """Block or coarse-graining scale does not fit the torus, or a block
+    exceeds the block cap."""
 
 
 # --- montecarlo -----------------------------------------------------------

@@ -9,11 +9,11 @@ signed off-diagonal entries and a stored diagonal.
 
 scipy is imported inside the functions that build or traverse sparse
 matrices, so the Monte Carlo route, which needs none, runs on numpy alone.
+Functions on the state space, observables and solutions alike, are plain
+float arrays indexed by rank.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .statespace import enabled_moves
 #: over the environment and tagged parts together
 DEFAULT_MAX_NNZ = 50_000_000
 
-#: absolute tolerance for the mean-zero flag on observables
+#: tolerance of the mean-zero checks, relative to max(1, max |value|)
 MEAN_ZERO_TOL = 1e-12
 
 #: largest |rate(x, y) - rate(y, x)|, relative to max(1, max exit rate),
@@ -32,20 +32,15 @@ MEAN_ZERO_TOL = 1e-12
 SYMMETRY_TOL = 1e-13
 
 
-def values_of(f):
-    """The float array of an ObservableVector or array-like."""
-    return np.asarray(getattr(f, "values", f), dtype=float)
-
-
 def inner(f, g):
     """Inner product under the uniform measure: (f . g) / size."""
-    f = values_of(f)
-    return float(f @ values_of(g)) / f.size
+    f = np.asarray(f, dtype=float)
+    return float(f @ np.asarray(g, dtype=float)) / f.size
 
 
 def center(f):
     """Subtract the flat mean."""
-    f = values_of(f)
+    f = np.asarray(f, dtype=float)
     return f - f.mean()
 
 
@@ -57,29 +52,6 @@ def require_mean_zero(values, what="observable"):
     if m > MEAN_ZERO_TOL * scale:
         raise NotMeanZeroError(f"{what} has mean {m:.3e}, above "
                                f"{MEAN_ZERO_TOL} * {scale:.3e}")
-
-
-@dataclass
-class ObservableVector:
-    """Function on the state space, indexed by rank.
-
-    ``mean_zero=True`` asserts that the flat mean vanishes (within
-    ``MEAN_ZERO_TOL``); constructors that center explicitly set it.
-    """
-
-    values: np.ndarray
-    mean_zero: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.mean_zero:
-            require_mean_zero(self.values)
-
-    def __len__(self):
-        return self.values.size
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
 
 
 class SparseOperator:
@@ -139,7 +111,7 @@ class SparseOperator:
         require_mean_zero(b, what)
 
     def matvec(self, f):
-        f = values_of(f)
+        f = np.asarray(f, dtype=float)
         return self._off @ f + self.diag * f
 
     def to_csr(self):
@@ -221,7 +193,7 @@ class ReducedOperator(SparseOperator):
 
     def restrict(self, f):
         """Coordinates of a full-space function of the subspace."""
-        return values_of(f)[self._reps] * self._roots
+        return np.asarray(f, dtype=float)[self._reps] * self._roots
 
     def lift(self, x):
         """The full-space function with coordinates x."""
@@ -400,7 +372,7 @@ def symmetric_part(op):
 
 def dirichlet_form(op, f):
     """Quadratic form <f, -op f> under the uniform measure."""
-    f = values_of(f)
+    f = np.asarray(f, dtype=float)
     return -inner(f, op.matvec(f))
 
 

@@ -51,9 +51,8 @@ def dense_matrix(sp, kernel):
     us, ws = [], []
     for e in np.eye(sp.geometry.dimension):
         v, w = local_drift_functions(sp, kernel, e)
-        us.append(solve_general(op, v, tol=1e-12,
-                                method="dense").solution.values)
-        ws.append(w.values)
+        us.append(solve_general(op, v, tol=1e-12, method="dense").solution)
+        ws.append(w)
     corr = np.array([[2.0 * inner(w, u) for u in us] for w in ws])
     free = (1.0 - sp.alpha) * sum(p * np.outer(z, z)
                                   for z, p in kernel.entries)

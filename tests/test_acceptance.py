@@ -166,8 +166,8 @@ def test_criterion_04_dense_vs_iterative_50_systems():
             b -= b.mean()
             ud = solve_general(op, b, tol=1e-12, method="dense")
             ui = solve_general(op, b, tol=1e-12, method="iterative")
-            rel = np.linalg.norm(ud.solution.values - ui.solution.values)
-            rel /= max(np.linalg.norm(ud.solution.values), 1e-300)
+            rel = np.linalg.norm(ud.solution - ui.solution)
+            rel /= max(np.linalg.norm(ud.solution), 1e-300)
             worst = max(worst, rel)
             assert rel <= 1e-8, seed
     elapsed = time.monotonic() - t0
@@ -286,14 +286,14 @@ def test_criterion_10_multiscale_decomposition():
     # projection property is exact on a smaller lattice
     sp2 = _space(1, 4, 4)
     v2 = occupancy_observable(sp2, (1,))
-    proj = conditional_expectation(sp2, v2, 2).values
+    proj = conditional_expectation(sp2, v2, 2)
     idx = block_env_indices(sp2.geometry, 2)
     mask = 0
     for i in idx:
         mask |= 1 << i
     counts = sp2.inside_counts(mask).astype(float)
     for g in (np.ones(sp2.size), counts, counts ** 2, np.exp(counts / 4)):
-        assert abs(inner(v2.values - proj, g)) <= 1e-12
+        assert abs(inner(v2 - proj, g)) <= 1e-12
     _passline(10, f"increment variances strictly decreasing "
                   f"{[round(x, 5) for x in rep.increment_variances]}, "
                   f"projection exact to 1e-12")
@@ -301,7 +301,7 @@ def test_criterion_10_multiscale_decomposition():
 
 def test_criterion_11_dual_norm_cauchy_in_system_size():
     kernel = build_kernel(1, MZ1)
-    recipe = lambda sp: occupancy_observable(sp, (1,)).values
+    recipe = lambda sp: occupancy_observable(sp, (1,))
     rep = hminus1_convergence_diagnostic(kernel, 0.5, recipe, [3, 4, 5, 6])
     assert all(v > 0.0 for v in rep.values)
     assert all(b < a for a, b in zip(rep.diffs, rep.diffs[1:]))

@@ -276,6 +276,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("mc", dict(kernel=NN, N=2, K=2, mc=[1, 2])),
             ("mc", dict(kernel=NN, N=2, K=2, mc={"T": 1, "seed": -5})),
             ("mc", dict(kernel=NN, N=2, K=2, mc={"T": 1, "M": 2**32})),
+            ("mc", dict(kernel=NN, N=2, K=2, mc={"T": 1, "M": 1})),
             ("arbitrate-sign", dict(kernel=NN, N=2, K=2,
                                     arbitrate={"M": "abc"})),
             ("sweep", dict(kernel=NN, N_list=5, alpha=0.5)),
@@ -284,13 +285,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
                 observable=res["observable"],
                 multiscale={"l": 1, "q": 2, "n_max": 5}))),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                observable=res["observable"], multiscale={"q": 1}))),
+            # scale 26 fits N = 26, but its block has 51 sites, above 24
+            ("diagnostics", dict(kernel=NN, N=26, K=2, diagnostics=dict(
+                observable=res["observable"],
+                multiscale={"l": 13, "q": 2, "n_max": 1}))),
             ("diagnostics", dict(kernel=NN, N=3, alpha=0.5, diagnostics=dict(
                 observable=res["observable"],
                 approximation={"basis_scale": 9, "N_list": [2, 3]})))]):
         cfg = write_cfg(tmp_path, f"bad{i}.yaml", **body)
-        assert main([command, "--config", cfg, "--out",
-                     str(tmp_path / f"oB{i}")]) == 2, body
+        out = tmp_path / f"oB{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, body
         assert "config error" in capsys.readouterr().err
+        # refused before the output directory is made
+        assert not out.exists(), body
 
 
 def test_size_cap_exit_4(tmp_path):

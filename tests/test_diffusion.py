@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sepdiff import (
-    BlockTooLargeError,
     NotConvergedError,
     OutOfRangeError,
     StateSpace,
@@ -198,7 +197,7 @@ def test_default_sign_is_kipnis_varadhan_form(dim, N, K, entries):
     for a in [*np.eye(dim), np.ones(dim)]:
         res = compute_D(sp, kernel, a, tol=1e-12, operator=op).directions[0]
         v, w = local_drift_functions(sp, kernel, a)
-        assert np.allclose(w.values, -v.values, atol=1e-14)
+        assert np.allclose(w, -v, atol=1e-14)
         norm = hminus1_norm(symmetric_part(op), v, tol=1e-12)
         assert res.D == pytest.approx(res.free_term - 2.0 * norm ** 2,
                                       abs=1e-10)
@@ -266,7 +265,7 @@ def test_conditional_expectation_single_site_closed_form():
         for i in idx:
             mask |= 1 << i
         counts = sp.inside_counts(mask)
-        got = conditional_expectation(sp, v, l).values
+        got = conditional_expectation(sp, v, l)
         want = counts / m - sp.alpha
         assert np.allclose(got, want, atol=1e-12)
 
@@ -276,16 +275,16 @@ def test_conditional_expectation_tower_property():
     sp = space_1d(4, 4)
     v = occupancy_difference_observable(sp, (1,), (2,))
     l = 2
-    proj = conditional_expectation(sp, v, l).values
+    proj = conditional_expectation(sp, v, l)
     idx = block_env_indices(sp.geometry, l)
     mask = 0
     for i in idx:
         mask |= 1 << i
     counts = sp.inside_counts(mask).astype(float)
     for g in (np.ones(sp.size), counts, counts ** 2, np.sin(counts)):
-        assert inner(v.values - proj, g) == pytest.approx(0.0, abs=1e-13)
+        assert inner(v - proj, g) == pytest.approx(0.0, abs=1e-13)
     # projecting twice changes nothing
-    again = conditional_expectation(sp, proj, l).values
+    again = conditional_expectation(sp, proj, l)
     assert np.allclose(again, proj, atol=1e-13)
 
 
@@ -308,7 +307,7 @@ def test_conditional_expectation_matches_combinations_reference():
             total += x
         avg[j] = total / len(masks)
     want = np.array([avg[int(c)] for c in sp.inside_counts(mask)])
-    got = conditional_expectation(sp, v, l).values
+    got = conditional_expectation(sp, v, l)
     assert np.array_equal(got, want)
 
 
@@ -316,7 +315,7 @@ def test_conditional_expectation_matches_hypergeometric_moment():
     sp = space_1d(8, 8)
     v = occupancy_observable(sp, (1,))
     for l in (1, 2, 4):
-        g = conditional_expectation(sp, v, l).values
+        g = conditional_expectation(sp, v, l)
         want = _oracle.block_second_moment(8, 1, 8, l)
         assert inner(g, g) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -343,7 +342,7 @@ def test_multiscale_variances_decrease():
 def test_multiscale_guards():
     sp = space_1d(4, 4)
     v = occupancy_observable(sp, (1,))
-    with pytest.raises(BlockTooLargeError):
+    with pytest.raises(SupportTooLargeError):
         multiscale_diagnostic(sp, v, 1, 2, 3)   # scale 8 > N = 4
     with pytest.raises(OutOfRangeError):
         multiscale_diagnostic(sp, v, 1, 1, 2)
@@ -354,16 +353,15 @@ def test_multiscale_guards():
 def test_occupancy_observables_centered():
     sp = space_1d(3, 3)
     v = occupancy_observable(sp, (2,))
-    assert abs(v.values.mean()) <= 1e-14
-    assert v.mean_zero
+    assert abs(v.mean()) <= 1e-14
     d = occupancy_difference_observable(sp, (1,), (-1,))
-    assert abs(d.values.mean()) <= 1e-14
-    vals = set(np.round(d.values, 12))
+    assert abs(d.mean()) <= 1e-14
+    vals = set(np.round(d, 12))
     assert vals <= {-1.0, 0.0, 1.0}
 
 
 def test_hminus1_convergence_diagnostic(meanzero1d):
-    recipe = lambda sp: occupancy_observable(sp, (1,)).values
+    recipe = lambda sp: occupancy_observable(sp, (1,))
     rep = hminus1_convergence_diagnostic(meanzero1d, 0.5, recipe, [3, 4, 5])
     assert rep.N_list == [3, 4, 5]
     assert rep.K_list == [3, 4, 5]
@@ -375,13 +373,13 @@ def test_hminus1_convergence_diagnostic(meanzero1d):
                    ((2,), 1 / 6)]
     _, Q = _oracle.dense_generator(3, 1, 3, sym_entries, tagged=False)
     sp3 = space_1d(3, 3)
-    f = occupancy_observable(sp3, (1,)).values
+    f = occupancy_observable(sp3, (1,))
     assert rep.values[0] == pytest.approx(_oracle.hminus1_value(Q, f),
                                           rel=1e-8)
 
 
 def test_approximation_residual_diagnostic(meanzero1d):
-    recipe = lambda sp: occupancy_observable(sp, (1,)).values
+    recipe = lambda sp: occupancy_observable(sp, (1,))
     rep = approximation_residual_diagnostic(meanzero1d, 0.5, recipe, [3, 4],
                                             basis_scale=1)
     assert len(rep.values) == 2
@@ -468,16 +466,16 @@ def test_reduced_replay_is_the_full_space_residual(nn2d):
         op = assembly.operator(chi)
         v, _ = local_drift_functions(sp, nn2d, np.eye(2)[axis])
         if u is None:
-            rep = solve_general(op, op.restrict(v.values), tol=1e-8)
+            rep = solve_general(op, op.restrict(v), tol=1e-8)
             res = rep.relative_residual
-            u = op.lift(rep.solution.values)
+            u = op.lift(rep.solution)
             assert 0.0 < res <= 2e-8
         else:
             mapped = np.empty(sp.size)
             mapped[sp.mapped_ranks(swap)] = u
             u = mapped
-            res = _replay(op, op.restrict(u), op.restrict(v.values), 0.0)
-        want = _replay(full, u, v.values, 0.0)
+            res = _replay(op, op.restrict(u), op.restrict(v), 0.0)
+        want = _replay(full, u, v, 0.0)
         assert res == pytest.approx(want, rel=1e-6)
 
 

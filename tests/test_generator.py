@@ -8,7 +8,6 @@ from sepdiff import (
     NotConnectedError,
     NotMeanZeroError,
     NotStationaryError,
-    ObservableVector,
     SizeCapError,
     SparseOperator,
     StateSpace,
@@ -211,9 +210,9 @@ def test_matvec_matches_dense(meanzero1d):
 
 
 def test_observable_vector_mean_zero_guard():
-    ObservableVector(np.array([1.0, -1.0]), mean_zero=True)
+    sepdiff.generator.require_mean_zero(np.array([1.0, -1.0]))
     with pytest.raises(NotMeanZeroError):
-        ObservableVector(np.array([1.0, 0.5]), mean_zero=True)
+        sepdiff.generator.require_mean_zero(np.array([1.0, 0.5]))
     v = np.array([3.0, 1.0, 2.0])
     c = center(v)
     assert abs(c.mean()) <= 1e-15

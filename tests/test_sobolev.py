@@ -56,15 +56,15 @@ def test_solve_spd_dense_and_iterative_agree(nn1d):
     b = centered_rand(op.size, 1)
     dense = solve_general(op, b, method="dense")
     iterative = solve_general(op, b, method="iterative", tol=1e-12)
-    assert np.allclose(dense.solution.values, iterative.solution.values,
+    assert np.allclose(dense.solution, iterative.solution,
                        atol=1e-9)
     assert dense.relative_residual <= 2e-10
     assert iterative.relative_residual <= 2e-12
     assert iterative.method == "iterative-symmetric"
     assert dense.method == "dense"
     # the returned solution really solves (-op) u = b
-    assert np.allclose(-op.matvec(dense.solution.values), b, atol=1e-9)
-    assert abs(dense.solution.values.mean()) <= 1e-12
+    assert np.allclose(-op.matvec(dense.solution), b, atol=1e-9)
+    assert abs(dense.solution.mean()) <= 1e-12
 
 
 def test_solve_rejects_biased_rhs():
@@ -79,11 +79,11 @@ def test_solve_general_nonsymmetric_matches_reference():
     sp, op = make(ASYM1D)
     _, Q = _oracle.dense_generator(3, 1, 3, ASYM1D)
     b = centered_rand(op.size, 2)
-    u = solve_general(op, b, tol=1e-12).solution.values
+    u = solve_general(op, b, tol=1e-12).solution
     ref = _oracle.solve_singular(-Q, b)
     assert np.allclose(u, ref, atol=1e-8)
     # forced dense path agrees too
-    ud = solve_general(op, b, method="dense").solution.values
+    ud = solve_general(op, b, method="dense").solution
     assert np.allclose(ud, ref, atol=1e-10)
 
 
@@ -386,7 +386,7 @@ def test_resolvent_solves_shifted_system():
             ref = np.linalg.solve(lam * np.eye(op.size) - Q, h)
             for method in ("dense", "iterative", "auto"):
                 rep = solve_general(op, h, tol=1e-12, method=method, lam=lam)
-                assert np.allclose(rep.solution.values, ref, atol=1e-9)
+                assert np.allclose(rep.solution, ref, atol=1e-9)
                 assert rep.relative_residual <= 2e-12
                 assert (rep.method == "dense") == (method == "dense")
     with pytest.raises(ValueError):
@@ -432,5 +432,5 @@ def test_size_one_degenerate_paths(nn1d):
     tiny = SparseOperator(1, s.csr_matrix((1, 1)))
     assert spectral_gap(tiny) == math.inf
     rep = solve_general(tiny, np.zeros(1))
-    assert rep.solution.values.tolist() == [0.0]
+    assert rep.solution.tolist() == [0.0]
     assert sector_constant(tiny) == 0.0
