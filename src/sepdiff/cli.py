@@ -129,6 +129,10 @@ _DIAGNOSTIC_SECTIONS = {
     "hminus1_sweep": (None, {"N_list": (int,)}),
     "approximation": ({"basis_scale": (int, 1)}, {"N_list": (int,)}),
 }
+#: the diagnostics sections that run along N_list at fixed density
+_ALONG_N = ("hminus1_sweep", "approximation")
+#: the diagnostics sections that read the observable
+_OBSERVED = ("resolvent", "multiscale") + _ALONG_N
 
 
 def _check_block_scales(diag, N, dimension):
@@ -254,6 +258,30 @@ class RunConfig:
         if seed_override is not None:
             self.seed = _number(seed_override, int, "--seed", 0)
 
+    def require(self, command):
+        """Refuse what the subcommand ``command`` needs and the config
+        lacks, before its output directory is made or any work starts."""
+        if command != "sweep":
+            self._particles(self.geometry())
+        if command == "mc" and "T" not in self.mc:
+            raise ConfigError("mc block needs a horizon 'T'")
+        if command == "sweep":
+            along = {"sweep": self.N_list}
+        elif command == "diagnostics":
+            along = {name: self.diagnostics[name].get("N_list")
+                     for name in _ALONG_N if name in self.diagnostics}
+        else:
+            along = {}
+        for name, n_list in along.items():
+            if not n_list:
+                raise ConfigError(f"{name} needs 'N_list'")
+            if self.alpha is None:
+                raise ConfigError(f"{name} runs at fixed density: give "
+                                  "'alpha', not 'K'")
+        if command == "diagnostics" and any(name in self.diagnostics
+                                            for name in _OBSERVED):
+            self._observable_sites()
+
     # -- derived objects ----------------------------------------------------
 
     def geometry(self, N=None):
@@ -264,30 +292,36 @@ class RunConfig:
         geo.require_kernel_fits(self.kernel)
         return geo
 
-    def space(self, N=None):
-        geo = self.geometry(N)
+    def _particles(self, geo):
+        """The particle count on ``geo``: K, or the one alpha gives."""
         K = self.K if self.K is not None else choose_K(self.alpha, geo)
         if not 1 <= K <= geo.n_sites:
             raise ConfigError(f"K = {K} outside [1, {geo.n_sites}]")
-        return StateSpace(geo, K)
+        return K
 
-    def observable(self, space):
+    def space(self, N=None):
+        geo = self.geometry(N)
+        return StateSpace(geo, self._particles(geo))
+
+    def _observable_sites(self):
+        """(type, sites) of the diagnostics observable block."""
         obs = self.diagnostics.get("observable")
         if not obs:
             raise ConfigError("diagnostics need an 'observable' block")
         if not isinstance(obs, dict):
             raise ConfigError(f"observable must be a mapping, got {obs!r}")
         typ = obs.get("type")
+        keys = {"occupancy": ("site",), "difference": ("site", "site2")}
+        if typ not in keys:
+            raise ConfigError(f"unknown observable type {typ!r}")
+        return typ, [tuple(_numbers(obs.get(key), int, f"observable {key}"))
+                     for key in keys[typ]]
 
-        def site(key):
-            return tuple(_numbers(obs.get(key), int, f"observable {key}"))
-
+    def observable(self, space):
+        typ, sites = self._observable_sites()
         if typ == "occupancy":
-            return occupancy_observable(space, site("site"))
-        if typ == "difference":
-            return occupancy_difference_observable(space, site("site"),
-                                                   site("site2"))
-        raise ConfigError(f"unknown observable type {typ!r}")
+            return occupancy_observable(space, *sites)
+        return occupancy_difference_observable(space, *sites)
 
     def echo(self):
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"),
@@ -393,10 +427,6 @@ def cmd_exact(cfg, out_dir):
 
 
 def cmd_sweep(cfg, out_dir):
-    if cfg.alpha is None:
-        raise ConfigError("sweep runs at fixed density: give 'alpha', not 'K'")
-    if not cfg.N_list:
-        raise ConfigError("sweep needs 'N_list'")
     rtol = cfg.sweep_opts.get("rtol", 0.05)
     rep = sweep(cfg.kernel, cfg.alpha, cfg.N_list, rtol=rtol,
                 tol=cfg.tolerance, method=cfg.method)
@@ -419,8 +449,6 @@ def cmd_sweep(cfg, out_dir):
 def cmd_mc(cfg, out_dir):
     space = cfg.space()
     mc = cfg.mc
-    if "T" not in mc:
-        raise ConfigError("mc block needs a horizon 'T'")
     T = mc["T"]
     M = mc.get("M", 10000)
     gap = relaxation_gap(space, cfg.kernel)
@@ -471,17 +499,6 @@ def cmd_diagnostics(cfg, out_dir):
         rows.append([section, name, _fmt(value) if not isinstance(value, str)
                      else value])
 
-    def along_N(section):
-        """The section's block and its N_list, for a sweep at fixed density."""
-        block = diag[section]
-        n_list = block.get("N_list", [])
-        if not n_list:
-            raise ConfigError(f"{section} needs N_list")
-        if cfg.alpha is None:
-            raise ConfigError(f"{section} runs at fixed density: give "
-                              "'alpha', not 'K'")
-        return block, n_list
-
     op = None
     if space.size > 1:
         op = full_generator(space, cfg.kernel)
@@ -521,18 +538,18 @@ def cmd_diagnostics(cfg, out_dir):
         if rep.fitted_exponent is not None:
             add("multiscale", "fitted_exponent", rep.fitted_exponent)
     if "hminus1_sweep" in diag:
-        block, n_list = along_N("hminus1_sweep")
         rep = hminus1_convergence_diagnostic(
-            cfg.kernel, cfg.alpha, cfg.observable, n_list, tol=cfg.tolerance,
+            cfg.kernel, cfg.alpha, cfg.observable,
+            diag["hminus1_sweep"]["N_list"], tol=cfg.tolerance,
         )
         for n, kk, v in zip(rep.N_list, rep.K_list, rep.values):
             add("hminus1_sweep", f"norm@N={n},K={kk}", v)
         for n, dv in zip(rep.N_list[1:], rep.diffs):
             add("hminus1_sweep", f"diff@N={n}", dv)
     if "approximation" in diag:
-        block, n_list = along_N("approximation")
+        block = diag["approximation"]
         rep = approximation_residual_diagnostic(
-            cfg.kernel, cfg.alpha, cfg.observable, n_list,
+            cfg.kernel, cfg.alpha, cfg.observable, block["N_list"],
             basis_scale=block["basis_scale"], tol=cfg.tolerance,
         )
         for n, kk, v in zip(rep.N_list, rep.K_list, rep.values):
@@ -605,6 +622,7 @@ def main(argv=None):
             raise ConfigError(f"config is not valid YAML: {exc}") from exc
         cfg = RunConfig(raw, seed_override=args.seed,
                         threads_override=args.threads)
+        cfg.require(args.command)
         os.makedirs(args.out, exist_ok=True)
         code = _COMMANDS[args.command](cfg, args.out)
         _write_metadata(args.out, args.command, t0, time.time())

@@ -28,7 +28,7 @@ DEFAULT_MAX_NNZ = 50_000_000
 MEAN_ZERO_TOL = 1e-12
 
 #: largest |rate(x, y) - rate(y, x)|, relative to max(1, max exit rate),
-#: for which SparseOperator.is_symmetric holds; it picks CG over GMRES
+#: for which SparseOperator.is_symmetric holds; it picks CG over BiCGSTAB
 SYMMETRY_TOL = 1e-13
 
 

@@ -352,12 +352,13 @@ def relaxation_gap(space, kernel):
 
     The dense matrix is built from the move triples of
     ``generator._moves``, so this needs no sparse linear algebra. It
-    equals ``spectral_gap(symmetric_part(full_generator(space, kernel)))``
-    bit for bit: duplicate moves are summed in enumeration order, the
-    symmetric part is 0.5 (A + A^T), and each diagonal entry is minus the
-    sum of its row's nonzeros in column order, taken by
-    ``np.add.reduceat`` as scipy sums a CSR row. A full-row ``sum`` or a
-    matvec rounds differently in the last bit.
+    equals the dense route of :func:`sobolev.spectral_gap`, that is
+    ``spectral_gap(symmetric_part(full_generator(space, kernel)),
+    method="dense")``, bit for bit: duplicate moves are summed in
+    enumeration order, the symmetric part is 0.5 (A + A^T), and each
+    diagonal entry is minus the sum of its row's nonzeros in column order,
+    taken by ``np.add.reduceat`` as scipy sums a CSR row. A full-row
+    ``sum`` or a matvec rounds differently in the last bit.
     """
     n = space.size
     if not 1 < n <= DENSE_EIG_MAX:

@@ -3,19 +3,22 @@
 Every linear solve goes through :func:`solve_general`, which solves
 (lam I - L) u = f on the mean-zero subspace. At lam = 0 the system is
 singular with the constants as (left and right) null space; lam > 0 gives
-the resolvent. Its iterative path is scipy's conjugate gradients or
-restarted GMRES on an operator that re-projects onto the mean-zero
-subspace. The operator carries its null direction: the constants for a
-generator, and for a generator reduced to one symmetry type
-(``generator.ReducedOperator``) the reduced constants or none.
+the resolvent. Its iterative path runs on an operator that re-projects
+onto the mean-zero subspace: scipy's conjugate gradients when the
+operator is symmetric, and otherwise BiCGSTAB, with restarted GMRES only
+when BiCGSTAB breaks down or stops short of the tolerance. The operator
+carries its null direction: the constants for a generator, and for a
+generator reduced to one symmetry type (``generator.ReducedOperator``)
+the reduced constants or none.
 
 The H1 seminorm is the square root of the Dirichlet form; the dual H-1
 norm is realized by one solve against the symmetric part: (-S) u = f
 gives |f|_{-1}^2 = <f, u>.
 
 The spectral gap and the sector constant are top eigenvalues, found by
-ARPACK's implicitly restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX``
-states and by a dense eigendecomposition below. The gap is the top
+ARPACK's implicitly restarted Lanczos (``eigsh``) above ``DENSE_GAP_MAX``
+and ``DENSE_EIG_MAX`` states respectively and by a dense
+eigendecomposition below. The gap is the top
 eigenvalue of the symmetric generator itself off the constants, so
 Lanczos applies only its matvec. The sector constant is that of a pencil
 whose every application is one solve of the kind above; Lanczos finds it
@@ -47,6 +50,11 @@ from .kernel import symmetrize
 
 DENSE_SOLVE_MAX = 5000
 DENSE_EIG_MAX = 2000
+#: the spectral gap's own dense cutoff: Lanczos on the generator is one
+#: matvec a step and overtakes a dense eigendecomposition near 300 states
+#: (about 4 ms each at 286 states, 4 against 7 ms at 330, 8 against 230 ms
+#: at 1,287; 1d and 2d kernels, one core)
+DENSE_GAP_MAX = 300
 GMRES_RESTART = 50
 #: tolerance of the solves inside the sector constant's Lanczos pencil
 EIG_SOLVE_TOL = 1e-12
@@ -86,14 +94,24 @@ def _replay(op, u, b, lam):
     return float(np.linalg.norm(_shifted(op, lam, u) - b)) / bn
 
 
-def _krylov_projected(op, b, tol, lam):
-    """Krylov solve of (lam I - op) u = b on the operator wrapped so every
-    application re-projects off its null direction: scipy's conjugate
-    gradients when op is symmetric, restarted GMRES otherwise.
+#: the Krylov paths :func:`solve_general` tries in turn, by whether the
+#: operator is symmetric; GMRES runs only when BiCGSTAB breaks down or stops
+#: short, as it does on some small TASEP systems
+_KRYLOV_PATHS = {True: ("iterative-symmetric",),
+                 False: ("iterative-nonsymmetric", "iterative-gmres")}
 
-    Returns (u, iterations, converged, path).
+
+def _krylov_projected(op, b, tol, lam, path):
+    """Krylov solve of (lam I - op) u = b on the operator wrapped so every
+    application re-projects off its null direction, by the solver ``path``
+    names: scipy's conjugate gradients ("iterative-symmetric"), BiCGSTAB
+    ("iterative-nonsymmetric") or GMRES(``GMRES_RESTART``)
+    ("iterative-gmres").
+
+    Returns (u, iterations, converged); u is None when BiCGSTAB breaks down
+    on a division by zero.
     """
-    from scipy.sparse.linalg import LinearOperator, cg, gmres
+    from scipy.sparse.linalg import LinearOperator, bicgstab, cg, gmres
 
     n = op.size
     amv = LinearOperator(
@@ -107,14 +125,20 @@ def _krylov_projected(op, b, tol, lam):
 
     opts = dict(rtol=tol, atol=0.0, maxiter=min(10 * n + 100, 100_000),
                 callback=_cb)
-    if op.is_symmetric():
-        path = "iterative-symmetric"
+    if path == "iterative-symmetric":
         x, info = cg(amv, b, **opts)
-    else:
-        path = "iterative-nonsymmetric"
+    elif path == "iterative-gmres":
         x, info = gmres(amv, b, restart=GMRES_RESTART,
                         callback_type="pr_norm", **opts)
-    return op.project(x), count[0], info == 0, path
+    else:
+        # a 0/0, such as omega = (t.s)/(t.t) at t = 0, ends the attempt at
+        # once; scipy's loop would carry the NaNs to its iteration cap
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                x, info = bicgstab(amv, b, **opts)
+        except FloatingPointError:
+            return None, count[0], False
+    return op.project(x), count[0], info == 0
 
 
 def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
@@ -132,10 +156,13 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         Right-hand side, a float array over the operator's coordinates,
         orthogonal to the null direction: mean-zero for a generator.
     method : {"auto", "iterative", "dense"}
-        "iterative" runs scipy's conjugate gradients when op is symmetric
-        and restarted GMRES otherwise, both on the operator re-projected
-        off the null direction and capped at min(10 n + 100, 100000)
-        iterations (GMRES: restart cycles); "dense" factors
+        "iterative" runs scipy's conjugate gradients when op is symmetric.
+        Otherwise it runs BiCGSTAB, and GMRES(``GMRES_RESTART``) when
+        BiCGSTAB breaks down (a division by zero), stops unconverged or
+        replays a residual above 2*tol. Each runs on the operator
+        re-projected off the null direction and is capped at
+        min(10 n + 100, 100000) iterations (GMRES: restart cycles; one
+        BiCGSTAB iteration applies the operator twice); "dense" factors
         lam I - op + P, whose projector P onto the null direction (1/n in
         every entry for a generator) lifts that direction and leaves the
         solution unchanged; "auto" tries the iterative path first and
@@ -147,7 +174,12 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
     -------
     SolveReport
         Its solution is a float array like b; the replayed residual of
-        every returned report is at most 2*tol.
+        every returned report is at most 2*tol. Its method is the path
+        that produced it: "iterative-symmetric" (CG),
+        "iterative-nonsymmetric" (BiCGSTAB), "iterative-gmres" or "dense".
+
+    Raises NotConvergedError, naming every attempt, when no path reaches
+    the tolerance.
     """
     if lam < 0.0:
         raise ValueError(f"resolvent parameter must be >= 0, got {lam}")
@@ -160,8 +192,12 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         return SolveReport(np.zeros(n), 0.0, 0, "dense")
 
     failures = []
-    if method != "dense":
-        x, its, converged, path = _krylov_projected(op, b, tol, lam)
+    paths = () if method == "dense" else _KRYLOV_PATHS[op.is_symmetric()]
+    for path in paths:
+        x, its, converged = _krylov_projected(op, b, tol, lam, path)
+        if x is None:
+            failures.append(f"{path} broke down after {its} iterations")
+            continue
         res = _replay(op, x, b, lam)
         if converged and res <= 2.0 * tol:
             return SolveReport(x, res, its, path)
@@ -365,20 +401,21 @@ def _pinv(op):
                                    tol=EIG_SOLVE_TOL).solution
 
 
-def _eig_dense(method, n):
+def _eig_dense(method, n, cutoff=DENSE_EIG_MAX):
     """Whether an eigenvalue routine runs dense: on request, under "auto"
-    up to ``DENSE_EIG_MAX`` states, and on spaces of two states, whose
+    up to ``cutoff`` states, and on spaces of two states, whose
     one-dimensional mean-zero subspace is too small for Lanczos."""
     _check_method(method)
     return (method == "dense" or n <= 2
-            or (method == "auto" and n <= DENSE_EIG_MAX))
+            or (method == "auto" and n <= cutoff))
 
 
 def spectral_gap(op, method="auto", tol=1e-10):
     """Smallest nonzero eigenvalue of -op on the mean-zero subspace.
 
     op must be a symmetric generator of a connected system. The dense path
-    (see ``_eig_dense`` for when it runs) is a full eigendecomposition.
+    is a full eigendecomposition; under "auto" it runs up to
+    ``DENSE_GAP_MAX`` states (see ``_eig_dense``).
     The iterative path runs Lanczos on op itself with the constants
     deflated: op is negative semidefinite, so its top eigenvalue on the
     mean-zero subspace is minus the gap. Each step is one matvec and no
@@ -386,7 +423,7 @@ def spectral_gap(op, method="auto", tol=1e-10):
     eigenvalue.
     """
     n = op.size
-    dense = _eig_dense(method, n)
+    dense = _eig_dense(method, n, DENSE_GAP_MAX)
     if not op.is_symmetric():
         raise ValueError("spectral_gap expects a symmetric generator")
     if n == 1:

@@ -225,40 +225,40 @@ def test_config_errors_exit_2(tmp_path, capsys):
     badk = {"dimension": 1, "entries": [{"z": [1], "p": 0.7}]}
     cfg = write_cfg(tmp_path, "badk.yaml", kernel=badk, N=3, K=3)
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o7")]) == 2
-    # sweep needs alpha, not K
-    cfg = write_cfg(tmp_path, "swk.yaml", kernel=NN, N_list=[2, 3], K=3)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o8")]) == 2
-    # torus too small for the kernel range
-    cfg = write_cfg(tmp_path, "small.yaml", kernel=MZ, N=2, K=2)
-    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o9")]) == 2
     # the correction sign is fixed at -1
     cfg = write_cfg(tmp_path, "sign.yaml", kernel=NN, N=3, K=3, sign=1)
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "oS")]) == 2
-    # mc without a horizon
-    cfg = write_cfg(tmp_path, "noT.yaml", kernel=NN, N=2, K=2, mc={"M": 10})
-    assert main(["mc", "--config", cfg, "--out", str(tmp_path / "oA")]) == 2
     # every mc run records both horizons; the string "false" is not true
     for i, value in enumerate((False, "false")):
         cfg = write_cfg(tmp_path, f"second{i}.yaml", kernel=NN, N=2, K=2,
                         mc={"T": 5.0, "M": 10, "second_horizon": value})
         assert main(["mc", "--config", cfg,
                      "--out", str(tmp_path / f"oH{i}")]) == 2
-    # the per-N diagnostics need N_list and a density, not K
+    # values that do not parse, lie out of range, or are missing, in any
+    # block
     obs = {"type": "occupancy", "site": [1]}
-    for i, (section, body) in enumerate([
-            ("approximation", {"N": 3, "alpha": 0.5}),
-            ("approximation", {"N": 3, "K": 3}),
-            ("hminus1_sweep", {"N": 3, "K": 3})]):
-        cfg = write_cfg(tmp_path, f"diag{i}.yaml", kernel=NN, **body,
-                        diagnostics={"observable": obs,
-                                     section: {"N_list": [2, 3]}
-                                     if "K" in body else None})
-        assert main(["diagnostics", "--config", cfg, "--out",
-                     str(tmp_path / f"oD{i}")]) == 2
-    # values that do not parse, or lie out of range, in any block
-    res = {"observable": {"type": "occupancy", "site": [1]},
-           "resolvent": {"lambdas": [-1]}}
+    res = {"observable": obs, "resolvent": {"lambdas": [-1]}}
     for i, (command, body) in enumerate([
+            ("exact", dict(kernel=NN, K=3)),
+            ("exact", dict(kernel=NN, N=3, K=7)),
+            # torus too small for the kernel range
+            ("exact", dict(kernel=MZ, N=2, K=2)),
+            ("mc", dict(kernel=NN, N=2, K=2, mc={"M": 10})),
+            # sweep needs N_list and alpha, not K
+            ("sweep", dict(kernel=NN, alpha=0.5)),
+            ("sweep", dict(kernel=NN, N_list=[2, 3], K=3)),
+            # so do the per-N diagnostics; the gap is not computed first
+            ("diagnostics", dict(kernel=NN, N=3, alpha=0.5, diagnostics=dict(
+                observable=obs, approximation=None))),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                observable=obs, spectral_gap=True,
+                approximation={"N_list": [2, 3]}))),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                observable=obs, hminus1_sweep={"N_list": [2, 3]}))),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                spectral_gap=True, multiscale={}))),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                observable={"type": "flux"}, resolvent={}))),
             ("exact", dict(kernel=dict(NN, dimension="abc"), N=3, K=3)),
             ("exact", dict(kernel=dict(NN, entries=5), N=3, K=3)),
             ("exact", dict(kernel=NN, N=[3], K=3)),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sepdiff import (
     StateSpace,
     TorusGeometry,
     build_kernel,
+    compute_D,
     dirichlet_form,
     full_generator,
     h1_norm,
@@ -37,6 +39,8 @@ from conftest import ASYM1D, MZ1D, NN1D, NN2D
 ASYM2D = [((1, 0), 0.4), ((-1, 0), 0.1), ((0, 1), 0.3), ((0, -1), 0.2)]
 #: 1d kernel with three entries and a drift
 THREE1D = [((1,), 0.2), ((2,), 0.3), ((-2,), 0.5)]
+#: 1d totally asymmetric kernel
+TASEP1D = [((1,), 1.0)]
 
 
 def make(entries, N=3, K=3):
@@ -85,6 +89,43 @@ def test_solve_general_nonsymmetric_matches_reference():
     # forced dense path agrees too
     ud = solve_general(op, b, method="dense").solution
     assert np.allclose(ud, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("N,K", [(3, 5), (4, 7), (5, 9), (5, 8)])
+def test_gmres_rescues_bicgstab(N, K):
+    # one and two holes of TASEP (5 to 36 states): BiCGSTAB breaks down on
+    # a 0/0 or stalls, and GMRES solves without a warning from either
+    sp = StateSpace(TorusGeometry(1, N), K)
+    kernel = build_kernel(1, TASEP1D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = compute_D(sp, kernel, [1.0], tol=1e-12,
+                        method="iterative").directions[0]
+    dense = compute_D(sp, kernel, [1.0], tol=1e-12,
+                      method="dense").directions[0]
+    assert rep.method == "iterative-gmres"
+    assert rep.residual <= 2e-12
+    assert rep.D == pytest.approx(dense.D, rel=1e-10)
+
+
+def test_bicgstab_solves_above_the_dense_cutoff():
+    # 8,855 states: no dense fallback under "auto" either
+    sp = StateSpace(TorusGeometry(1, 12), 5)
+    assert sp.size > sobolev.DENSE_SOLVE_MAX
+    rep = compute_D(sp, build_kernel(1, TASEP1D), [1.0], tol=1e-10,
+                    method="iterative").directions[0]
+    assert rep.method == "iterative-nonsymmetric"
+    assert rep.residual <= 2e-10
+
+
+def test_unconverged_solve_names_every_attempt():
+    _, op = make(TASEP1D, N=5, K=8)
+    b = centered_rand(op.size, 5)
+    with pytest.raises(NotConvergedError) as err:
+        solve_general(op, b, tol=1e-20, method="iterative")
+    message = str(err.value)
+    assert "iterative-nonsymmetric" in message
+    assert "iterative-gmres" in message
 
 
 def test_h1_norm_matches_reference(meanzero1d):
@@ -377,7 +418,7 @@ def test_prop1_inequalities_hold(entries):
 
 
 def test_resolvent_solves_shifted_system():
-    # nonsymmetric (GMRES) and symmetric (CG) operators, every method
+    # nonsymmetric (BiCGSTAB) and symmetric (CG) operators, every method
     for entries in (MZ1D, NN1D):
         _, op = make(entries)
         _, Q = _oracle.dense_generator(3, 1, 3, entries)
