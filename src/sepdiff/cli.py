@@ -26,16 +26,17 @@ import yaml
 from . import __version__
 from .diffusion import (
     DEFAULT_CORRECTION_SIGN,
-    MAX_BLOCK_SITES,
     approximation_residual_diagnostic,
-    choose_K,
+    block_env_indices,
     compute_D,
     compute_D_matrix,
     hminus1_convergence_diagnostic,
     multiscale_diagnostic,
+    multiscale_scales,
     occupancy_difference_observable,
     occupancy_observable,
     sweep,
+    torus_space,
 )
 from .errors import (
     ConfigError,
@@ -50,10 +51,11 @@ from .errors import (
     WrongCountError,
 )
 from .generator import full_generator, symmetric_part
-from .kernel import TorusGeometry, build_kernel
+from .kernel import build_kernel
 from .montecarlo import (
     RNG_STREAM,
     _arbitrate,
+    check_replica_run,
     estimate_diffusion,
     relaxation_gap,
 )
@@ -63,7 +65,6 @@ from .sobolev import (
     spectral_gap,
     verify_prop1,
 )
-from .statespace import StateSpace
 
 _CONFIG_ERRORS = (ConfigError, NotAProbabilityError, OriginMassError,
                   ReducibleError, TorusSizeError, WrongCountError,
@@ -120,51 +121,31 @@ def _section(raw, key, what, numbers=None, lists=None):
     return block
 
 
-#: the diagnostics sections with options, and their numeric keys:
-#: {name: (kind, low, above)} for numbers, then for lists of numbers
+#: the diagnostics sections with options, their numeric keys as
+#: {name: (kind, low, above)} for numbers, then for lists of numbers, and
+#: the defaults of their options
 _DIAGNOSTIC_SECTIONS = {
-    "prop1": ({"pairs": (int, 1), "seed": (int, 0)}, None),
-    "resolvent": (None, {"lambdas": (float, 0.0)}),
-    "multiscale": ({"l": (int, 1), "q": (int, 2), "n_max": (int, 1)}, None),
-    "hminus1_sweep": (None, {"N_list": (int,)}),
-    "approximation": ({"basis_scale": (int, 1)}, {"N_list": (int,)}),
+    "prop1": ({"pairs": (int, 1), "seed": (int, 0)}, None, {}),
+    "resolvent": (None, {"lambdas": (float, 0.0)}, {}),
+    "multiscale": ({"l": (int,), "q": (int,), "n_max": (int,)}, None,
+                   {"l": 1, "q": 2, "n_max": 2}),
+    "hminus1_sweep": (None, {"N_list": (int,)}, {}),
+    "approximation": ({"basis_scale": (int,)}, {"N_list": (int,)},
+                      {"basis_scale": 1}),
 }
 #: the diagnostics sections that run along N_list at fixed density
 _ALONG_N = ("hminus1_sweep", "approximation")
-#: the diagnostics sections that read the observable
-_OBSERVED = ("resolvent", "multiscale") + _ALONG_N
-
-
-def _check_block_scales(diag, N, dimension):
-    """Fill in the block scales of the ``multiscale`` and ``approximation``
-    sections of ``diag``, and refuse a block that does not fit the torus
-    or, for ``multiscale``, has more than ``MAX_BLOCK_SITES`` sites."""
-    ms = diag.get("multiscale")
-    if ms is not None:
-        for key, default in (("l", 1), ("q", 2), ("n_max", 2)):
-            ms.setdefault(key, default)
-        if N is not None:
-            # exact when it fits; q >= 2, so a larger n_max overshoots N
-            top = ms["l"] * ms["q"] ** min(ms["n_max"], N.bit_length())
-            if top > N or (2 * top) ** dimension - 1 > MAX_BLOCK_SITES:
-                raise ConfigError(
-                    f"diagnostics.multiscale: largest scale l * q**n_max "
-                    f"does not fit a torus with N = {N} in blocks of at "
-                    f"most {MAX_BLOCK_SITES} sites")
-    approx = diag.get("approximation")
-    if approx is not None:
-        scale = approx.setdefault("basis_scale", 1)
-        if approx.get("N_list") and scale > min(approx["N_list"]):
-            raise ConfigError(
-                f"diagnostics.approximation: basis_scale {scale} does not "
-                f"fit a torus with N = {min(approx['N_list'])}")
+#: the diagnostics sections that read the observable on the torus of N
+_OBSERVED_AT_N = ("resolvent", "multiscale")
 
 
 class RunConfig:
     """Validated view of the YAML config plus the raw dict for echoing.
 
-    Every value the commands read is coerced and range-checked here, so a
-    malformed config raises ConfigError before any work starts.
+    Every value the commands read is coerced here, and :meth:`require`
+    builds the inputs of every torus a command runs on, so a malformed
+    config raises one of the library's typed errors before any work
+    starts.
     """
 
     def __init__(self, raw, seed_override=None, threads_override=None):
@@ -204,8 +185,6 @@ class RunConfig:
         self.K = _number(raw["K"], int, "K") if "K" in raw else None
         self.alpha = (_number(raw["alpha"], float, "alpha")
                       if "alpha" in raw else None)
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha = {self.alpha} outside [0, 1]")
 
         self.direction = raw.get("direction")
         if self.direction is not None:
@@ -229,79 +208,83 @@ class RunConfig:
             raw.get("threads", 1) if threads_override is None
             else threads_override, int, "threads", 1)
 
-        horizon = (float, 0.0, True)
         self.mc = _section(raw, "mc", "mc", {
-            "T": horizon, "M": (int, 2), "seed": (int, 0)})
+            "T": (float,), "M": (int,), "seed": (int,)})
         # the run shape is fixed: each replica runs to 2T and records T on
         # the way, so any other value would ask for a run that cannot happen
         if self.mc.get("second_horizon", True) is not True:
             raise ConfigError(f"mc.second_horizon is fixed at true, got "
                               f"{self.mc['second_horizon']!r}")
+        self.seed = self.mc.get("seed", 0)
+        if seed_override is not None:
+            self.seed = _number(seed_override, int, "--seed")
+        self.mc.setdefault("M", 10000)
+        check_replica_run(self.mc.get("T"), self.mc["M"], self.seed)
         self.arbitrate = _section(raw, "arbitrate", "arbitrate", {
-            "T": horizon, "M": (int, 2), "seed": (int, 0),
+            "T": (float,), "M": (int,), "seed": (int,),
             "max_doublings": (int, 0)})
-        # the replica streams take one 32-bit entropy word per replica
-        for name, block in (("mc", self.mc), ("arbitrate", self.arbitrate)):
-            if block.get("M", 2) >= 2**32:
-                raise ConfigError(f"{name}.M must be below 2**32, got "
-                                  f"{block['M']}")
+        self.arbitrate.setdefault("M", 4000)
+        self.arbitrate.setdefault("seed", self.seed)
+        check_replica_run(self.arbitrate.get("T"), self.arbitrate["M"],
+                          self.arbitrate["seed"])
         self.sweep_opts = _section(raw, "sweep", "sweep",
                                    {"rtol": (float, 0.0)})
         self.diagnostics = _section(raw, "diagnostics", "diagnostics")
-        for name, (numbers, lists) in _DIAGNOSTIC_SECTIONS.items():
+        for name, (numbers, lists, defaults) in _DIAGNOSTIC_SECTIONS.items():
             if name in self.diagnostics:
-                self.diagnostics[name] = _section(
+                self.diagnostics[name] = {**defaults, **_section(
                     self.diagnostics, name, f"diagnostics.{name}", numbers,
-                    lists)
-        _check_block_scales(self.diagnostics, self.N, self.dimension)
-        self.seed = self.mc.get("seed", 0)
-        if seed_override is not None:
-            self.seed = _number(seed_override, int, "--seed", 0)
+                    lists)}
 
     def require(self, command):
         """Refuse what the subcommand ``command`` needs and the config
-        lacks, before its output directory is made or any work starts."""
-        if command != "sweep":
-            self._particles(self.geometry())
+        lacks, before its output directory is made or any work starts.
+
+        Builds the geometry and state space of every torus the command runs
+        on, and the observable sites and blocks read there, by the library
+        calls the command makes; their typed errors are config errors.
+        """
         if command == "mc" and "T" not in self.mc:
             raise ConfigError("mc block needs a horizon 'T'")
+        diag = self.diagnostics if command == "diagnostics" else {}
         if command == "sweep":
             along = {"sweep": self.N_list}
-        elif command == "diagnostics":
-            along = {name: self.diagnostics[name].get("N_list")
-                     for name in _ALONG_N if name in self.diagnostics}
         else:
-            along = {}
+            along = {name: diag[name].get("N_list") for name in _ALONG_N
+                     if name in diag}
+            geo = self.space().geometry
+            if "multiscale" in diag:
+                block = diag["multiscale"]
+                multiscale_scales(geo, block["l"], block["q"], block["n_max"])
+            if any(name in diag for name in _OBSERVED_AT_N):
+                self._check_sites(geo)
         for name, n_list in along.items():
             if not n_list:
                 raise ConfigError(f"{name} needs 'N_list'")
             if self.alpha is None:
                 raise ConfigError(f"{name} runs at fixed density: give "
                                   "'alpha', not 'K'")
-        if command == "diagnostics" and any(name in self.diagnostics
-                                            for name in _OBSERVED):
-            self._observable_sites()
+            for N in n_list:
+                geo = self.space(N).geometry
+                if name in diag:
+                    self._check_sites(geo)
+                if name == "approximation":
+                    block_env_indices(geo, diag[name]["basis_scale"])
 
     # -- derived objects ----------------------------------------------------
 
-    def geometry(self, N=None):
-        n = N if N is not None else self.N
-        if n is None:
-            raise ConfigError("this command needs 'N' in the config")
-        geo = TorusGeometry(self.dimension, n)
-        geo.require_kernel_fits(self.kernel)
-        return geo
-
-    def _particles(self, geo):
-        """The particle count on ``geo``: K, or the one alpha gives."""
-        K = self.K if self.K is not None else choose_K(self.alpha, geo)
-        if not 1 <= K <= geo.n_sites:
-            raise ConfigError(f"K = {K} outside [1, {geo.n_sites}]")
-        return K
-
     def space(self, N=None):
-        geo = self.geometry(N)
-        return StateSpace(geo, self._particles(geo))
+        """The ``torus_space`` of N (default: the config's) and K or alpha."""
+        N = self.N if N is None else N
+        if N is None:
+            raise ConfigError("this command needs 'N' in the config")
+        return torus_space(self.kernel, N, self.K, self.alpha)
+
+    def _check_sites(self, geo):
+        """Refuse an observable site that is not an environment site of
+        ``geo``, as the observable itself would."""
+        for site in self._observable_sites()[1]:
+            geo.env_index(site)
 
     def _observable_sites(self):
         """(type, sites) of the diagnostics observable block."""
@@ -328,42 +311,36 @@ class RunConfig:
                           default=str)
 
 
-def _header_lines(cfg, extra=None):
-    lines = [
-        f"# version: {__version__}",
-        f"# seed: {cfg.seed}",
-        f"# sign: {DEFAULT_CORRECTION_SIGN:+d}",
-        f"# tolerance: {_fmt(cfg.tolerance)}",
-    ]
-    for k, v in (extra or {}).items():
-        lines.append(f"# {k}: {v}")
-    lines.append(f"# config: {cfg.echo()}")
-    return lines
-
-
-def _write_csv(path, cfg, columns, rows, extra=None):
-    with open(path, "w", newline="") as fh:
-        for line in _header_lines(cfg, extra):
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _write_report(path, lines):
     with open(path, "w", newline="") as fh:
         for line in lines:
             fh.write(line + "\n")
 
 
+def _write_csv(path, cfg, columns, rows, extra=None):
+    """A CSV whose header lines record the version, seed, sign, tolerance,
+    the entries of ``extra`` and the config."""
+    _write_report(path, [
+        f"# version: {__version__}",
+        f"# seed: {cfg.seed}",
+        f"# sign: {DEFAULT_CORRECTION_SIGN:+d}",
+        f"# tolerance: {_fmt(cfg.tolerance)}",
+        *(f"# {k}: {v}" for k, v in (extra or {}).items()),
+        f"# config: {cfg.echo()}",
+        ",".join(columns),
+        *(",".join(row) for row in rows),
+    ])
+
+
 def _write_metadata(out_dir, command, t0, t1):
-    path = os.path.join(out_dir, "run_metadata.txt")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"command: {command}\n")
-        fh.write(f"version: {__version__}\n")
-        fh.write(f"started: {datetime.datetime.fromtimestamp(t0).isoformat()}\n")
-        fh.write(f"finished: {datetime.datetime.fromtimestamp(t1).isoformat()}\n")
-        fh.write(f"wall_seconds: {t1 - t0:.3f}\n")
+    stamp = datetime.datetime.fromtimestamp
+    _write_report(os.path.join(out_dir, "run_metadata.txt"), [
+        f"command: {command}",
+        f"version: {__version__}",
+        f"started: {stamp(t0).isoformat()}",
+        f"finished: {stamp(t1).isoformat()}",
+        f"wall_seconds: {t1 - t0:.3f}",
+    ])
 
 
 def _direction_rows(report):
@@ -448,12 +425,9 @@ def cmd_sweep(cfg, out_dir):
 
 def cmd_mc(cfg, out_dir):
     space = cfg.space()
-    mc = cfg.mc
-    T = mc["T"]
-    M = mc.get("M", 10000)
     gap = relaxation_gap(space, cfg.kernel)
-    est = estimate_diffusion(space, cfg.kernel, T, M, cfg.seed,
-                             threads=cfg.threads, relax_gap=gap)
+    est = estimate_diffusion(space, cfg.kernel, cfg.mc["T"], cfg.mc["M"],
+                             cfg.seed, threads=cfg.threads, relax_gap=gap)
     d = space.geometry.dimension
     columns = ["replica", "T"] + [f"X_{i + 1}" for i in range(d)] + ["njumps"]
     rows = []
@@ -480,12 +454,10 @@ def cmd_mc(cfg, out_dir):
         lines.append(f"horizon T = {_fmt(h.T)}:")
         lines.append(f"  drift: {[_fmt(v) for v in h.drift]}")
         lines.append(f"  drift_se: {[_fmt(v) for v in h.drift_se]}")
-        for i in range(d):
-            lines.append(f"  covariance[{i}]: "
-                         f"{[_fmt(v) for v in h.covariance[i]]}")
-        for i in range(d):
-            lines.append(f"  covariance_se[{i}]: "
-                         f"{[_fmt(v) for v in h.covariance_se[i]]}")
+        for name in ("covariance", "covariance_se"):
+            lines.extend(f"  {name}[{i}]: "
+                         f"{[_fmt(v) for v in getattr(h, name)[i]]}"
+                         for i in range(d))
     _write_report(os.path.join(out_dir, "mc_report.txt"), lines)
     return 0
 
@@ -513,11 +485,10 @@ def cmd_diagnostics(cfg, out_dir):
         rep = verify_prop1(op, n_pairs=block.get("pairs", 100),
                            seed=block.get("seed", 0))
         add("prop1", "pairs", rep.n_pairs)
-        add("prop1", "max_duality_ratio", rep.max_duality_ratio)
-        add("prop1", "max_equality_gap_i", rep.max_equality_gap_i)
-        add("prop1", "max_cauchy_ratio", rep.max_cauchy_ratio)
-        add("prop1", "min_bound_ratio_iii", rep.min_bound_ratio_iii)
-        add("prop1", "max_equality_gap_iii", rep.max_equality_gap_iii)
+        for name in ("max_duality_ratio", "max_equality_gap_i",
+                     "max_cauchy_ratio", "min_bound_ratio_iii",
+                     "max_equality_gap_iii"):
+            add("prop1", name, getattr(rep, name))
     if "resolvent" in diag and op is not None:
         block = diag["resolvent"]
         lambdas = block.get("lambdas", [1.0, 0.1, 0.01])
@@ -568,9 +539,8 @@ def cmd_arbitrate_sign(cfg, out_dir):
     if cfg.direction is not None:
         directions = [np.asarray(cfg.direction, dtype=float)]
     sign, exact = _arbitrate(
-        space, cfg.kernel, directions, arb.get("T"), arb.get("M", 4000),
-        arb.get("seed", cfg.seed), arb.get("max_doublings", 3),
-        cfg.tolerance,
+        space, cfg.kernel, directions, arb.get("T"), arb["M"], arb["seed"],
+        arb.get("max_doublings", 3), cfg.tolerance,
     )
     rows = [[f"{sign:+d}", _fmt(r.D_plus), _fmt(r.D_minus)] for r in exact]
     _write_csv(os.path.join(out_dir, "arbitrate.csv"), cfg,

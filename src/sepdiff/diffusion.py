@@ -335,11 +335,12 @@ def choose_K(alpha, geometry):
     return min(max(k, 1), geometry.n_sites)
 
 
-def _fixed_density_space(kernel, alpha, N):
-    """StateSpace on the torus of side 2N with choose_K(alpha) particles."""
+def torus_space(kernel, N, K=None, alpha=None):
+    """StateSpace on the torus of side 2N, which must fit the kernel, with
+    K particles, or choose_K(alpha) when K is None."""
     geo = TorusGeometry(kernel.dimension, N)
     geo.require_kernel_fits(kernel)
-    return StateSpace(geo, choose_K(alpha, geo))
+    return StateSpace(geo, choose_K(alpha, geo) if K is None else K)
 
 
 def sweep(kernel, alpha, N_list, rtol=0.05, tol=1e-10, method="auto"):
@@ -348,8 +349,8 @@ def sweep(kernel, alpha, N_list, rtol=0.05, tol=1e-10, method="auto"):
     rtol relative to the final matrix scale."""
     if len(N_list) < 1:
         raise OutOfRangeError("sweep needs at least one N")
-    reports = [compute_D_matrix(_fixed_density_space(kernel, alpha, N),
-                                kernel, tol=tol, method=method)
+    reports = [compute_D_matrix(torus_space(kernel, N, alpha=alpha), kernel,
+                                tol=tol, method=method)
                for N in N_list]
     diffs = []
     for prev, cur in zip(reports, reports[1:]):
@@ -364,14 +365,20 @@ def sweep(kernel, alpha, N_list, rtol=0.05, tol=1e-10, method="auto"):
 
 # -- block averaging ---------------------------------------------------------
 
-def block_env_indices(geometry, l):
-    """Environment-site indices of the block {-l+1, ..., l}^d minus origin."""
+def block_env_indices(geometry, l, cap=None):
+    """Environment-site indices of the block {-l+1, ..., l}^d minus origin;
+    a SupportTooLargeError when the block does not fit the torus or has
+    more than ``cap`` sites."""
     if l < 1:
         raise OutOfRangeError(f"block scale must be >= 1, got {l}")
     if l > geometry.N:
         raise SupportTooLargeError(
             f"block of scale {l} does not fit a torus with N = {geometry.N}"
         )
+    m = (2 * l) ** geometry.dimension - 1
+    if cap is not None and m > cap:
+        raise SupportTooLargeError(
+            f"block of scale {l} has {m} sites, cap is {cap}")
     rng = range(-l + 1, l + 1)
     sites = [s for s in itertools.product(rng, repeat=geometry.dimension)
              if s != geometry.origin]
@@ -391,12 +398,8 @@ def conditional_expectation(space, v, l):
     outside the block).
     """
     v = np.asarray(v, dtype=float)
-    inside = block_env_indices(space.geometry, l)
+    inside = block_env_indices(space.geometry, l, MAX_BLOCK_SITES)
     m_in = len(inside)
-    if m_in > MAX_BLOCK_SITES:
-        raise SupportTooLargeError(
-            f"block has {m_in} sites, cap is {MAX_BLOCK_SITES}"
-        )
     inside_mask = 0
     for i in inside:
         inside_mask |= 1 << i
@@ -424,23 +427,35 @@ def conditional_expectation(space, v, l):
     return np.array([avg[int(c)] for c in counts])
 
 
+def multiscale_scales(geometry, l, q, n_max):
+    """The block scales l * q^n, n = 0..n_max, of a multiscale diagnostic
+    on ``geometry``: an OutOfRangeError unless l >= 1, q >= 2 and
+    n_max >= 1, and a SupportTooLargeError at the first scale above N or
+    when the largest block has more than ``MAX_BLOCK_SITES`` sites."""
+    if l < 1 or q < 2 or n_max < 1:
+        raise OutOfRangeError(f"multiscale needs l >= 1, q >= 2 and "
+                              f"n_max >= 1, got {l}, {q} and {n_max}")
+    scales = []
+    for n in range(n_max + 1):
+        scale = l * q ** n
+        if scale > geometry.N:
+            raise SupportTooLargeError(
+                f"scale l * q**{n} = {scale} does not fit a torus with "
+                f"N = {geometry.N}")
+        scales.append(scale)
+    block_env_indices(geometry, scales[-1], MAX_BLOCK_SITES)
+    return scales
+
+
 def multiscale_diagnostic(space, v, l, q, n_max):
     """Variance of block-average increments across dyadic-like scales.
 
     Computes g_n, the conditional expectation of v at scale l * q^n, and
     reports <(g_n - g_{n-1})^2> for n = 1..n_max together with <g_n^2>
-    and a log-log slope fitted to the increment variances.
+    and a log-log slope fitted to the increment variances. The scales are
+    those of :func:`multiscale_scales`.
     """
-    if q < 2:
-        raise OutOfRangeError(f"scale factor must be >= 2, got {q}")
-    if n_max < 1:
-        raise OutOfRangeError(f"n_max must be >= 1, got {n_max}")
-    scales = [l * q ** n for n in range(n_max + 1)]
-    if scales[-1] > space.geometry.N:
-        raise SupportTooLargeError(
-            f"scale {scales[-1]} does not fit a torus with N = "
-            f"{space.geometry.N}"
-        )
+    scales = multiscale_scales(space.geometry, l, q, n_max)
     gs = [conditional_expectation(space, v, s) for s in scales]
     second = [inner(g, g) for g in gs]
     incr = [inner(gs[n] - gs[n - 1], gs[n] - gs[n - 1])
@@ -477,7 +492,7 @@ def _along_N(kernel, alpha, recipe, N_list, value):
     sym_kernel = symmetrize(kernel)
     values, Ks = [], []
     for N in N_list:
-        space = _fixed_density_space(kernel, alpha, N)
+        space = torus_space(kernel, N, alpha=alpha)
         h = center(recipe(space))
         trivial = space.size == 1 or not np.any(h)
         values.append(0.0 if trivial else value(

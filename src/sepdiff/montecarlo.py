@@ -42,7 +42,6 @@ from .diffusion import _solve_directions
 from .errors import InconclusiveError, OutOfRangeError
 from .generator import _moves
 from .kernel import classify
-from .sobolev import DENSE_EIG_MAX
 from .statespace import enabled_moves
 
 
@@ -196,6 +195,9 @@ REFILL = 32
 #: relaxation times (one over the spectral gap) a horizon must span to set
 #: ``t_relax_ok``; also the arbitration horizon when none is given
 RELAX_TIMES = 10.0
+#: most states :func:`relaxation_gap` takes a dense eigendecomposition of;
+#: it runs without scipy, so the sobolev Lanczos cutoff does not apply
+RELAX_GAP_MAX = 2000
 
 
 class TransitionTable:
@@ -305,6 +307,20 @@ def _lockstep(table, rngs, ranks, T):
     return final, np.cumsum(counts, axis=1)
 
 
+def check_replica_run(T, M, seed):
+    """Refuse a replica run that cannot happen, by OutOfRangeError: a
+    horizon T that is not finite and > 0 (None skips it), fewer than 2
+    replicas or 2**32 or more, since the stream seeding takes one 32-bit
+    entropy word per replica index, or a negative master seed."""
+    if T is not None and not (math.isfinite(T) and T > 0.0):
+        raise OutOfRangeError(f"horizon T must be finite and > 0, got {T}")
+    if not 2 <= M < 2**32:
+        raise OutOfRangeError(f"replica count M must lie in [2, 2**32), "
+                              f"got {M}")
+    if seed < 0:
+        raise OutOfRangeError(f"master seed must be >= 0, got {seed}")
+
+
 def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
     """Replica estimate of drift and diffusion from final positions.
 
@@ -313,13 +329,7 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
     m(1 - alpha) with m the kernel mean; the covariance of
     (X_T - m(1-alpha)T)/sqrt(T) estimates the diffusion matrix.
     """
-    if M < 2:
-        raise OutOfRangeError(f"need at least 2 replicas, got {M}")
-    # the stream seeding takes one 32-bit entropy word per replica index
-    if M >= 2**32:
-        raise OutOfRangeError(f"need fewer than 2**32 replicas, got {M}")
-    if seed < 0:
-        raise OutOfRangeError(f"master seed must be >= 0, got {seed}")
+    check_replica_run(T, M, seed)
     expected = classify(kernel)[1] * (1.0 - space.alpha)
     table = TransitionTable(space, kernel)
 
@@ -348,7 +358,7 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
 
 def relaxation_gap(space, kernel):
     """Spectral gap of the symmetrized generator, computed densely; None on
-    one state or above ``DENSE_EIG_MAX`` states.
+    one state or above ``RELAX_GAP_MAX`` states.
 
     The dense matrix is built from the move triples of
     ``generator._moves``, so this needs no sparse linear algebra. It
@@ -361,7 +371,7 @@ def relaxation_gap(space, kernel):
     ``sum`` or a matvec rounds differently in the last bit.
     """
     n = space.size
-    if not 1 < n <= DENSE_EIG_MAX:
+    if not 1 < n <= RELAX_GAP_MAX:
         return None
     rows, cols, rates = _moves(space, kernel, space.bitmasks())
     a = np.zeros((n, n))

@@ -16,9 +16,8 @@ norm is realized by one solve against the symmetric part: (-S) u = f
 gives |f|_{-1}^2 = <f, u>.
 
 The spectral gap and the sector constant are top eigenvalues, found by
-ARPACK's implicitly restarted Lanczos (``eigsh``) above ``DENSE_GAP_MAX``
-and ``DENSE_EIG_MAX`` states respectively and by a dense
-eigendecomposition below. The gap is the top
+ARPACK's implicitly restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX``
+states and by a dense eigendecomposition up to it. The gap is the top
 eigenvalue of the symmetric generator itself off the constants, so
 Lanczos applies only its matvec. The sector constant is that of a pencil
 whose every application is one solve of the kind above; Lanczos finds it
@@ -49,12 +48,11 @@ from .generator import (
 from .kernel import symmetrize
 
 DENSE_SOLVE_MAX = 5000
-DENSE_EIG_MAX = 2000
-#: the spectral gap's own dense cutoff: Lanczos on the generator is one
-#: matvec a step and overtakes a dense eigendecomposition near 300 states
-#: (about 4 ms each at 286 states, 4 against 7 ms at 330, 8 against 230 ms
-#: at 1,287; 1d and 2d kernels, one core)
-DENSE_GAP_MAX = 300
+#: most states the spectral gap and the sector constant take densely under
+#: "auto": Lanczos overtakes near 200 states for the gap and between 460
+#: and 680 for the sector constant (one core; figures in README), and 500
+#: costs the gap at most about 8 ms
+DENSE_EIG_MAX = 500
 GMRES_RESTART = 50
 #: tolerance of the solves inside the sector constant's Lanczos pencil
 EIG_SOLVE_TOL = 1e-12
@@ -101,12 +99,12 @@ _KRYLOV_PATHS = {True: ("iterative-symmetric",),
                  False: ("iterative-nonsymmetric", "iterative-gmres")}
 
 
-def _krylov_projected(op, b, tol, lam, path):
+def _krylov_projected(op, b, tol, lam, path, x0=None):
     """Krylov solve of (lam I - op) u = b on the operator wrapped so every
     application re-projects off its null direction, by the solver ``path``
     names: scipy's conjugate gradients ("iterative-symmetric"), BiCGSTAB
     ("iterative-nonsymmetric") or GMRES(``GMRES_RESTART``)
-    ("iterative-gmres").
+    ("iterative-gmres"), starting from ``x0`` (zero when None).
 
     Returns (u, iterations, converged); u is None when BiCGSTAB breaks down
     on a division by zero.
@@ -123,8 +121,8 @@ def _krylov_projected(op, b, tol, lam, path):
     def _cb(_):
         count[0] += 1
 
-    opts = dict(rtol=tol, atol=0.0, maxiter=min(10 * n + 100, 100_000),
-                callback=_cb)
+    opts = dict(x0=x0, rtol=tol, atol=0.0,
+                maxiter=min(10 * n + 100, 100_000), callback=_cb)
     if path == "iterative-symmetric":
         x, info = cg(amv, b, **opts)
     elif path == "iterative-gmres":
@@ -159,7 +157,9 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         "iterative" runs scipy's conjugate gradients when op is symmetric.
         Otherwise it runs BiCGSTAB, and GMRES(``GMRES_RESTART``) when
         BiCGSTAB breaks down (a division by zero), stops unconverged or
-        replays a residual above 2*tol. Each runs on the operator
+        replays a residual above 2*tol; GMRES starts from BiCGSTAB's
+        iterate when its replayed residual is below 1, and otherwise, as
+        after a breakdown, from zero. Each runs on the operator
         re-projected off the null direction and is capped at
         min(10 n + 100, 100000) iterations (GMRES: restart cycles; one
         BiCGSTAB iteration applies the operator twice); "dense" factors
@@ -193,8 +193,9 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
 
     failures = []
     paths = () if method == "dense" else _KRYLOV_PATHS[op.is_symmetric()]
+    x0 = None
     for path in paths:
-        x, its, converged = _krylov_projected(op, b, tol, lam, path)
+        x, its, converged = _krylov_projected(op, b, tol, lam, path, x0)
         if x is None:
             failures.append(f"{path} broke down after {its} iterations")
             continue
@@ -203,6 +204,8 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
             return SolveReport(x, res, its, path)
         failures.append(f"{path} stopped after {its} iterations "
                         f"(converged={converged}, replayed residual {res:.3e})")
+        # zero's relative residual is 1; a diverged BiCGSTAB can leave 1e41
+        x0 = x if res < 1.0 else None
     if method == "dense" or (method == "auto" and n <= DENSE_SOLVE_MAX):
         a = -op.to_dense()
         a[np.diag_indices_from(a)] += lam
@@ -401,13 +404,13 @@ def _pinv(op):
                                    tol=EIG_SOLVE_TOL).solution
 
 
-def _eig_dense(method, n, cutoff=DENSE_EIG_MAX):
+def _eig_dense(method, n):
     """Whether an eigenvalue routine runs dense: on request, under "auto"
-    up to ``cutoff`` states, and on spaces of two states, whose
+    up to ``DENSE_EIG_MAX`` states, and on spaces of two states, whose
     one-dimensional mean-zero subspace is too small for Lanczos."""
     _check_method(method)
     return (method == "dense" or n <= 2
-            or (method == "auto" and n <= cutoff))
+            or (method == "auto" and n <= DENSE_EIG_MAX))
 
 
 def spectral_gap(op, method="auto", tol=1e-10):
@@ -415,7 +418,7 @@ def spectral_gap(op, method="auto", tol=1e-10):
 
     op must be a symmetric generator of a connected system. The dense path
     is a full eigendecomposition; under "auto" it runs up to
-    ``DENSE_GAP_MAX`` states (see ``_eig_dense``).
+    ``DENSE_EIG_MAX`` states (see ``_eig_dense``).
     The iterative path runs Lanczos on op itself with the constants
     deflated: op is negative semidefinite, so its top eigenvalue on the
     mean-zero subspace is minus the gap. Each step is one matvec and no
@@ -423,7 +426,7 @@ def spectral_gap(op, method="auto", tol=1e-10):
     eigenvalue.
     """
     n = op.size
-    dense = _eig_dense(method, n, DENSE_GAP_MAX)
+    dense = _eig_dense(method, n)
     if not op.is_symmetric():
         raise ValueError("spectral_gap expects a symmetric generator")
     if n == 1:
@@ -463,7 +466,8 @@ def sector_constant(op, method="auto", tol=1e-10):
     Equals the squared operator norm of T = S^{-1/2} B S^{-1/2} with S the
     symmetric part of -op, that is the top eigenvalue of the pencil
     (P B^T S^{-1} P B, S) with P the mean-zero projection. The dense path
-    takes it from an eigendecomposition of S on all states.
+    takes it from an eigendecomposition of S on all states; under "auto"
+    it runs up to ``DENSE_EIG_MAX`` states (see ``_eig_dense``).
 
     The iterative path works on the odd half of the point reflection
     R: eta -> -eta (environment site x -> -x), which exists on every

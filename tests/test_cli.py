@@ -238,6 +238,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # block
     obs = {"type": "occupancy", "site": [1]}
     res = {"observable": obs, "resolvent": {"lambdas": [-1]}}
+    capsys.readouterr()
     for i, (command, body) in enumerate([
             ("exact", dict(kernel=NN, K=3)),
             ("exact", dict(kernel=NN, N=3, K=7)),
@@ -293,11 +294,30 @@ def test_config_errors_exit_2(tmp_path, capsys):
                 multiscale={"l": 13, "q": 2, "n_max": 1}))),
             ("diagnostics", dict(kernel=NN, N=3, alpha=0.5, diagnostics=dict(
                 observable=res["observable"],
-                approximation={"basis_scale": 9, "N_list": [2, 3]})))]):
+                approximation={"basis_scale": 9, "N_list": [2, 3]}))),
+            # an N_list entry that makes no torus, or one too small for the
+            # kernel range, after rungs that would run
+            ("sweep", dict(kernel=MZ, N_list=[3, 1], alpha=0.4)),
+            ("sweep", dict(kernel=NN, N_list=[3, 0], alpha=0.4)),
+            ("diagnostics", dict(kernel=NN, N=3, alpha=0.5, diagnostics=dict(
+                observable=obs, spectral_gap=True,
+                hminus1_sweep={"N_list": [3, 0]}))),
+            ("diagnostics", dict(kernel=MZ, N=3, alpha=0.4, diagnostics=dict(
+                observable=obs, approximation={"N_list": [3, 1]}))),
+            # an observable site that is the origin, or has the wrong
+            # length
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                spectral_gap=True, resolvent={},
+                observable={"type": "occupancy", "site": [0]}))),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                spectral_gap=True, resolvent={},
+                observable={"type": "occupancy", "site": [1, 2]})))]):
         cfg = write_cfg(tmp_path, f"bad{i}.yaml", **body)
         out = tmp_path / f"oB{i}"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2, body
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: "), body
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, body
         # refused before the output directory is made
         assert not out.exists(), body
 
@@ -370,7 +390,7 @@ def _scipy_after(*argvs):
 
 def test_mc_runs_without_scipy(tmp_path):
     # 1d mean-zero N=6 K=6: 462 states, gap computed; N=8 K=6: 3003 states,
-    # above DENSE_EIG_MAX, gap unknown
+    # above RELAX_GAP_MAX, gap unknown
     small = write_cfg(tmp_path, "small.yaml", kernel=MZ, N=6, K=6,
                       mc={"T": 2.0, "M": 20, "seed": 1})
     big = write_cfg(tmp_path, "big.yaml", kernel=MZ, N=8, K=6,

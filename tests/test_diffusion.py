@@ -348,6 +348,11 @@ def test_multiscale_guards():
         multiscale_diagnostic(sp, v, 1, 1, 2)
     with pytest.raises(OutOfRangeError):
         multiscale_diagnostic(sp, v, 1, 2, 0)
+    with pytest.raises(OutOfRangeError):
+        multiscale_diagnostic(sp, v, 0, 2, 1)
+    # the scales stop at the first one above N, so this returns at once
+    with pytest.raises(SupportTooLargeError):
+        multiscale_diagnostic(sp, v, 1, 2, 10**9)
 
 
 def test_occupancy_observables_centered():

@@ -22,8 +22,7 @@ from sepdiff import (
     symmetric_part,
 )
 from sepdiff import montecarlo
-from sepdiff.montecarlo import _lockstep, relaxation_gap
-from sepdiff.sobolev import DENSE_EIG_MAX
+from sepdiff.montecarlo import RELAX_GAP_MAX, _lockstep, relaxation_gap
 
 import _oracle
 
@@ -144,6 +143,10 @@ def test_estimate_refuses_unseedable_replica_counts(meanzero1d, monkeypatch):
     for M, seed in ((2**32, 1), (2**40, 1), (40, -1)):
         with pytest.raises(OutOfRangeError):
             estimate_diffusion(sp, meanzero1d, 4.0, M, seed)
+    # nor is a horizon that is not finite and > 0
+    for T in (0.0, -1.0, float("nan")):
+        with pytest.raises(OutOfRangeError):
+            estimate_diffusion(sp, meanzero1d, T, 40, 1)
 
 
 def test_table_matches_per_state_reference(meanzero1d, nn1d, nn2d):
@@ -383,7 +386,7 @@ def test_relaxation_gap_is_the_sparse_route_bit_for_bit(d, entries, N, K):
 def test_relaxation_gap_unknown_on_one_state_and_above_dense_cap(nn1d):
     assert relaxation_gap(space_1d(3, 1), nn1d) is None
     big = space_1d(8, 6)
-    assert big.size > DENSE_EIG_MAX
+    assert big.size > RELAX_GAP_MAX
     assert relaxation_gap(big, nn1d) is None
 
 

@@ -91,10 +91,12 @@ def test_solve_general_nonsymmetric_matches_reference():
     assert np.allclose(ud, ref, atol=1e-10)
 
 
-@pytest.mark.parametrize("N,K", [(3, 5), (4, 7), (5, 9), (5, 8)])
+@pytest.mark.parametrize("N,K", [(3, 5), (4, 7), (5, 9), (5, 8), (6, 10)])
 def test_gmres_rescues_bicgstab(N, K):
-    # one and two holes of TASEP (5 to 36 states): BiCGSTAB breaks down on
-    # a 0/0 or stalls, and GMRES solves without a warning from either
+    # one and two holes of TASEP (5 to 55 states): BiCGSTAB breaks down on
+    # a 0/0, stalls, or (N=6 K=10) diverges to a replayed residual of 1e41,
+    # which GMRES must not start from; GMRES solves without a warning from
+    # either
     sp = StateSpace(TorusGeometry(1, N), K)
     kernel = build_kernel(1, TASEP1D)
     with warnings.catch_warnings():
@@ -116,6 +118,22 @@ def test_bicgstab_solves_above_the_dense_cutoff():
                     method="iterative").directions[0]
     assert rep.method == "iterative-nonsymmetric"
     assert rep.residual <= 2e-10
+
+
+def test_gmres_starts_from_the_bicgstab_iterate():
+    # at tol 1e-12 BiCGSTAB stops with a replayed residual above 2 tol on
+    # this system; GMRES from zero took 771 iterations, from BiCGSTAB's
+    # iterate a few
+    sp = StateSpace(TorusGeometry(1, 12), 5)
+    kernel = build_kernel(1, TASEP1D)
+    rep = compute_D(sp, kernel, [1.0], tol=1e-12,
+                    method="iterative").directions[0]
+    loose = compute_D(sp, kernel, [1.0], tol=1e-10,
+                      method="iterative").directions[0]
+    assert rep.method == "iterative-gmres"
+    assert rep.iterations <= sobolev.GMRES_RESTART
+    assert rep.residual <= 2e-12
+    assert rep.D == pytest.approx(loose.D, rel=1e-9)
 
 
 def test_unconverged_solve_names_every_attempt():
