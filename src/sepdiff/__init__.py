@@ -30,7 +30,6 @@ from .errors import (
     NotConnectedError,
     NotConvergedError,
     NotMeanZeroError,
-    NotStationaryError,
     OriginMassError,
     OutOfRangeError,
     PropertyViolatedError,
@@ -43,12 +42,8 @@ from .errors import (
 )
 from .generator import (
     SparseOperator,
-    adjoint,
-    assemble_environment,
-    assemble_tagged,
     center,
     check_ergodicity,
-    check_stationarity,
     dirichlet_form,
     full_generator,
     inner,

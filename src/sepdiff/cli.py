@@ -242,17 +242,22 @@ class RunConfig:
 
         Builds the geometry and state space of every torus the command runs
         on, and the observable sites and blocks read there, by the library
-        calls the command makes; their typed errors are config errors.
+        calls the command makes; their typed errors are config errors. Then
+        checks the size caps of every torus with more than one state, whose
+        states the command enumerates (the exact route answers a one-state
+        torus without them).
         """
         if command == "mc" and "T" not in self.mc:
             raise ConfigError("mc block needs a horizon 'T'")
         diag = self.diagnostics if command == "diagnostics" else {}
+        spaces = []
         if command == "sweep":
             along = {"sweep": self.N_list}
         else:
             along = {name: diag[name].get("N_list") for name in _ALONG_N
                      if name in diag}
-            geo = self.space().geometry
+            spaces.append(self.space())
+            geo = spaces[-1].geometry
             if "multiscale" in diag:
                 block = diag["multiscale"]
                 multiscale_scales(geo, block["l"], block["q"], block["n_max"])
@@ -265,11 +270,15 @@ class RunConfig:
                 raise ConfigError(f"{name} runs at fixed density: give "
                                   "'alpha', not 'K'")
             for N in n_list:
-                geo = self.space(N).geometry
+                spaces.append(self.space(N))
+                geo = spaces[-1].geometry
                 if name in diag:
                     self._check_sites(geo)
                 if name == "approximation":
                     block_env_indices(geo, diag[name]["basis_scale"])
+        for space in spaces:
+            if space.size > 1:
+                space.require_tables()
 
     # -- derived objects ----------------------------------------------------
 

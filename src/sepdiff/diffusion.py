@@ -68,7 +68,7 @@ from .sobolev import (
     hminus1_norm,
     solve_general,
 )
-from .statespace import StateSpace, _lex_bitmasks
+from .statespace import StateSpace, _lex_bitmasks, _moved, _shift_groups
 
 #: the fixed correction sign of D = free - sign * 2 <w_a, u_a>, printed in CSVs
 DEFAULT_CORRECTION_SIGN = -1
@@ -400,25 +400,20 @@ def conditional_expectation(space, v, l):
     v = np.asarray(v, dtype=float)
     inside = block_env_indices(space.geometry, l, MAX_BLOCK_SITES)
     m_in = len(inside)
-    inside_mask = 0
-    for i in inside:
-        inside_mask |= 1 << i
+    inside_mask = sum(1 << i for i in inside)
     outside = [i for i in range(space.M) if not (inside_mask >> i) & 1]
+    # local bit b moves to block site inside[b]
+    groups = _shift_groups(inside)
     k = space.k
     avg = {}
     for j in range(0, min(k, m_in) + 1):
         rem = k - j
         if rem > len(outside):
             continue
-        filler = 0
-        for i in outside[:rem]:
-            filler |= 1 << i
-        # local bit b is block site inside[b]; lexicographic order of the
-        # local subsets is that of itertools.combinations(inside, j)
-        local = _lex_bitmasks(m_in, j)
-        masks = np.full(local.size, filler, dtype=np.uint64)
-        for b, site in enumerate(inside):
-            masks |= ((local >> np.uint64(b)) & np.uint64(1)) << np.uint64(site)
+        filler = np.uint64(sum(1 << i for i in outside[:rem]))
+        # lexicographic order of the local subsets is that of
+        # itertools.combinations(inside, j)
+        masks = _moved(_lex_bitmasks(m_in, j), groups) | filler
         # summed left to right in enumeration order (cumsum, unlike sum,
         # does not pair terms)
         total = np.cumsum(v[space.rank_masks(masks)])[-1]

@@ -48,10 +48,6 @@ class SizeCapError(SepdiffError):
     """State count or nonzero count beyond the configured cap."""
 
 
-class NotStationaryError(SepdiffError):
-    """Uniform measure is not invariant: column sums exceed tolerance."""
-
-
 class NotConnectedError(SepdiffError):
     """Transition graph is not connected."""
 

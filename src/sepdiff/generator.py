@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotConnectedError, NotMeanZeroError, NotStationaryError, SizeCapError
+from .errors import NotConnectedError, NotMeanZeroError, SizeCapError
 from .statespace import enabled_moves
 
 #: refuse to assemble a generator with more off-diagonal entries, counted
@@ -212,18 +212,18 @@ def _check_nnz(n_entries):
             f"{n_entries} nonzeros exceed cap {DEFAULT_MAX_NNZ}")
 
 
-def _moves(space, kernel, masks, tagged=None):
+def _moves(space, kernel, masks, env_only=False):
     """(rows, cols, rates) of the moves out of the states with bitmasks
-    ``masks`` that change them: environment moves (``tagged=False``),
-    tagged jumps (``True``) or both (``None``). ``rows`` index ``masks``,
-    ``cols`` are target ranks; both int32, which the state cap allows.
+    ``masks`` that change them: all moves, or the environment moves alone
+    when ``env_only``. ``rows`` index ``masks``, ``cols`` are target
+    ranks; both int32, which the state cap allows.
 
     Channel-major order keeps each row's entries in channel order, so
     coinciding targets are summed in the same order as a per-state loop.
     """
     space.geometry.require_kernel_fits(kernel)
     channels = [ch for ch in space.move_channels(kernel)
-                if tagged is None or (ch.jump >= 0) == tagged]
+                if not (env_only and ch.jump >= 0)]
     # one rate per channel keeps the triples compact until the end
     rows, cols, rates, sizes = [], [], [], []
     n = 0
@@ -239,9 +239,9 @@ def _moves(space, kernel, masks, tagged=None):
     return np.concatenate(rows), np.concatenate(cols), np.repeat(rates, sizes)
 
 
-def _symmetric_rates(space, kernel, tagged=None):
-    """Whether the generator of ``kernel`` on ``space`` (its part picked by
-    ``tagged``, as in ``_moves``) is symmetric, decided from the kernel
+def _symmetric_rates(space, kernel, env_only=False):
+    """Whether the generator of ``kernel`` on ``space`` (its environment
+    part alone when ``env_only``) is symmetric, decided from the kernel
     instead of the rates: a move by z and its reverse by -z have rates
     p(z) and p(-z), so a kernel with p(z) == p(-z) exactly gives a
     symmetric generator. So does a one-state space. With one environment
@@ -252,20 +252,19 @@ def _symmetric_rates(space, kernel, tagged=None):
     prob = dict(kernel.entries)
     mirrored = all(prob.get(tuple(-c for c in z)) == p
                    for z, p in kernel.entries)
-    return mirrored or space.size == 1 or (tagged is None and space.k == 1)
+    return mirrored or space.size == 1 or (not env_only and space.k == 1)
 
 
-def _assemble(space, kernel, tagged=None):
-    """Off-diagonal rates of the environment moves (``tagged=False``), of
-    the tagged jumps (``True``) or of both (``None``), from the channel
-    enumeration over all states (whose count ``StateSpace.bitmasks``
-    caps)."""
+def _assemble(space, kernel, env_only=False):
+    """Off-diagonal rates of all moves, or of the environment moves alone
+    when ``env_only``, from the channel enumeration over all states (whose
+    count ``StateSpace.bitmasks`` caps)."""
     import scipy.sparse as sp
 
-    rows, cols, rates = _moves(space, kernel, space.bitmasks(), tagged)
+    rows, cols, rates = _moves(space, kernel, space.bitmasks(), env_only)
     off = sp.coo_matrix((rates, (rows, cols)), shape=(space.size, space.size))
     return SparseOperator(space.size, off,
-                          _symmetric_rates(space, kernel, tagged))
+                          _symmetric_rates(space, kernel, env_only))
 
 
 def assemble_environment(space, kernel):
@@ -275,17 +274,7 @@ def assemble_environment(space, kernel):
     move to y = wrap(x + z) when y is a vacant environment site (never the
     origin). Transitions landing on the same target accumulate.
     """
-    return _assemble(space, kernel, False)
-
-
-def assemble_tagged(space, kernel):
-    """Generator of the tagged-particle jumps (environment re-centering).
-
-    A jump by z is enabled when wrap(z) is vacant; the state moves to the
-    shifted configuration. Jumps that map a state to itself contribute
-    nothing to the generator and are dropped.
-    """
-    return _assemble(space, kernel, True)
+    return _assemble(space, kernel, env_only=True)
 
 
 def full_generator(space, kernel):
@@ -355,18 +344,10 @@ class ReducedAssembly:
         return ReducedOperator(off, diag, null, self.symmetric, lift)
 
 
-def adjoint(op):
-    """Adjoint under the uniform measure, in generator form.
-
-    The off-diagonal pattern is transposed and the diagonal recomputed as
-    the negative row sum. For measure-preserving operators this is the
-    plain matrix transpose.
-    """
-    return SparseOperator(op.size, op.offdiag.T.tocsr())
-
-
 def symmetric_part(op):
-    """(op + adjoint(op)) / 2; equals assembly from the symmetrized kernel."""
+    """(op + op*) / 2, op* the adjoint under the uniform measure (the
+    transpose, since the measure is stationary); equals assembly from the
+    symmetrized kernel."""
     return SparseOperator(op.size, 0.5 * (op.offdiag + op.offdiag.T))
 
 
@@ -374,18 +355,6 @@ def dirichlet_form(op, f):
     """Quadratic form <f, -op f> under the uniform measure."""
     f = np.asarray(f, dtype=float)
     return -inner(f, op.matvec(f))
-
-
-def check_stationarity(op, tol=1e-10):
-    """Verify the uniform measure is invariant: column sums of the full
-    matrix vanish within tol * (max row exit rate)."""
-    colsums = np.asarray(op.offdiag.sum(axis=0)).ravel() + op.diag
-    scale = max(op.max_exit_rate(), 1e-300)
-    worst = float(np.max(np.abs(colsums), initial=0.0))
-    if worst > tol * scale:
-        raise NotStationaryError(
-            f"max |column sum| = {worst:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
 
 
 def check_ergodicity(op):

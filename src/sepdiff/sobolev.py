@@ -107,7 +107,7 @@ def _krylov_projected(op, b, tol, lam, path, x0=None):
     ("iterative-gmres"), starting from ``x0`` (zero when None).
 
     Returns (u, iterations, converged); u is None when BiCGSTAB breaks down
-    on a division by zero.
+    on a division by zero or an overflow.
     """
     from scipy.sparse.linalg import LinearOperator, bicgstab, cg, gmres
 
@@ -129,10 +129,11 @@ def _krylov_projected(op, b, tol, lam, path, x0=None):
         x, info = gmres(amv, b, restart=GMRES_RESTART,
                         callback_type="pr_norm", **opts)
     else:
-        # a 0/0, such as omega = (t.s)/(t.t) at t = 0, ends the attempt at
-        # once; scipy's loop would carry the NaNs to its iteration cap
+        # a 0/0, such as omega = (t.s)/(t.t) at t = 0, or an overflow of
+        # a diverging iterate ends the attempt at once; scipy's loop would
+        # carry the NaNs or infinities to its iteration cap
         try:
-            with np.errstate(divide="raise", invalid="raise"):
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
                 x, info = bicgstab(amv, b, **opts)
         except FloatingPointError:
             return None, count[0], False
@@ -156,11 +157,11 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
     method : {"auto", "iterative", "dense"}
         "iterative" runs scipy's conjugate gradients when op is symmetric.
         Otherwise it runs BiCGSTAB, and GMRES(``GMRES_RESTART``) when
-        BiCGSTAB breaks down (a division by zero), stops unconverged or
-        replays a residual above 2*tol; GMRES starts from BiCGSTAB's
-        iterate when its replayed residual is below 1, and otherwise, as
-        after a breakdown, from zero. Each runs on the operator
-        re-projected off the null direction and is capped at
+        BiCGSTAB breaks down (a division by zero or an overflow), stops
+        unconverged or replays a residual above 2*tol; GMRES starts from
+        BiCGSTAB's iterate when its replayed residual is below 1, and
+        otherwise, as after a breakdown, from zero. Each runs on the
+        operator re-projected off the null direction and is capped at
         min(10 n + 100, 100000) iterations (GMRES: restart cycles; one
         BiCGSTAB iteration applies the operator twice); "dense" factors
         lam I - op + P, whose projector P onto the null direction (1/n in

@@ -9,7 +9,7 @@ in closed form from the combinatorial number system (Knuth, TAOCP 4A,
 C(M-1-p, i_p), where i_p counts the set bits at positions >= p. The sum is
 read one byte of the bitmask at a time from a per-space table
 (:func:`_rank_table`), so ranking an array of bitmasks takes a few numpy
-lookups per byte and no search; ``unrank`` walks exact integer binomials.
+lookups per byte and no search.
 
 Bulk work runs on a ``uint64`` array of occupancy bitmasks in rank order,
 so an environment has at most 64 sites. Particle moves are enumerated one
@@ -47,10 +47,10 @@ def _require_word(M):
 _ROW_STEP = 256 * ((np.arange(256)[:, None] >> np.arange(8)) & 1).sum(axis=1)
 
 
-def _rank_table(M, k, binom):
+def _rank_table(M, k):
     """int64 table T[q, c, v]: the share of byte q (sites 8q .. 8q+7)
     holding v in the sum sum_p C(M-1-p, i_p) of the rank formula, given c
-    set bits in the bytes above it; ``binom[n][r]`` is C(n, r).
+    set bits in the bytes above it.
 
     Built over the byte's bits from the lowest: a set bit at site p with
     c' set bits above it adds C(M-1-p, c'+1), and the bits below it see
@@ -63,8 +63,9 @@ def _rank_table(M, k, binom):
     # term[q, j, i] = C(M-1-p, i) for the site p = 8q + j
     term = np.zeros((nbytes, 8, M + 9), dtype=np.int64)
     inside = sites < M
-    term[inside, :k + 1] = np.array(binom, dtype=np.int64)[
-        M - 1 - sites[inside], :k + 1]
+    binom = np.array([[math.comb(n, r) for r in range(k + 1)]
+                      for n in range(M)], dtype=np.int64)
+    term[inside, :k + 1] = binom[M - 1 - sites[inside]]
     # part[q, c, v]: share of the low j bits of v, given c set bits above
     # them; one row is used up per bit, leaving c = 0 .. M
     part = np.zeros((nbytes, M + 9, 1), dtype=np.int64)
@@ -226,9 +227,6 @@ class StateSpace:
         self.M = M                   # environment sites
         self.size = math.comb(M, self.k)
         self.alpha = (self.K - 1) / (geometry.n_sites - 1)
-        # C[n][r] for 0 <= n <= M, 0 <= r <= k+1, exact integers
-        self._C = [[math.comb(n, r) for r in range(self.k + 2)]
-                   for n in range(M + 1)]
         self._bitmasks = None
         self._rank = None            # _rank_table, built on first use
         self._channels = {}          # kernel -> channels
@@ -239,39 +237,21 @@ class StateSpace:
 
     # -- ranking ------------------------------------------------------------
 
-    def unrank(self, rank):
-        """Occupancy bitmask (an int) of the state at a lexicographic rank.
-
-        The inverse of :meth:`rank_masks`, by exact integer binomials; it
-        builds no per-state table, so it works past the state cap.
-        """
-        if not 0 <= rank < self.size:
-            raise OutOfRangeError(f"rank {rank} outside [0, {self.size})")
-        C, M, k = self._C, self.M, self.k
-        bits = 0
-        s = 0
-        r = rank
-        for i in range(k):
-            remaining = k - 1 - i
-            while True:
-                here = C[M - 1 - s][remaining]
-                if r < here:
-                    break
-                r -= here
-                s += 1
-            bits |= 1 << s
-            s += 1
-        return bits
+    def require_tables(self):
+        """Raise SizeCapError unless the per-state tables may be built: at
+        most ``DEFAULT_MAX_STATES`` states, and an environment that fits
+        the occupancy bitmask. Reads the counts only."""
+        if self.size > DEFAULT_MAX_STATES:
+            raise SizeCapError(
+                f"{self.size} states exceed cap {DEFAULT_MAX_STATES}"
+            )
+        _require_word(self.M)
 
     def bitmasks(self):
         """Read-only uint64 array of occupancy bitmasks indexed by rank
         (cached)."""
         if self._bitmasks is None:
-            if self.size > DEFAULT_MAX_STATES:
-                raise SizeCapError(
-                    f"{self.size} states exceed cap {DEFAULT_MAX_STATES}"
-                )
-            _require_word(self.M)
+            self.require_tables()
             masks = _lex_bitmasks(self.M, self.k)
             masks.flags.writeable = False
             self._bitmasks = masks
@@ -289,7 +269,7 @@ class StateSpace:
         """
         if self._rank is None:
             _require_word(self.M)
-            table = _rank_table(self.M, self.k, self._C)
+            table = _rank_table(self.M, self.k)
             # one flat table per byte: row c starts at 256 c
             self._rank = table.reshape(len(table), -1)
         masks = np.asarray(masks, dtype=np.uint64)

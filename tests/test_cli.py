@@ -322,14 +322,29 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert not out.exists(), body
 
 
-def test_size_cap_exit_4(tmp_path):
-    cfg = write_cfg(tmp_path, kernel=NN, N=40, K=40)
+def test_size_cap_exit_4(tmp_path, capsys):
+    rows = [
+        ("exact", "big", dict(N=40, K=40)),
+        # 65 environment sites: only 65 states, but wider than one word
+        ("exact", "wide", dict(N=33, K=2)),
+        # C(799, 399) states: refused from the counts, no table is built
+        ("exact", "huge", dict(N=400, alpha=0.5)),
+        # the last rung of a sweep is refused before the first one runs
+        ("sweep", "rungs", dict(N_list=[3, 40], alpha=0.5)),
+    ]
+    for command, name, keys in rows:
+        cfg = write_cfg(tmp_path, f"{name}.yaml", kernel=NN, **keys)
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(out)]) == 4, name
+        err = capsys.readouterr().err
+        assert err.startswith("size cap:") and "Traceback" not in err, name
+        # refused before the output directory is made
+        assert not out.exists(), name
+    # a one-state torus past the bitmask width: the exact route needs no
+    # table there
+    cfg = write_cfg(tmp_path, "lone.yaml", kernel=NN, N=40, K=1)
     assert main(["exact", "--config", cfg, "--out",
-                 str(tmp_path / "big")]) == 4
-    # 65 environment sites: only 65 states, but wider than one bitmask word
-    cfg = write_cfg(tmp_path, "wide.yaml", kernel=NN, N=33, K=2)
-    assert main(["exact", "--config", cfg, "--out",
-                 str(tmp_path / "wide")]) == 4
+                 str(tmp_path / "lone")]) == 0
 
 
 def test_numerical_failure_exit_3(tmp_path):

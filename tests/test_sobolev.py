@@ -91,12 +91,13 @@ def test_solve_general_nonsymmetric_matches_reference():
     assert np.allclose(ud, ref, atol=1e-10)
 
 
-@pytest.mark.parametrize("N,K", [(3, 5), (4, 7), (5, 9), (5, 8), (6, 10)])
+@pytest.mark.parametrize("N,K", [(3, 5), (4, 7), (5, 9), (5, 8), (6, 10),
+                                 (8, 14)])
 def test_gmres_rescues_bicgstab(N, K):
-    # one and two holes of TASEP (5 to 55 states): BiCGSTAB breaks down on
-    # a 0/0, stalls, or (N=6 K=10) diverges to a replayed residual of 1e41,
-    # which GMRES must not start from; GMRES solves without a warning from
-    # either
+    # one and two holes of TASEP (5 to 105 states): BiCGSTAB breaks down on
+    # a 0/0, stalls, diverges (N=6 K=10) to a replayed residual of 1e41,
+    # which GMRES must not start from, or (N=8 K=14) overflows; GMRES
+    # solves without a warning from either
     sp = StateSpace(TorusGeometry(1, N), K)
     kernel = build_kernel(1, TASEP1D)
     with warnings.catch_warnings():
