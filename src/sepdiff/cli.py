@@ -2,8 +2,9 @@
 
 Subcommands: exact, sweep, mc, diagnostics, arbitrate-sign. Every run reads
 one YAML config file; the only flags are --config, --out, --seed and
---threads. CSV files are byte-identical for identical (config, seed)
-regardless of thread count: floats are printed with 17 significant digits,
+--threads, which is checked (>= 1) but changes nothing: Monte Carlo runs
+on one thread. CSV files are byte-identical for identical (config, seed):
+floats are printed with 17 significant digits,
 lines end with \\n, and timestamps live in a separate metadata file.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
@@ -243,9 +244,10 @@ class RunConfig:
         Builds the geometry and state space of every torus the command runs
         on, and the observable sites and blocks read there, by the library
         calls the command makes; their typed errors are config errors. Then
-        checks the size caps of every torus with more than one state, whose
-        states the command enumerates (the exact route answers a one-state
-        torus without them).
+        checks the size caps of every torus whose states the command
+        enumerates: all of them for ``mc``, whose transition table holds
+        bitmasks even of a lone state, and those with more than one state
+        otherwise (the exact route answers a one-state torus without them).
         """
         if command == "mc" and "T" not in self.mc:
             raise ConfigError("mc block needs a horizon 'T'")
@@ -277,7 +279,7 @@ class RunConfig:
                 if name == "approximation":
                     block_env_indices(geo, diag[name]["basis_scale"])
         for space in spaces:
-            if space.size > 1:
+            if space.size > 1 or command == "mc":
                 space.require_tables()
 
     # -- derived objects ----------------------------------------------------
@@ -584,7 +586,9 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="cap on internal parallelism (results identical)")
+                       help="accepted for compatibility (>= 1): Monte Carlo "
+                            "runs on one thread, so output and speed are the "
+                            "same for every value")
     return parser
 
 

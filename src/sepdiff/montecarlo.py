@@ -12,8 +12,8 @@ draws its start state with ``integers(size)``, then two ``random()``
 doubles per event: u1 gives the waiting time ``-log1p(-u1) / lam``
 (numpy's ``log1p``) and u2 the channel, the first whose cumulative rate
 exceeds ``u2 * lam``. Results are reduced in replica order, so estimates
-do not depend on how replicas are grouped into lockstep chunks or split
-over threads. :func:`replica_rng` states the rule; ``estimate_diffusion``
+do not depend on how replicas are grouped into lockstep chunks.
+:func:`replica_rng` states the rule; ``estimate_diffusion``
 builds the same generators a chunk at a time, running numpy's SeedSequence
 mixing over all the chunk's replica indices in one vectorized pass and
 seeding each ``PCG64`` with its row of words, so the streams are unchanged.
@@ -25,14 +25,13 @@ their replicas and are correlated, and :func:`extrapolated_direction_stats`
 takes the standard error of the per-replica extrapolated square.
 
 ``estimate_diffusion`` advances chunks of ``LANES`` replicas together, one
-event per numpy step. Each step spends most of its time in short numpy
-calls that hold the GIL, so ``threads`` splits replica blocks over threads
-without a speed-up.
+event per numpy step, all on the calling thread. The steps are short numpy
+calls that hold the interpreter lock, so a thread pool gained nothing;
+``threads`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 
@@ -187,8 +186,8 @@ def _replica_generators(seed, lo, hi):
 RNG_STREAM = 3
 
 #: replica lanes the lockstep kernel advances together; chunking bounds
-#: its working arrays to a few hundred kB whatever the replica count
-LANES = 512
+#: its working arrays to under 2 MB whatever the replica count
+LANES = 1024
 #: events per lane whose uniforms are drawn in one refill
 REFILL = 32
 
@@ -240,11 +239,14 @@ class TransitionTable:
 def _lockstep(table, rngs, ranks, T):
     """Run one lane per generator from the given start ranks to 2T.
 
-    Each numpy step advances every live lane by one event, consuming two
-    uniforms of its own generator by the stream rule of the module
-    docstring; lanes leave when their clock passes 2T or their state is
-    frozen. An event at time t is tallied in the second window when
-    t >= T, so the counts up to T are those of a run stopped at T.
+    Each numpy step advances every lane of a refill block by one event,
+    consuming two uniforms of its own generator by the stream rule of the
+    module docstring. A lane leaves when its clock passes 2T or its state
+    is frozen: its final rank is recorded at once, and until the block
+    ends it keeps its place and tallies into a sink that is discarded, so
+    the arrays are compacted only when uniforms are next drawn. An event
+    at time t is tallied in the second window when t >= T, so the counts
+    up to T are those of a run stopped at T.
     Uniforms are drawn ``REFILL`` events at a time, and consecutive draws
     of one generator give the same doubles as a single draw, so results do
     not depend on how replicas are grouped.
@@ -261,39 +263,46 @@ def _lockstep(table, rngs, ranks, T):
     ones = np.ones(width)
     # lane i counts its events before T at i * wide + 1 + jump label and
     # later ones a stride further on, so slot 0 of each window takes the
-    # environment moves (label -1)
-    counts = np.zeros(n * wide, dtype=np.int64)
+    # environment moves (label -1); lane n's windows are the sink
+    counts = np.zeros((n + 1) * wide, dtype=np.int64)
+    sink = n * wide + 1
     final = np.array(ranks, dtype=np.intp)
     rank = final.copy()
-    slot = np.arange(n) * wide + 1
+    lane = np.arange(n)
     t = np.zeros(n)
     u = np.empty((n, 2 * REFILL))
     rows = list(u)
     # a frozen lane has lam = 0: its clock becomes inf (or nan), never < end
     with np.errstate(divide="ignore", invalid="ignore"):
-        while rank.size:
-            for k, i in enumerate((slot // wide).tolist()):
+        while lane.size:
+            for k, i in enumerate(lane.tolist()):
                 rngs[i].random(out=rows[k])
-            row = np.arange(rank.size)
-            # event s reads row s of the waiting times and row 2 s + 1 of
-            # the transposed uniforms, one entry per live lane
-            ut = u[:rank.size].T.copy()
+            # event s reads row 2 s of the transposed uniforms for its
+            # waits and row 2 s + 1 for its thresholds, one entry per lane
+            ut = u[:lane.size].T.copy()
             waits = -np.log1p(-ut[0::2])
+            slot = lane * wide + 1
+            inside, n_in = np.ones(lane.size, dtype=bool), lane.size
             moves = []
             for s in range(REFILL):
                 lam = total.take(rank)
-                t += waits[s].take(row) / lam
+                t += waits[s] / lam
                 keep = t < end
-                if not keep.all():
-                    done = ~keep
-                    final[slot[done] // wide] = rank[done]
-                    rank, t, slot, row, lam = (rank[keep], t[keep], slot[keep],
-                                               row[keep], lam[keep])
-                    if not rank.size:
+                n_keep = np.count_nonzero(keep)
+                if n_keep < n_in:
+                    # a clock never returns below 2T, so the lanes inside
+                    # whose clock is not below it have just left
+                    done = inside ^ keep
+                    final[lane[done]] = rank[done]
+                    slot[done] = sink
+                    inside, n_in = keep, n_keep
+                    if not n_in:
                         break
-                thr = ut[2 * s + 1].take(row) * lam
                 # rows ascend, so the count of entries <= thr is
-                # bisect_right; a product with ones counts them fastest
+                # bisect_right; a product with ones counts them fastest.
+                # Lanes that left step on into the sink; in a frozen state
+                # the clamp gives column -1, a valid index all the same
+                thr = ut[2 * s + 1] * lam
                 j = ((cum.take(rank, axis=0) <= thr[:, None]) @ ones).astype(
                     np.intp)
                 np.minimum(j, last.take(rank), out=j)
@@ -303,7 +312,9 @@ def _lockstep(table, rngs, ranks, T):
             if moves:
                 counts += np.bincount(np.concatenate(moves),
                                       minlength=counts.size)
-    counts = counts.reshape(n, 2, stride)[:, :, 1:]
+            if n_in < lane.size:
+                lane, rank, t = lane[inside], rank[inside], t[inside]
+    counts = counts[:n * wide].reshape(n, 2, stride)[:, :, 1:]
     return final, np.cumsum(counts, axis=1)
 
 
@@ -327,28 +338,20 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
     Runs M independent replicas to 2T and records their positions at T on
     the way, to expose finite-horizon bias. The drift target is
     m(1 - alpha) with m the kernel mean; the covariance of
-    (X_T - m(1-alpha)T)/sqrt(T) estimates the diffusion matrix.
+    (X_T - m(1-alpha)T)/sqrt(T) estimates the diffusion matrix. Replicas
+    run in chunks of ``LANES`` on the calling thread; ``threads`` has no
+    effect.
     """
     check_replica_run(T, M, seed)
     expected = classify(kernel)[1] * (1.0 - space.alpha)
     table = TransitionTable(space, kernel)
 
-    def run_block(lo, hi):
-        counts = []
-        for a in range(lo, hi, LANES):
-            rngs = _replica_generators(seed, a, min(a + LANES, hi))
-            starts = [rng.integers(space.size) for rng in rngs]
-            counts.append(_lockstep(table, rngs, starts, T)[1])
-        return np.concatenate(counts)
-
-    # the calling thread runs the first block and threads - 1 workers the
-    # rest; threads=1 submits nothing, so the pool starts no thread
-    bounds = np.linspace(0, M, max(threads, 1) + 1, dtype=int)
-    blocks = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
-    with concurrent.futures.ThreadPoolExecutor(max(threads - 1, 1)) as pool:
-        futs = [pool.submit(run_block, lo, hi) for lo, hi in blocks[1:]]
-        parts = [run_block(*blocks[0])] + [f.result() for f in futs]
-    counts = np.concatenate(parts)
+    chunks = []
+    for lo in range(0, M, LANES):
+        rngs = _replica_generators(seed, lo, min(lo + LANES, M))
+        starts = [rng.integers(space.size) for rng in rngs]
+        chunks.append(_lockstep(table, rngs, starts, T)[1])
+    counts = np.concatenate(chunks)
     stats = [HorizonStats(h, expected, counts[:, w] @ table.zvecs,
                           counts[:, w].sum(axis=1))
              for w, h in enumerate((float(T), 2.0 * T))]

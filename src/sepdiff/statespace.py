@@ -34,6 +34,17 @@ DEFAULT_MAX_STATES = 500_000
 BITMASK_WIDTH = 64
 
 
+def _short_count(n):
+    """A count of any size to two significant digits, as 9.4e238: a state
+    count can have hundreds of digits, too many for a float."""
+    exponent = len(str(n)) - 1
+    # int / int rounds correctly however large n is
+    mantissa = round(n / 10 ** exponent, 1)
+    if mantissa == 10.0:
+        mantissa, exponent = 1.0, exponent + 1
+    return f"{mantissa:.1f}e{exponent}"
+
+
 def _require_word(M):
     if M > BITMASK_WIDTH:
         raise SizeCapError(
@@ -243,7 +254,8 @@ class StateSpace:
         the occupancy bitmask. Reads the counts only."""
         if self.size > DEFAULT_MAX_STATES:
             raise SizeCapError(
-                f"{self.size} states exceed cap {DEFAULT_MAX_STATES}"
+                f"{_short_count(self.size)} states exceed cap "
+                f"{DEFAULT_MAX_STATES}"
             )
         _require_word(self.M)
 

@@ -331,6 +331,8 @@ def test_size_cap_exit_4(tmp_path, capsys):
         ("exact", "huge", dict(N=400, alpha=0.5)),
         # the last rung of a sweep is refused before the first one runs
         ("sweep", "rungs", dict(N_list=[3, 40], alpha=0.5)),
+        # one state, but the Monte Carlo table holds its 79-site bitmask
+        ("mc", "lone-mc", dict(N=40, K=1, mc={"T": 1.0, "M": 10})),
     ]
     for command, name, keys in rows:
         cfg = write_cfg(tmp_path, f"{name}.yaml", kernel=NN, **keys)
@@ -338,8 +340,12 @@ def test_size_cap_exit_4(tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", str(out)]) == 4, name
         err = capsys.readouterr().err
         assert err.startswith("size cap:") and "Traceback" not in err, name
+        # one short line, however many digits the state count has
+        assert err.count("\n") == 1 and len(err) < 100, (name, err)
         # refused before the output directory is made
         assert not out.exists(), name
+        if name == "huge":
+            assert "9.4e238 states exceed cap 500000" in err
     # a one-state torus past the bitmask width: the exact route needs no
     # table there
     cfg = write_cfg(tmp_path, "lone.yaml", kernel=NN, N=40, K=1)

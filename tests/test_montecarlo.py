@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from bisect import bisect_right
 
 import numpy as np
@@ -65,10 +66,11 @@ def oracle_lane(rows, n_entries, rng, start, T):
     """Scalar Gillespie run over ``rows`` from rank ``start`` to 2T by the
     stream rule: two ``random()`` draws per event, the wait
     -log1p(-u1) / lam and the first channel whose cumulative rate exceeds
-    u2 * lam. Returns the tagged-jump counts at T and 2T, the rank at 2T
-    and the number of events whose u2 * lam equals a cumulative rate."""
+    u2 * lam. Returns the tagged-jump counts at T and 2T, the rank at 2T,
+    the number of events whose u2 * lam equals a cumulative rate and the
+    number of events before 2T."""
     counts = np.zeros((2, n_entries), dtype=np.int64)
-    r, t, ties = start, 0.0, 0
+    r, t, ties, events = start, 0.0, 0, 0
     while rows[r]:
         cum = list(itertools.accumulate(rate for _, _, rate in rows[r]))
         lam = cum[-1]
@@ -82,7 +84,8 @@ def oracle_lane(rows, n_entries, rng, start, T):
         if label >= 0:
             counts[int(t >= T), label] += 1
         r = target
-    return np.cumsum(counts, axis=0), r, ties
+        events += 1
+    return np.cumsum(counts, axis=0), r, ties, events
 
 
 class EighthsStream:
@@ -192,39 +195,63 @@ def test_estimate_thread_count_does_not_change_results(meanzero1d,
                 assert np.array_equal(h.njumps, h_ref.njumps)
 
 
+def test_estimate_starts_no_thread(meanzero1d, monkeypatch):
+    # every replica chunk runs on the calling thread, whatever threads says
+    def refuse(self):
+        raise AssertionError(f"estimate_diffusion started {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    est = estimate_diffusion(space_1d(3, 3), meanzero1d, 6.0, 40, 9,
+                             threads=4)
+    assert [h.X.shape for h in est.horizons] == [(40, 1), (40, 1)]
+
+
 @pytest.mark.parametrize("system", ["meanzero1d", "nn2d", "frozen"])
-def test_lockstep_lanes_match_direct_path(system, request):
+def test_lockstep_lanes_match_direct_path(system, request, monkeypatch):
     # every lane of one lockstep run to 2T equals a scalar Gillespie run
     # over the oracle's channels, driven by the same replica stream, at
-    # both horizons, though the lanes leave at different events
-    (d, N, K), kernel, T = {
-        "meanzero1d": ((1, 3, 3), "meanzero1d", 12.0),
-        "nn2d": ((2, 2, 3), "nn2d", 6.0),
-        "frozen": ((1, 2, 4), "nn1d", 5.0),
+    # both horizons, though the lanes leave at different events. At the
+    # short horizon most lanes leave inside the first refill block, where
+    # the lanes that left keep their places until the block ends
+    (d, N, K), kernel, T, short = {
+        "meanzero1d": ((1, 3, 3), "meanzero1d", 12.0, 2.0),
+        "nn2d": ((2, 2, 3), "nn2d", 6.0, 1.0),
+        "frozen": ((1, 2, 4), "nn1d", 5.0, 1.0),
     }[system]
     kernel = request.getfixturevalue(kernel)
     sp = StateSpace(TorusGeometry(d, N), K)
     table = TransitionTable(sp, kernel)
     rows = oracle_rows(N, d, K, kernel.entries)
     nz = len(kernel.entries)
-    for seed in range(4):
-        rngs = [replica_rng(seed, r) for r in range(9)]
-        starts = [rng.integers(sp.size) for rng in rngs]
-        final, counts = _lockstep(table, rngs, starts, T)
-        assert counts.shape == (9, 2, nz)
-        for r in range(9):
-            ref = replica_rng(seed, r)
-            want, rank, _ = oracle_lane(rows, nz, ref,
-                                        int(ref.integers(len(rows))), T)
-            assert np.array_equal(counts[r], want)
-            assert final[r] == rank
-        jumps = counts.sum(axis=2)
-        if system == "frozen":
-            assert not jumps.any()
-        else:
-            assert len(set(jumps[:, 0].tolist())) > 1
-            assert (jumps[:, 1] >= jumps[:, 0]).all()
-            assert (jumps[:, 1] > jumps[:, 0]).any()
+    default = montecarlo.REFILL
+    for refill in (1, 3, default):
+        monkeypatch.setattr(montecarlo, "REFILL", refill)
+        for horizon in (T, short):
+            events = []
+            for seed in range(4):
+                rngs = [replica_rng(seed, r) for r in range(9)]
+                starts = [rng.integers(sp.size) for rng in rngs]
+                final, counts = _lockstep(table, rngs, starts, horizon)
+                assert counts.shape == (9, 2, nz)
+                for r in range(9):
+                    ref = replica_rng(seed, r)
+                    want, rank, _, n = oracle_lane(
+                        rows, nz, ref, int(ref.integers(len(rows))), horizon)
+                    assert np.array_equal(counts[r], want)
+                    assert final[r] == rank
+                    events.append(n)
+                jumps = counts.sum(axis=2)
+                if system == "frozen":
+                    assert not jumps.any()
+                elif horizon == T:
+                    assert len(set(jumps[:, 0].tolist())) > 1
+                    assert (jumps[:, 1] >= jumps[:, 0]).all()
+                    assert (jumps[:, 1] > jumps[:, 0]).any()
+            if horizon == short and system != "frozen":
+                # lanes leave at different events, most of them before the
+                # default refill block ends
+                assert len(set(events)) > 3
+                assert sum(n < default for n in events) > 0.8 * len(events)
 
 
 @pytest.mark.parametrize("system", ["nn1d", "nn2d"])
@@ -243,7 +270,7 @@ def test_lockstep_breaks_rate_ties_as_the_stream_rule(system, request):
                               starts, T)
     ties = 0
     for r, start in enumerate(starts):
-        want, rank, n = oracle_lane(rows, nz, EighthsStream(r), start, T)
+        want, rank, n, _ = oracle_lane(rows, nz, EighthsStream(r), start, T)
         assert np.array_equal(counts[r], want)
         assert final[r] == rank
         ties += n
