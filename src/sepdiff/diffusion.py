@@ -30,12 +30,20 @@ chi(g) v_a(eta); u_a, the unique mean-zero solution, inherits this. Such a
 function is fixed by its values at one representative per orbit of H_a on
 the states, and vanishes on the orbits whose stabilizer holds an element
 with chi = -1. So the driver assembles L only on the representatives
-(``generator.ReducedAssembly``), solves in the orthonormal coordinates
-x_O = sqrt(|O|) u(r_O), where a symmetric L stays symmetric, and lifts u
-back to every state for the inner products. Euclidean norms agree in both
-coordinates, so the residual replayed on the reduced system, solved or
-mapped, is the full-space relative residual. Directions whose H_a is the
-identity alone, and calls that pass ``operator``, solve on all states.
+(``generator.ReducedAssembly``) and solves in the orthonormal coordinates
+x_O = sqrt(|O|) u(r_O), where a symmetric L stays symmetric. Everything
+else along a_i stays on the representatives too. v_i and w_i are read
+there, centered by their |O|-weighted mean when chi is trivial (a
+function of a nontrivial character has mean zero). A mapped u_i is read
+at the preimages g^{-1} r of its own representatives. And since w_i u_i is
+H-invariant, <w_i, u_i> is the sum over orbits of (sqrt(|O|) w_i(r_O)) x_O,
+divided by the state count. Euclidean norms agree in both coordinates, so
+the residual replayed on the reduced system, solved or mapped, is the
+full-space relative residual. For i != j, <w_i, u_j> vanishes when some g
+in both stabilizers has chi_i(g) != chi_j(g), since g preserves the
+measure and flips the sign of the product; otherwise both functions are
+lifted to every state. Directions whose H_a is the identity alone, and
+calls that pass ``operator``, solve on all states.
 """
 
 from __future__ import annotations
@@ -145,27 +153,44 @@ def free_term(kernel, a, alpha):
     return _free_form(kernel, a, a, alpha)
 
 
+def _raw_drifts(space, kernel, a, masks):
+    """The drift observables (v_a, w_a), not centered, at the states with
+    uint64 bitmasks ``masks``: v_a = sum_z (z.a) p(z) (alpha - eta(z)),
+    and w_a the same at the mirrored sites -z."""
+    geo = space.geometry
+    geo.require_kernel_fits(kernel)
+    a = np.asarray(a, dtype=float)
+    v = np.zeros(masks.size)
+    w = np.zeros(masks.size)
+    for z, p in kernel.entries:
+        c = float(np.dot(a, z)) * p
+        for f, site in ((v, z), (w, tuple(-x for x in z))):
+            bit = np.uint64(geo.env_index(site))
+            occ = ((masks >> bit) & np.uint64(1)).astype(float)
+            f += c * (space.alpha - occ)
+    return v, w
+
+
 def local_drift_functions(space, kernel, a):
     """Centered drift observables (v_a, w_a), float arrays over the ranks.
 
     v_a reads the occupancy at the jump targets z, w_a at the mirrored
     sites -z:  v_a = sum_z (z.a) p(z) (alpha - eta(z)), centered exactly.
     """
-    geo = space.geometry
-    geo.require_kernel_fits(kernel)
-    a = np.asarray(a, dtype=float)
-    alpha = space.alpha
-    coef = [float(np.dot(a, z)) * p for z, p in kernel.entries]
-    idx_v = [geo.env_index(z) for z, _ in kernel.entries]
-    idx_w = [geo.env_index(tuple(-c for c in z)) for z, _ in kernel.entries]
-    occ_v = space.site_occupancy(idx_v).astype(float)
-    occ_w = space.site_occupancy(idx_w).astype(float)
-    v = np.zeros(space.size)
-    w = np.zeros(space.size)
-    for j, c in enumerate(coef):
-        v += c * (alpha - occ_v[:, j])
-        w += c * (alpha - occ_w[:, j])
+    v, w = _raw_drifts(space, kernel, a, space.bitmasks())
     return center(v), center(w)
+
+
+def _reduced_drifts(space, kernel, a, coords):
+    """(v_a, w_a) in the coordinates ``coords`` of their symmetry type,
+    read at its representatives. A function of a nontrivial character
+    has mean zero; under the trivial one both are centered by their
+    |O|-weighted mean, which is their mean over the states."""
+    v, w = _raw_drifts(space, kernel, a, space.bitmasks()[coords.reps])
+    if not np.any(coords.chi < 0):
+        v = v - float(coords.sizes @ v) / space.size
+        w = w - float(coords.sizes @ w) / space.size
+    return v * coords.roots, w * coords.roots
 
 
 def _symmetries(kernel):
@@ -209,6 +234,22 @@ def _stabilizer(group, a):
     return tuple(keep), np.array(chi)
 
 
+def _values(coords, x, at=slice(None)):
+    """A function held as coordinates x in ``coords``, or as the full
+    array x when ``coords`` is None, at the ranks ``at``, every state by
+    default."""
+    return x[at] if coords is None else coords.lift(x, at)
+
+
+def _characters_differ(si, sj):
+    """Whether an element of both stabilizers (indices, chi) has a
+    different character in each. Then <w_i, u_j> vanishes: w_i and u_j
+    change by chi_i(g) and chi_j(g) under that g, which preserves the
+    measure."""
+    ci, cj = dict(zip(*si)), dict(zip(*sj))
+    return any(ci[h] != cj[h] for h in ci.keys() & cj.keys())
+
+
 def _solve_directions(space, kernel, directions, tol, method, operator=None):
     """The exact route along directions a_1..a_m.
 
@@ -221,6 +262,14 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
     system along a_i is ``operator`` when given; else the full generator
     reduced to the symmetry type of v_i when a_i has a nontrivial
     stabilizer; else the full generator, assembled once.
+
+    A reduced direction lives in its coordinates throughout: v_i and w_i
+    are read at its representatives, a mapped u_i at the preimages of
+    them, and C_ii is a dot product there. Each reduced operator is
+    dropped before the next is built, and each assembly after its last
+    direction. C_ij (i != j) is 0 when an element of both stabilizers has
+    different characters; otherwise both functions are lifted to every
+    state.
     """
     dirs = [np.asarray(a, dtype=float) for a in directions]
     free = np.array([[_free_form(kernel, a, b, space.alpha) for b in dirs]
@@ -228,44 +277,62 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
     corr = np.zeros_like(free)
     solves = [(0.0, 0, "degenerate", 0, 1)] * len(dirs)
     if space.size > 1:
+        n = space.size
         group = _symmetries(kernel)
+        stabs = [_stabilizer(group, a) for a in dirs]
+        reduced = [operator is None and len(keep) > 1 for keep, _ in stabs]
         full = operator
         assemblies = {}                   # stabilizer -> ReducedAssembly
-        us, ws = [], []
+        sols = []                 # (coords or None, w_i, u_i), in coords
         for i, a in enumerate(dirs):
-            v, w = local_drift_functions(space, kernel, a)
-            ws.append(w)
-            keep, chi = _stabilizer(group, a)
-            reduced = operator is None and len(keep) > 1
-            if reduced:
+            keep, chi = stabs[i]
+            if reduced[i]:
                 if keep not in assemblies:
                     assemblies[keep] = ReducedAssembly(
                         space, kernel, space.orbits([group[h] for h in keep]))
                 op = assemblies[keep].operator(chi)
-                b = op.restrict(v)
+                if keep not in [k for k, _ in stabs[i + 1:]]:
+                    del assemblies[keep]
+                coords = op.coords
+                b, w = _reduced_drifts(space, kernel, a, coords)
             else:
                 if full is None:
                     full = full_generator(space, kernel)
-                op, b = full, v
-            order = len(keep) if reduced else 1
+                op, coords = full, None
+                b, w = local_drift_functions(space, kernel, a)
+            order = len(keep) if reduced[i] else 1
             hit = _image(group, dirs[:i], a)
             if hit is None:
                 rep = solve_general(op, b, tol=tol, method=method)
-                u = op.lift(rep.solution) if reduced else rep.solution
+                x = rep.solution
                 solves[i] = (rep.relative_residual, rep.iterations, rep.method,
                              op.size, order)
             else:
+                # u_i(g.eta) = s u_j(eta)
                 j, g, s = hit
-                u = np.empty(space.size)
-                u[space.mapped_ranks(g)] = s * us[j]
-                res = _replay(op, op.restrict(u) if reduced else u, b, 0.0)
+                src, _, xj = sols[j]
+                if coords is None:
+                    x = np.empty(n)
+                    x[space.mapped_ranks(g)] = s * _values(src, xj)
+                else:
+                    # g^-1 = g^t takes each representative to its preimage
+                    at = space.mapped_ranks(g.T, space.bitmasks()[coords.reps])
+                    x = s * _values(src, xj, at) * coords.roots
+                res = _replay(op, x, b, 0.0)
                 if res > 2.0 * tol:
                     raise NotConvergedError(
                         f"u along {a.tolist()} mapped by symmetry left "
                         f"replayed residual {res:.3e}; tol {tol:.1e}")
                 solves[i] = (res, 0, "symmetry", op.size, order)
-            us.append(u)
-        corr = np.array([[2.0 * inner(w, u) for u in us] for w in ws])
+            corr[i, i] = 2.0 * (float(w @ x) / n)
+            sols.append((coords, w, x))
+            del op
+        for i, j in itertools.permutations(range(len(dirs)), 2):
+            if reduced[i] and reduced[j] and _characters_differ(stabs[i],
+                                                                stabs[j]):
+                continue
+            (ci, wi, _), (cj, _, uj) = sols[i], sols[j]
+            corr[i, j] = 2.0 * inner(_values(ci, wi), _values(cj, uj))
     results = []
     for i, a in enumerate(dirs):
         f, c = float(free[i, i]), float(corr[i, i])

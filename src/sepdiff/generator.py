@@ -143,11 +143,48 @@ class SparseOperator:
         return f"{type(self).__name__}(size={self.size}, nnz={self.nnz})"
 
 
+class IsotypicCoordinates:
+    """The orthonormal coordinates x_O = sqrt(|O|) u(r_O) of the functions
+    with u(g.eta) = chi(g) u(eta) for g in a group H of lattice symmetries,
+    one per orbit O of ``orbits`` (a ``StateSpace.orbits`` table of H) that
+    carries such functions (see ``Orbits.isotypic``); chi is given as +-1
+    per element of H.
+
+    ``reps`` holds the representatives r_O of those orbits and ``sizes``
+    their |O|. Only per-orbit arrays are stored: a function is read at the
+    states asked for, through each state's orbit and mover, so lifting at
+    a few states builds no full-state table.
+    """
+
+    def __init__(self, orbits, chi):
+        self.orbits = orbits
+        self.chi = np.asarray(chi, dtype=float)
+        kept = orbits.isotypic(self.chi)
+        # each orbit's coordinate; -1 on orbits without such functions
+        # gathers the 0 that lift appends
+        self.row = np.where(kept, np.cumsum(kept) - 1, -1).astype(np.int32)
+        self.reps = orbits.reps[kept]
+        self.sizes = orbits.sizes[kept]
+        self.roots = np.sqrt(self.sizes)
+
+    def restrict(self, f):
+        """Coordinates of a full-space function of the subspace."""
+        return np.asarray(f, dtype=float)[self.reps] * self.roots
+
+    def lift(self, x, at=slice(None)):
+        """The function with coordinates x at the states of ranks ``at``,
+        every state by default: chi(g) x_O / sqrt(|O|) at a state eta with
+        g.eta = r_O."""
+        orb = self.orbits
+        index = orb.index[at]
+        coef = self.chi[orb.mover[at]] / np.sqrt(orb.sizes)[index]
+        return coef * np.append(x, 0.0)[self.row[index]]
+
+
 class ReducedOperator(SparseOperator):
     """A generator L restricted to the functions with u(g.eta) = chi(g)
     u(eta) for g in a group H of lattice symmetries, in the orthonormal
-    coordinates x_O = sqrt(|O|) u(r_O), one per orbit O that carries such
-    functions (see ``Orbits.isotypic``).
+    coordinates ``coords``, an :class:`IsotypicCoordinates`.
 
     Its matrix is sqrt(|O|) A_{O,O'} / sqrt(|O'|), with A_{O,O'} the sum of
     L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric whenever L
@@ -160,13 +197,13 @@ class ReducedOperator(SparseOperator):
     functions, so a replayed residual here is the full-space one.
     """
 
-    def __init__(self, offdiag, diag, null, symmetric, lift):
+    def __init__(self, offdiag, diag, null, symmetric, coords):
         self.size = diag.size
         self._off = offdiag
         self.diag = diag
         self._null = null
         self._symmetric = symmetric
-        self._reps, self._roots, self._gather, self._coef = lift
+        self.coords = coords
 
     @property
     def null(self):
@@ -193,11 +230,11 @@ class ReducedOperator(SparseOperator):
 
     def restrict(self, f):
         """Coordinates of a full-space function of the subspace."""
-        return np.asarray(f, dtype=float)[self._reps] * self._roots
+        return self.coords.restrict(f)
 
     def lift(self, x):
         """The full-space function with coordinates x."""
-        return self._coef * np.append(x, 0.0)[self._gather]
+        return self.coords.lift(x)
 
     def compress(self):
         """Store the off-diagonal entries as CSR, duplicates summed, for a
@@ -213,30 +250,53 @@ def _check_nnz(n_entries):
 
 
 def _moves(space, kernel, masks, env_only=False):
-    """(rows, cols, rates) of the moves out of the states with bitmasks
-    ``masks`` that change them: all moves, or the environment moves alone
-    when ``env_only``. ``rows`` index ``masks``, ``cols`` are target
-    ranks; both int32, which the state cap allows.
+    """Yield (channel, src, cols) per channel in turn, for its moves out
+    of the states with bitmasks ``masks`` that change them: all channels,
+    or the environment channels alone when ``env_only``. ``src`` index
+    ``masks``, ascending, and ``cols`` are target ranks; both int32, which
+    the state cap allows. Raises SizeCapError once the moves so far pass
+    ``DEFAULT_MAX_NNZ``.
 
-    Channel-major order keeps each row's entries in channel order, so
-    coinciding targets are summed in the same order as a per-state loop.
+    Channel-major order keeps each row's moves in channel order, so a
+    consumer that sums coinciding targets in the order yielded sums them
+    as a per-state loop does.
     """
     space.geometry.require_kernel_fits(kernel)
     channels = [ch for ch in space.move_channels(kernel)
                 if not (env_only and ch.jump >= 0)]
-    # one rate per channel keeps the triples compact until the end
-    rows, cols, rates, sizes = [], [], [], []
     n = 0
     for ch, src, targets in enabled_moves(masks, channels):
         moved = targets != masks[src]
         src, targets = src[moved], targets[moved]
         n += src.size
         _check_nnz(n)
-        sizes.append(src.size)
-        rows.append(src.astype(np.int32))
-        cols.append(space.rank_masks(targets).astype(np.int32))
+        yield (ch, src.astype(np.int32),
+               space.rank_masks(targets).astype(np.int32))
+
+
+def _move_triples(space, kernel, masks, env_only=False):
+    """(rows, cols, rates) of the moves of :func:`_moves`, concatenated
+    over the channels."""
+    rows, cols, rates, sizes = [], [], [], []
+    for ch, src, targets in _moves(space, kernel, masks, env_only):
+        rows.append(src)
+        cols.append(targets)
         rates.append(ch.rate)
+        sizes.append(src.size)
     return np.concatenate(rows), np.concatenate(cols), np.repeat(rates, sizes)
+
+
+def _joined(parts):
+    """The list ``parts`` of equal-length tuples of arrays, concatenated
+    field by field; the list is emptied first, so that each field's parts
+    are freed once joined."""
+    fields = [list(f) for f in zip(*parts)]
+    parts.clear()
+    out = []
+    for k, f in enumerate(fields):
+        fields[k] = None
+        out.append(np.concatenate(f))
+    return tuple(out)
 
 
 def _symmetric_rates(space, kernel, env_only=False):
@@ -261,7 +321,8 @@ def _assemble(space, kernel, env_only=False):
     count ``StateSpace.bitmasks`` caps)."""
     import scipy.sparse as sp
 
-    rows, cols, rates = _moves(space, kernel, space.bitmasks(), env_only)
+    rows, cols, rates = _move_triples(space, kernel, space.bitmasks(),
+                                     env_only)
     off = sp.coo_matrix((rates, (rows, cols)), shape=(space.size, space.size))
     return SparseOperator(space.size, off,
                           _symmetric_rates(space, kernel, env_only))
@@ -295,33 +356,38 @@ class ReducedAssembly:
     def __init__(self, space, kernel, orbits):
         self.orbits = orbits
         self.symmetric = _symmetric_rates(space, kernel)
-        src, targets, rates = _moves(space, kernel,
-                                     space.bitmasks()[orbits.reps])
-        # each target as its orbit and the group element that maps it to
-        # the orbit's representative; the rate carries sqrt(|O| / |O'|)
-        cols = orbits.index[targets]
-        movers = orbits.mover[targets]
         roots = np.sqrt(orbits.sizes)
-        weights = rates * roots[src] / roots[cols]
-        within = src == cols
-        self._exit = np.bincount(src, weights=rates,
-                                 minlength=orbits.reps.size)
-        self._within = (src[within], weights[within], movers[within])
-        across = ~within
-        self._across = (src[across], cols[across], weights[across],
-                        movers[across])
+        self._exit = np.zeros(orbits.reps.size)
+        within, across = [], []
+        # one channel at a time, so that no move array of full length
+        # exists beside the parts kept
+        for ch, src, targets in _moves(space, kernel,
+                                       space.bitmasks()[orbits.reps]):
+            # each target as its orbit and the group element that maps it
+            # to the orbit's representative; the rate carries
+            # sqrt(|O| / |O'|)
+            cols = orbits.index[targets]
+            movers = orbits.mover[targets]
+            weights = ch.rate * roots[src] / roots[cols]
+            # a channel moves each state at most once, so this adds the
+            # exit rates in channel order
+            self._exit[src] += ch.rate
+            inside = src == cols
+            within.append((src[inside], weights[inside], movers[inside]))
+            out = ~inside
+            across.append((src[out], cols[out], weights[out], movers[out]))
+        self._within = _joined(within)
+        self._across = _joined(across)
 
     def operator(self, chi):
         """The generator restricted to the functions with u(g.eta) =
         chi(g) u(eta), chi given as +-1 per group element."""
         import scipy.sparse as sp
 
-        orb = self.orbits
-        chi = np.asarray(chi, dtype=float)
-        sign, kept = orb.isotypic(chi)
-        row = (np.cumsum(kept) - 1).astype(np.int32)
-        roots = np.sqrt(orb.sizes[kept])
-        n = roots.size
+        coords = IsotypicCoordinates(self.orbits, chi)
+        chi, row = coords.chi, coords.row
+        kept = row >= 0
+        n = coords.reps.size
         # moves within an orbit land on the diagonal
         src, weights, movers = self._within
         diag = (np.bincount(src, weights=weights * chi[movers],
@@ -331,17 +397,16 @@ class ReducedAssembly:
         # sobolev._reflection_halves converts (ReducedOperator.compress),
         # since the sector constant applies each half thousands of times
         src, cols, weights, movers = self._across
-        live = kept[src] & kept[cols]
-        off = sp.coo_matrix(
-            (weights[live] * chi[movers[live]],
-             (row[src[live]], row[cols[live]])), shape=(n, n))
+        live = kept[src]
+        live &= kept[cols]
+        # chi is +-1: negate in place rather than multiply by a float copy
+        data = weights[live]
+        np.negative(data, out=data, where=(chi < 0)[movers[live]])
+        off = sp.coo_matrix((data, (row[src[live]], row[cols[live]])),
+                            shape=(n, n))
         null = (None if np.any(chi < 0)
-                else roots / np.sqrt(orb.sizes.sum()))
-        # states of orbits without such functions gather the appended 0
-        gather = np.where(kept, row, -1)[orb.index]
-        coef = sign / np.sqrt(orb.sizes)[orb.index]
-        lift = (orb.reps[kept], roots, gather, coef)
-        return ReducedOperator(off, diag, null, self.symmetric, lift)
+                else coords.roots / np.sqrt(self.orbits.sizes.sum()))
+        return ReducedOperator(off, diag, null, self.symmetric, coords)
 
 
 def symmetric_part(op):

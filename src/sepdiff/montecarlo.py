@@ -39,7 +39,7 @@ import numpy as np
 
 from .diffusion import _solve_directions
 from .errors import InconclusiveError, OutOfRangeError
-from .generator import _moves
+from .generator import _move_triples
 from .kernel import classify
 from .statespace import enabled_moves
 
@@ -364,7 +364,7 @@ def relaxation_gap(space, kernel):
     one state or above ``RELAX_GAP_MAX`` states.
 
     The dense matrix is built from the move triples of
-    ``generator._moves``, so this needs no sparse linear algebra. It
+    ``generator._move_triples``, so this needs no sparse linear algebra. It
     equals the dense route of :func:`sobolev.spectral_gap`, that is
     ``spectral_gap(symmetric_part(full_generator(space, kernel)),
     method="dense")``, bit for bit: duplicate moves are summed in
@@ -376,7 +376,7 @@ def relaxation_gap(space, kernel):
     n = space.size
     if not 1 < n <= RELAX_GAP_MAX:
         return None
-    rows, cols, rates = _moves(space, kernel, space.bitmasks())
+    rows, cols, rates = _move_triples(space, kernel, space.bitmasks())
     a = np.zeros((n, n))
     np.add.at(a, (rows, cols), rates)
     s = 0.5 * (a + a.T)

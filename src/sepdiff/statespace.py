@@ -204,15 +204,14 @@ class Orbits:
     stabilizers: np.ndarray
 
     def isotypic(self, chi):
-        """(sign, kept) for a character chi of H, given as +-1 per element:
-        the sign chi(g) of each state, for any g with g.eta = r_O, and
-        whether each orbit carries functions with u(g.eta) = chi(g) u(eta).
-        Those functions vanish on an orbit whose stabilizer holds an
-        element with chi = -1.
+        """Whether each orbit carries functions with u(g.eta) = chi(g)
+        u(eta), for a character chi of H given as +-1 per element. Those
+        functions vanish on an orbit whose stabilizer holds an element
+        with chi = -1.
         """
         chi = np.asarray(chi)
         neg = np.uint64(sum(1 << h for h in np.flatnonzero(chi < 0)))
-        return chi[self.mover], (self.stabilizers & neg) == 0
+        return (self.stabilizers & neg) == 0
 
 
 class StateSpace:
@@ -301,9 +300,10 @@ class StateSpace:
                 f"bitmask does not hold the {self.k} particles of the space")
         return ((self.size - 1) - share).reshape(masks.shape)
 
-    def mapped_ranks(self, g):
-        """Ranks of g.eta_r for every state eta_r, in rank order, with g a
-        signed permutation matrix of the lattice.
+    def mapped_ranks(self, g, masks=None):
+        """Ranks of g.eta for the states eta with uint64 bitmasks
+        ``masks``, or for every state in rank order when ``masks`` is
+        None, with g a signed permutation matrix of the lattice.
 
         g fixes the origin and maps the torus onto itself, so it moves
         environment site x to wrap(g x). The bits of every bitmask are
@@ -313,7 +313,9 @@ class StateSpace:
         g = np.asarray(g)
         groups = _shift_groups([geo.env_index(tuple(int(c) for c in g @ x))
                                 for x in geo.env_sites])
-        return self.rank_masks(_moved(self.bitmasks(), groups))
+        if masks is None:
+            masks = self.bitmasks()
+        return self.rank_masks(_moved(masks, groups))
 
     def orbits(self, group):
         """Orbit tables of a group H of signed lattice permutations, the

@@ -177,6 +177,10 @@ def test_mapped_ranks_match_per_state_rule(d, N, K, g):
     got = sp.mapped_ranks(np.array(g))
     assert got.tolist() == want
     assert sorted(want) == list(range(sp.size))
+    # a subset of the states, in any order, maps to the same ranks
+    subset = np.random.default_rng(sp.size).permutation(sp.size)[::2]
+    got = sp.mapped_ranks(np.array(g), sp.bitmasks()[subset])
+    assert got.tolist() == [want[r] for r in subset]
 
 
 def test_site_occupancy_and_inside_counts():
