@@ -7,7 +7,6 @@ and the energy/dual-norm machinery used to diagnose convergence.
 
 from .diffusion import (
     DEFAULT_CORRECTION_SIGN,
-    MAX_BLOCK_SITES,
     approximation_residual_diagnostic,
     block_env_indices,
     choose_K,

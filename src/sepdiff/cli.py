@@ -56,6 +56,7 @@ from .kernel import build_kernel
 from .montecarlo import (
     RNG_STREAM,
     _arbitrate,
+    check_arbitration_horizon,
     check_replica_run,
     estimate_diffusion,
     relaxation_gap,
@@ -260,6 +261,8 @@ class RunConfig:
                      if name in diag}
             spaces.append(self.space())
             geo = spaces[-1].geometry
+            if command == "arbitrate-sign":
+                check_arbitration_horizon(spaces[-1], self.arbitrate.get("T"))
             if "multiscale" in diag:
                 block = diag["multiscale"]
                 multiscale_scales(geo, block["l"], block["q"], block["n_max"])
@@ -483,7 +486,10 @@ def cmd_diagnostics(cfg, out_dir):
                      else value])
 
     op = None
-    if space.size > 1:
+    # built only for the sections below that read it
+    if space.size > 1 and (diag.get("spectral_gap")
+                           or diag.get("sector_constant")
+                           or "prop1" in diag or "resolvent" in diag):
         op = full_generator(space, cfg.kernel)
 
     if diag.get("spectral_gap") and op is not None:

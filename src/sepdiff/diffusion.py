@@ -44,6 +44,10 @@ in both stabilizers has chi_i(g) != chi_j(g), since g preserves the
 measure and flips the sign of the product; otherwise both functions are
 lifted to every state. Directions whose H_a is the identity alone, and
 calls that pass ``operator``, solve on all states.
+
+The multiscale diagnostic projects an observable onto the functions of
+the particle count inside a block. The measure is uniform, so that
+projection is the mean of the observable over the states of each count.
 """
 
 from __future__ import annotations
@@ -76,13 +80,10 @@ from .sobolev import (
     hminus1_norm,
     solve_general,
 )
-from .statespace import StateSpace, _lex_bitmasks, _moved, _shift_groups
+from .statespace import StateSpace
 
 #: the fixed correction sign of D = free - sign * 2 <w_a, u_a>, printed in CSVs
 DEFAULT_CORRECTION_SIGN = -1
-
-#: largest block (site count) that conditional_expectation will enumerate
-MAX_BLOCK_SITES = 24
 
 
 @dataclass
@@ -432,20 +433,15 @@ def sweep(kernel, alpha, N_list, rtol=0.05, tol=1e-10, method="auto"):
 
 # -- block averaging ---------------------------------------------------------
 
-def block_env_indices(geometry, l, cap=None):
+def block_env_indices(geometry, l):
     """Environment-site indices of the block {-l+1, ..., l}^d minus origin;
-    a SupportTooLargeError when the block does not fit the torus or has
-    more than ``cap`` sites."""
+    a SupportTooLargeError when the block does not fit the torus."""
     if l < 1:
         raise OutOfRangeError(f"block scale must be >= 1, got {l}")
     if l > geometry.N:
         raise SupportTooLargeError(
             f"block of scale {l} does not fit a torus with N = {geometry.N}"
         )
-    m = (2 * l) ** geometry.dimension - 1
-    if cap is not None and m > cap:
-        raise SupportTooLargeError(
-            f"block of scale {l} has {m} sites, cap is {cap}")
     rng = range(-l + 1, l + 1)
     sites = [s for s in itertools.product(rng, repeat=geometry.dimension)
              if s != geometry.origin]
@@ -453,47 +449,28 @@ def block_env_indices(geometry, l, cap=None):
 
 
 def conditional_expectation(space, v, l):
-    """Project an observable supported on the block of scale l onto the
-    particle count inside that block.
+    """The orthogonal projection of v onto the functions of the particle
+    count inside the block of scale l: at each state, the mean of v over
+    the states with the same count, the measure being uniform.
 
-    Under the exchangeable canonical measure, conditioning on the count j
-    and the outside configuration makes the inside arrangement uniform,
-    so the projection is the plain average of v over all C(m, j)
-    arrangements, evaluated by exact enumeration. The caller promises
-    supp(v) lies inside the block; arrangement values are then read off at
-    a canonical completion (leftover particles parked on the first sites
-    outside the block).
+    For a v supported in the block this is the average of v over the
+    arrangements of that many particles inside, since under the
+    exchangeable canonical measure the count and the outside
+    configuration leave the inside arrangement uniform.
     """
     v = np.asarray(v, dtype=float)
-    inside = block_env_indices(space.geometry, l, MAX_BLOCK_SITES)
-    m_in = len(inside)
-    inside_mask = sum(1 << i for i in inside)
-    outside = [i for i in range(space.M) if not (inside_mask >> i) & 1]
-    # local bit b moves to block site inside[b]
-    groups = _shift_groups(inside)
-    k = space.k
-    avg = {}
-    for j in range(0, min(k, m_in) + 1):
-        rem = k - j
-        if rem > len(outside):
-            continue
-        filler = np.uint64(sum(1 << i for i in outside[:rem]))
-        # lexicographic order of the local subsets is that of
-        # itertools.combinations(inside, j)
-        masks = _moved(_lex_bitmasks(m_in, j), groups) | filler
-        # summed left to right in enumeration order (cumsum, unlike sum,
-        # does not pair terms)
-        total = np.cumsum(v[space.rank_masks(masks)])[-1]
-        avg[j] = float(total) / len(masks)
-    counts = space.inside_counts(inside_mask)
-    return np.array([avg[int(c)] for c in counts])
+    counts = space.inside_counts(
+        sum(1 << i for i in block_env_indices(space.geometry, l)))
+    # counts that no state has (too few particles can stay outside) hold
+    # no states and are never read back
+    states = np.maximum(np.bincount(counts), 1)
+    return (np.bincount(counts, weights=v) / states)[counts]
 
 
 def multiscale_scales(geometry, l, q, n_max):
     """The block scales l * q^n, n = 0..n_max, of a multiscale diagnostic
     on ``geometry``: an OutOfRangeError unless l >= 1, q >= 2 and
-    n_max >= 1, and a SupportTooLargeError at the first scale above N or
-    when the largest block has more than ``MAX_BLOCK_SITES`` sites."""
+    n_max >= 1, and a SupportTooLargeError at the first scale above N."""
     if l < 1 or q < 2 or n_max < 1:
         raise OutOfRangeError(f"multiscale needs l >= 1, q >= 2 and "
                               f"n_max >= 1, got {l}, {q} and {n_max}")
@@ -505,7 +482,6 @@ def multiscale_scales(geometry, l, q, n_max):
                 f"scale l * q**{n} = {scale} does not fit a torus with "
                 f"N = {geometry.N}")
         scales.append(scale)
-    block_env_indices(geometry, scales[-1], MAX_BLOCK_SITES)
     return scales
 
 

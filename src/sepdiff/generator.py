@@ -3,9 +3,11 @@
 Operators keep only strictly positive off-diagonal rates; the diagonal is
 always the negative row sum, so row sums vanish identically. The reference
 measure is uniform on the state space, and all inner products are taken
-with the flat weight 1/size. A ``ReducedOperator`` is the exception: a
-generator restricted to one symmetry type, in orbit coordinates, with
-signed off-diagonal entries and a stored diagonal.
+with the flat weight 1/size. The exception is a generator restricted to
+one symmetry type (``ReducedAssembly.operator``), in orbit coordinates,
+with signed off-diagonal entries and a stored diagonal. Every operator
+stores its unit null direction as ``null``: the normalized constants for
+a generator, the reduced constants or None for a restricted one.
 
 scipy is imported inside the functions that build or traverse sparse
 matrices, so the Monte Carlo route, which needs none, runs on numpy alone.
@@ -24,7 +26,7 @@ from .statespace import enabled_moves
 #: over the environment and tagged parts together
 DEFAULT_MAX_NNZ = 50_000_000
 
-#: tolerance of the mean-zero checks, relative to max(1, max |value|)
+#: tolerance of SparseOperator.require_range, relative to max(1, max |value|)
 MEAN_ZERO_TOL = 1e-12
 
 #: largest |rate(x, y) - rate(y, x)|, relative to max(1, max exit rate),
@@ -44,24 +46,20 @@ def center(f):
     return f - f.mean()
 
 
-def require_mean_zero(values, what="observable"):
-    """Raise NotMeanZeroError unless the flat mean of a float array is
-    within ``MEAN_ZERO_TOL`` of 0, relative to max(1, max |value|)."""
-    m = abs(float(values.mean())) if values.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
-    if m > MEAN_ZERO_TOL * scale:
-        raise NotMeanZeroError(f"{what} has mean {m:.3e}, above "
-                               f"{MEAN_ZERO_TOL} * {scale:.3e}")
-
-
 class SparseOperator:
-    """Generator matrix: positive off-diagonal rates, diagonal = -row sum.
+    """Generator matrix: positive off-diagonal rates, diagonal = -row sum;
+    or a generator restricted to one symmetry type, built by
+    :meth:`ReducedAssembly.operator` past these checks.
 
     ``symmetric``, when given, is whether the rates are symmetric, decided
     by the caller; otherwise :meth:`is_symmetric` compares the stored
-    rates with their transpose. The null direction is the constants.
+    rates with their transpose. ``null`` is the unit vector spanning the
+    null direction: the normalized constants here, and the reduced
+    constants or None (a nonsingular operator) for a restricted one.
     ``source`` is the (space, kernel) pair whose full generator this is,
-    recorded by :func:`full_generator`, and None for any other operator.
+    recorded by :func:`full_generator`, and None for any other operator;
+    ``coords`` are the :class:`IsotypicCoordinates` of a restricted
+    operator, and None for a full-space one.
     """
 
     source = None
@@ -77,10 +75,18 @@ class SparseOperator:
         if off.diagonal().any():
             raise ValueError("off-diagonal storage must not carry diagonal entries")
         off.sort_indices()
-        self.size = size
+        self._store(off, -np.asarray(off.sum(axis=1)).ravel(),
+                    np.ones(size) / np.sqrt(size), symmetric)
+
+    def _store(self, off, diag, null, symmetric, coords=None):
+        """Keep the parts as given, unchecked; returns self."""
+        self.size = diag.size
         self._off = off
-        self.diag = -np.asarray(off.sum(axis=1)).ravel()
+        self.diag = diag
+        self.null = null
         self._symmetric = symmetric
+        self.coords = coords
+        return self
 
     @property
     def nnz(self):
@@ -91,24 +97,24 @@ class SparseOperator:
     def offdiag(self):
         return self._off
 
-    @property
-    def null(self):
-        """Unit vector spanning the null space: the normalized constants."""
-        return np.full(self.size, 1.0 / np.sqrt(self.size))
-
     def project(self, f):
-        """f less its component along the null direction: the flat mean."""
-        return center(f)
-
-    def null_projector(self):
-        """The projector onto the null direction, to add to a dense matrix:
-        1/size in every entry."""
-        return 1.0 / self.size
+        """f less its component along the null direction."""
+        if self.null is None:
+            return f
+        return f - self.null * float(self.null @ f)
 
     def require_range(self, b, what):
-        """Raise NotMeanZeroError unless b is orthogonal to the null
-        direction, that is mean-zero."""
-        require_mean_zero(b, what)
+        """Raise NotMeanZeroError unless |null . b| <= ``MEAN_ZERO_TOL``
+        * max(1, max |b|) * sqrt(size); for the constants that is
+        |mean b| <= MEAN_ZERO_TOL * max(1, max |b|)."""
+        if self.null is None:
+            return
+        c = abs(float(self.null @ b))
+        scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+        bound = MEAN_ZERO_TOL * scale * np.sqrt(self.size)
+        if c > bound:
+            raise NotMeanZeroError(f"{what} has null component {c:.3e}, "
+                                   f"above {bound:.3e}")
 
     def matvec(self, f):
         f = np.asarray(f, dtype=float)
@@ -138,6 +144,12 @@ class SparseOperator:
             worst = abs(d).max() if d.nnz else 0.0
             self._symmetric = bool(worst <= SYMMETRY_TOL * scale)
         return self._symmetric
+
+    def compress(self):
+        """Store the off-diagonal entries as CSR, duplicates summed, for a
+        caller that applies the operator many times; returns self."""
+        self._off = self._off.tocsr()
+        return self
 
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size}, nnz={self.nnz})"
@@ -179,68 +191,6 @@ class IsotypicCoordinates:
         index = orb.index[at]
         coef = self.chi[orb.mover[at]] / np.sqrt(orb.sizes)[index]
         return coef * np.append(x, 0.0)[self.row[index]]
-
-
-class ReducedOperator(SparseOperator):
-    """A generator L restricted to the functions with u(g.eta) = chi(g)
-    u(eta) for g in a group H of lattice symmetries, in the orthonormal
-    coordinates ``coords``, an :class:`IsotypicCoordinates`.
-
-    Its matrix is sqrt(|O|) A_{O,O'} / sqrt(|O'|), with A_{O,O'} the sum of
-    L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric whenever L
-    is. The off-diagonal entries may be negative, are stored in COO form
-    with repeated coordinates summed by every product (CSR after
-    :meth:`compress`), and the diagonal is stored. The null direction is
-    sqrt(|O|), normalized, when chi is trivial (the constants) and there
-    is none otherwise: such functions sum to zero, and L is nonsingular on
-    them. Euclidean norms in these coordinates equal those of the lifted
-    functions, so a replayed residual here is the full-space one.
-    """
-
-    def __init__(self, offdiag, diag, null, symmetric, coords):
-        self.size = diag.size
-        self._off = offdiag
-        self.diag = diag
-        self._null = null
-        self._symmetric = symmetric
-        self.coords = coords
-
-    @property
-    def null(self):
-        """Unit null direction, or None when the operator is nonsingular."""
-        return self._null
-
-    def project(self, f):
-        if self._null is None:
-            return f
-        return f - self._null * float(self._null @ f)
-
-    def null_projector(self):
-        if self._null is None:
-            return 0.0
-        return np.outer(self._null, self._null)
-
-    def require_range(self, b, what):
-        if self._null is None:
-            return
-        c = abs(float(self._null @ b))
-        scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-        if c > MEAN_ZERO_TOL * scale * np.sqrt(self.size):
-            raise NotMeanZeroError(f"{what} has null component {c:.3e}")
-
-    def restrict(self, f):
-        """Coordinates of a full-space function of the subspace."""
-        return self.coords.restrict(f)
-
-    def lift(self, x):
-        """The full-space function with coordinates x."""
-        return self.coords.lift(x)
-
-    def compress(self):
-        """Store the off-diagonal entries as CSR, duplicates summed, for a
-        caller that applies the operator many times; returns self."""
-        self._off = self._off.tocsr()
-        return self
 
 
 def _check_nnz(n_entries):
@@ -350,7 +300,7 @@ def full_generator(space, kernel):
 class ReducedAssembly:
     """The moves out of each orbit representative of ``orbits`` (a
     ``StateSpace.orbits`` table of kernel symmetries), enumerated once and
-    read as a :class:`ReducedOperator` under any character of the group.
+    read as an operator under any character of the group.
     """
 
     def __init__(self, space, kernel, orbits):
@@ -380,8 +330,19 @@ class ReducedAssembly:
         self._across = _joined(across)
 
     def operator(self, chi):
-        """The generator restricted to the functions with u(g.eta) =
-        chi(g) u(eta), chi given as +-1 per group element."""
+        """The generator L restricted to the functions with u(g.eta) =
+        chi(g) u(eta), chi given as +-1 per group element, as a
+        :class:`SparseOperator` in their coordinates ``coords``.
+
+        Its matrix is sqrt(|O|) A_{O,O'} / sqrt(|O'|), with A_{O,O'} the
+        sum of L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric
+        whenever L is. The off-diagonal entries may be negative, and the
+        diagonal is stored. The null direction is sqrt(|O|), normalized,
+        when chi is trivial (the constants), and None otherwise: such
+        functions sum to zero, and L is nonsingular on them. Euclidean
+        norms in these coordinates equal those of the lifted functions, so
+        a replayed residual here is the full-space one.
+        """
         import scipy.sparse as sp
 
         coords = IsotypicCoordinates(self.orbits, chi)
@@ -394,7 +355,7 @@ class ReducedAssembly:
                             minlength=kept.size) - self._exit)[kept]
         # left in COO form, duplicates and all: the exact route applies it
         # in one solve, which saves less than converting to CSR costs;
-        # sobolev._reflection_halves converts (ReducedOperator.compress),
+        # sobolev._reflection_halves converts (SparseOperator.compress),
         # since the sector constant applies each half thousands of times
         src, cols, weights, movers = self._across
         live = kept[src]
@@ -406,7 +367,9 @@ class ReducedAssembly:
                             shape=(n, n))
         null = (None if np.any(chi < 0)
                 else coords.roots / np.sqrt(self.orbits.sizes.sum()))
-        return ReducedOperator(off, diag, null, self.symmetric, coords)
+        # signed entries and a stored diagonal: past __init__'s checks
+        return SparseOperator.__new__(SparseOperator)._store(
+            off, diag, null, self.symmetric, coords)
 
 
 def symmetric_part(op):

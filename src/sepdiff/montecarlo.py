@@ -332,6 +332,16 @@ def check_replica_run(T, M, seed):
         raise OutOfRangeError(f"master seed must be >= 0, got {seed}")
 
 
+def check_arbitration_horizon(space, T):
+    """Refuse, by OutOfRangeError, a sign arbitration with no horizon T on
+    a space above ``RELAX_GAP_MAX`` states, where the relaxation gap that
+    would set the horizon is not computed."""
+    if T is None and space.size > RELAX_GAP_MAX:
+        raise OutOfRangeError(f"arbitration needs a horizon 'T' above "
+                              f"{RELAX_GAP_MAX} states, where the "
+                              f"relaxation gap is not computed")
+
+
 def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
     """Replica estimate of drift and diffusion from final positions.
 
@@ -405,6 +415,7 @@ def arbitrate_sign(space, kernel, directions=None, T=None, M=4000,
 def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
     """The work of :func:`arbitrate_sign`: the chosen sign and the exact
     DirectionResult (both conventions) of each arbitrated direction."""
+    check_arbitration_horizon(space, T)
     if directions is None:
         directions = np.eye(space.geometry.dimension)
     _, _, exact = _solve_directions(space, kernel, directions, tol, "auto")
@@ -414,12 +425,9 @@ def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
             "correction term vanishes; both conventions coincide"
         )
     if T is None:
-        gap = relaxation_gap(space, kernel)
-        if gap is None:
-            raise OutOfRangeError(
-                "no horizon given and the relaxation gap is not computable"
-            )
-        T = RELAX_TIMES / gap
+        # more than one state, since the correction does not vanish, and
+        # at most RELAX_GAP_MAX: the gap is computed
+        T = RELAX_TIMES / relaxation_gap(space, kernel)
 
     m_run = int(M)
     n_passing = 2

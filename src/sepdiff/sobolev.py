@@ -7,9 +7,9 @@ the resolvent. Its iterative path runs on an operator that re-projects
 onto the mean-zero subspace: scipy's conjugate gradients when the
 operator is symmetric, and otherwise BiCGSTAB, with restarted GMRES only
 when BiCGSTAB breaks down or stops short of the tolerance. The operator
-carries its null direction: the constants for a generator, and for a
-generator reduced to one symmetry type (``generator.ReducedOperator``)
-the reduced constants or none.
+stores its null direction as ``null``: the normalized constants for a
+generator, and for a generator reduced to one symmetry type
+(``generator.ReducedAssembly.operator``) the reduced constants or None.
 
 The H1 seminorm is the square root of the Dirichlet form; the dual H-1
 norm is realized by one solve against the symmetric part: (-S) u = f
@@ -42,7 +42,6 @@ from .generator import (
     center,
     dirichlet_form,
     inner,
-    require_mean_zero,
     symmetric_part,
 )
 from .kernel import symmetrize
@@ -146,14 +145,16 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
 
     Parameters
     ----------
-    op : SparseOperator or ReducedOperator
+    op : SparseOperator
         Generator of a connected system that keeps the uniform measure
         stationary, so for lam = 0 the constants span both null spaces; or
-        a generator reduced to one symmetry type, whose null direction
-        (``op.null``) is the reduced constants or none at all.
+        a generator reduced to one symmetry type. ``op.null`` is the unit
+        null direction: the normalized constants, the reduced constants,
+        or None for a reduced operator that is nonsingular.
     b : array
         Right-hand side, a float array over the operator's coordinates,
-        orthogonal to the null direction: mean-zero for a generator.
+        orthogonal to the null direction (``op.require_range``):
+        mean-zero for a generator.
     method : {"auto", "iterative", "dense"}
         "iterative" runs scipy's conjugate gradients when op is symmetric.
         Otherwise it runs BiCGSTAB, and GMRES(``GMRES_RESTART``) when
@@ -164,10 +165,10 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         operator re-projected off the null direction and is capped at
         min(10 n + 100, 100000) iterations (GMRES: restart cycles; one
         BiCGSTAB iteration applies the operator twice); "dense" factors
-        lam I - op + P, whose projector P onto the null direction (1/n in
-        every entry for a generator) lifts that direction and leaves the
-        solution unchanged; "auto" tries the iterative path first and
-        falls back to dense for sizes up to ``DENSE_SOLVE_MAX``.
+        lam I - op + P, whose projector P = null null^T onto the null
+        direction (0 when ``op.null`` is None) lifts that direction and
+        leaves the solution unchanged; "auto" tries the iterative path
+        first and falls back to dense for sizes up to ``DENSE_SOLVE_MAX``.
     lam : float
         Resolvent parameter, >= 0; 0 is the singular Poisson problem.
 
@@ -210,7 +211,8 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
     if method == "dense" or (method == "auto" and n <= DENSE_SOLVE_MAX):
         a = -op.to_dense()
         a[np.diag_indices_from(a)] += lam
-        a += op.null_projector()
+        if op.null is not None:
+            a += np.outer(op.null, op.null)
         x = op.project(np.linalg.solve(a, b))
         res = _replay(op, x, b, lam)
         if res <= 2.0 * tol:
@@ -227,9 +229,9 @@ def h1_norm(op, f):
 
 def hminus1_norm(op, f, tol=1e-10):
     """Dual norm of a mean-zero f, via one SPD solve against the symmetric
-    part of op: |f|_{-1}^2 = <f, u> with (-S) u = f."""
+    part of op: |f|_{-1}^2 = <f, u> with (-S) u = f. The solve refuses an
+    f that is not mean-zero."""
     f = np.asarray(f, dtype=float)
-    require_mean_zero(f)
     sym = op if op.is_symmetric() else symmetric_part(op)
     u = solve_general(sym, f, tol=tol).solution
     return math.sqrt(max(inner(f, u), 0.0))
@@ -440,10 +442,11 @@ def spectral_gap(op, method="auto", tol=1e-10):
 def _reflection_halves(op):
     """(even, odd): the symmetric part of the full generator ``op`` on the
     functions even and odd under the point reflection eta -> -eta, as
-    ``ReducedOperator``s of the symmetrized kernel. The even half has the
-    reduced constants as its null direction, the odd half none. Both are
-    stored as CSR: the sector constant applies each of them thousands of
-    times, which pays for the conversion from the assembly's COO form.
+    operators of the symmetrized kernel reduced by ``ReducedAssembly``. The
+    even half has the reduced constants as its null direction, the odd
+    half none. Both are stored as CSR: the sector constant applies each of
+    them thousands of times, which pays for the conversion from the
+    assembly's COO form.
 
     Raises ValueError unless ``op`` records its (space, kernel), as
     :func:`generator.full_generator`'s operators do.
@@ -515,8 +518,8 @@ def sector_constant(op, method="auto", tol=1e-10):
 
     def pencil(y):
         # B_eo^T = -B_oe, as B^T = -B
-        b_eo_y = even.restrict(b_skew @ odd.lift(y))
-        return -odd.restrict(b_skew @ even.lift(s_even(b_eo_y)))
+        b_eo_y = even.coords.restrict(b_skew @ odd.coords.lift(y))
+        return -odd.coords.restrict(b_skew @ even.coords.lift(s_even(b_eo_y)))
 
     return _lanczos_top(odd.size, None, pencil, tol,
                         m=lambda y: -odd.matvec(y), minv=_pinv(odd))
@@ -544,10 +547,10 @@ def approximation_residual(op, h, basis, weight_op=None, tol=1e-10):
     the symmetric part of op).
 
     Returns (residual, coefficients). Solved through the Gram system of
-    the basis images in the dual inner product.
+    the basis images in the dual inner product, whose solves refuse an h
+    that is not mean-zero.
     """
     h = np.asarray(h, dtype=float)
-    require_mean_zero(h, "target")
     weight = weight_op if weight_op is not None else symmetric_part(op)
     if not weight.is_symmetric():
         weight = symmetric_part(weight)

@@ -280,6 +280,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("mc", dict(kernel=NN, N=2, K=2, mc={"T": 1, "M": 1})),
             ("arbitrate-sign", dict(kernel=NN, N=2, K=2,
                                     arbitrate={"M": "abc"})),
+            # no horizon, and 3,003 states: above RELAX_GAP_MAX, no gap
+            # sets one
+            ("arbitrate-sign", dict(kernel=MZ, N=8, K=6,
+                                    arbitrate={"M": 50, "seed": 1})),
             ("sweep", dict(kernel=NN, N_list=5, alpha=0.5)),
             ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=res)),
             # block scales that do not fit the torus
@@ -288,10 +292,6 @@ def test_config_errors_exit_2(tmp_path, capsys):
                 multiscale={"l": 1, "q": 2, "n_max": 5}))),
             ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
                 observable=res["observable"], multiscale={"q": 1}))),
-            # scale 26 fits N = 26, but its block has 51 sites, above 24
-            ("diagnostics", dict(kernel=NN, N=26, K=2, diagnostics=dict(
-                observable=res["observable"],
-                multiscale={"l": 13, "q": 2, "n_max": 1}))),
             ("diagnostics", dict(kernel=NN, N=3, alpha=0.5, diagnostics=dict(
                 observable=res["observable"],
                 approximation={"basis_scale": 9, "N_list": [2, 3]}))),
@@ -320,6 +320,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "Traceback" not in err, body
         # refused before the output directory is made
         assert not out.exists(), body
+
+
+def test_multiscale_alone_builds_no_generator(tmp_path, monkeypatch):
+    # the largest block, of scale 26, has 51 sites; no section here reads
+    # the generator, so it is never assembled
+    def no_generator(*args, **kwargs):
+        raise AssertionError("generator assembled")
+
+    monkeypatch.setattr("sepdiff.cli.full_generator", no_generator)
+    cfg = write_cfg(tmp_path, kernel=NN, N=26, K=2, diagnostics=dict(
+        observable={"type": "occupancy", "site": [1]},
+        multiscale={"l": 13, "q": 2, "n_max": 1}))
+    out = tmp_path / "ms"
+    assert main(["diagnostics", "--config", cfg, "--out", str(out)]) == 0
+    names = [r["name"] for r in read_rows(out / "diagnostics.csv")]
+    assert names[:2] == ["second_moment@l=13", "second_moment@l=26"]
 
 
 def test_size_cap_exit_4(tmp_path, capsys):

@@ -288,27 +288,47 @@ def test_conditional_expectation_tower_property():
     assert np.allclose(again, proj, atol=1e-13)
 
 
-def test_conditional_expectation_matches_combinations_reference():
-    # 2d N=3: a 15-site block inside a 35-site environment
+def _block_2d():
+    """2d N=3 K=4 and the mask of its 15-site block of scale 2, inside a
+    35-site environment."""
     sp = StateSpace(TorusGeometry(2, 3), 4)
-    l = 2
-    inside = block_env_indices(sp.geometry, l)
+    inside = block_env_indices(sp.geometry, 2)
     assert len(inside) == 15
+    return sp, inside, sum(1 << i for i in inside)
+
+
+def test_conditional_expectation_is_the_per_count_mean():
+    # any v, supported in the block or not: the mean of v over the states
+    # with the same count inside, by a loop over the states
+    sp, _, mask = _block_2d()
     v = np.random.default_rng(5).standard_normal(sp.size)
-    mask = sum(1 << i for i in inside)
-    outside = [i for i in range(sp.M) if not (mask >> i) & 1]
+    totals, sizes, counts = {}, {}, []
+    for b, x in zip(sp.bitmasks().tolist(), v.tolist()):
+        j = bin(b & mask).count("1")
+        totals[j] = totals.get(j, 0.0) + x
+        sizes[j] = sizes.get(j, 0) + 1
+        counts.append(j)
+    want = np.array([totals[j] / sizes[j] for j in counts])
+    got = conditional_expectation(sp, v, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_conditional_expectation_matches_combinations_reference():
+    # a v that reads the inside arrangement alone: its average over the
+    # C(15, j) arrangements of each count j
+    sp, inside, mask = _block_2d()
+    rng = np.random.default_rng(5)
+    value = {}
+    v = np.array([value.setdefault(b & mask, rng.standard_normal())
+                  for b in sp.bitmasks().tolist()])
     avg = {}
     for j in range(sp.k + 1):
-        filler = sum(1 << i for i in outside[:sp.k - j])
-        masks = [filler | sum(1 << i for i in combo)
-                 for combo in itertools.combinations(inside, j)]
-        total = 0.0
-        for x in v[sp.rank_masks(masks)].tolist():
-            total += x
-        avg[j] = total / len(masks)
+        combos = [sum(1 << i for i in c)
+                  for c in itertools.combinations(inside, j)]
+        avg[j] = sum(value[c] for c in combos) / len(combos)
     want = np.array([avg[int(c)] for c in sp.inside_counts(mask)])
-    got = conditional_expectation(sp, v, l)
-    assert np.array_equal(got, want)
+    got = conditional_expectation(sp, v, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_conditional_expectation_matches_hypergeometric_moment():
@@ -318,6 +338,16 @@ def test_conditional_expectation_matches_hypergeometric_moment():
         g = conditional_expectation(sp, v, l)
         want = _oracle.block_second_moment(8, 1, 8, l)
         assert inner(g, g) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_conditional_expectation_on_a_25_site_block():
+    # 1d N=16 K=5, scale 13: 25 sites inside, 31,465 states
+    sp = space_1d(16, 5)
+    assert sp.size == 31_465
+    assert len(block_env_indices(sp.geometry, 13)) == 25
+    g = conditional_expectation(sp, occupancy_observable(sp, (1,)), 13)
+    want = _oracle.block_second_moment(16, 1, 5, 13)
+    assert inner(g, g) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_multiscale_variances_decrease():
@@ -491,8 +521,8 @@ def test_trivial_character_keeps_the_null_direction():
     # restricting a lift gives x back, and the quadratic forms agree
     full = full_generator(sp, kernel)
     x = np.random.default_rng(4).standard_normal(odd.size)
-    u = odd.lift(x)
-    assert np.allclose(odd.restrict(u), x, rtol=1e-15, atol=0.0)
+    u = odd.coords.lift(x)
+    assert np.allclose(odd.coords.restrict(u), x, rtol=1e-15, atol=0.0)
     assert x @ odd.matvec(x) == pytest.approx(u @ full.matvec(u), rel=1e-12)
 
 
@@ -512,22 +542,24 @@ def test_reduced_replay_is_the_full_space_residual(nn2d):
         op = assembly.operator(chi)
         v, _ = local_drift_functions(sp, nn2d, np.eye(2)[axis])
         if u is None:
-            rep = solve_general(op, op.restrict(v), tol=1e-8)
+            rep = solve_general(op, op.coords.restrict(v), tol=1e-8)
             res = rep.relative_residual
-            u = op.lift(rep.solution)
+            u = op.coords.lift(rep.solution)
             assert 0.0 < res <= 2e-8
         else:
             mapped = np.empty(sp.size)
             mapped[sp.mapped_ranks(swap)] = u
             u = mapped
-            res = _replay(op, op.restrict(u), op.restrict(v), 0.0)
+            res = _replay(op, op.coords.restrict(u), op.coords.restrict(v),
+                          0.0)
         want = _replay(full, u, v, 0.0)
         assert res == pytest.approx(want, rel=1e-6)
 
 
 @pytest.mark.parametrize("entries", [NN2D, YSYM2D])
 def test_reduced_dense_path(entries):
-    # the dense factorization adds the reduced null projector, if any
+    # the dense factorization adds the reduced null direction's
+    # projector, if any
     sp = StateSpace(TorusGeometry(2, 2), 5)
     kernel = build_kernel(2, entries)
     rep = compute_D_matrix(sp, kernel, tol=1e-12, method="dense")

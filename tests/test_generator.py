@@ -20,7 +20,7 @@ from sepdiff import (
     symmetric_part,
     symmetrize,
 )
-from sepdiff.generator import assemble_environment
+from sepdiff.generator import ReducedAssembly, assemble_environment
 
 import _oracle
 from conftest import ASYM1D, MZ1D, NN1D, NN2D
@@ -187,10 +187,22 @@ def test_matvec_matches_dense(meanzero1d):
     assert np.allclose(op.matvec(f), op.to_dense() @ f, atol=1e-13)
 
 
-def test_observable_vector_mean_zero_guard():
-    sepdiff.generator.require_mean_zero(np.array([1.0, -1.0]))
+def test_observable_vector_mean_zero_guard(nn1d):
+    # a generator's range is the mean-zero functions
+    op = SparseOperator(2, scipy.sparse.csr_matrix(np.array([[0.0, 1.0],
+                                                            [1.0, 0.0]])))
+    op.require_range(np.array([1.0, -1.0]), "b")
     with pytest.raises(NotMeanZeroError):
-        sepdiff.generator.require_mean_zero(np.array([1.0, 0.5]))
+        op.require_range(np.array([1.0, 0.5]), "b")
+    # odd under the point reflection, the reduced generator is
+    # nonsingular: nothing to project off, and every b is in its range
+    sp = space_1d(3, 3)
+    eye = np.eye(1, dtype=np.int64)
+    odd = ReducedAssembly(sp, nn1d, sp.orbits([eye, -eye])).operator([1, -1])
+    assert odd.null is None and odd.size > 1
+    b = np.ones(odd.size)
+    assert np.array_equal(odd.project(b), b)
+    odd.require_range(b, "b")
     v = np.array([3.0, 1.0, 2.0])
     c = center(v)
     assert abs(c.mean()) <= 1e-15

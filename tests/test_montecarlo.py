@@ -429,6 +429,20 @@ def test_arbitrate_sign_structurally_inconclusive(nn1d):
         arbitrate_sign(sp, nn1d, M=100, seed=0)
 
 
+def test_arbitrate_sign_refuses_no_horizon_before_solving(meanzero1d,
+                                                          monkeypatch):
+    # above RELAX_GAP_MAX states no gap sets the horizon: refused before
+    # any exact solve runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(montecarlo, "_solve_directions", no_solve)
+    big = space_1d(8, 6)
+    assert big.size > RELAX_GAP_MAX
+    with pytest.raises(OutOfRangeError):
+        arbitrate_sign(big, meanzero1d, M=50, seed=1)
+
+
 def test_one_pass_per_chunk_and_one_generator_per_replica(meanzero1d,
                                                           monkeypatch):
     sp = space_1d(3, 3)
