@@ -123,15 +123,20 @@ def _section(raw, key, what, numbers=None, lists=None):
     return block
 
 
-#: the diagnostics sections with options, their numeric keys as
-#: {name: (kind, low, above)} for numbers, then for lists of numbers, and
-#: the defaults of their options
+#: every key of the diagnostics block: None for a switch or the observable,
+#: else a section's numeric options as {name: (kind, low, above)}, for
+#: numbers then lists of numbers (all the options it reads), and defaults
 _DIAGNOSTIC_SECTIONS = {
-    "prop1": ({"pairs": (int, 1), "seed": (int, 0)}, None, {}),
-    "resolvent": (None, {"lambdas": (float, 0.0)}, {}),
-    "multiscale": ({"l": (int,), "q": (int,), "n_max": (int,)}, None,
+    "observable": None,
+    "spectral_gap": None,
+    "sector_constant": None,
+    "prop1": ({"pairs": (int, 1), "seed": (int, 0)}, {},
+              {"pairs": 100, "seed": 0}),
+    "resolvent": ({}, {"lambdas": (float, 0.0)},
+                  {"lambdas": [1.0, 0.1, 0.01]}),
+    "multiscale": ({"l": (int,), "q": (int,), "n_max": (int,)}, {},
                    {"l": 1, "q": 2, "n_max": 2}),
-    "hminus1_sweep": (None, {"N_list": (int,)}, {}),
+    "hminus1_sweep": ({}, {"N_list": (int,)}, {}),
     "approximation": ({"basis_scale": (int,)}, {"N_list": (int,)},
                       {"basis_scale": 1}),
 }
@@ -232,11 +237,17 @@ class RunConfig:
         self.sweep_opts = _section(raw, "sweep", "sweep",
                                    {"rtol": (float, 0.0)})
         self.diagnostics = _section(raw, "diagnostics", "diagnostics")
-        for name, (numbers, lists, defaults) in _DIAGNOSTIC_SECTIONS.items():
-            if name in self.diagnostics:
-                self.diagnostics[name] = {**defaults, **_section(
-                    self.diagnostics, name, f"diagnostics.{name}", numbers,
-                    lists)}
+        for name in self.diagnostics:
+            if name not in _DIAGNOSTIC_SECTIONS:
+                raise ConfigError(f"unknown diagnostics section {name!r}")
+            if _DIAGNOSTIC_SECTIONS[name]:
+                numbers, lists, defaults = _DIAGNOSTIC_SECTIONS[name]
+                block = _section(self.diagnostics, name,
+                                 f"diagnostics.{name}", numbers, lists)
+                for key in sorted(block.keys() - {**numbers, **lists}.keys()):
+                    raise ConfigError(f"diagnostics.{name} has no option "
+                                      f"{key!r}")
+                self.diagnostics[name] = {**defaults, **block}
 
     def require(self, command):
         """Refuse what the subcommand ``command`` needs and the config
@@ -358,14 +369,10 @@ def _write_metadata(out_dir, command, t0, t1):
 
 
 def _direction_rows(report):
-    rows = []
-    for i, res in enumerate(report.directions):
-        rows.append([
-            str(report.N), str(report.K), _fmt(report.alpha), str(i),
-            _fmt(res.free_term), _fmt(res.correction), _fmt(res.D),
-            _fmt(res.residual), f"{DEFAULT_CORRECTION_SIGN:+d}",
-        ])
-    return rows
+    return [[str(report.N), str(report.K), _fmt(report.alpha), str(i),
+             _fmt(res.free_term), _fmt(res.correction), _fmt(res.D),
+             _fmt(res.residual), f"{DEFAULT_CORRECTION_SIGN:+d}"]
+            for i, res in enumerate(report.directions)]
 
 
 _CSV_COLUMNS = ["N", "K", "alpha", "a_index", "free_term", "correction",
@@ -421,9 +428,7 @@ def cmd_sweep(cfg, out_dir):
     rtol = cfg.sweep_opts.get("rtol", 0.05)
     rep = sweep(cfg.kernel, cfg.alpha, cfg.N_list, rtol=rtol,
                 tol=cfg.tolerance, method=cfg.method)
-    rows = []
-    for r in rep.reports:
-        rows.extend(_direction_rows(r))
+    rows = [row for r in rep.reports for row in _direction_rows(r)]
     _write_csv(os.path.join(out_dir, "sweep.csv"), cfg, _CSV_COLUMNS, rows,
                extra={"alpha_target": _fmt(cfg.alpha), "rtol": _fmt(rtol)})
     lines = [f"alpha_target: {_fmt(cfg.alpha)}", f"rtol: {_fmt(rtol)}",
@@ -499,18 +504,16 @@ def cmd_diagnostics(cfg, out_dir):
         add("sector_constant", "C", sector_constant(op, method=cfg.method))
     if "prop1" in diag and op is not None:
         block = diag["prop1"]
-        rep = verify_prop1(op, n_pairs=block.get("pairs", 100),
-                           seed=block.get("seed", 0))
+        rep = verify_prop1(op, n_pairs=block["pairs"], seed=block["seed"])
         add("prop1", "pairs", rep.n_pairs)
         for name in ("max_duality_ratio", "max_equality_gap_i",
                      "max_cauchy_ratio", "min_bound_ratio_iii",
                      "max_equality_gap_iii"):
             add("prop1", name, getattr(rep, name))
     if "resolvent" in diag and op is not None:
-        block = diag["resolvent"]
-        lambdas = block.get("lambdas", [1.0, 0.1, 0.01])
         h = cfg.observable(space)
-        for entry in resolvent_sweep(op, h, lambdas, tol=cfg.tolerance):
+        for entry in resolvent_sweep(op, h, diag["resolvent"]["lambdas"],
+                                     tol=cfg.tolerance):
             add("resolvent", f"u_h1@lam={_fmt(entry['lam'])}", entry["u_h1"])
             add("resolvent", f"dist_to_limit@lam={_fmt(entry['lam'])}",
                 entry["dist_to_limit_h1"])

@@ -166,8 +166,7 @@ def _raw_drifts(space, kernel, a, masks):
     for z, p in kernel.entries:
         c = float(np.dot(a, z)) * p
         for f, site in ((v, z), (w, tuple(-x for x in z))):
-            bit = np.uint64(geo.env_index(site))
-            occ = ((masks >> bit) & np.uint64(1)).astype(float)
+            occ = space.inside_counts(1 << geo.env_index(site), masks)
             f += c * (space.alpha - occ)
     return v, w
 
@@ -509,17 +508,14 @@ def multiscale_diagnostic(space, v, l, q, n_max):
 
 def occupancy_observable(space, site):
     """eta(site) - alpha, centered exactly."""
-    idx = space.geometry.env_index(site)
-    occ = space.site_occupancy([idx]).astype(float)[:, 0]
-    return center(occ)
+    return center(space.inside_counts(1 << space.geometry.env_index(site)))
 
 
 def occupancy_difference_observable(space, site_a, site_b):
     """eta(a) - eta(b); mean-zero by exchangeability."""
-    ia = space.geometry.env_index(site_a)
-    ib = space.geometry.env_index(site_b)
-    occ = space.site_occupancy([ia, ib]).astype(float)
-    return center(occ[:, 0] - occ[:, 1])
+    occ_a, occ_b = (space.inside_counts(1 << space.geometry.env_index(s))
+                    for s in (site_a, site_b))
+    return center(occ_a - occ_b)
 
 
 def _along_N(kernel, alpha, recipe, N_list, value):

@@ -35,25 +35,20 @@ class KernelClass(Enum):
 
 
 def _as_site(z, dimension):
-    """Normalize a displacement to a tuple of ints of the right length."""
-    if isinstance(z, (int, np.integer)):
-        z = (int(z),)
-    else:
-        z = tuple(int(c) for c in z)
+    """The displacement z as a tuple of `dimension` whole-number ints."""
+    z = tuple(z) if np.iterable(z) else (z,)
+    if not all(float(c).is_integer() for c in z):
+        raise OutOfRangeError(f"displacement {z} is not a whole-number vector")
+    z = tuple(int(c) for c in z)
     if len(z) != dimension:
-        raise OutOfRangeError(
-            f"displacement {z} has length {len(z)}, expected {dimension}"
-        )
+        raise OutOfRangeError(f"displacement {z} has length {len(z)}, "
+                              f"expected {dimension}")
     return z
 
 
 def _as_probability(p):
     """Accept a float, int, Fraction, or rational string like '1/3'."""
-    if isinstance(p, str):
-        return float(Fraction(p))
-    if isinstance(p, Fraction):
-        return float(p)
-    return float(p)
+    return float(Fraction(p)) if isinstance(p, str) else float(p)
 
 
 @dataclass(frozen=True)

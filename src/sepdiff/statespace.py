@@ -53,9 +53,8 @@ def _require_word(M):
         )
 
 
-#: per byte value, 256 x its popcount: the step to the rank table row
-#: the next byte down reads
-_ROW_STEP = 256 * ((np.arange(256)[:, None] >> np.arange(8)) & 1).sum(axis=1)
+#: per byte value, its popcount
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], np.uint8)
 
 
 def _rank_table(M, k):
@@ -290,12 +289,12 @@ class StateSpace:
         by = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8) \
             .reshape(masks.size, 8)
         share = np.zeros(masks.size, dtype=np.int64)
-        row = np.zeros(masks.size, dtype=np.intp)  # 256 x set bits above
+        above = np.zeros(masks.size, dtype=np.intp)  # set bits above
         for q in reversed(range(len(self._rank))):
             byte = by[:, q].astype(np.intp)
-            share += self._rank[q].take(row + byte)
-            row += _ROW_STEP[byte]
-        if np.any(row != 256 * self.k):
+            share += self._rank[q].take(256 * above + byte)
+            above += _POPCOUNT[byte]
+        if np.any(above != self.k):
             raise WrongCountError(
                 f"bitmask does not hold the {self.k} particles of the space")
         return ((self.size - 1) - share).reshape(masks.shape)
@@ -360,13 +359,19 @@ class StateSpace:
 
     # -- observable support ---------------------------------------------------
 
-    def site_occupancy(self, site_indices):
-        """Occupancy indicators, shape (size, len(site_indices)), uint8."""
-        idx = np.fromiter(site_indices, dtype=np.uint64)
-        return ((self.bitmasks()[:, None] >> idx) & np.uint64(1)) \
-            .astype(np.uint8)
-
-    def inside_counts(self, mask):
-        """Per-state particle count inside the site set given as a bitmask."""
-        sites = [i for i in range(self.M) if (mask >> i) & 1]
-        return self.site_occupancy(sites).sum(axis=1, dtype=np.int64)
+    def inside_counts(self, mask, masks=None):
+        """int64 particle counts inside the sites of the bitmask ``mask``
+        (a one-site mask reads that site's occupancy) at the states with
+        uint64 bitmasks ``masks``, default every state in rank order: the
+        popcount of ``masks & mask``, added up over the bytes ``mask``
+        touches, with no states x sites array."""
+        if masks is None:
+            masks = self.bitmasks()
+        by = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8) \
+            .reshape(masks.size, 8)
+        counts = np.zeros(masks.size, dtype=np.int64)
+        for q in range(8):
+            part = (mask >> 8 * q) & 0xFF
+            if part:
+                counts += _POPCOUNT[by[:, q] & part]
+        return counts

@@ -271,6 +271,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
                 {"z": [1], "p": "abc"}, {"z": [-1], "p": 0.5}]), N=3, K=3)),
             ("exact", dict(kernel=dict(NN, entries=[
                 {"z": "abc", "p": 0.5}, {"z": [-1], "p": 0.5}]), N=3, K=3)),
+            # a displacement that is not a whole number is not truncated
+            ("exact", dict(kernel=dict(NN, entries=[
+                {"z": [1.5], "p": 0.5}, {"z": [-1], "p": 0.5}]), N=3, K=3)),
             ("exact", dict(kernel=NN, N=3, K=3, direction=[float("nan")])),
             ("mc", dict(kernel=NN, N=2, K=2, mc={"T": -1})),
             ("mc", dict(kernel=NN, N=2, K=2, mc={"T": "abc"})),
@@ -286,6 +289,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                     arbitrate={"M": 50, "seed": 1})),
             ("sweep", dict(kernel=NN, N_list=5, alpha=0.5)),
             ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=res)),
+            # a diagnostics key that names no section, and a section option
+            # the section does not read
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                observable=obs, spectral_gaps=True))),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                observable=obs, multiscale={"n": 1}))),
             # block scales that do not fit the torus
             ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
                 observable=res["observable"],

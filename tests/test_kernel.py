@@ -32,6 +32,18 @@ def test_scalar_displacement_promoted_in_1d():
     assert k.support == ((-1,), (1,))
 
 
+def test_fractional_displacement_refused():
+    for z in ((1.5,), (float("inf"),), (float("nan"),)):
+        with pytest.raises(OutOfRangeError, match="whole-number"):
+            build_kernel(1, [(z, 0.5), ((-1,), 0.5)])
+    with pytest.raises(OutOfRangeError, match="whole-number"):
+        build_kernel(2, [((1, 0.5), 0.5), ((-1, 0), 0.5)])
+    # whole numbers written as floats are the same displacement
+    k = build_kernel(1, [((2.0,), 0.5), ((-1.0,), 0.5)])
+    assert k.support == ((-1,), (2,))
+    assert all(type(c) is int for z in k.support for c in z)
+
+
 def test_probability_sum_checked():
     with pytest.raises(NotAProbabilityError):
         build_kernel(1, [((1,), 0.7)])

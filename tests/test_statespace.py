@@ -183,16 +183,87 @@ def test_mapped_ranks_match_per_state_rule(d, N, K, g):
     assert got.tolist() == [want[r] for r in subset]
 
 
-def test_site_occupancy_and_inside_counts():
+def shifted_counts(masks, sites):
+    """Per-state count of the set bits of ``masks`` at ``sites``, read one
+    site at a time by a shift."""
+    counts = np.zeros(masks.size, dtype=np.int64)
+    for i in sites:
+        counts += ((masks >> np.uint64(i)) & np.uint64(1)).astype(np.int64)
+    return counts
+
+
+def test_inside_counts_of_one_site():
     sp = make_space(1, 2, 2)
-    occ = sp.site_occupancy([0, 1, 2])
-    assert occ.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    mask = (1 << 0) | (1 << 2)
-    assert sp.inside_counts(mask).tolist() == [1, 0, 1]
-    # column means equal the density
+    assert [sp.inside_counts(1 << i).tolist() for i in range(sp.M)] == \
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert sp.inside_counts((1 << 0) | (1 << 2)).tolist() == [1, 0, 1]
+    # each site is occupied with probability alpha
     sp2 = make_space(1, 3, 4)
-    means = sp2.site_occupancy(range(sp2.M)).mean(axis=0)
-    assert np.allclose(means, sp2.alpha, atol=1e-14)
+    for i in range(sp2.M):
+        col = sp2.inside_counts(1 << i)
+        assert col.tolist() == shifted_counts(sp2.bitmasks(), [i]).tolist()
+        assert col.mean() == pytest.approx(sp2.alpha, abs=1e-14)
+
+
+@pytest.mark.parametrize("d, N, K", [(1, 4, 4), (1, 5, 4), (1, 9, 4),
+                                     (2, 4, 3)])
+def test_inside_counts_across_bytes(d, N, K):
+    # M = 7, 9, 17 and 63 environment sites: masks within one byte, across
+    # byte boundaries and up to the highest site
+    sp = make_space(d, N, K)
+    M = sp.M
+    rng = np.random.default_rng(M)
+    site_sets = [[0], [M - 1], range(M), range(M // 2, M),
+                 [s for s in (6, 7, 8, 9, 15, 16, 31, 32, 62) if s < M],
+                 list(rng.choice(M, size=M // 3, replace=False))]
+    masks = sp.bitmasks()
+    subset = rng.permutation(sp.size)[::3]
+    for sites in site_sets:
+        mask = sum(1 << int(i) for i in sites)
+        assert sp.inside_counts(mask).tolist() == \
+            shifted_counts(masks, sites).tolist()
+        assert sp.inside_counts(mask, masks[subset]).tolist() == \
+            shifted_counts(masks[subset], sites).tolist()
+
+
+def test_inside_counts_of_eight_sites_and_full_words():
+    # no torus has 8 environment sites (M = (2N)^d - 1 is odd), so the
+    # bitmasks are given: all 3-subsets of 8 sites, then words with bits
+    # in every byte
+    sp = make_space(1, 2, 2)
+    masks = np.array(lex_bitmasks(8, 3), dtype=np.uint64)
+    for sites in ([7], [0, 7], range(8), [3, 4, 5]):
+        mask = sum(1 << i for i in sites)
+        assert sp.inside_counts(mask, masks).tolist() == \
+            shifted_counts(masks, sites).tolist()
+    words = np.random.default_rng(0).integers(
+        0, 2**64, size=200, dtype=np.uint64, endpoint=False)
+    for sites in ([63], [7, 8, 55, 56], range(64), range(0, 64, 3)):
+        mask = sum(1 << i for i in sites)
+        assert sp.inside_counts(mask, words).tolist() == \
+            shifted_counts(words, sites).tolist()
+
+
+#: bound on the tracemalloc peak of inside_counts over all 19 sites of 1d
+#: NN N=10 K=8, bytes per state: a states x sites uint64 array alone would
+#: take 8 x 19 = 152
+MAX_COUNT_BYTES_PER_STATE = 64
+
+
+def test_inside_counts_builds_no_per_site_array():
+    import tracemalloc
+
+    sp = make_space(1, 10, 8)
+    assert sp.size == 50_388 and sp.M == 19
+    sp.bitmasks()
+    tracemalloc.start()
+    try:
+        counts = sp.inside_counts((1 << sp.M) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (counts == sp.k).all()
+    assert peak / sp.size < MAX_COUNT_BYTES_PER_STATE
 
 
 def test_size_cap():
