@@ -1,10 +1,12 @@
 """Command-line front end: config-driven runs with deterministic CSV output.
 
 Subcommands: exact, sweep, mc, diagnostics, arbitrate-sign. Every run reads
-one YAML config file; the only flags are --config, --out, --seed and
---threads, which is checked (>= 1) but changes nothing: Monte Carlo runs
-on one thread. CSV files are byte-identical for identical (config, seed):
-floats are printed with 17 significant digits,
+one YAML config file, whose every key, at every level, is checked against
+the one schema table ``_SCHEMA``: a key it does not list, or a value not of
+its key's kind, is a config error. The only flags are --config, --out,
+--seed and --threads, which is checked (>= 1) but changes nothing: Monte
+Carlo runs on one thread. CSV files are byte-identical for identical
+(config, seed): floats are printed with 17 significant digits,
 lines end with \\n, and timestamps live in a separate metadata file.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
@@ -80,65 +82,59 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _number(value, kind, what, low=None, above=False):
-    """``value`` as a finite number of type ``kind`` (int or float), at
-    least ``low``, or above it when ``above``; a ConfigError otherwise.
-    An int is not read from a float with a fractional part."""
-    try:
-        x = kind(value)
-        ok = math.isfinite(x) and not (isinstance(value, float) and x != value)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if ok and low is not None:
-        ok = x > low if above else x >= low
-    if not ok:
-        bound = "" if low is None else f" {'>' if above else '>='} {low}"
-        raise ConfigError(f"{what} must be a finite {kind.__name__}{bound}, "
-                          f"got {value!r}")
-    return x
-
-
-def _numbers(value, kind, what, low=None, above=False):
-    """A list of :func:`_number` values; a ConfigError if not a list."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a list, got {value!r}")
-    return [_number(v, kind, what, low, above) for v in value]
-
-
-def _section(raw, key, what, numbers=None, lists=None):
-    """Copy of the mapping ``raw[key]`` ({} when absent or null) whose keys
-    named in ``numbers`` or ``lists``, {name: (kind, low, above)}, are
-    coerced by :func:`_number` or :func:`_numbers` where present."""
-    block = raw.get(key)
-    if block is None:
-        return {}
-    if not isinstance(block, dict):
-        raise ConfigError(f"{what} must be a mapping, got {block!r}")
-    block = dict(block)
-    for coerce, spec in ((_number, numbers), (_numbers, lists)):
-        for name, args in (spec or {}).items():
-            if name in block:
-                block[name] = coerce(block[name], args[0], f"{what}.{name}",
-                                     *args[1:])
-    return block
-
-
-#: every key of the diagnostics block: None for a switch or the observable,
-#: else a section's numeric options as {name: (kind, low, above)}, for
-#: numbers then lists of numbers (all the options it reads), and defaults
-_DIAGNOSTIC_SECTIONS = {
-    "observable": None,
-    "spectral_gap": None,
-    "sector_constant": None,
-    "prop1": ({"pairs": (int, 1), "seed": (int, 0)}, {},
-              {"pairs": 100, "seed": 0}),
-    "resolvent": ({}, {"lambdas": (float, 0.0)},
-                  {"lambdas": [1.0, 0.1, 0.01]}),
-    "multiscale": ({"l": (int,), "q": (int,), "n_max": (int,)}, {},
-                   {"l": 1, "q": 2, "n_max": 2}),
-    "hminus1_sweep": ({}, {"N_list": (int,)}, {}),
-    "approximation": ({"basis_scale": (int,)}, {"N_list": (int,)},
-                      {"basis_scale": 1}),
+#: the observable types, with the site keys each one reads
+_OBSERVABLE_SITES = {"occupancy": ("site",), "difference": ("site", "site2")}
+#: The config schema: each mapping of the config as {key: (kind, bound,
+#: default)}. A kind is int or float (a finite number, which a boolean is
+#: not), bool (a switch: true or false), a tuple (one of its values; a
+#: single value fixes the key), None (a number or a rational string such
+#: as "1/3", read by build_kernel), a dict (a mapping checked by that
+#: table, where null is an empty mapping) or a one-item list (a list of
+#: that kind). A bound ">= b" or "> b" holds for every number of the key.
+#: An absent key, or a null one that is not a mapping, takes its default;
+#: a default of ... makes the key required, and None leaves it out.
+_SCHEMA = {
+    "kernel": ({"dimension": (int, ">= 1", ...),
+                "entries": ([{"z": ([int], None, ...),
+                              "p": (None, None, ...)}], None, ...)},
+               None, ...),
+    "N": (int, None, None),
+    "N_list": ([int], None, None),
+    "K": (int, None, None),
+    "alpha": (float, None, None),
+    "direction": ([float], None, None),
+    # another sign would hand back a convention the config did not ask for
+    "sign": ((DEFAULT_CORRECTION_SIGN,), None, DEFAULT_CORRECTION_SIGN),
+    "tolerance": (float, "> 0", 1e-10),
+    "method": (("auto", "dense", "iterative"), None, "auto"),
+    # checked, but Monte Carlo runs on one thread whatever its value
+    "threads": (int, ">= 1", 1),
+    "mc": ({"T": (float, None, None), "M": (int, None, 10000),
+            "seed": (int, None, 0),
+            # each replica runs to 2T and records T on the way, so any
+            # other value would ask for a run that cannot happen
+            "second_horizon": ((True,), None, True)}, None, {}),
+    "arbitrate": ({"T": (float, None, None), "M": (int, None, 4000),
+                   "seed": (int, None, None),  # default: the mc seed
+                   "max_doublings": (int, ">= 0", 3)}, None, {}),
+    "sweep": ({"rtol": (float, ">= 0", 0.05)}, None, {}),
+    # each section present runs; the switches run theirs when true
+    "diagnostics": ({
+        "observable": ({"type": (tuple(_OBSERVABLE_SITES), None, None),
+                        "site": ([int], None, None),
+                        "site2": ([int], None, None)}, None, None),
+        "spectral_gap": (bool, None, False),
+        "sector_constant": (bool, None, False),
+        "prop1": ({"pairs": (int, ">= 1", 100),
+                   "seed": (int, ">= 0", 0)}, None, None),
+        "resolvent": ({"lambdas": ([float], ">= 0", [1.0, 0.1, 0.01])},
+                      None, None),
+        "multiscale": ({"l": (int, None, 1), "q": (int, None, 2),
+                        "n_max": (int, None, 2)}, None, None),
+        "hminus1_sweep": ({"N_list": ([int], None, None)}, None, None),
+        "approximation": ({"N_list": ([int], None, None),
+                           "basis_scale": (int, None, 1)}, None, None),
+    }, None, {}),
 }
 #: the diagnostics sections that run along N_list at fixed density
 _ALONG_N = ("hminus1_sweep", "approximation")
@@ -146,108 +142,111 @@ _ALONG_N = ("hminus1_sweep", "approximation")
 _OBSERVED_AT_N = ("resolvent", "multiscale")
 
 
+def _walk(value, kind, bound, where):
+    """``value`` checked against the :data:`_SCHEMA` ``kind`` and ``bound``
+    and coerced to it, with every mapping's defaults filled in; a
+    ConfigError that names the key path ``where`` otherwise. An int is not
+    read from a float with a fractional part."""
+    name = where or "the config"
+    if isinstance(kind, dict):
+        value = {} if value is None else value
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a mapping, got {value!r}")
+        for key in value:
+            if key not in kind:
+                place = f"in {where}" if where else "at the top level"
+                raise ConfigError(f"unknown key {key!r} {place}; allowed "
+                                  f"there: {', '.join(kind)}")
+        out = {}
+        for key, (k, b, default) in kind.items():
+            v = value.get(key)
+            if v is None and (key not in value or not isinstance(k, dict)):
+                if default is ...:
+                    raise ConfigError(f"{name} needs {key!r}")
+                if default is None:
+                    continue
+                v = default
+            out[key] = _walk(v, k, b, f"{where}.{key}" if where else key)
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_walk(v, kind[0], bound, f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    if kind is bool:
+        ok, need = isinstance(value, bool), "true or false"
+    elif isinstance(kind, tuple):
+        ok = any(value == c and isinstance(value, bool) == isinstance(c, bool)
+                 for c in kind)
+        need = " or ".join(map(repr, kind))
+    elif kind is None:
+        ok, need = not isinstance(value, bool), "a number or a rational string"
+    else:
+        try:
+            x = kind(value)
+            ok = (not isinstance(value, bool) and math.isfinite(x)
+                  and not (isinstance(value, float) and x != value))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if ok and bound:
+            op, low = bound.split()
+            ok = x > float(low) if op == ">" else x >= float(low)
+        if ok:
+            return x
+        need = f"a finite {kind.__name__}" + (f" {bound}" if bound else "")
+    if ok:
+        return value
+    raise ConfigError(f"{name} must be {need}, got {value!r}")
+
+
 class RunConfig:
     """Validated view of the YAML config plus the raw dict for echoing.
 
-    Every value the commands read is coerced here, and :meth:`require`
-    builds the inputs of every torus a command runs on, so a malformed
-    config raises one of the library's typed errors before any work
-    starts.
+    :func:`_walk` checks every key against :data:`_SCHEMA` and coerces
+    every value here, the rules that tie keys together follow, and
+    :meth:`require` builds the inputs of every torus a command runs on, so
+    a malformed config raises one of the library's typed errors before any
+    work starts.
     """
 
     def __init__(self, raw, seed_override=None, threads_override=None):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a mapping")
         self.raw = raw
-        kblock = raw.get("kernel")
-        if not isinstance(kblock, dict):
-            raise ConfigError("missing 'kernel' block")
-        if "dimension" not in kblock or "entries" not in kblock:
-            raise ConfigError("kernel block needs 'dimension' and 'entries'")
-        if not isinstance(kblock["entries"], list):
-            raise ConfigError(f"kernel entries must be a list, got "
-                              f"{kblock['entries']!r}")
-        entries = []
-        for e in kblock["entries"]:
-            if not isinstance(e, dict) or "z" not in e or "p" not in e:
-                raise ConfigError(f"kernel entry {e!r} needs keys 'z' and 'p'")
-            entries.append((e["z"], e["p"]))
-        dimension = _number(kblock["dimension"], int, "kernel dimension", 1)
+        cfg = _walk(raw, _SCHEMA, None, "")
+        kernel = cfg["kernel"]
         try:
-            self.kernel = build_kernel(dimension, entries)
+            self.kernel = build_kernel(
+                kernel["dimension"],
+                [(e["z"], e["p"]) for e in kernel["entries"]])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
-            # z or p that does not parse as a displacement or probability
+            # a p that does not parse as a probability
             raise ConfigError(f"kernel entries: {exc}") from None
-        self.dimension = self.kernel.dimension
 
-        self.N = raw.get("N")
-        self.N_list = raw.get("N_list")
-        if self.N is not None:
-            self.N = _number(self.N, int, "N")
-        if self.N_list is not None:
-            self.N_list = _numbers(self.N_list, int, "N_list")
-
-        if ("K" in raw) == ("alpha" in raw):
+        self.N, self.N_list, self.K, self.alpha, self.direction = (
+            cfg.get(key) for key in ("N", "N_list", "K", "alpha", "direction"))
+        if (self.K is None) == (self.alpha is None):
             raise ConfigError("give exactly one of 'K' and 'alpha'")
-        self.K = _number(raw["K"], int, "K") if "K" in raw else None
-        self.alpha = (_number(raw["alpha"], float, "alpha")
-                      if "alpha" in raw else None)
+        d = self.kernel.dimension
+        if self.direction is not None and len(self.direction) != d:
+            raise ConfigError(f"direction has {len(self.direction)} "
+                              f"components, kernel dimension is {d}")
+        self.tolerance = cfg["tolerance"]
+        self.method = cfg["method"]
+        self.threads = cfg["threads"]
+        if threads_override is not None:
+            self.threads = _walk(threads_override, *_SCHEMA["threads"][:2],
+                                 "--threads")
 
-        self.direction = raw.get("direction")
-        if self.direction is not None:
-            self.direction = _numbers(self.direction, float, "direction")
-            if len(self.direction) != self.dimension:
-                raise ConfigError(
-                    f"direction has {len(self.direction)} components, "
-                    f"kernel dimension is {self.dimension}"
-                )
-        # ignoring another value would hand back a convention the config
-        # did not ask for
-        if raw.get("sign", DEFAULT_CORRECTION_SIGN) != DEFAULT_CORRECTION_SIGN:
-            raise ConfigError(f"sign is fixed at {DEFAULT_CORRECTION_SIGN:+d}, "
-                              f"got {raw['sign']!r}")
-        self.tolerance = _number(raw.get("tolerance", 1e-10), float,
-                                 "tolerance", 0.0, above=True)
-        self.method = raw.get("method", "auto")
-        if self.method not in ("auto", "dense", "iterative"):
-            raise ConfigError(f"unknown solver method {self.method!r}")
-        self.threads = _number(
-            raw.get("threads", 1) if threads_override is None
-            else threads_override, int, "threads", 1)
-
-        self.mc = _section(raw, "mc", "mc", {
-            "T": (float,), "M": (int,), "seed": (int,)})
-        # the run shape is fixed: each replica runs to 2T and records T on
-        # the way, so any other value would ask for a run that cannot happen
-        if self.mc.get("second_horizon", True) is not True:
-            raise ConfigError(f"mc.second_horizon is fixed at true, got "
-                              f"{self.mc['second_horizon']!r}")
-        self.seed = self.mc.get("seed", 0)
+        self.mc = cfg["mc"]
+        self.seed = self.mc["seed"]
         if seed_override is not None:
-            self.seed = _number(seed_override, int, "--seed")
-        self.mc.setdefault("M", 10000)
+            self.seed = _walk(seed_override, int, None, "--seed")
         check_replica_run(self.mc.get("T"), self.mc["M"], self.seed)
-        self.arbitrate = _section(raw, "arbitrate", "arbitrate", {
-            "T": (float,), "M": (int,), "seed": (int,),
-            "max_doublings": (int, 0)})
-        self.arbitrate.setdefault("M", 4000)
+        self.arbitrate = cfg["arbitrate"]
         self.arbitrate.setdefault("seed", self.seed)
         check_replica_run(self.arbitrate.get("T"), self.arbitrate["M"],
                           self.arbitrate["seed"])
-        self.sweep_opts = _section(raw, "sweep", "sweep",
-                                   {"rtol": (float, 0.0)})
-        self.diagnostics = _section(raw, "diagnostics", "diagnostics")
-        for name in self.diagnostics:
-            if name not in _DIAGNOSTIC_SECTIONS:
-                raise ConfigError(f"unknown diagnostics section {name!r}")
-            if _DIAGNOSTIC_SECTIONS[name]:
-                numbers, lists, defaults = _DIAGNOSTIC_SECTIONS[name]
-                block = _section(self.diagnostics, name,
-                                 f"diagnostics.{name}", numbers, lists)
-                for key in sorted(block.keys() - {**numbers, **lists}.keys()):
-                    raise ConfigError(f"diagnostics.{name} has no option "
-                                      f"{key!r}")
-                self.diagnostics[name] = {**defaults, **block}
+        self.rtol = cfg["sweep"]["rtol"]
+        self.diagnostics = cfg["diagnostics"]
 
     def require(self, command):
         """Refuse what the subcommand ``command`` needs and the config
@@ -316,14 +315,14 @@ class RunConfig:
         obs = self.diagnostics.get("observable")
         if not obs:
             raise ConfigError("diagnostics need an 'observable' block")
-        if not isinstance(obs, dict):
-            raise ConfigError(f"observable must be a mapping, got {obs!r}")
-        typ = obs.get("type")
-        keys = {"occupancy": ("site",), "difference": ("site", "site2")}
-        if typ not in keys:
-            raise ConfigError(f"unknown observable type {typ!r}")
-        return typ, [tuple(_numbers(obs.get(key), int, f"observable {key}"))
-                     for key in keys[typ]]
+        if "type" not in obs:
+            raise ConfigError("observable needs a 'type'")
+        keys = _OBSERVABLE_SITES[obs["type"]]
+        if sorted(obs) != sorted(("type",) + keys):
+            raise ConfigError(f"the {obs['type']} observable takes the keys "
+                              f"type, {', '.join(keys)}; got "
+                              f"{', '.join(obs)}")
+        return obs["type"], [tuple(obs[key]) for key in keys]
 
     def observable(self, space):
         typ, sites = self._observable_sites()
@@ -425,13 +424,12 @@ def cmd_exact(cfg, out_dir):
 
 
 def cmd_sweep(cfg, out_dir):
-    rtol = cfg.sweep_opts.get("rtol", 0.05)
-    rep = sweep(cfg.kernel, cfg.alpha, cfg.N_list, rtol=rtol,
+    rep = sweep(cfg.kernel, cfg.alpha, cfg.N_list, rtol=cfg.rtol,
                 tol=cfg.tolerance, method=cfg.method)
     rows = [row for r in rep.reports for row in _direction_rows(r)]
     _write_csv(os.path.join(out_dir, "sweep.csv"), cfg, _CSV_COLUMNS, rows,
-               extra={"alpha_target": _fmt(cfg.alpha), "rtol": _fmt(rtol)})
-    lines = [f"alpha_target: {_fmt(cfg.alpha)}", f"rtol: {_fmt(rtol)}",
+               extra={"alpha_target": _fmt(cfg.alpha), "rtol": _fmt(cfg.rtol)})
+    lines = [f"alpha_target: {_fmt(cfg.alpha)}", f"rtol: {_fmt(cfg.rtol)}",
              f"verdict: {rep.verdict}"]
     for n, d in zip(rep.N_list[1:], rep.diffs):
         lines.append(f"max_abs_diff_at_N={n}: {_fmt(d)}")
@@ -492,15 +490,14 @@ def cmd_diagnostics(cfg, out_dir):
 
     op = None
     # built only for the sections below that read it
-    if space.size > 1 and (diag.get("spectral_gap")
-                           or diag.get("sector_constant")
+    if space.size > 1 and (diag["spectral_gap"] or diag["sector_constant"]
                            or "prop1" in diag or "resolvent" in diag):
         op = full_generator(space, cfg.kernel)
 
-    if diag.get("spectral_gap") and op is not None:
+    if diag["spectral_gap"] and op is not None:
         add("spectral_gap", "gap", spectral_gap(symmetric_part(op),
                                                 method=cfg.method))
-    if diag.get("sector_constant") and op is not None:
+    if diag["sector_constant"] and op is not None:
         add("sector_constant", "C", sector_constant(op, method=cfg.method))
     if "prop1" in diag and op is not None:
         block = diag["prop1"]
@@ -560,7 +557,7 @@ def cmd_arbitrate_sign(cfg, out_dir):
         directions = [np.asarray(cfg.direction, dtype=float)]
     sign, exact = _arbitrate(
         space, cfg.kernel, directions, arb.get("T"), arb["M"], arb["seed"],
-        arb.get("max_doublings", 3), cfg.tolerance,
+        arb["max_doublings"], cfg.tolerance,
     )
     rows = [[f"{sign:+d}", _fmt(r.D_plus), _fmt(r.D_minus)] for r in exact]
     _write_csv(os.path.join(out_dir, "arbitrate.csv"), cfg,

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from sepdiff import StateSpace, TorusGeometry, build_kernel, compute_D
-from sepdiff.cli import main
+from sepdiff.cli import _SCHEMA, RunConfig, main
 
 NN = {"dimension": 1,
       "entries": [{"z": [1], "p": 0.5}, {"z": [-1], "p": 0.5}]}
@@ -320,7 +322,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
                 observable={"type": "occupancy", "site": [0]}))),
             ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
                 spectral_gap=True, resolvent={},
-                observable={"type": "occupancy", "site": [1, 2]})))]):
+                observable={"type": "occupancy", "site": [1, 2]}))),
+            # a key the schema does not list, at every level
+            ("exact", dict(kernel=NN, N=3, K=3, tolerence=1e-3)),
+            ("mc", dict(kernel=NN, N=2, K=2, mc={"T": 1, "Mm": 3})),
+            ("sweep", dict(kernel=NN, N_list=[2, 3], alpha=0.5,
+                           sweep={"rtoll": 0.01})),
+            ("arbitrate-sign", dict(kernel=NN, N=2, K=2, arbitrate={
+                "M": 100, "max_doubling": 9})),
+            ("exact", dict(kernel=dict(NN, dimenson=2), N=3, K=3)),
+            ("exact", dict(kernel=dict(NN, entries=[
+                {"z": [1], "p": 0.5, "q": 3}, {"z": [-1], "p": 0.5}]),
+                N=3, K=3)),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                resolvent={}, observable=dict(obs, sitee=[2])))),
+            # and a site key the observable's type does not read
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                resolvent={}, observable=dict(obs, site2=[2])))),
+            # a boolean is not a number, and a switch is only true or false
+            ("exact", dict(kernel=NN, N=3, K=True)),
+            ("exact", dict(kernel=NN, N=3, K=3, tolerance=True)),
+            ("diagnostics", dict(kernel=NN, N=3, K=3, diagnostics=dict(
+                sector_constant="no")))]):
         cfg = write_cfg(tmp_path, f"bad{i}.yaml", **body)
         out = tmp_path / f"oB{i}"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2, body
@@ -329,6 +352,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "Traceback" not in err, body
         # refused before the output directory is made
         assert not out.exists(), body
+
+
+def _schema_keys(table):
+    for key, (kind, _, _) in table.items():
+        yield key
+        while isinstance(kind, list):
+            kind = kind[0]
+        if isinstance(kind, dict):
+            yield from _schema_keys(kind)
+
+
+def test_shipped_configs_parse_and_readme_lists_every_key():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for path in sorted((root / "perfbench" / "configs").glob("*.yaml")):
+        with open(path) as fh:
+            assert RunConfig(yaml.safe_load(fh)).space().size > 1, path
+    readme = (root / "README.md").read_text()
+    start = readme.index("```yaml", readme.index("### Config reference"))
+    block = readme[start:readme.index("```\n", start + 1)]
+    missing = [key for key in _schema_keys(_SCHEMA)
+               if not re.search(rf"\b{key}:", block)]
+    assert not missing
 
 
 def test_multiscale_alone_builds_no_generator(tmp_path, monkeypatch):
