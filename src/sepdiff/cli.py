@@ -213,13 +213,8 @@ class RunConfig:
         self.raw = raw
         cfg = _walk(raw, _SCHEMA, None, "")
         kernel = cfg["kernel"]
-        try:
-            self.kernel = build_kernel(
-                kernel["dimension"],
-                [(e["z"], e["p"]) for e in kernel["entries"]])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            # a p that does not parse as a probability
-            raise ConfigError(f"kernel entries: {exc}") from None
+        self.kernel = build_kernel(
+            kernel["dimension"], [(e["z"], e["p"]) for e in kernel["entries"]])
 
         self.N, self.N_list, self.K, self.alpha, self.direction = (
             cfg.get(key) for key in ("N", "N_list", "K", "alpha", "direction"))

@@ -73,7 +73,7 @@ from .generator import (
     full_generator,
     inner,
 )
-from .kernel import TorusGeometry, symmetrize
+from .kernel import TorusGeometry, _whole, symmetrize
 from .sobolev import (
     _replay,
     approximation_residual,
@@ -435,8 +435,10 @@ def sweep(kernel, alpha, N_list, rtol=0.05, tol=1e-10, method="auto"):
 def block_env_indices(geometry, l):
     """Environment-site indices of the block {-l+1, ..., l}^d minus origin;
     a SupportTooLargeError when the block does not fit the torus."""
-    if l < 1:
-        raise OutOfRangeError(f"block scale must be >= 1, got {l}")
+    if (_whole(l) or 0) < 1:
+        raise OutOfRangeError(f"block scale must be a whole number >= 1, "
+                              f"got {l!r}")
+    l = int(l)
     if l > geometry.N:
         raise SupportTooLargeError(
             f"block of scale {l} does not fit a torus with N = {geometry.N}"
@@ -469,10 +471,14 @@ def conditional_expectation(space, v, l):
 def multiscale_scales(geometry, l, q, n_max):
     """The block scales l * q^n, n = 0..n_max, of a multiscale diagnostic
     on ``geometry``: an OutOfRangeError unless l >= 1, q >= 2 and
-    n_max >= 1, and a SupportTooLargeError at the first scale above N."""
-    if l < 1 or q < 2 or n_max < 1:
-        raise OutOfRangeError(f"multiscale needs l >= 1, q >= 2 and "
-                              f"n_max >= 1, got {l}, {q} and {n_max}")
+    n_max >= 1, all whole numbers, and a SupportTooLargeError at the first
+    scale above N."""
+    if ((_whole(l) or 0) < 1 or (_whole(q) or 0) < 2
+            or (_whole(n_max) or 0) < 1):
+        raise OutOfRangeError(f"multiscale needs whole numbers l >= 1, "
+                              f"q >= 2 and n_max >= 1, got {l!r}, {q!r} "
+                              f"and {n_max!r}")
+    l, q, n_max = int(l), int(q), int(n_max)
     scales = []
     for n in range(n_max + 1):
         scale = l * q ** n
@@ -495,10 +501,9 @@ def multiscale_diagnostic(space, v, l, q, n_max):
     scales = multiscale_scales(space.geometry, l, q, n_max)
     gs = [conditional_expectation(space, v, s) for s in scales]
     second = [inner(g, g) for g in gs]
-    incr = [inner(gs[n] - gs[n - 1], gs[n] - gs[n - 1])
-            for n in range(1, n_max + 1)]
+    incr = [inner(b - a, b - a) for a, b in zip(gs, gs[1:])]
     exponent = None
-    if n_max >= 2 and all(x > 0.0 for x in incr):
+    if len(incr) >= 2 and all(x > 0.0 for x in incr):
         logs = np.log(np.asarray(scales[1:], dtype=float))
         exponent = float(np.polyfit(logs, np.log(incr), 1)[0])
     return MultiscaleReport(scales, incr, second, exponent)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -34,21 +35,35 @@ class KernelClass(Enum):
     ASYMMETRIC = "asymmetric"
 
 
+def _whole(x):
+    """x as an int if it is an integer or a real with no fractional part,
+    such as 3.0, and None otherwise; a boolean is neither. The package's
+    one rule for counts, sizes, scales, seeds and displacements."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return None
+    whole = isinstance(x, numbers.Integral) or float(x).is_integer()
+    return int(x) if whole else None
+
+
 def _as_site(z, dimension):
     """The displacement z as a tuple of `dimension` whole-number ints."""
     z = tuple(z) if np.iterable(z) else (z,)
-    if not all(float(c).is_integer() for c in z):
+    site = tuple(map(_whole, z))
+    if None in site:
         raise OutOfRangeError(f"displacement {z} is not a whole-number vector")
-    z = tuple(int(c) for c in z)
-    if len(z) != dimension:
-        raise OutOfRangeError(f"displacement {z} has length {len(z)}, "
+    if len(site) != dimension:
+        raise OutOfRangeError(f"displacement {site} has length {len(site)}, "
                               f"expected {dimension}")
-    return z
+    return site
 
 
 def _as_probability(p):
-    """Accept a float, int, Fraction, or rational string like '1/3'."""
-    return float(Fraction(p)) if isinstance(p, str) else float(p)
+    """Accept a float, int, Fraction, or rational string like '1/3'; raise
+    NotAProbabilityError on anything else."""
+    try:
+        return float(Fraction(p)) if isinstance(p, str) else float(p)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise NotAProbabilityError(f"weight {p!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -220,10 +235,10 @@ class TorusGeometry:
     """
 
     def __init__(self, dimension, N):
-        if dimension < 1:
-            raise OutOfRangeError(f"dimension must be >= 1, got {dimension}")
-        if N < 1:
-            raise OutOfRangeError(f"N must be >= 1, got {N}")
+        for name, value in (("dimension", dimension), ("N", N)):
+            if (_whole(value) or 0) < 1:
+                raise OutOfRangeError(f"{name} must be a whole number >= 1, "
+                                      f"got {value!r}")
         self.dimension = int(dimension)
         self.N = int(N)
         self.side = 2 * self.N

@@ -40,7 +40,7 @@ import numpy as np
 from .diffusion import _solve_directions
 from .errors import InconclusiveError, OutOfRangeError
 from .generator import _move_triples
-from .kernel import classify
+from .kernel import _whole, classify
 from .statespace import enabled_moves
 
 
@@ -319,17 +319,20 @@ def _lockstep(table, rngs, ranks, T):
 
 
 def check_replica_run(T, M, seed):
-    """Refuse a replica run that cannot happen, by OutOfRangeError: a
-    horizon T that is not finite and > 0 (None skips it), fewer than 2
-    replicas or 2**32 or more, since the stream seeding takes one 32-bit
-    entropy word per replica index, or a negative master seed."""
+    """(M, seed) as ints, or an OutOfRangeError for a replica run that
+    cannot happen: a horizon T that is not finite and > 0 (None skips it),
+    a replica count that is not a whole number in [2, 2**32), since the
+    stream seeding takes one 32-bit entropy word per replica index, or a
+    master seed that is not a whole number >= 0."""
     if T is not None and not (math.isfinite(T) and T > 0.0):
         raise OutOfRangeError(f"horizon T must be finite and > 0, got {T}")
-    if not 2 <= M < 2**32:
-        raise OutOfRangeError(f"replica count M must lie in [2, 2**32), "
-                              f"got {M}")
-    if seed < 0:
-        raise OutOfRangeError(f"master seed must be >= 0, got {seed}")
+    if not 2 <= (_whole(M) or 0) < 2**32:
+        raise OutOfRangeError(f"replica count M must be a whole number in "
+                              f"[2, 2**32), got {M!r}")
+    if _whole(seed) is None or seed < 0:
+        raise OutOfRangeError(f"master seed must be a whole number >= 0, "
+                              f"got {seed!r}")
+    return int(M), int(seed)
 
 
 def check_arbitration_horizon(space, T):
@@ -352,7 +355,7 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
     run in chunks of ``LANES`` on the calling thread; ``threads`` has no
     effect.
     """
-    check_replica_run(T, M, seed)
+    M, seed = check_replica_run(T, M, seed)
     expected = classify(kernel)[1] * (1.0 - space.alpha)
     table = TransitionTable(space, kernel)
 
@@ -366,7 +369,7 @@ def estimate_diffusion(space, kernel, T, M, seed, threads=1, relax_gap=None):
                           counts[:, w].sum(axis=1))
              for w, h in enumerate((float(T), 2.0 * T))]
     ok = None if relax_gap is None else bool(T * relax_gap >= RELAX_TIMES)
-    return MCEstimate(M, int(seed), space.alpha, expected, stats, ok)
+    return MCEstimate(M, seed, space.alpha, expected, stats, ok)
 
 
 def relaxation_gap(space, kernel):
@@ -416,6 +419,7 @@ def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
     """The work of :func:`arbitrate_sign`: the chosen sign and the exact
     DirectionResult (both conventions) of each arbitrated direction."""
     check_arbitration_horizon(space, T)
+    m_run, seed = check_replica_run(T, M, seed)
     if directions is None:
         directions = np.eye(space.geometry.dimension)
     _, _, exact = _solve_directions(space, kernel, directions, tol, "auto")
@@ -429,7 +433,6 @@ def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
         # at most RELAX_GAP_MAX: the gap is computed
         T = RELAX_TIMES / relaxation_gap(space, kernel)
 
-    m_run = int(M)
     n_passing = 2
     for attempt in range(max_doublings + 1):
         # distinct master seed per attempt keeps rerun streams independent

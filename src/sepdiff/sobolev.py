@@ -17,9 +17,10 @@ gives |f|_{-1}^2 = <f, u>.
 
 The spectral gap and the sector constant are top eigenvalues, found by
 ARPACK's implicitly restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX``
-states and by a dense eigendecomposition up to it. The gap is the top
-eigenvalue of the symmetric generator itself off the constants, so
-Lanczos applies only its matvec. The sector constant is that of a pencil
+states and by a dense eigendecomposition up to it. The gap is minus the
+top eigenvalue of the symmetric generator once a rank-one shift moves the
+constants to the bottom of its spectrum, so Lanczos applies only its
+matvec, on all of R^n. The sector constant is that of a pencil
 whose every application is one solve of the kind above; Lanczos finds it
 on the functions odd under the point reflection eta -> -eta, about half
 the states: the reflection commutes with the symmetric part of the
@@ -345,56 +346,24 @@ def verify_prop1(op, n_pairs=100, seed=0):
                        min_iii, max_gap_iii)
 
 
-def _lanczos_top(n, null, matvec, tol, m=None, minv=None):
-    """Largest eigenvalue of an operator on R^n, self-adjoint on the
-    complement of the unit vector ``null`` (on all of R^n when ``null`` is
-    None), or of the pencil (A, M) when ``m`` applies M and ``minv`` its
-    inverse, by ARPACK's implicitly restarted Lanczos from a fixed
-    pseudo-random vector; ARPACK failures raise NotConvergedError.
-
-    With a null direction, Lanczos runs on the first n - 1 coordinates
-    after the Householder reflection that swaps the last unit vector with
-    ``null``, so every vector ARPACK builds is orthogonal to it, including
-    the random one it restarts from when the start's Krylov space runs
-    out. The sector constant's odd half of the point reflection has no
-    null direction and runs on R^n as it is.
-    """
+def _lanczos_top(n, matvec, tol, m=None, minv=None):
+    """Largest eigenvalue of a self-adjoint operator on R^n, or of the
+    pencil (A, M) when ``m`` applies M and ``minv`` its inverse, by
+    ARPACK's implicitly restarted Lanczos from a fixed pseudo-random
+    vector; ARPACK failures raise NotConvergedError."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    if null is None:
-        dim = n
-
-        def inside(x):
-            return x
-
-        def outside(y):
-            return y
-    else:
-        dim = n - 1
-        w = -null
-        w[-1] += 1.0
-        w /= np.linalg.norm(w)
-
-        def reflect(x):
-            return x - 2.0 * float(w @ x) * w
-
-        def inside(x):
-            return reflect(x)[:-1]
-
-        def outside(y):
-            return reflect(np.append(y, 0.0))
-
     def lin(f):
-        return None if f is None else LinearOperator(
-            (dim, dim), dtype=float, matvec=lambda y: inside(f(outside(y))))
+        return None if f is None else LinearOperator((n, n), dtype=float,
+                                                     matvec=f)
 
     # a generic start: a structured one, such as the alternating +-1
     # vector, can be orthogonal to the top eigenvector by a symmetry of the
     # state space, and Lanczos then returns the next eigenvalue
-    v0 = inside(np.random.default_rng(0).standard_normal(n))
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         top = eigsh(lin(matvec), k=1, M=lin(m), Minv=lin(minv), which="LA",
-                    v0=v0, ncv=min(LANCZOS_NCV, dim), tol=tol,
+                    v0=v0, ncv=min(LANCZOS_NCV, n), tol=tol,
                     return_eigenvectors=False)
     except ArpackError as exc:
         raise NotConvergedError(f"Lanczos iteration failed: {exc}") from exc
@@ -408,12 +377,10 @@ def _pinv(op):
 
 
 def _eig_dense(method, n):
-    """Whether an eigenvalue routine runs dense: on request, under "auto"
-    up to ``DENSE_EIG_MAX`` states, and on spaces of two states, whose
-    one-dimensional mean-zero subspace is too small for Lanczos."""
+    """Whether an eigenvalue routine runs dense: on request, and under
+    "auto" up to ``DENSE_EIG_MAX`` states."""
     _check_method(method)
-    return (method == "dense" or n <= 2
-            or (method == "auto" and n <= DENSE_EIG_MAX))
+    return method == "dense" or (method == "auto" and n <= DENSE_EIG_MAX)
 
 
 def spectral_gap(op, method="auto", tol=1e-10):
@@ -422,11 +389,14 @@ def spectral_gap(op, method="auto", tol=1e-10):
     op must be a symmetric generator of a connected system. The dense path
     is a full eigendecomposition; under "auto" it runs up to
     ``DENSE_EIG_MAX`` states (see ``_eig_dense``).
-    The iterative path runs Lanczos on op itself with the constants
-    deflated: op is negative semidefinite, so its top eigenvalue on the
-    mean-zero subspace is minus the gap. Each step is one matvec and no
-    linear solve; ``tol`` is the relative accuracy Lanczos asks of that
-    eigenvalue.
+    The iterative path runs Lanczos on op less ``shift`` times the
+    projection onto the constants, with shift = 2 * max exit rate. By
+    Gershgorin the spectrum of op lies in [-shift, 0], so the shift moves
+    the constants from 0 to the bottom of it and the top eigenvalue is
+    minus the gap, on all of R^n: a random restart of ARPACK may carry a
+    constant component, which Lanczos, looking for the top, leaves alone.
+    Each step is one matvec and no linear solve; ``tol`` is the relative
+    accuracy Lanczos asks of that eigenvalue.
     """
     n = op.size
     dense = _eig_dense(method, n)
@@ -436,7 +406,9 @@ def spectral_gap(op, method="auto", tol=1e-10):
         return math.inf
     if dense:
         return float(np.linalg.eigvalsh(-op.to_dense())[1])
-    return -_lanczos_top(n, op.null, op.matvec, tol)
+    shift = 2.0 * op.max_exit_rate()
+    return -_lanczos_top(
+        n, lambda x: op.matvec(x) - shift * (x - op.project(x)), tol)
 
 
 def _reflection_halves(op):
@@ -521,7 +493,7 @@ def sector_constant(op, method="auto", tol=1e-10):
         b_eo_y = even.coords.restrict(b_skew @ odd.coords.lift(y))
         return -odd.coords.restrict(b_skew @ even.coords.lift(s_even(b_eo_y)))
 
-    return _lanczos_top(odd.size, None, pencil, tol,
+    return _lanczos_top(odd.size, pencil, tol,
                         m=lambda y: -odd.matvec(y), minv=_pinv(odd))
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError, SizeCapError, WrongCountError
+from .kernel import _whole
 
 #: refuse to materialize per-state tables beyond this many states
 DEFAULT_MAX_STATES = 500_000
@@ -225,10 +226,10 @@ class StateSpace:
 
     def __init__(self, geometry, K):
         M = geometry.n_env_sites
-        if not 1 <= K <= geometry.n_sites:
+        if not 1 <= (_whole(K) or 0) <= geometry.n_sites:
             raise WrongCountError(
-                f"K = {K} outside [1, {geometry.n_sites}] for side "
-                f"{geometry.side}^({geometry.dimension})"
+                f"K = {K!r} is not a whole number in [1, {geometry.n_sites}] "
+                f"for side {geometry.side}^({geometry.dimension})"
             )
         self.geometry = geometry
         self.K = int(K)

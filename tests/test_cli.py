@@ -272,6 +272,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("exact", dict(kernel=dict(NN, entries=[
                 {"z": [1], "p": "abc"}, {"z": [-1], "p": 0.5}]), N=3, K=3)),
             ("exact", dict(kernel=dict(NN, entries=[
+                {"z": [1], "p": "1/0"}, {"z": [-1], "p": 0.5}]), N=3, K=3)),
+            ("exact", dict(kernel=dict(NN, entries=[
                 {"z": "abc", "p": 0.5}, {"z": [-1], "p": 0.5}]), N=3, K=3)),
             # a displacement that is not a whole number is not truncated
             ("exact", dict(kernel=dict(NN, entries=[

@@ -250,8 +250,10 @@ def test_block_env_indices_and_caps():
     assert sites == [(-1,), (1,), (2,)]
     with pytest.raises(SupportTooLargeError):
         block_env_indices(geo, 5)
-    with pytest.raises(OutOfRangeError):
-        block_env_indices(geo, 0)
+    for l in (0, 1.5):
+        with pytest.raises(OutOfRangeError):
+            block_env_indices(geo, l)
+    assert block_env_indices(geo, 2.0) == idx
 
 
 def test_conditional_expectation_single_site_closed_form():
@@ -380,6 +382,11 @@ def test_multiscale_guards():
         multiscale_diagnostic(sp, v, 1, 2, 0)
     with pytest.raises(OutOfRangeError):
         multiscale_diagnostic(sp, v, 0, 2, 1)
+    # scales are whole numbers: l = 1.5 would ask for blocks of 1.5 and 3
+    with pytest.raises(OutOfRangeError):
+        multiscale_diagnostic(sp, v, 1.5, 2, 1)
+    assert (multiscale_diagnostic(sp, v, 1.0, 2.0, 2.0)
+            == multiscale_diagnostic(sp, v, 1, 2, 2))
     # the scales stop at the first one above N, so this returns at once
     with pytest.raises(SupportTooLargeError):
         multiscale_diagnostic(sp, v, 1, 2, 10**9)

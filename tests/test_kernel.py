@@ -58,6 +58,10 @@ def test_empty_nonpositive_duplicate_rejected():
         build_kernel(1, [((1,), 1.5), ((-1,), -0.5)])
     with pytest.raises(NotAProbabilityError):
         validate(JumpKernel(1, (((1,), 0.5), ((1,), 0.5))))
+    # weights that do not parse as a number
+    for p in ("x", "1/0", None, [0.5]):
+        with pytest.raises(NotAProbabilityError):
+            build_kernel(1, [((1,), p), ((-1,), 0.5)])
 
 
 def test_origin_mass_rejected():
@@ -152,9 +156,11 @@ def test_kernel_must_fit_torus(nn1d):
 
 
 def test_bad_constructor_arguments():
-    with pytest.raises(OutOfRangeError):
-        TorusGeometry(0, 2)
-    with pytest.raises(OutOfRangeError):
-        TorusGeometry(1, 0)
+    for d, N in ((0, 2), (1, 0), (1, 2.5), (1.5, 2), (True, 2), (1, "2")):
+        with pytest.raises(OutOfRangeError):
+            TorusGeometry(d, N)
+    # whole numbers written as floats are the same torus
+    geo = TorusGeometry(2.0, 3.0)
+    assert (geo.dimension, geo.N) == (2, 3) and type(geo.N) is int
     with pytest.raises(OutOfRangeError):
         build_kernel(1, [((1, 0), 1.0)])

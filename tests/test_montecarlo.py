@@ -143,7 +143,7 @@ def test_estimate_refuses_unseedable_replica_counts(meanzero1d, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "TransitionTable", no_table)
     sp = space_1d(3, 3)
-    for M, seed in ((2**32, 1), (2**40, 1), (40, -1)):
+    for M, seed in ((2**32, 1), (2**40, 1), (40, -1), (2.5, 1), (40, 1.5)):
         with pytest.raises(OutOfRangeError):
             estimate_diffusion(sp, meanzero1d, 4.0, M, seed)
     # nor is a horizon that is not finite and > 0

@@ -29,7 +29,6 @@ from sepdiff import (  # noqa: E402
 )
 from sepdiff.generator import assemble_environment  # noqa: E402
 from sepdiff.montecarlo import relaxation_gap  # noqa: E402
-from sepdiff.sobolev import LANCZOS_NCV  # noqa: E402
 
 import _oracle  # noqa: E402
 from conftest import check_symmetry_route  # noqa: E402
@@ -113,7 +112,7 @@ def test_sector_constant_odd_half_matches_dense(system):
 
 
 @settings(max_examples=40, deadline=None)
-@given(systems(min_states=LANCZOS_NCV + 1))
+@given(systems(min_states=3))
 def test_spectral_gap_lanczos_matches_dense(system):
     sp, kernel = system
     sym = symmetric_part(full_generator(sp, kernel))

@@ -53,6 +53,11 @@ def test_k_range_checked():
         StateSpace(geo, 0)
     with pytest.raises(WrongCountError):
         StateSpace(geo, 5)
+    # a count is not truncated
+    for K in (2.5, float("nan"), "2", True):
+        with pytest.raises(WrongCountError):
+            StateSpace(geo, K)
+    assert StateSpace(geo, 3.0).K == 3
     # K = n_sites means a full lattice: exactly one state
     assert StateSpace(geo, 4).size == 1
 
