@@ -52,6 +52,7 @@ projection is the mean of the observable over the states of each count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -66,6 +67,7 @@ from .errors import (
     SupportTooLargeError,
 )
 from .generator import (
+    IsotypicCoordinates,
     ReducedAssembly,
     assemble_environment,
     center,
@@ -265,11 +267,13 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
 
     A reduced direction lives in its coordinates throughout: v_i and w_i
     are read at its representatives, a mapped u_i at the preimages of
-    them, and C_ii is a dot product there. Each reduced operator is
-    dropped before the next is built, and each assembly after its last
-    direction. C_ij (i != j) is 0 when an element of both stabilizers has
-    different characters; otherwise both functions are lifted to every
-    state.
+    them, and C_ii is a dot product there. A mapped reduced direction
+    builds no operator: its residual is replayed through
+    ``ReducedAssembly.apply``, the same product bit for bit. Each reduced
+    operator is dropped before the next is built, and each assembly after
+    its last direction. C_ij (i != j) is 0 when an element of both
+    stabilizers has different characters; otherwise both functions are
+    lifted to every state.
     """
     dirs = [np.asarray(a, dtype=float) for a in directions]
     free = np.array([[_free_form(kernel, a, b, space.alpha) for b in dirs]
@@ -284,29 +288,36 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
         full = operator
         assemblies = {}                   # stabilizer -> ReducedAssembly
         sols = []                 # (coords or None, w_i, u_i), in coords
+        op = asm = None
         for i, a in enumerate(dirs):
             keep, chi = stabs[i]
+            hit = _image(group, dirs[:i], a)
             if reduced[i]:
                 if keep not in assemblies:
                     assemblies[keep] = ReducedAssembly(
                         space, kernel, space.orbits([group[h] for h in keep]))
-                op = assemblies[keep].operator(chi)
+                asm = assemblies[keep]
                 if keep not in [k for k, _ in stabs[i + 1:]]:
                     del assemblies[keep]
-                coords = op.coords
+                if hit is None:
+                    op, asm = asm.operator(chi), None
+                    coords = op.coords
+                else:
+                    # applied once, to replay a residual: no operator
+                    coords = IsotypicCoordinates(asm.orbits, chi)
                 b, w = _reduced_drifts(space, kernel, a, coords)
             else:
                 if full is None:
                     full = full_generator(space, kernel)
                 op, coords = full, None
                 b, w = local_drift_functions(space, kernel, a)
+            rows = n if coords is None else coords.reps.size
             order = len(keep) if reduced[i] else 1
-            hit = _image(group, dirs[:i], a)
             if hit is None:
                 rep = solve_general(op, b, tol=tol, method=method)
                 x = rep.solution
                 solves[i] = (rep.relative_residual, rep.iterations, rep.method,
-                             op.size, order)
+                             rows, order)
             else:
                 # u_i(g.eta) = s u_j(eta)
                 j, g, s = hit
@@ -318,15 +329,17 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
                     # g^-1 = g^t takes each representative to its preimage
                     at = space.mapped_ranks(g.T, space.bitmasks()[coords.reps])
                     x = s * _values(src, xj, at) * coords.roots
-                res = _replay(op, x, b, 0.0)
+                res = _replay(op.matvec if asm is None
+                              else functools.partial(asm.apply, coords),
+                              x, b, 0.0)
                 if res > 2.0 * tol:
                     raise NotConvergedError(
                         f"u along {a.tolist()} mapped by symmetry left "
                         f"replayed residual {res:.3e}; tol {tol:.1e}")
-                solves[i] = (res, 0, "symmetry", op.size, order)
+                solves[i] = (res, 0, "symmetry", rows, order)
             corr[i, i] = 2.0 * (float(w @ x) / n)
             sols.append((coords, w, x))
-            del op
+            op = asm = None
         for i, j in itertools.permutations(range(len(dirs)), 2):
             if reduced[i] and reduced[j] and _characters_differ(stabs[i],
                                                                 stabs[j]):

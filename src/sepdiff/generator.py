@@ -216,8 +216,11 @@ def _moves(space, kernel, masks, env_only=False):
                 if not (env_only and ch.jump >= 0)]
     n = 0
     for ch, src, targets in enabled_moves(masks, channels):
-        moved = targets != masks[src]
-        src, targets = src[moved], targets[moved]
+        if ch.jump >= 0:
+            # an environment move always changes the state; a tagged jump
+            # may not
+            moved = targets != masks[src]
+            src, targets = src[moved], targets[moved]
         n += src.size
         _check_nnz(n)
         yield (ch, src.astype(np.int32),
@@ -329,6 +332,14 @@ class ReducedAssembly:
         self._within = _joined(within)
         self._across = _joined(across)
 
+    def _diagonal(self, coords):
+        """The diagonal in the coordinates ``coords``: the moves within
+        an orbit, each signed by chi of its mover, less the exit rate."""
+        src, weights, movers = self._within
+        kept = coords.row >= 0
+        return (np.bincount(src, weights=weights * coords.chi[movers],
+                            minlength=kept.size) - self._exit)[kept]
+
     def operator(self, chi):
         """The generator L restricted to the functions with u(g.eta) =
         chi(g) u(eta), chi given as +-1 per group element, as a
@@ -349,10 +360,7 @@ class ReducedAssembly:
         chi, row = coords.chi, coords.row
         kept = row >= 0
         n = coords.reps.size
-        # moves within an orbit land on the diagonal
-        src, weights, movers = self._within
-        diag = (np.bincount(src, weights=weights * chi[movers],
-                            minlength=kept.size) - self._exit)[kept]
+        diag = self._diagonal(coords)
         # left in COO form, duplicates and all: the exact route applies it
         # in one solve, which saves less than converting to CSR costs;
         # sobolev._reflection_halves converts (SparseOperator.compress),
@@ -370,6 +378,25 @@ class ReducedAssembly:
         # signed entries and a stored diagonal: past __init__'s checks
         return SparseOperator.__new__(SparseOperator)._store(
             off, diag, null, self.symmetric, coords)
+
+    def apply(self, coords, x):
+        """The product ``operator(coords.chi).matvec(x)``, bit for bit,
+        read off the moves with no operator built: for a caller that
+        applies it once.
+
+        x is lifted to every orbit, zero on those ``coords`` drops; one
+        bincount over the moves between orbits adds their terms in the
+        order the COO product does, and a zero term from a dropped orbit
+        changes no sum.
+        """
+        x = np.asarray(x, dtype=float)
+        src, cols, weights, movers = self._across
+        xo = np.append(x, 0.0)[coords.row]
+        terms = weights * coords.chi[movers]
+        terms *= xo[cols]
+        kept = coords.row >= 0
+        return (np.bincount(src, weights=terms, minlength=kept.size)[kept]
+                + self._diagonal(coords) * x)
 
 
 def symmetric_part(op):

@@ -408,8 +408,9 @@ def arbitrate_sign(space, kernel, directions=None, T=None, M=4000,
     Computes the exact value under both conventions and accepts the one
     whose prediction sits within 3 standard errors of the Monte Carlo
     covariance along every requested direction. The replica count doubles
-    until exactly one convention survives; structurally ambiguous systems
-    (vanishing correction) raise InconclusiveError immediately.
+    until exactly one convention survives, at most ``max_doublings`` times
+    (a whole number >= 0, else OutOfRangeError); structurally ambiguous
+    systems (vanishing correction) raise InconclusiveError immediately.
     """
     return _arbitrate(space, kernel, directions, T, M, seed, max_doublings,
                       tol)[0]
@@ -420,6 +421,9 @@ def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
     DirectionResult (both conventions) of each arbitrated direction."""
     check_arbitration_horizon(space, T)
     m_run, seed = check_replica_run(T, M, seed)
+    if _whole(max_doublings) is None or max_doublings < 0:
+        raise OutOfRangeError(f"max_doublings must be a whole number >= 0, "
+                              f"got {max_doublings!r}")
     if directions is None:
         directions = np.eye(space.geometry.dimension)
     _, _, exact = _solve_directions(space, kernel, directions, tol, "auto")
@@ -434,7 +438,7 @@ def _arbitrate(space, kernel, directions, T, M, seed, max_doublings, tol):
         T = RELAX_TIMES / relaxation_gap(space, kernel)
 
     n_passing = 2
-    for attempt in range(max_doublings + 1):
+    for attempt in range(int(max_doublings) + 1):
         # distinct master seed per attempt keeps rerun streams independent
         est = estimate_diffusion(space, kernel, T, m_run, seed + attempt)
         passing = []

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConvergedError, PropertyViolatedError
+from .errors import NotConvergedError, OutOfRangeError, PropertyViolatedError
 from .generator import (
     ReducedAssembly,
     center,
@@ -45,7 +45,7 @@ from .generator import (
     inner,
     symmetric_part,
 )
-from .kernel import symmetrize
+from .kernel import _whole, symmetrize
 
 DENSE_SOLVE_MAX = 5000
 #: most states the spectral gap and the sector constant take densely under
@@ -84,12 +84,13 @@ def _shifted(op, lam, v):
     return lam * v - op.matvec(v)
 
 
-def _replay(op, u, b, lam):
-    """Recomputed relative residual of (lam I - op) u = b."""
+def _replay(matvec, u, b, lam):
+    """Recomputed relative residual of (lam I - A) u = b, with A applied
+    by ``matvec``."""
     bn = float(np.linalg.norm(b))
     if bn == 0.0:
         return 0.0
-    return float(np.linalg.norm(_shifted(op, lam, u) - b)) / bn
+    return float(np.linalg.norm(lam * u - matvec(u) - b)) / bn
 
 
 #: the Krylov paths :func:`solve_general` tries in turn, by whether the
@@ -202,7 +203,7 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         if x is None:
             failures.append(f"{path} broke down after {its} iterations")
             continue
-        res = _replay(op, x, b, lam)
+        res = _replay(op.matvec, x, b, lam)
         if converged and res <= 2.0 * tol:
             return SolveReport(x, res, its, path)
         failures.append(f"{path} stopped after {its} iterations "
@@ -215,7 +216,7 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         if op.null is not None:
             a += np.outer(op.null, op.null)
         x = op.project(np.linalg.solve(a, b))
-        res = _replay(op, x, b, lam)
+        res = _replay(op.matvec, x, b, lam)
         if res <= 2.0 * tol:
             return SolveReport(x, res, 0, "dense")
         failures.append(f"dense solve left replayed residual {res:.3e}")
@@ -262,10 +263,15 @@ def verify_prop1(op, n_pairs=100, seed=0):
 
     The inequalities, and the equality in (iii), are checked to
     ``PROP1_TOL`` relative, the attainment in (i) to 1e-6. Raises
-    PropertyViolatedError with a witness on the first failure.
+    PropertyViolatedError with a witness on the first failure, and
+    OutOfRangeError unless ``n_pairs`` is a whole number >= 1.
     """
     import scipy.linalg
 
+    if (_whole(n_pairs) or 0) < 1:
+        raise OutOfRangeError(
+            f"n_pairs must be a whole number >= 1, got {n_pairs!r}")
+    n_pairs = int(n_pairs)
     n = op.size
     if n < 2:
         raise PropertyViolatedError("need at least 2 states to test norms")

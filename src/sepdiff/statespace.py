@@ -9,13 +9,17 @@ in closed form from the combinatorial number system (Knuth, TAOCP 4A,
 C(M-1-p, i_p), where i_p counts the set bits at positions >= p. The sum is
 read one byte of the bitmask at a time from a per-space table
 (:func:`_rank_table`), so ranking an array of bitmasks takes a few numpy
-lookups per byte and no search.
+lookups per byte and no search. A state has k set bits, so the table
+keeps the rows for 0 .. k set bits above a byte; a bitmask with more
+reads a clipped row and is refused by its count.
 
 Bulk work runs on a ``uint64`` array of occupancy bitmasks in rank order,
 so an environment has at most 64 sites. Particle moves are enumerated one
 channel at a time over that array (:func:`enabled_moves`): a channel is one
 (site, kernel entry) pair for the environment, or one kernel entry for the
-tagged particle.
+tagged particle. Bits are moved to the sites' images, as a tagged jump or
+a lattice symmetry moves them, by a per-byte table (:func:`_moved`): one
+lookup per byte of the bitmask, however the sites are permuted.
 """
 
 from __future__ import annotations
@@ -56,12 +60,14 @@ def _require_word(M):
 
 #: per byte value, its popcount
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], np.uint8)
+#: per byte value, the step it takes in a flat rank table: 256 x popcount
+_ROW_STEP = 256 * _POPCOUNT.astype(np.intp)
 
 
 def _rank_table(M, k):
     """int64 table T[q, c, v]: the share of byte q (sites 8q .. 8q+7)
     holding v in the sum sum_p C(M-1-p, i_p) of the rank formula, given c
-    set bits in the bytes above it.
+    = 0 .. k set bits in the bytes above it; no state has more.
 
     Built over the byte's bits from the lowest: a set bit at site p with
     c' set bits above it adds C(M-1-p, c'+1), and the bits below it see
@@ -72,14 +78,14 @@ def _rank_table(M, k):
     nbytes = -(-M // 8)
     sites = np.arange(8 * nbytes).reshape(nbytes, 8)
     # term[q, j, i] = C(M-1-p, i) for the site p = 8q + j
-    term = np.zeros((nbytes, 8, M + 9), dtype=np.int64)
+    term = np.zeros((nbytes, 8, k + 9), dtype=np.int64)
     inside = sites < M
     binom = np.array([[math.comb(n, r) for r in range(k + 1)]
                       for n in range(M)], dtype=np.int64)
     term[inside, :k + 1] = binom[M - 1 - sites[inside]]
     # part[q, c, v]: share of the low j bits of v, given c set bits above
-    # them; one row is used up per bit, leaving c = 0 .. M
-    part = np.zeros((nbytes, M + 9, 1), dtype=np.int64)
+    # them; one row is used up per bit, leaving c = 0 .. k
+    part = np.zeros((nbytes, k + 9, 1), dtype=np.int64)
     for j in range(8):
         rows = part.shape[1] - 1
         part = np.concatenate(
@@ -106,62 +112,81 @@ def _lex_bitmasks(M, k):
     return level
 
 
-@dataclass(frozen=True)
+def _bytes(masks):
+    """The bytes of the uint64 bitmasks ``masks``, low byte first, as a
+    (masks.size, 8) uint8 array."""
+    return np.ascontiguousarray(masks, dtype="<u8").view(np.uint8) \
+        .reshape(masks.size, 8)
+
+
+def _move_table(images):
+    """uint64 table T[q, v]: the bits that byte q of a bitmask holding v
+    moves to when site i goes to ``images[i]``; a site whose image is
+    None, or beyond the list, moves nowhere."""
+    table = np.zeros((-(-len(images) // 8), 256), dtype=np.uint64)
+    values = np.arange(256)
+    for i, t in enumerate(images):
+        if t is not None:
+            q, j = divmod(i, 8)
+            table[q, (values >> j) & 1 == 1] |= np.uint64(1 << t)
+    return table
+
+
+def _moved(masks, table):
+    """The uint64 bitmasks ``masks`` with their bits moved by a
+    :func:`_move_table`: the OR over bytes q of ``table[q][byte q]``."""
+    by = _bytes(masks)
+    out = table[0].take(by[:, 0])
+    for q in range(1, len(table)):
+        out |= table[q].take(by[:, q])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class Channel:
     """One kind of move: an environment particle leaving one site by one
     kernel entry (``jump`` = -1), or a tagged jump by one kernel entry
     (``jump`` = its index), at rate ``rate``.
 
-    The move is enabled on a bitmask b where ``b & test == want``. Its
-    target is the OR over ``groups`` of ``b & bits`` shifted left by
-    ``shift`` (right for a negative shift).
+    The move is enabled on a bitmask b where ``b & test == want``. An
+    environment move clears the source bit ``want`` and sets the vacant
+    target bit, so it leads to ``b ^ test``, and ``moves`` is None. A
+    tagged jump leads to b with its bits moved by the :func:`_move_table`
+    ``moves``.
     """
 
     jump: int
     rate: float
     test: np.uint64
     want: np.uint64
-    groups: tuple
-
-
-def _shifted(x, shift):
-    if shift > 0:
-        return x << np.uint64(shift)
-    if shift < 0:
-        return x >> np.uint64(-shift)
-    return x
-
-
-def _shift_groups(images):
-    """(bits, shift) groups that move site i to ``images[i]``, skipping the
-    sites whose image is None: sites that move by one shift share a group."""
-    by_shift = {}
-    for i, t in enumerate(images):
-        if t is not None:
-            by_shift[t - i] = by_shift.get(t - i, 0) | (1 << i)
-    return tuple((np.uint64(bits), shift) for shift, bits in by_shift.items())
-
-
-def _moved(masks, groups):
-    """The uint64 bitmasks ``masks`` with their bits moved by ``groups``."""
-    out = np.zeros_like(masks)
-    for bits, shift in groups:
-        out |= _shifted(masks & bits, shift)
-    return out
+    moves: np.ndarray = None
 
 
 def enabled_moves(masks, channels):
     """Yield (channel, src, targets) for each channel in turn: ``src`` are
     the positions in the uint64 array ``masks`` where the channel is
-    enabled, ascending, and ``targets`` the bitmasks it leads to there."""
+    enabled, ascending, and ``targets`` the bitmasks it leads to there.
+
+    Consecutive environment channels from one source site share one scan
+    of ``masks`` for the states that occupy it; each channel's vacancy
+    test then runs on those states alone.
+    """
+    site = None
     for ch in channels:
-        src = np.flatnonzero((masks & ch.test) == ch.want)
-        yield ch, src, _moved(masks[src], ch.groups)
+        if ch.moves is None:
+            if site is None or ch.want != site:
+                site = ch.want
+                occupied = np.flatnonzero(masks & site)
+                held = masks[occupied]
+            vacant = (held & (ch.test ^ site)) == 0
+            yield ch, occupied[vacant], held[vacant] ^ ch.test
+        else:
+            src = np.flatnonzero((masks & ch.test) == ch.want)
+            yield ch, src, _moved(masks[src], ch.moves)
 
 
 def _build_channels(geo, kernel):
     """Channels in canonical order; loops run over sites, not states."""
-    word = (1 << geo.n_env_sites) - 1
     env = []
     for i, site in enumerate(geo.env_sites):
         for z, p in kernel.entries:
@@ -169,20 +194,18 @@ def _build_channels(geo, kernel):
             if y == geo.origin:
                 continue
             t = geo.env_index(y)
-            env.append(Channel(
-                -1, p, np.uint64((1 << i) | (1 << t)), np.uint64(1 << i),
-                ((np.uint64(word ^ (1 << i)), 0), (np.uint64(1 << i), t - i)),
-            ))
+            env.append(Channel(-1, p, np.uint64((1 << i) | (1 << t)),
+                               np.uint64(1 << i)))
     tagged = []
     for zi, (z, p) in enumerate(kernel.entries):
         # every occupied y moves to wrap(y - z); the seat wrap(z) is vacant
         seat = geo.wrap(z)
         ti = geo.env_index(seat)
-        groups = _shift_groups([
+        moves = _move_table([
             None if i == ti else
             geo.env_index(tuple(a - b for a, b in zip(site, seat)))
             for i, site in enumerate(geo.env_sites)])
-        tagged.append(Channel(zi, p, np.uint64(1 << ti), np.uint64(0), groups))
+        tagged.append(Channel(zi, p, np.uint64(1 << ti), np.uint64(0), moves))
     return tuple(env + tagged)
 
 
@@ -274,9 +297,11 @@ class StateSpace:
         Arithmetic, by the combinatorial number system: the bitmasks are
         walked one byte at a time from the top, adding each byte's share
         of the rank sum from a table (built on first use) indexed by the
-        byte and the set bits seen so far. Raises ``OutOfRangeError`` when
-        a bitmask occupies a site beyond the torus and ``WrongCountError``
-        when it does not hold exactly k particles.
+        byte and the set bits seen so far. The table holds the rows for
+        0 .. k set bits; a bitmask past k reads a clipped row, and its
+        count refuses it. Raises ``OutOfRangeError`` when a bitmask
+        occupies a site beyond the torus and ``WrongCountError`` when it
+        does not hold exactly k particles.
         """
         if self._rank is None:
             _require_word(self.M)
@@ -286,16 +311,15 @@ class StateSpace:
         masks = np.asarray(masks, dtype=np.uint64)
         if masks.size and int(masks.max()) >> self.M:
             raise OutOfRangeError("bitmask occupies sites beyond the torus")
-        # bytes of each bitmask, low byte first
-        by = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8) \
-            .reshape(masks.size, 8)
-        share = np.zeros(masks.size, dtype=np.int64)
-        above = np.zeros(masks.size, dtype=np.intp)  # set bits above
-        for q in reversed(range(len(self._rank))):
-            byte = by[:, q].astype(np.intp)
-            share += self._rank[q].take(256 * above + byte)
-            above += _POPCOUNT[byte]
-        if np.any(above != self.k):
+        by = _bytes(masks)
+        # the top byte reads row 0; base is 256 x the set bits above
+        top = len(self._rank) - 1
+        share = self._rank[top].take(by[:, top])
+        base = _ROW_STEP.take(by[:, top])
+        for q in reversed(range(top)):
+            share += self._rank[q].take(base + by[:, q], mode="clip")
+            base += _ROW_STEP.take(by[:, q])
+        if np.any(base != 256 * self.k):
             raise WrongCountError(
                 f"bitmask does not hold the {self.k} particles of the space")
         return ((self.size - 1) - share).reshape(masks.shape)
@@ -307,15 +331,16 @@ class StateSpace:
 
         g fixes the origin and maps the torus onto itself, so it moves
         environment site x to wrap(g x). The bits of every bitmask are
-        moved to match, and the results ranked.
+        moved to match by a per-byte table, and the results ranked.
         """
         geo = self.geometry
         g = np.asarray(g)
-        groups = _shift_groups([geo.env_index(tuple(int(c) for c in g @ x))
-                                for x in geo.env_sites])
+        table = _move_table([geo.env_index(tuple(int(c) for c in g @ x))
+                             for x in geo.env_sites])
         if masks is None:
             masks = self.bitmasks()
-        return self.rank_masks(_moved(masks, groups))
+        masks = np.asarray(masks, dtype=np.uint64)
+        return self.rank_masks(_moved(masks, table).reshape(masks.shape))
 
     def orbits(self, group):
         """Orbit tables of a group H of signed lattice permutations, the
@@ -327,12 +352,30 @@ class StateSpace:
         no |H| x states array is built. At a representative that bitmask
         is its stabilizer. H has at most 48 elements (a torus whose
         environment fits the bitmask has d <= 3), so it fits a uint64.
+
+        The rank permutation of each element is kept. An element g_h equal
+        to g_a g_b for two earlier non-identity elements (found by looking
+        up g_a^t g_h among them) is the gather ``perms[a][perms[b]]``; only
+        the others move bits through ``mapped_ranks``.
         """
         best = np.arange(self.size, dtype=np.int64)
         mover = np.zeros(self.size, dtype=np.int8)
         ties = np.ones(self.size, dtype=np.uint64)
-        for h, g in enumerate(group[1:], 1):
-            ranks = self.mapped_ranks(g)
+        mats = [np.asarray(g, dtype=np.int64) for g in group]
+        earlier = {}                # matrix bytes -> h, non-identity
+        perms = [None]
+        for h, g in enumerate(mats[1:], 1):
+            ranks = None
+            for a in earlier.values():
+                b = earlier.get((mats[a].T @ g).tobytes())
+                if b is not None:
+                    ranks = perms[a][perms[b]]
+                    break
+            if ranks is None:
+                # int32, which the state cap allows
+                ranks = self.mapped_ranks(g).astype(np.int32)
+            perms.append(ranks)
+            earlier[g.tobytes()] = h
             lower = ranks < best
             best[lower] = ranks[lower]
             mover[lower] = h
@@ -368,8 +411,7 @@ class StateSpace:
         touches, with no states x sites array."""
         if masks is None:
             masks = self.bitmasks()
-        by = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8) \
-            .reshape(masks.size, 8)
+        by = _bytes(masks)
         counts = np.zeros(masks.size, dtype=np.int64)
         for q in range(8):
             part = (mask >> 8 * q) & 0xFF

@@ -39,6 +39,13 @@ def nn2d():
     )
 
 
+def nn_kernel(d):
+    """Symmetric nearest-neighbour walk on Z^d, weights 1/(2d) exactly."""
+    return build_kernel(d, [(tuple(s * (i == j) for j in range(d)),
+                             f"1/{2 * d}")
+                            for i in range(d) for s in (1, -1)])
+
+
 NN1D = [((1,), 0.5), ((-1,), 0.5)]
 MZ1D = [((2,), 1.0 / 3.0), ((-1,), 2.0 / 3.0)]
 ASYM1D = [((1,), 1.0)]

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -486,6 +487,20 @@ def test_nn2d_matrix_is_exactly_isotropic(nn2d, N, K):
     assert rep.directions[1].method == "symmetry"
 
 
+def test_mapped_direction_builds_no_second_operator(nn2d):
+    # e2 shares e1's stabilizer: one reduced operator is built, for e1's
+    # solve, and e2's residual is replayed through ReducedAssembly.apply
+    sp = StateSpace(TorusGeometry(2, 2), 6)
+    with mock.patch.object(ReducedAssembly, "operator", autospec=True,
+                           side_effect=ReducedAssembly.operator) as build, \
+            mock.patch.object(ReducedAssembly, "apply", autospec=True,
+                              side_effect=ReducedAssembly.apply) as apply:
+        rep = compute_D_matrix(sp, nn2d, tol=1e-12)
+    assert build.call_count == 1 and apply.call_count == 1
+    mapped = rep.directions[1]
+    assert mapped.method == "symmetry" and 0.0 < mapped.residual <= 2e-12
+
+
 #: tracemalloc peak of compute_D_matrix on 2d NN N=3 K=5, bytes per state:
 #: 224 measured (numpy 2.4, scipy 1.17), 340 before the exact route kept
 #: its drift, mapped direction and inner products on the representatives;
@@ -557,9 +572,9 @@ def test_reduced_replay_is_the_full_space_residual(nn2d):
             mapped = np.empty(sp.size)
             mapped[sp.mapped_ranks(swap)] = u
             u = mapped
-            res = _replay(op, op.coords.restrict(u), op.coords.restrict(v),
-                          0.0)
-        want = _replay(full, u, v, 0.0)
+            res = _replay(op.matvec, op.coords.restrict(u),
+                          op.coords.restrict(v), 0.0)
+        want = _replay(full.matvec, u, v, 0.0)
         assert res == pytest.approx(want, rel=1e-6)
 
 

@@ -443,6 +443,20 @@ def test_arbitrate_sign_refuses_no_horizon_before_solving(meanzero1d,
         arbitrate_sign(big, meanzero1d, M=50, seed=1)
 
 
+@pytest.mark.parametrize("max_doublings", [1.5, -1, True, "2"])
+def test_arbitrate_sign_refuses_a_doubling_count_that_is_not_whole(
+        meanzero1d, max_doublings, monkeypatch):
+    # 1d mean-zero N=3 K=3: refused before any exact solve runs; -1 once
+    # reported the survivors at half the replica count asked for
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(montecarlo, "_solve_directions", no_solve)
+    with pytest.raises(OutOfRangeError):
+        arbitrate_sign(space_1d(3, 3), meanzero1d, M=50, seed=1,
+                       max_doublings=max_doublings)
+
+
 def test_one_pass_per_chunk_and_one_generator_per_replica(meanzero1d,
                                                           monkeypatch):
     sp = space_1d(3, 3)

@@ -27,11 +27,17 @@ from sepdiff import (  # noqa: E402
     spectral_gap,
     symmetric_part,
 )
-from sepdiff.generator import assemble_environment  # noqa: E402
+from sepdiff.diffusion import _stabilizer, _symmetries  # noqa: E402
+from sepdiff.generator import (  # noqa: E402
+    IsotypicCoordinates,
+    ReducedAssembly,
+    assemble_environment,
+)
 from sepdiff.montecarlo import relaxation_gap  # noqa: E402
+from sepdiff.statespace import _move_table, _moved  # noqa: E402
 
 import _oracle  # noqa: E402
-from conftest import check_symmetry_route  # noqa: E402
+from conftest import check_symmetry_route, nn_kernel  # noqa: E402
 
 #: the dense oracle stays cheap below this many states
 MAX_STATES = 400
@@ -151,6 +157,88 @@ def test_rank_matches_combinatorial_reference(case):
     masks = [sum(1 << s for s in sites) for sites in sets]
     want = [_lex_rank(sites, sp.M) for sites in sets]
     assert sp.rank_masks(np.array(masks, dtype=np.uint64)).tolist() == want
+
+
+def per_site_image(words, images):
+    """Each word with its set bit i moved to bit ``images[i]``, one site at
+    a time; a bit whose image is None is dropped."""
+    return [sum(1 << t for i, t in enumerate(images)
+                if t is not None and w >> i & 1) for w in words]
+
+
+@st.composite
+def site_maps(draw):
+    """(images, words): an injective map of M <= 64 sites, a few of them
+    mapped to None, and words over those M bits."""
+    M = draw(st.sampled_from([1, 3, 7, 8, 9, 16, 17, 35, 63, 64]))
+    perm = draw(st.permutations(range(M)))
+    gone = draw(st.sets(st.integers(0, M - 1), max_size=3))
+    images = [None if i in gone else t for i, t in enumerate(perm)]
+    words = draw(st.lists(st.integers(0, 2**M - 1), min_size=1, max_size=30))
+    return images, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(site_maps())
+def test_byte_table_moves_are_the_per_site_images(case):
+    images, words = case
+    got = _moved(np.array(words, dtype=np.uint64), _move_table(images))
+    assert got.tolist() == per_site_image(words, images)
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 4), (3, 2), (1, 5), (2, 2)])
+def test_tagged_jump_tables_on_tori(d, N):
+    # the 64-site tori fill all but one bit of the word; every occupied y
+    # moves to wrap(y - z), and the seat z, vacant when the jump is
+    # enabled, moves nowhere
+    geo = TorusGeometry(d, N)
+    sp = StateSpace(geo, 2)
+    kernel = nn_kernel(d)
+    words = np.random.default_rng(sp.M).integers(
+        0, 2**sp.M, size=300, dtype=np.uint64)
+    for ch in sp.move_channels(kernel)[-len(kernel.entries):]:
+        z = kernel.entries[ch.jump][0]
+        images = [None if y == geo.wrap(z) else
+                  geo.env_index(_oracle.wrap(_oracle.sub(y, z), N))
+                  for y in geo.env_sites]
+        assert _moved(words, ch.moves).tolist() == \
+            per_site_image(words.tolist(), images)
+
+
+def characters(group):
+    """Every character of ``group`` (integer matrices, identity first) as
+    +-1 per element: each sign assignment with chi(identity) = 1 kept when
+    chi(g_a g_b) = chi(g_a) chi(g_b) for every pair."""
+    at = {g.tobytes(): h for h, g in enumerate(group)}
+    table = np.array([[at[(a @ b).tobytes()] for b in group] for a in group])
+    n = len(group)
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    chis = np.hstack([np.ones((bits.shape[0], 1)), 1 - 2 * bits]) \
+        .astype(np.int8)
+    ok = (chis[:, table] == chis[:, :, None] * chis[:, None, :]).all(
+        axis=(1, 2))
+    return chis[ok].astype(float)
+
+
+@pytest.mark.parametrize("d,N,K,n_chars", [(2, 2, 6, 4), (2, 3, 4, 4),
+                                           (3, 2, 3, 8)])
+def test_reduced_apply_is_the_operator_product_bit_for_bit(d, N, K, n_chars):
+    # every character of the stabilizer of e1 under the nearest-neighbour
+    # kernel's symmetries: Z2 x Z2 in 2d, Z2 x D4 (order 16) in 3d
+    sp = StateSpace(TorusGeometry(d, N), K)
+    kernel = nn_kernel(d)
+    group = _symmetries(kernel)
+    keep, _ = _stabilizer(group, np.eye(d)[0])
+    stab = [group[h] for h in keep]
+    chis = characters(stab)
+    assert len(chis) == n_chars
+    asm = ReducedAssembly(sp, kernel, sp.orbits(stab))
+    rng = np.random.default_rng(sp.size)
+    for chi in chis:
+        op = asm.operator(chi)
+        coords = IsotypicCoordinates(asm.orbits, chi)
+        for x in (rng.standard_normal(op.size), np.ones(op.size)):
+            assert np.array_equal(asm.apply(coords, x), op.matvec(x))
 
 
 #: the signed permutations of Z^2

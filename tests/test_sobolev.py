@@ -10,6 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from sepdiff import (
     NotConvergedError,
     NotMeanZeroError,
+    OutOfRangeError,
     SparseOperator,
     StateSpace,
     TorusGeometry,
@@ -434,6 +435,15 @@ def test_prop1_inequalities_hold(entries):
     assert rep.max_equality_gap_i <= 1e-6
     if rep.symmetric:
         assert rep.max_equality_gap_iii <= 1e-9
+
+
+@pytest.mark.parametrize("n_pairs", [2.5, 0, -1, True, "3"])
+def test_prop1_refuses_a_pair_count_that_is_not_whole_and_positive(n_pairs):
+    # 1d mean-zero N=3 K=3; 0 pairs would report that nothing was checked
+    _, op = make(MZ1D)
+    with pytest.raises(OutOfRangeError):
+        verify_prop1(op, n_pairs=n_pairs, seed=2)
+    assert verify_prop1(op, n_pairs=2.0, seed=2).n_pairs == 2
 
 
 def test_resolvent_solves_shifted_system():

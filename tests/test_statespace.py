@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from sepdiff import (
     build_kernel,
     full_generator,
 )
+from sepdiff.diffusion import _stabilizer, _symmetries
 from sepdiff.statespace import BITMASK_WIDTH, enabled_moves
 
 import _oracle
+from conftest import nn_kernel
 
 
 def make_space(d, N, K):
@@ -127,6 +130,11 @@ def test_rank_masks_rejects_non_states():
         wide.rank_masks([1 << 62])
     with pytest.raises(OutOfRangeError):
         wide.rank_masks([(1 << 63) | (1 << 62)])
+    # M = 15, k = 2: three particles in the top byte send the next byte
+    # past the table's last row, which reads a clipped entry
+    two = make_space(1, 8, 3)
+    with pytest.raises(WrongCountError):
+        two.rank_masks([0b111 << 8])
 
 
 def tagged_moves(sp, kernel, z):
@@ -186,6 +194,51 @@ def test_mapped_ranks_match_per_state_rule(d, N, K, g):
     subset = np.random.default_rng(sp.size).permutation(sp.size)[::2]
     got = sp.mapped_ranks(np.array(g), sp.bitmasks()[subset])
     assert got.tolist() == [want[r] for r in subset]
+
+
+def orbits_by_mapping(sp, group):
+    """(index, reps, sizes, mover, stabilizers) of ``StateSpace.orbits``,
+    every element's ranks mapped and held at once: the smallest mapped
+    rank, the first element reaching it and the bitmask of all of them."""
+    ranks = np.array([sp.mapped_ranks(g) for g in group])
+    best = ranks.min(axis=0)
+    ties = sum((ranks[h] == best).astype(np.uint64) << np.uint64(h)
+               for h in range(len(group)))
+    reps = np.flatnonzero(best == np.arange(sp.size))
+    index = np.searchsorted(reps, best)
+    return (index, reps, np.bincount(index), ranks.argmin(axis=0),
+            ties[reps])
+
+
+@pytest.mark.parametrize("d,N,K,order,mapped", [
+    (2, 2, 5, None, 2),            # -I is the product of the reflections
+    (2, 3, 3, None, 2),
+    (3, 2, 3, None, 4),            # |H| = 16: 11 of 15 elements compose
+    (3, 2, 4, None, 4),
+    # -I first: the reflection after it has no factors yet
+    (2, 2, 5, [0, 3, 1, 2], 2),
+    (2, 2, 5, [0, 3, 2, 1], 2),
+    (3, 2, 3, [0, 15, 9, 4, 12, 1, 7, 2, 14, 5, 11, 3, 8, 13, 6, 10], None),
+])
+def test_orbits_compose_as_mapping_every_element(d, N, K, order, mapped):
+    sp = make_space(d, N, K)
+    group = _symmetries(nn_kernel(d))
+    keep, _ = _stabilizer(group, np.eye(d)[0])
+    group = [group[h] for h in keep]
+    if order is not None:
+        group = [group[h] for h in order]
+    with mock.patch.object(sp, "mapped_ranks",
+                           wraps=sp.mapped_ranks) as mapping:
+        orb = sp.orbits(group)
+    want = orbits_by_mapping(sp, group)
+    got = (orb.index, orb.reps, orb.sizes, orb.mover, orb.stabilizers)
+    for name, a, b in zip(("index", "reps", "sizes", "mover", "stabilizers"),
+                          got, want):
+        assert np.array_equal(a, b), name
+    # only the elements that are no product of two earlier ones move bits
+    assert 1 <= mapping.call_count < len(group) - 1
+    if mapped is not None:
+        assert mapping.call_count == mapped
 
 
 def shifted_counts(masks, sites):
