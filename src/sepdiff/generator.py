@@ -4,10 +4,12 @@ Operators keep only strictly positive off-diagonal rates; the diagonal is
 always the negative row sum, so row sums vanish identically. The reference
 measure is uniform on the state space, and all inner products are taken
 with the flat weight 1/size. The exception is a generator restricted to
-one symmetry type (``ReducedAssembly.operator``), in orbit coordinates,
-with signed off-diagonal entries and a stored diagonal. Every operator
-stores its unit null direction as ``null``: the normalized constants for
-a generator, the reduced constants or None for a restricted one.
+one symmetry type (``ReducedAssembly.operator``), in orbit coordinates:
+its stored entries are its moves, signed, and a move within an orbit is
+one on the diagonal; its stored diagonal is minus the exit rate, as a
+generator's is. Every operator stores its unit null direction as
+``null``: the normalized constants for a generator, the reduced constants
+or None for a restricted one.
 
 scipy is imported inside the functions that build or traverse sparse
 matrices, so the Monte Carlo route, which needs none, runs on numpy alone.
@@ -49,7 +51,9 @@ def center(f):
 class SparseOperator:
     """Generator matrix: positive off-diagonal rates, diagonal = -row sum;
     or a generator restricted to one symmetry type, built by
-    :meth:`ReducedAssembly.operator` past these checks.
+    :meth:`ReducedAssembly.operator` past these checks, whose stored
+    entries may be negative and may lie on the diagonal, and whose
+    ``diag`` is minus the exit rate.
 
     ``symmetric``, when given, is whether the rates are symmetric, decided
     by the caller; otherwise :meth:`is_symmetric` compares the stored
@@ -227,18 +231,6 @@ def _moves(space, kernel, masks, env_only=False):
                space.rank_masks(targets).astype(np.int32))
 
 
-def _move_triples(space, kernel, masks, env_only=False):
-    """(rows, cols, rates) of the moves of :func:`_moves`, concatenated
-    over the channels."""
-    rows, cols, rates, sizes = [], [], [], []
-    for ch, src, targets in _moves(space, kernel, masks, env_only):
-        rows.append(src)
-        cols.append(targets)
-        rates.append(ch.rate)
-        sizes.append(src.size)
-    return np.concatenate(rows), np.concatenate(cols), np.repeat(rates, sizes)
-
-
 def _joined(parts):
     """The list ``parts`` of equal-length tuples of arrays, concatenated
     field by field; the list is emptied first, so that each field's parts
@@ -250,6 +242,14 @@ def _joined(parts):
         fields[k] = None
         out.append(np.concatenate(f))
     return tuple(out)
+
+
+def _move_triples(space, kernel, masks, env_only=False):
+    """(rows, cols, rates) of the moves of :func:`_moves`, joined over the
+    channels."""
+    return _joined([(src, cols, np.full(src.size, ch.rate))
+                    for ch, src, cols in _moves(space, kernel, masks,
+                                                env_only)])
 
 
 def _symmetric_rates(space, kernel, env_only=False):
@@ -304,6 +304,11 @@ class ReducedAssembly:
     """The moves out of each orbit representative of ``orbits`` (a
     ``StateSpace.orbits`` table of kernel symmetries), enumerated once and
     read as an operator under any character of the group.
+
+    One list holds every move r_O -> eta', eta' in orbit O', as its source
+    O, target O', weight L(r_O, eta') sqrt(|O| / |O'|) and the group element
+    that maps eta' to r_O'. A move within its own orbit (O' = O) is an
+    entry like any other, on the diagonal.
     """
 
     def __init__(self, space, kernel, orbits):
@@ -311,34 +316,21 @@ class ReducedAssembly:
         self.symmetric = _symmetric_rates(space, kernel)
         roots = np.sqrt(orbits.sizes)
         self._exit = np.zeros(orbits.reps.size)
-        within, across = [], []
+        parts = []
         # one channel at a time, so that no move array of full length
         # exists beside the parts kept
         for ch, src, targets in _moves(space, kernel,
                                        space.bitmasks()[orbits.reps]):
             # each target as its orbit and the group element that maps it
-            # to the orbit's representative; the rate carries
-            # sqrt(|O| / |O'|)
+            # to the orbit's representative
             cols = orbits.index[targets]
             movers = orbits.mover[targets]
-            weights = ch.rate * roots[src] / roots[cols]
             # a channel moves each state at most once, so this adds the
             # exit rates in channel order
             self._exit[src] += ch.rate
-            inside = src == cols
-            within.append((src[inside], weights[inside], movers[inside]))
-            out = ~inside
-            across.append((src[out], cols[out], weights[out], movers[out]))
-        self._within = _joined(within)
-        self._across = _joined(across)
-
-    def _diagonal(self, coords):
-        """The diagonal in the coordinates ``coords``: the moves within
-        an orbit, each signed by chi of its mover, less the exit rate."""
-        src, weights, movers = self._within
-        kept = coords.row >= 0
-        return (np.bincount(src, weights=weights * coords.chi[movers],
-                            minlength=kept.size) - self._exit)[kept]
+            parts.append((src, cols, ch.rate * roots[src] / roots[cols],
+                          movers))
+        self._move_list = _joined(parts)
 
     def operator(self, chi):
         """The generator L restricted to the functions with u(g.eta) =
@@ -347,12 +339,14 @@ class ReducedAssembly:
 
         Its matrix is sqrt(|O|) A_{O,O'} / sqrt(|O'|), with A_{O,O'} the
         sum of L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric
-        whenever L is. The off-diagonal entries may be negative, and the
-        diagonal is stored. The null direction is sqrt(|O|), normalized,
-        when chi is trivial (the constants), and None otherwise: such
-        functions sum to zero, and L is nonsingular on them. Euclidean
-        norms in these coordinates equal those of the lifted functions, so
-        a replayed residual here is the full-space one.
+        whenever L is. The stored entries are the moves, each signed by
+        chi of its mover, so they may be negative and the moves within an
+        orbit sit on the diagonal; the stored diagonal is minus the exit
+        rate. The null direction is sqrt(|O|), normalized, when chi is
+        trivial (the constants), and None otherwise: such functions sum to
+        zero, and L is nonsingular on them. Euclidean norms in these
+        coordinates equal those of the lifted functions, so a replayed
+        residual here is the full-space one.
         """
         import scipy.sparse as sp
 
@@ -360,12 +354,11 @@ class ReducedAssembly:
         chi, row = coords.chi, coords.row
         kept = row >= 0
         n = coords.reps.size
-        diag = self._diagonal(coords)
         # left in COO form, duplicates and all: the exact route applies it
         # in one solve, which saves less than converting to CSR costs;
         # sobolev._reflection_halves converts (SparseOperator.compress),
         # since the sector constant applies each half thousands of times
-        src, cols, weights, movers = self._across
+        src, cols, weights, movers = self._move_list
         live = kept[src]
         live &= kept[cols]
         # chi is +-1: negate in place rather than multiply by a float copy
@@ -375,9 +368,9 @@ class ReducedAssembly:
                             shape=(n, n))
         null = (None if np.any(chi < 0)
                 else coords.roots / np.sqrt(self.orbits.sizes.sum()))
-        # signed entries and a stored diagonal: past __init__'s checks
+        # signed entries, some on the diagonal: past __init__'s checks
         return SparseOperator.__new__(SparseOperator)._store(
-            off, diag, null, self.symmetric, coords)
+            off, -self._exit[kept], null, self.symmetric, coords)
 
     def apply(self, coords, x):
         """The product ``operator(coords.chi).matvec(x)``, bit for bit,
@@ -385,18 +378,19 @@ class ReducedAssembly:
         applies it once.
 
         x is lifted to every orbit, zero on those ``coords`` drops; one
-        bincount over the moves between orbits adds their terms in the
-        order the COO product does, and a zero term from a dropped orbit
-        changes no sum.
+        bincount over the moves adds their terms in the order the COO
+        product does, and a zero term from a dropped orbit changes no sum.
+        Subtracting exit * x then equals adding the stored diagonal's
+        (-exit) * x.
         """
         x = np.asarray(x, dtype=float)
-        src, cols, weights, movers = self._across
+        src, cols, weights, movers = self._move_list
         xo = np.append(x, 0.0)[coords.row]
         terms = weights * coords.chi[movers]
         terms *= xo[cols]
         kept = coords.row >= 0
         return (np.bincount(src, weights=terms, minlength=kept.size)[kept]
-                + self._diagonal(coords) * x)
+                - self._exit[kept] * x)
 
 
 def symmetric_part(op):

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -458,7 +460,9 @@ def unreduced_D(sp, kernel, a=None):
     (2, 2, 5, YSYM2D, None, 2),
     (3, 2, 3, NN3D, None, 16),
     (2, 2, 4, SWAP2D, [1.0, 1.0], 2),
-    (3, 2, 3, ZSYM3D, None, 2)])
+    (3, 2, 3, ZSYM3D, None, 2),
+    (2, 2, 3, NN2D, None, 4),
+    (1, 3, 3, NN1D, None, 2)])
 def test_reduced_D_equals_unreduced(d, N, K, entries, a, order):
     sp = StateSpace(TorusGeometry(d, N), K)
     kernel = build_kernel(d, entries)
@@ -632,3 +636,34 @@ def test_symmetric_1d_closed_form_490k_states(nn1d):
     res = compute_D(sp, nn1d, [1.0]).directions[0]
     assert abs(res.D - closed_form_1d(12, 9)) <= 1e-12
     assert res.rows < sp.size
+
+
+def tasep_closed_form(L, K):
+    """D = Delta / K^2 of the totally asymmetric kernel p(+1) = 1 with K
+    particles on a ring of L sites (Derrida, Evans and Mukamel, J. Phys. A
+    26 (1993) 4911), where Delta, the variance rate of the particles'
+    total distance, is (2L / (L - 1)) sum_{n=1..K} n^2 C(L, K+n)
+    C(L, K-n) / C(L, K)^2; nearest-neighbour particles keep their order,
+    so the tagged one walks 1/K of that distance. Exact until the final
+    float."""
+    s = sum(n * n * math.comb(L, K + n) * math.comb(L, K - n)
+            for n in range(1, K + 1))
+    delta = Fraction(2 * L, L - 1) * Fraction(s, math.comb(L, K) ** 2)
+    return float(delta / K ** 2)
+
+
+@pytest.mark.parametrize("L,K", [(L, K) for L in range(4, 13, 2)
+                                 for K in range(2, L)])
+def test_tasep_closed_form(totally_asym1d, L, K):
+    res = compute_D(space_1d(L // 2, K), totally_asym1d, [1.0]).directions[0]
+    want = tasep_closed_form(L, K)
+    assert abs(res.D - want) <= 1e-8 * want
+
+
+@pytest.mark.slow
+def test_tasep_closed_form_352k_states(totally_asym1d):
+    sp = space_1d(11, 11)
+    assert sp.size == 352_716
+    res = compute_D(sp, totally_asym1d, [1.0]).directions[0]
+    want = tasep_closed_form(22, 11)
+    assert abs(res.D - want) <= 1e-8 * want

@@ -220,11 +220,19 @@ def characters(group):
     return chis[ok].astype(float)
 
 
+#: moves that stay within their orbit, diagonal entries of the reduced
+#: operator, under the stabilizer of e1 of the nearest-neighbour kernel
+WITHIN_ORBIT_MOVES = {(3, 2, 3): 56, (2, 2, 3): 14, (2, 2, 5): 40,
+                      (1, 3, 3): 2}
+
+
 @pytest.mark.parametrize("d,N,K,n_chars", [(2, 2, 6, 4), (2, 3, 4, 4),
-                                           (3, 2, 3, 8)])
+                                           (3, 2, 3, 8), (2, 2, 3, 4),
+                                           (2, 2, 5, 4), (1, 3, 3, 2)])
 def test_reduced_apply_is_the_operator_product_bit_for_bit(d, N, K, n_chars):
     # every character of the stabilizer of e1 under the nearest-neighbour
-    # kernel's symmetries: Z2 x Z2 in 2d, Z2 x D4 (order 16) in 3d
+    # kernel's symmetries: Z2 x Z2 in 2d, Z2 x D4 (order 16) in 3d, {I, -I}
+    # in 1d
     sp = StateSpace(TorusGeometry(d, N), K)
     kernel = nn_kernel(d)
     group = _symmetries(kernel)
@@ -233,6 +241,9 @@ def test_reduced_apply_is_the_operator_product_bit_for_bit(d, N, K, n_chars):
     chis = characters(stab)
     assert len(chis) == n_chars
     asm = ReducedAssembly(sp, kernel, sp.orbits(stab))
+    src, cols, _, _ = asm._move_list
+    within = WITHIN_ORBIT_MOVES.get((d, N, K), 0)
+    assert np.count_nonzero(src == cols) == within
     rng = np.random.default_rng(sp.size)
     for chi in chis:
         op = asm.operator(chi)
@@ -345,3 +356,22 @@ def test_reduced_D_equals_unreduced_on_symmetric_kernels(system):
     if sp.size > 1:
         # x -> -x maps every axis to minus itself
         assert all(r.group_order >= 2 for r in rep.directions)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(51, 100), st.integers(2, 5), st.data())
+def test_particle_hole_identity_1d_nearest_neighbour(percent, N, data):
+    # holes carry minus the particles' total current, so
+    # K^2 D(L, K) = (L - K)^2 D(L, L - K) on a ring of L = 2N sites
+    L = 2 * N
+    K = data.draw(st.integers(1, L - 1))
+    p = Fraction(percent, 100)
+    entries = [((1,), p)] + ([((-1,), 1 - p)] if p < 1 else [])
+    kernel = build_kernel(1, entries)
+
+    def scaled(k):
+        sp = StateSpace(TorusGeometry(1, N), k)
+        return k ** 2 * compute_D_matrix(sp, kernel, tol=1e-12).matrix[0, 0]
+
+    want = scaled(L - K)
+    assert abs(scaled(K) - want) <= 1e-9 * want
