@@ -42,8 +42,10 @@ the residual replayed on the reduced system, solved or mapped, is the
 full-space relative residual. For i != j, <w_i, u_j> vanishes when some g
 in both stabilizers has chi_i(g) != chi_j(g), since g preserves the
 measure and flips the sign of the product; otherwise both functions are
-lifted to every state. Directions whose H_a is the identity alone, and
-calls that pass ``operator``, solve on all states.
+lifted to every state. Every reduced direction, solved or mapped, builds
+its operator from one ``ReducedAssembly`` per stabilizer, and a mapped one
+applies it once, to replay its residual. Directions whose H_a is the
+identity alone, and calls that pass ``operator``, solve on all states.
 
 The multiscale diagnostic projects an observable onto the functions of
 the particle count inside a block. The measure is uniform, so that
@@ -52,7 +54,6 @@ projection is the mean of the observable over the states of each count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -67,7 +68,6 @@ from .errors import (
     SupportTooLargeError,
 )
 from .generator import (
-    IsotypicCoordinates,
     ReducedAssembly,
     assemble_environment,
     center,
@@ -267,13 +267,13 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
 
     A reduced direction lives in its coordinates throughout: v_i and w_i
     are read at its representatives, a mapped u_i at the preimages of
-    them, and C_ii is a dot product there. A mapped reduced direction
-    builds no operator: its residual is replayed through
-    ``ReducedAssembly.apply``, the same product bit for bit. Each reduced
-    operator is dropped before the next is built, and each assembly after
-    its last direction. C_ij (i != j) is 0 when an element of both
-    stabilizers has different characters; otherwise both functions are
-    lifted to every state.
+    them, and C_ii is a dot product there. Every reduced direction, solved
+    or mapped, takes its operator from the assembly of its stabilizer; a
+    mapped one applies it once, to replay its residual. Each reduced
+    operator is dropped before the next is built, and each assembly once
+    the operator of its last direction is built. C_ij (i != j) is 0 when
+    an element of both stabilizers has different characters; otherwise
+    both functions are lifted to every state.
     """
     dirs = [np.asarray(a, dtype=float) for a in directions]
     free = np.array([[_free_form(kernel, a, b, space.alpha) for b in dirs]
@@ -288,7 +288,6 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
         full = operator
         assemblies = {}                   # stabilizer -> ReducedAssembly
         sols = []                 # (coords or None, w_i, u_i), in coords
-        op = asm = None
         for i, a in enumerate(dirs):
             keep, chi = stabs[i]
             hit = _image(group, dirs[:i], a)
@@ -299,12 +298,8 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
                 asm = assemblies[keep]
                 if keep not in [k for k, _ in stabs[i + 1:]]:
                     del assemblies[keep]
-                if hit is None:
-                    op, asm = asm.operator(chi), None
-                    coords = op.coords
-                else:
-                    # applied once, to replay a residual: no operator
-                    coords = IsotypicCoordinates(asm.orbits, chi)
+                op, asm = asm.operator(chi), None
+                coords = op.coords
                 b, w = _reduced_drifts(space, kernel, a, coords)
             else:
                 if full is None:
@@ -329,9 +324,7 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
                     # g^-1 = g^t takes each representative to its preimage
                     at = space.mapped_ranks(g.T, space.bitmasks()[coords.reps])
                     x = s * _values(src, xj, at) * coords.roots
-                res = _replay(op.matvec if asm is None
-                              else functools.partial(asm.apply, coords),
-                              x, b, 0.0)
+                res = _replay(op.matvec, x, b, 0.0)
                 if res > 2.0 * tol:
                     raise NotConvergedError(
                         f"u along {a.tolist()} mapped by symmetry left "
@@ -339,7 +332,7 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
                 solves[i] = (res, 0, "symmetry", rows, order)
             corr[i, i] = 2.0 * (float(w @ x) / n)
             sols.append((coords, w, x))
-            op = asm = None
+            op = None
         for i, j in itertools.permutations(range(len(dirs)), 2):
             if reduced[i] and reduced[j] and _characters_differ(stabs[i],
                                                                 stabs[j]):
@@ -397,10 +390,10 @@ def compute_D_matrix(space, kernel, tol=1e-10, method="auto", operator=None):
     free, corr, results = _solve_directions(
         space, kernel, np.eye(space.geometry.dimension), tol, method, operator)
     mat = free + 0.5 * (corr + corr.T)
-    evals = np.linalg.eigvalsh(mat)
-    if evals[0] < -1e-9 * max(1.0, float(np.trace(mat))):
-        raise NonPositiveDError(f"D matrix has eigenvalue {evals[0]!r} < 0")
-    return _report(space, tol, t0, results, mat, float(evals[0]))
+    low = float(np.linalg.eigvalsh(mat)[0])
+    if low < -1e-9 * max(1.0, float(np.trace(mat))):
+        raise NonPositiveDError(f"D matrix has eigenvalue {low!r} < 0")
+    return _report(space, tol, t0, results, mat, low)
 
 
 def choose_K(alpha, geometry):

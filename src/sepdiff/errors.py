@@ -39,7 +39,10 @@ class WrongCountError(SepdiffError):
 
 
 class OutOfRangeError(SepdiffError):
-    """Rank outside [0, size) or site outside the torus."""
+    """A value outside its domain: a density, a count, size or seed, a
+    horizon, block scale or displacement, ``n_pairs`` or
+    ``max_doublings``; an empty sweep; the origin asked for as an
+    environment site; or a bitmask with sites past the torus."""
 
 
 # --- generator ------------------------------------------------------------
@@ -77,8 +80,7 @@ class NonPositiveDError(SepdiffError):
 
 
 class SupportTooLargeError(SepdiffError):
-    """Block or coarse-graining scale does not fit the torus, or a block
-    exceeds the block cap."""
+    """Block or coarse-graining scale does not fit the torus (exceeds N)."""
 
 
 # --- montecarlo -----------------------------------------------------------

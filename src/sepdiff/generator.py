@@ -6,10 +6,11 @@ measure is uniform on the state space, and all inner products are taken
 with the flat weight 1/size. The exception is a generator restricted to
 one symmetry type (``ReducedAssembly.operator``), in orbit coordinates:
 its stored entries are its moves, signed, and a move within an orbit is
-one on the diagonal; its stored diagonal is minus the exit rate, as a
-generator's is. Every operator stores its unit null direction as
-``null``: the normalized constants for a generator, the reduced constants
-or None for a restricted one.
+one on the diagonal; a move out of or into an orbit that the symmetry
+type drops is a zero placeholder at row or column 0. Its stored diagonal
+is minus the exit rate, as a generator's is. Every operator stores its
+unit null direction as ``null``: the normalized constants for a
+generator, the reduced constants or None for a restricted one.
 
 scipy is imported inside the functions that build or traverse sparse
 matrices, so the Monte Carlo route, which needs none, runs on numpy alone.
@@ -52,8 +53,9 @@ class SparseOperator:
     """Generator matrix: positive off-diagonal rates, diagonal = -row sum;
     or a generator restricted to one symmetry type, built by
     :meth:`ReducedAssembly.operator` past these checks, whose stored
-    entries may be negative and may lie on the diagonal, and whose
-    ``diag`` is minus the exit rate.
+    entries may be negative, may lie on the diagonal and include zero
+    placeholders at row or column 0, and whose ``diag`` is minus the exit
+    rate.
 
     ``symmetric``, when given, is whether the rates are symmetric, decided
     by the caller; otherwise :meth:`is_symmetric` compares the stored
@@ -339,14 +341,17 @@ class ReducedAssembly:
 
         Its matrix is sqrt(|O|) A_{O,O'} / sqrt(|O'|), with A_{O,O'} the
         sum of L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric
-        whenever L is. The stored entries are the moves, each signed by
-        chi of its mover, so they may be negative and the moves within an
-        orbit sit on the diagonal; the stored diagonal is minus the exit
-        rate. The null direction is sqrt(|O|), normalized, when chi is
-        trivial (the constants), and None otherwise: such functions sum to
-        zero, and L is nonsingular on them. Euclidean norms in these
-        coordinates equal those of the lifted functions, so a replayed
-        residual here is the full-space one.
+        whenever L is. The stored entries are all the moves, each signed
+        by chi of its mover, so they may be negative and the moves within
+        an orbit sit on the diagonal. A move out of or into an orbit that
+        chi drops is kept as a zero placeholder at row or column 0, which
+        changes no sum of the product; so no move is masked out or copied.
+        The stored diagonal is minus the exit rate. The null direction is
+        sqrt(|O|), normalized, when chi is trivial (the constants), and
+        None otherwise: such functions sum to zero, and L is nonsingular
+        on them. Euclidean norms in these coordinates equal those of the
+        lifted functions, so a replayed residual here is the full-space
+        one.
         """
         import scipy.sparse as sp
 
@@ -359,38 +364,20 @@ class ReducedAssembly:
         # sobolev._reflection_halves converts (SparseOperator.compress),
         # since the sector constant applies each half thousands of times
         src, cols, weights, movers = self._move_list
-        live = kept[src]
-        live &= kept[cols]
-        # chi is +-1: negate in place rather than multiply by a float copy
-        data = weights[live]
-        np.negative(data, out=data, where=(chi < 0)[movers[live]])
-        off = sp.coo_matrix((data, (row[src[live]], row[cols[live]])),
-                            shape=(n, n))
+        rows, cols = row[src], row[cols]
+        # a move out of or into an orbit that chi drops keeps a zero
+        # entry, its row or column -1 clamped to 0
+        data = chi[movers]
+        data *= weights
+        data *= (rows >= 0) & (cols >= 0)
+        np.maximum(rows, 0, out=rows)
+        np.maximum(cols, 0, out=cols)
+        off = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
         null = (None if np.any(chi < 0)
                 else coords.roots / np.sqrt(self.orbits.sizes.sum()))
         # signed entries, some on the diagonal: past __init__'s checks
         return SparseOperator.__new__(SparseOperator)._store(
             off, -self._exit[kept], null, self.symmetric, coords)
-
-    def apply(self, coords, x):
-        """The product ``operator(coords.chi).matvec(x)``, bit for bit,
-        read off the moves with no operator built: for a caller that
-        applies it once.
-
-        x is lifted to every orbit, zero on those ``coords`` drops; one
-        bincount over the moves adds their terms in the order the COO
-        product does, and a zero term from a dropped orbit changes no sum.
-        Subtracting exit * x then equals adding the stored diagonal's
-        (-exit) * x.
-        """
-        x = np.asarray(x, dtype=float)
-        src, cols, weights, movers = self._move_list
-        xo = np.append(x, 0.0)[coords.row]
-        terms = weights * coords.chi[movers]
-        terms *= xo[cols]
-        kept = coords.row >= 0
-        return (np.bincount(src, weights=terms, minlength=kept.size)[kept]
-                - self._exit[kept] * x)
 
 
 def symmetric_part(op):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sepdiff import (
+    NonPositiveDError,
     NotConvergedError,
     OutOfRangeError,
     StateSpace,
@@ -32,6 +33,7 @@ from sepdiff import (
     sweep,
     symmetric_part,
 )
+from sepdiff import diffusion
 from sepdiff.diffusion import _symmetries
 from sepdiff.generator import ReducedAssembly
 from sepdiff.sobolev import _replay
@@ -491,18 +493,42 @@ def test_nn2d_matrix_is_exactly_isotropic(nn2d, N, K):
     assert rep.directions[1].method == "symmetry"
 
 
-def test_mapped_direction_builds_no_second_operator(nn2d):
-    # e2 shares e1's stabilizer: one reduced operator is built, for e1's
-    # solve, and e2's residual is replayed through ReducedAssembly.apply
+def test_mapped_direction_builds_its_operator_from_the_shared_assembly(
+        nn2d):
+    # e2 shares e1's stabilizer: one assembly serves both directions, and
+    # each builds its operator from it, e2 to replay its residual
     sp = StateSpace(TorusGeometry(2, 2), 6)
-    with mock.patch.object(ReducedAssembly, "operator", autospec=True,
-                           side_effect=ReducedAssembly.operator) as build, \
-            mock.patch.object(ReducedAssembly, "apply", autospec=True,
-                              side_effect=ReducedAssembly.apply) as apply:
+    with mock.patch("sepdiff.diffusion.ReducedAssembly",
+                    wraps=ReducedAssembly) as assemble, \
+            mock.patch.object(ReducedAssembly, "operator", autospec=True,
+                              side_effect=ReducedAssembly.operator) as build:
         rep = compute_D_matrix(sp, nn2d, tol=1e-12)
-    assert build.call_count == 1 and apply.call_count == 1
+    assert assemble.call_count == 1 and build.call_count == 2
     mapped = rep.directions[1]
     assert mapped.method == "symmetry" and 0.0 < mapped.residual <= 2e-12
+
+
+def test_negative_form_along_a_direction_raises(nn1d, monkeypatch):
+    # without the free term, 1d NN N=3 K=3 leaves a^t D a = -0.4
+    monkeypatch.setattr(diffusion, "_free_form",
+                        lambda kernel, a, b, alpha: 0.0)
+    with pytest.raises(NonPositiveDError, match=r"a\^t D a = -0\.4"):
+        compute_D(space_1d(3, 3), nn1d, [1.0])
+
+
+def test_indefinite_matrix_raises(nn2d, monkeypatch):
+    # 10 added off the diagonal of the free matrix keeps each direction's
+    # form positive but gives 2d NN N=2 K=4 the eigenvalue -9.64; the
+    # message prints it as a plain float
+    free_form = diffusion._free_form
+
+    def shifted(kernel, a, b, alpha):
+        off = not np.array_equal(a, b)
+        return free_form(kernel, a, b, alpha) + 10.0 * off
+
+    monkeypatch.setattr(diffusion, "_free_form", shifted)
+    with pytest.raises(NonPositiveDError, match=r"eigenvalue -9\.636\d* < 0"):
+        compute_D_matrix(StateSpace(TorusGeometry(2, 2), 4), nn2d)
 
 
 #: tracemalloc peak of compute_D_matrix on 2d NN N=3 K=5, bytes per state:

@@ -29,7 +29,6 @@ from sepdiff import (  # noqa: E402
 )
 from sepdiff.diffusion import _stabilizer, _symmetries  # noqa: E402
 from sepdiff.generator import (  # noqa: E402
-    IsotypicCoordinates,
     ReducedAssembly,
     assemble_environment,
 )
@@ -225,14 +224,42 @@ def characters(group):
 WITHIN_ORBIT_MOVES = {(3, 2, 3): 56, (2, 2, 3): 14, (2, 2, 5): 40,
                       (1, 3, 3): 2}
 
+#: zero placeholders of the reduced operator under each character of that
+#: stabilizer, in the order of ``characters``: the moves out of or into an
+#: orbit that the character drops; the trivial character drops none
+PLACEHOLDERS = {(2, 2, 6): (0, 4488, 2860, 2860),
+                (2, 3, 4): (0, 5568, 3322, 3322),
+                (3, 2, 3): (0, 2819, 3199, 4162, 3922, 3824, 2312, 1244),
+                (2, 2, 3): (0, 320, 229, 229),
+                (2, 2, 5): (0, 2466, 1597, 1597),
+                (1, 3, 3): (0, 12)}
+
+
+def live_moves_product(asm, op, x):
+    """The product of ``asm.operator(chi)`` built from the moves between
+    kept orbits alone, masked copies and all, with the stored diagonal."""
+    import scipy.sparse as sparse
+
+    coords = op.coords
+    src, cols, weights, movers = asm._move_list
+    live = (coords.row[src] >= 0) & (coords.row[cols] >= 0)
+    data = weights[live]
+    np.negative(data, out=data, where=(coords.chi < 0)[movers[live]])
+    off = sparse.coo_matrix(
+        (data, (coords.row[src[live]], coords.row[cols[live]])),
+        shape=(op.size, op.size))
+    return off @ x + op.diag * x
+
 
 @pytest.mark.parametrize("d,N,K,n_chars", [(2, 2, 6, 4), (2, 3, 4, 4),
                                            (3, 2, 3, 8), (2, 2, 3, 4),
                                            (2, 2, 5, 4), (1, 3, 3, 2)])
-def test_reduced_apply_is_the_operator_product_bit_for_bit(d, N, K, n_chars):
+def test_reduced_operator_is_the_live_moves_product(d, N, K, n_chars):
     # every character of the stabilizer of e1 under the nearest-neighbour
     # kernel's symmetries: Z2 x Z2 in 2d, Z2 x D4 (order 16) in 3d, {I, -I}
-    # in 1d
+    # in 1d. The operator stores every move; its zero placeholders change
+    # no sum, so its product is the live moves' bit for bit, and a leaked
+    # placeholder would show in the product of the lifted function
     sp = StateSpace(TorusGeometry(d, N), K)
     kernel = nn_kernel(d)
     group = _symmetries(kernel)
@@ -244,12 +271,21 @@ def test_reduced_apply_is_the_operator_product_bit_for_bit(d, N, K, n_chars):
     src, cols, _, _ = asm._move_list
     within = WITHIN_ORBIT_MOVES.get((d, N, K), 0)
     assert np.count_nonzero(src == cols) == within
+    full = full_generator(sp, kernel)
     rng = np.random.default_rng(sp.size)
+    placeholders = []
     for chi in chis:
         op = asm.operator(chi)
-        coords = IsotypicCoordinates(asm.orbits, chi)
+        coords = op.coords
+        assert op.offdiag.nnz == src.size
+        placeholders.append(int(np.count_nonzero(
+            (coords.row[src] < 0) | (coords.row[cols] < 0))))
         for x in (rng.standard_normal(op.size), np.ones(op.size)):
-            assert np.array_equal(asm.apply(coords, x), op.matvec(x))
+            got = op.matvec(x)
+            assert np.array_equal(got, live_moves_product(asm, op, x))
+            want = coords.restrict(full.matvec(coords.lift(x)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert tuple(placeholders) == PLACEHOLDERS[(d, N, K)]
 
 
 #: the signed permutations of Z^2

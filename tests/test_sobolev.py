@@ -11,6 +11,7 @@ from sepdiff import (
     NotConvergedError,
     NotMeanZeroError,
     OutOfRangeError,
+    PropertyViolatedError,
     SparseOperator,
     StateSpace,
     TorusGeometry,
@@ -435,6 +436,32 @@ def test_prop1_inequalities_hold(entries):
     assert rep.max_equality_gap_i <= 1e-6
     if rep.symmetric:
         assert rep.max_equality_gap_iii <= 1e-9
+
+
+@pytest.mark.parametrize("entries,call,factor,match", [
+    (MZ1D, 0, 0.01, r"\(i\) violated"),
+    (MZ1D, 1, 2.0, r"\(i\) equality not attained"),
+    (MZ1D, 2, 0.5, r"\(ii\) violated"),
+    (MZ1D, 2, 2.0, r"\(iii\) violated"),
+    (NN1D, 2, 0.999, r"\(iii\) equality violated for symmetric op"),
+], ids=["i", "i-equality", "ii", "iii", "iii-equality"])
+def test_prop1_reports_each_violated_inequality(entries, call, factor,
+                                                 match, monkeypatch):
+    # |.|_1 is read three times a pair, at h, at the solution u_g and at
+    # f; scaling one of the three readings breaks one inequality, or the
+    # equality of (iii) for the symmetric NN kernel, on 1d N=3 K=3
+    _, op = make(entries)
+    h1_norm = sobolev.h1_norm
+    calls = []
+
+    def scaled(op, f):
+        calls.append(None)
+        value = h1_norm(op, f)
+        return value * factor if (len(calls) - 1) % 3 == call else value
+
+    monkeypatch.setattr(sobolev, "h1_norm", scaled)
+    with pytest.raises(PropertyViolatedError, match=match):
+        verify_prop1(op, n_pairs=20, seed=0)
 
 
 @pytest.mark.parametrize("n_pairs", [2.5, 0, -1, True, "3"])
