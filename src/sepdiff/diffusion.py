@@ -31,21 +31,21 @@ function is fixed by its values at one representative per orbit of H_a on
 the states, and vanishes on the orbits whose stabilizer holds an element
 with chi = -1. So the driver assembles L only on the representatives
 (``generator.ReducedAssembly``) and solves in the orthonormal coordinates
-x_O = sqrt(|O|) u(r_O), where a symmetric L stays symmetric. Everything
-else along a_i stays on the representatives too. v_i and w_i are read
-there, centered by their |O|-weighted mean when chi is trivial (a
-function of a nontrivial character has mean zero). A mapped u_i is read
-at the preimages g^{-1} r of its own representatives. And since w_i u_i is
-H-invariant, <w_i, u_i> is the sum over orbits of (sqrt(|O|) w_i(r_O)) x_O,
-divided by the state count. Euclidean norms agree in both coordinates, so
-the residual replayed on the reduced system, solved or mapped, is the
-full-space relative residual. For i != j, <w_i, u_j> vanishes when some g
-in both stabilizers has chi_i(g) != chi_j(g), since g preserves the
-measure and flips the sign of the product; otherwise both functions are
-lifted to every state. Every reduced direction, solved or mapped, builds
-its operator from one ``ReducedAssembly`` per stabilizer, and a mapped one
-applies it once, to replay its residual. Directions whose H_a is the
-identity alone, and calls that pass ``operator``, solve on all states.
+x_O = sqrt(|O|) u(r_O), where a symmetric L stays symmetric. v_a and w_a
+are read there too, centered by their |O|-weighted mean when chi is trivial
+(a function of a nontrivial character has mean zero). Since w_a u_a is
+H-invariant, <w_a, u_a> is the sum over orbits of (sqrt(|O|) w_a(r_O)) x_O,
+divided by the state count; Euclidean norms agree in both coordinates, so
+the residual replayed on the reduced system is the full-space one. A
+direction a_i mapped from a_j lives in a_j's coordinates: eta -> f_i(g.eta)
+has a_j's symmetry type, u_i's coordinates are s x_j, v_i and w_i are read
+at the images g.r_O of a_j's representatives, and the residual is replayed
+against a_j's operator. So each class of directions builds one orbit table,
+one assembly and one operator. For i != j, <w_i, u_j> vanishes when some g
+in both stabilizers has chi_i(g) != chi_j(g), since g preserves the measure
+and flips the sign of the product; otherwise both are lifted to every
+state. Directions whose H_a is the identity alone, and calls that pass
+``operator``, solve on all states.
 
 The multiscale diagnostic projects an observable onto the functions of
 the particle count inside a block. The measure is uniform, so that
@@ -183,12 +183,16 @@ def local_drift_functions(space, kernel, a):
     return center(v), center(w)
 
 
-def _reduced_drifts(space, kernel, a, coords):
+def _reduced_drifts(space, kernel, a, coords, g=None):
     """(v_a, w_a) in the coordinates ``coords`` of their symmetry type,
-    read at its representatives. A function of a nontrivial character
-    has mean zero; under the trivial one both are centered by their
-    |O|-weighted mean, which is their mean over the states."""
-    v, w = _raw_drifts(space, kernel, a, space.bitmasks()[coords.reps])
+    read at its representatives r_O, or as eta -> f(g.eta) at the images
+    g.r_O when the lattice symmetry g is given. A function of a nontrivial
+    character has mean zero; under the trivial one both are centered by
+    their |O|-weighted mean, which is their mean over the states."""
+    masks = space.bitmasks()[coords.reps]
+    if g is not None:
+        masks = space.bitmasks()[space.mapped_ranks(g, masks)]
+    v, w = _raw_drifts(space, kernel, a, masks)
     if not np.any(coords.chi < 0):
         v = v - float(coords.sizes @ v) / space.size
         w = w - float(coords.sizes @ w) / space.size
@@ -236,13 +240,6 @@ def _stabilizer(group, a):
     return tuple(keep), np.array(chi)
 
 
-def _values(coords, x, at=slice(None)):
-    """A function held as coordinates x in ``coords``, or as the full
-    array x when ``coords`` is None, at the ranks ``at``, every state by
-    default."""
-    return x[at] if coords is None else coords.lift(x, at)
-
-
 def _characters_differ(si, sj):
     """Whether an element of both stabilizers (indices, chi) has a
     different character in each. Then <w_i, u_j> vanishes: w_i and u_j
@@ -261,19 +258,17 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
     nonnegative within 1e-9. Each u_i is mapped from an earlier u_j when a
     kernel symmetry g has g a_j = +-a_i (method "symmetry", 0 iterations,
     its replayed residual at most 2 tol), and otherwise solved. The
-    system along a_i is ``operator`` when given; else the full generator
-    reduced to the symmetry type of v_i when a_i has a nontrivial
-    stabilizer; else the full generator, assembled once.
+    system along a solved a_j is ``operator`` when given; else the full
+    generator reduced to the symmetry type of v_j when a_j has a
+    nontrivial stabilizer; else the full generator, assembled once.
 
-    A reduced direction lives in its coordinates throughout: v_i and w_i
-    are read at its representatives, a mapped u_i at the preimages of
-    them, and C_ii is a dot product there. Every reduced direction, solved
-    or mapped, takes its operator from the assembly of its stabilizer; a
-    mapped one applies it once, to replay its residual. Each reduced
-    operator is dropped before the next is built, and each assembly once
-    the operator of its last direction is built. C_ij (i != j) is 0 when
-    an element of both stabilizers has different characters; otherwise
-    both functions are lifted to every state.
+    A reduced a_j and the directions mapped from it live in a_j's
+    coordinates (see the module docstring) and share its operator, which
+    is dropped before the next is built; each assembly is dropped once the
+    last solved direction of its stabilizer has built its operator. C_ij
+    (i != j) is 0 when an element of both stabilizers has different
+    characters; otherwise both functions are lifted to every state, a
+    mapped one through g.
     """
     dirs = [np.asarray(a, dtype=float) for a in directions]
     free = np.array([[_free_form(kernel, a, b, space.alpha) for b in dirs]
@@ -285,60 +280,69 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
         group = _symmetries(kernel)
         stabs = [_stabilizer(group, a) for a in dirs]
         reduced = [operator is None and len(keep) > 1 for keep, _ in stabs]
+        hits = [_image(group, dirs[:i], a) for i, a in enumerate(dirs)]
         full = operator
         assemblies = {}                   # stabilizer -> ReducedAssembly
-        sols = []                 # (coords or None, w_i, u_i), in coords
-        for i, a in enumerate(dirs):
-            keep, chi = stabs[i]
-            hit = _image(group, dirs[:i], a)
-            if reduced[i]:
+        solved = [j for j, hit in enumerate(hits) if hit is None]
+        last = {stabs[j][0]: j for j in solved}   # its last solved direction
+        sols = [None] * len(dirs)   # (coords or None, w_i, u_i, g or None)
+        for j in solved:
+            keep, chi = stabs[j]
+            if reduced[j]:
                 if keep not in assemblies:
                     assemblies[keep] = ReducedAssembly(
                         space, kernel, space.orbits([group[h] for h in keep]))
-                asm = assemblies[keep]
-                if keep not in [k for k, _ in stabs[i + 1:]]:
+                op = assemblies[keep].operator(chi)
+                if last[keep] == j:
                     del assemblies[keep]
-                op, asm = asm.operator(chi), None
                 coords = op.coords
-                b, w = _reduced_drifts(space, kernel, a, coords)
+                b, w = _reduced_drifts(space, kernel, dirs[j], coords)
             else:
                 if full is None:
                     full = full_generator(space, kernel)
                 op, coords = full, None
-                b, w = local_drift_functions(space, kernel, a)
-            rows = n if coords is None else coords.reps.size
-            order = len(keep) if reduced[i] else 1
-            if hit is None:
-                rep = solve_general(op, b, tol=tol, method=method)
-                x = rep.solution
-                solves[i] = (rep.relative_residual, rep.iterations, rep.method,
-                             rows, order)
-            else:
+                b, w = local_drift_functions(space, kernel, dirs[j])
+            rep = solve_general(op, b, tol=tol, method=method)
+            order = len(keep) if reduced[j] else 1
+            solves[j] = (rep.relative_residual, rep.iterations, rep.method,
+                         op.size, order)
+            sols[j] = (coords, w, rep.solution, None)
+            for i in [i for i, hit in enumerate(hits) if hit and hit[0] == j]:
                 # u_i(g.eta) = s u_j(eta)
-                j, g, s = hit
-                src, _, xj = sols[j]
+                _, g, s = hits[i]
                 if coords is None:
                     x = np.empty(n)
-                    x[space.mapped_ranks(g)] = s * _values(src, xj)
+                    x[space.mapped_ranks(g)] = s * rep.solution
+                    b, w = local_drift_functions(space, kernel, dirs[i])
                 else:
-                    # g^-1 = g^t takes each representative to its preimage
-                    at = space.mapped_ranks(g.T, space.bitmasks()[coords.reps])
-                    x = s * _values(src, xj, at) * coords.roots
+                    x = s * rep.solution
+                    b, w = _reduced_drifts(space, kernel, dirs[i], coords, g)
                 res = _replay(op.matvec, x, b, 0.0)
                 if res > 2.0 * tol:
                     raise NotConvergedError(
-                        f"u along {a.tolist()} mapped by symmetry left "
+                        f"u along {dirs[i].tolist()} mapped by symmetry left "
                         f"replayed residual {res:.3e}; tol {tol:.1e}")
-                solves[i] = (res, 0, "symmetry", rows, order)
-            corr[i, i] = 2.0 * (float(w @ x) / n)
-            sols.append((coords, w, x))
+                solves[i] = (res, 0, "symmetry", op.size, order)
+                sols[i] = (coords, w, x, g)
             op = None
+        for i, (coords, w, x, _) in enumerate(sols):
+            corr[i, i] = 2.0 * (float(w @ x) / n)
+        ranks = {}                 # i -> the ranks of g^t.eta, for a mapped i
+
+        def values(i, f):
+            # every state's value of f, held as sols[i] holds its functions
+            coords, _, _, g = sols[i]
+            if coords is None:
+                return f
+            if g is not None and i not in ranks:
+                ranks[i] = space.mapped_ranks(g.T)
+            return coords.lift(f)[ranks.get(i, slice(None))]
         for i, j in itertools.permutations(range(len(dirs)), 2):
             if reduced[i] and reduced[j] and _characters_differ(stabs[i],
                                                                 stabs[j]):
                 continue
-            (ci, wi, _), (cj, _, uj) = sols[i], sols[j]
-            corr[i, j] = 2.0 * inner(_values(ci, wi), _values(cj, uj))
+            corr[i, j] = 2.0 * inner(values(i, sols[i][1]),
+                                     values(j, sols[j][2]))
     results = []
     for i, a in enumerate(dirs):
         f, c = float(free[i, i]), float(corr[i, i])

@@ -169,9 +169,7 @@ class IsotypicCoordinates:
     per element of H.
 
     ``reps`` holds the representatives r_O of those orbits and ``sizes``
-    their |O|. Only per-orbit arrays are stored: a function is read at the
-    states asked for, through each state's orbit and mover, so lifting at
-    a few states builds no full-state table.
+    their |O|. Only per-orbit arrays are stored.
     """
 
     def __init__(self, orbits, chi):
@@ -189,14 +187,12 @@ class IsotypicCoordinates:
         """Coordinates of a full-space function of the subspace."""
         return np.asarray(f, dtype=float)[self.reps] * self.roots
 
-    def lift(self, x, at=slice(None)):
-        """The function with coordinates x at the states of ranks ``at``,
-        every state by default: chi(g) x_O / sqrt(|O|) at a state eta with
-        g.eta = r_O."""
+    def lift(self, x):
+        """The function with coordinates x, at every state: chi(g) x_O /
+        sqrt(|O|) at a state eta with g.eta = r_O."""
         orb = self.orbits
-        index = orb.index[at]
-        coef = self.chi[orb.mover[at]] / np.sqrt(orb.sizes)[index]
-        return coef * np.append(x, 0.0)[self.row[index]]
+        coef = self.chi[orb.mover] / np.sqrt(orb.sizes)[orb.index]
+        return coef * np.append(x, 0.0)[self.row[orb.index]]
 
 
 def _check_nnz(n_entries):

@@ -39,7 +39,8 @@ from sepdiff.generator import ReducedAssembly
 from sepdiff.sobolev import _replay
 
 import _oracle
-from conftest import ASYM1D, MZ1D, NN1D, NN2D, check_symmetry_route
+from conftest import (ASYM1D, MZ1D, NN1D, NN2D, check_symmetry_route,
+                      nn_kernel)
 
 
 def space_1d(N, K):
@@ -444,6 +445,11 @@ YSYM2D = [((1, 0), 0.4), ((-1, 0), 0.2), ((0, 1), 0.2), ((0, -1), 0.2)]
 #: e3's character differs, so C_13 and C_23 vanish
 ZSYM3D = [((1, 0, 0), 0.3), ((-1, 0, 0), 0.1), ((0, 1, 0), 0.2),
           ((0, -1, 0), 0.1), ((0, 0, 1), 0.15), ((0, 0, -1), 0.15)]
+#: symmetric under {+-I, +-swap}: e1 and e2 share the stabilizer {I, -I}
+#: and its character, so C_12 is lifted, e2's through the swap that maps
+#: it from e1
+DIAG2D = [((1, 0), 0.2), ((-1, 0), 0.2), ((0, 1), 0.2), ((0, -1), 0.2),
+          ((1, 1), 0.1), ((-1, -1), 0.1)]
 
 
 def unreduced_D(sp, kernel, a=None):
@@ -464,7 +470,8 @@ def unreduced_D(sp, kernel, a=None):
     (2, 2, 4, SWAP2D, [1.0, 1.0], 2),
     (3, 2, 3, ZSYM3D, None, 2),
     (2, 2, 3, NN2D, None, 4),
-    (1, 3, 3, NN1D, None, 2)])
+    (1, 3, 3, NN1D, None, 2),
+    (2, 2, 5, DIAG2D, None, 2)])
 def test_reduced_D_equals_unreduced(d, N, K, entries, a, order):
     sp = StateSpace(TorusGeometry(d, N), K)
     kernel = build_kernel(d, entries)
@@ -482,30 +489,71 @@ def test_reduced_D_equals_unreduced(d, N, K, entries, a, order):
     assert all(r.residual <= 2e-12 for r in rep.directions)
 
 
-@pytest.mark.parametrize("N,K", [(2, 4), (3, 4)])
-def test_nn2d_matrix_is_exactly_isotropic(nn2d, N, K):
-    # e1 and e2 have the characters g[0, 0] and g[1, 1] on their common
-    # stabilizer, the diagonal sign changes, so D12 is exactly 0; D22 is
-    # e1's solution mapped by the swap of the axes
-    rep = compute_D_matrix(StateSpace(TorusGeometry(2, N), K), nn2d)
+def assert_mapped_rows_are_the_source_row(rep):
+    """Every direction past the first is mapped from the first, and its
+    row is the first's bit for bit."""
+    first = rep.directions[0]
+    for mapped in rep.directions[1:]:
+        assert mapped.method == "symmetry" and mapped.iterations == 0
+        assert (mapped.correction, mapped.D, mapped.residual, mapped.rows,
+                mapped.group_order) == (first.correction, first.D,
+                                        first.residual, first.rows,
+                                        first.group_order)
+
+
+@pytest.mark.parametrize("N,K,entries", [(2, 4, NN2D), (3, 4, NN2D),
+                                         (2, 5, DIAG2D)],
+                         ids=["2-4", "3-4", "diag-2-5"])
+def test_nn2d_matrix_is_exactly_isotropic(N, K, entries):
+    # D22 is e1's solution mapped by the swap of the axes, read in e1's
+    # coordinates, so D11 == D22 exactly. Nearest-neighbour e1 and e2 have
+    # the characters g[0, 0] and g[1, 1] on their common stabilizer, the
+    # diagonal sign changes, so D12 is exactly 0; DIAG2D's D12 is lifted
+    rep = compute_D_matrix(StateSpace(TorusGeometry(2, N), K),
+                           build_kernel(2, entries))
     assert rep.matrix[0, 0] == rep.matrix[1, 1]
-    assert rep.matrix[0, 1] == 0.0 and rep.matrix[1, 0] == 0.0
-    assert rep.directions[1].method == "symmetry"
+    assert rep.matrix[0, 1] == rep.matrix[1, 0]
+    assert (rep.matrix[0, 1] == 0.0) == (entries is NN2D)
+    assert_mapped_rows_are_the_source_row(rep)
 
 
-def test_mapped_direction_builds_its_operator_from_the_shared_assembly(
-        nn2d):
-    # e2 shares e1's stabilizer: one assembly serves both directions, and
-    # each builds its operator from it, e2 to replay its residual
-    sp = StateSpace(TorusGeometry(2, 2), 6)
-    with mock.patch("sepdiff.diffusion.ReducedAssembly",
-                    wraps=ReducedAssembly) as assemble, \
+@pytest.mark.parametrize("d,N,K", [(2, 2, 6), (3, 2, 4)])
+def test_one_orbit_table_assembly_and_operator_per_class(d, N, K):
+    # every axis is mapped from e1, so only e1 builds an orbit table, an
+    # assembly and an operator; the others replay against e1's operator
+    sp = StateSpace(TorusGeometry(d, N), K)
+    with mock.patch.object(StateSpace, "orbits", autospec=True,
+                           side_effect=StateSpace.orbits) as orbits, \
+            mock.patch("sepdiff.diffusion.ReducedAssembly",
+                       wraps=ReducedAssembly) as assemble, \
             mock.patch.object(ReducedAssembly, "operator", autospec=True,
                               side_effect=ReducedAssembly.operator) as build:
-        rep = compute_D_matrix(sp, nn2d, tol=1e-12)
-    assert assemble.call_count == 1 and build.call_count == 2
-    mapped = rep.directions[1]
-    assert mapped.method == "symmetry" and 0.0 < mapped.residual <= 2e-12
+        rep = compute_D_matrix(sp, nn_kernel(d), tol=1e-12)
+    assert orbits.call_count == assemble.call_count == build.call_count == 1
+    assert len(rep.directions) == d
+    assert 0.0 < rep.directions[0].residual <= 2e-12
+    assert rep.directions[0].rows < sp.size
+    assert_mapped_rows_are_the_source_row(rep)
+
+
+@pytest.mark.parametrize("plant", ["wrong s", "wrong g"])
+def test_mapped_reduced_direction_checks_its_residual(nn2d, plant,
+                                                      monkeypatch):
+    # a mapping with the wrong sign, or the identity in place of the swap,
+    # reads a right-hand side in e1's coordinates that s x_1 does not solve
+    image = diffusion._image
+
+    def planted(group, solved, a):
+        hit = image(group, solved, a)
+        if hit is None:
+            return None
+        j, g, s = hit
+        return (j, g, -s) if plant == "wrong s" else (j, np.eye(2), s)
+
+    monkeypatch.setattr(diffusion, "_image", planted)
+    sp = StateSpace(TorusGeometry(2, 2), 4)
+    with pytest.raises(NotConvergedError, match="mapped by symmetry"):
+        compute_D_matrix(sp, nn2d, tol=1e-12)
 
 
 def test_negative_form_along_a_direction_raises(nn1d, monkeypatch):
@@ -532,9 +580,10 @@ def test_indefinite_matrix_raises(nn2d, monkeypatch):
 
 
 #: tracemalloc peak of compute_D_matrix on 2d NN N=3 K=5, bytes per state:
-#: 224 measured (numpy 2.4, scipy 1.17), 340 before the exact route kept
-#: its drift, mapped direction and inner products on the representatives;
-#: the bound leaves 25% for other numpy and scipy versions
+#: 199 measured (numpy 2.4, scipy 1.17), 212 while a mapped direction
+#: built its own reduced operator, 340 before the exact route kept its
+#: drift, mapped direction and inner products on the representatives; the
+#: bound leaves 40% for other numpy and scipy versions
 MAX_BYTES_PER_STATE = 280
 
 
