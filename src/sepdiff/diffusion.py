@@ -22,7 +22,7 @@ origin and the torus, so it permutes the states, eta -> g.eta, and L
 commutes with that permutation. Since v_a(g.eta) = v_{g^t a}(eta), it
 follows that u_{g a}(g.eta) = u_a(eta). So when g a_j = s a_i with
 s = +1 or -1, the driver forms u_i(g.eta) = s u_j(eta) instead of solving,
-and replays its residual against v_i.
+and replays its residual against v_i read at the images g.eta.
 
 The same symmetries shrink each solve. The g with g a = chi(g) a,
 chi(g) = +1 or -1, form a group H_a, and for them v_a(g.eta) =
@@ -37,15 +37,17 @@ are read there too, centered by their |O|-weighted mean when chi is trivial
 H-invariant, <w_a, u_a> is the sum over orbits of (sqrt(|O|) w_a(r_O)) x_O,
 divided by the state count; Euclidean norms agree in both coordinates, so
 the residual replayed on the reduced system is the full-space one. A
-direction a_i mapped from a_j lives in a_j's coordinates: eta -> f_i(g.eta)
-has a_j's symmetry type, u_i's coordinates are s x_j, v_i and w_i are read
-at the images g.r_O of a_j's representatives, and the residual is replayed
-against a_j's operator. So each class of directions builds one orbit table,
-one assembly and one operator. For i != j, <w_i, u_j> vanishes when some g
-in both stabilizers has chi_i(g) != chi_j(g), since g preserves the measure
-and flips the sign of the product; otherwise both are lifted to every
-state. Directions whose H_a is the identity alone, and calls that pass
-``operator``, solve on all states.
+direction whose H_a is the identity alone is solved on all states, in the
+identity's coordinates x = u. A direction a_i mapped from a_j lives in a_j's
+coordinates: eta -> f_i(g.eta) has a_j's symmetry type, u_i's coordinates
+are s x_j, v_i and w_i are read at the images g.r_O of a_j's
+representatives, and the residual is replayed against a_j's operator. So
+each class of directions builds one orbit table, one assembly and one
+operator. For i != j, <w_i, u_j> vanishes when some g in both stabilizers
+has chi_i(g) != chi_j(g), since g preserves the measure and flips the sign
+of the product; otherwise both are lifted to every state. A caller's
+``operator``, the unreduced reference, need not commute with any g, so the
+identity alone acts on it.
 
 The multiscale diagnostic projects an observable onto the functions of
 the particle count inside a block. The measure is uniform, so that
@@ -68,6 +70,7 @@ from .errors import (
     SupportTooLargeError,
 )
 from .generator import (
+    IsotypicCoordinates,
     ReducedAssembly,
     assemble_environment,
     center,
@@ -156,47 +159,37 @@ def free_term(kernel, a, alpha):
     return _free_form(kernel, a, a, alpha)
 
 
-def _raw_drifts(space, kernel, a, masks):
-    """The drift observables (v_a, w_a), not centered, at the states with
-    uint64 bitmasks ``masks``: v_a = sum_z (z.a) p(z) (alpha - eta(z)),
-    and w_a the same at the mirrored sites -z."""
-    geo = space.geometry
-    geo.require_kernel_fits(kernel)
-    a = np.asarray(a, dtype=float)
-    v = np.zeros(masks.size)
-    w = np.zeros(masks.size)
-    for z, p in kernel.entries:
-        c = float(np.dot(a, z)) * p
-        for f, site in ((v, z), (w, tuple(-x for x in z))):
-            occ = space.inside_counts(1 << geo.env_index(site), masks)
-            f += c * (space.alpha - occ)
-    return v, w
-
-
 def local_drift_functions(space, kernel, a):
-    """Centered drift observables (v_a, w_a), float arrays over the ranks.
-
-    v_a reads the occupancy at the jump targets z, w_a at the mirrored
-    sites -z:  v_a = sum_z (z.a) p(z) (alpha - eta(z)), centered exactly.
-    """
-    v, w = _raw_drifts(space, kernel, a, space.bitmasks())
-    return center(v), center(w)
+    """Centered drift observables (v_a, w_a), float arrays over the ranks:
+    :func:`_reduced_drifts` in the identity's coordinates, x = u."""
+    space.geometry.require_kernel_fits(kernel)
+    return _reduced_drifts(space, kernel, a, IsotypicCoordinates.identity())
 
 
 def _reduced_drifts(space, kernel, a, coords, g=None):
-    """(v_a, w_a) in the coordinates ``coords`` of their symmetry type,
-    read at its representatives r_O, or as eta -> f(g.eta) at the images
-    g.r_O when the lattice symmetry g is given. A function of a nontrivial
-    character has mean zero; under the trivial one both are centered by
-    their |O|-weighted mean, which is their mean over the states."""
+    """(v_a, w_a) in the coordinates ``coords`` of their symmetry type:
+    v_a = sum_z (z.a) p(z) (alpha - eta(z)), and w_a the same at the
+    mirrored sites -z, read at the representatives r_O, or as
+    eta -> f(g.eta) at the images g.r_O when the lattice symmetry g is
+    given. A function of a nontrivial character has mean zero; under the
+    trivial one both are centered by their |O|-weighted mean, their mean
+    over the states, summed pairwise as :func:`center` sums it."""
+    geo = space.geometry
     masks = space.bitmasks()[coords.reps]
     if g is not None:
         masks = space.bitmasks()[space.mapped_ranks(g, masks)]
-    v, w = _raw_drifts(space, kernel, a, masks)
-    if not np.any(coords.chi < 0):
-        v = v - float(coords.sizes @ v) / space.size
-        w = w - float(coords.sizes @ w) / space.size
-    return v * coords.roots, w * coords.roots
+    drifts = []
+    for mirror in (1, -1):
+        f = np.zeros(masks.size)
+        for z, p in kernel.entries:
+            site = tuple(mirror * x for x in z)
+            occ = space.inside_counts(1 << geo.env_index(site), masks)
+            f += float(np.dot(a, z)) * p * (space.alpha - occ)
+        if not np.any(coords.chi < 0):
+            f -= float((coords.sizes * f).sum()) / space.size
+        f *= coords.roots
+        drifts.append(f)
+    return tuple(drifts)
 
 
 def _symmetries(kernel):
@@ -257,38 +250,52 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
     and the DirectionResult of each a_i, whose D = F_ii + C_ii must be
     nonnegative within 1e-9. Each u_i is mapped from an earlier u_j when a
     kernel symmetry g has g a_j = +-a_i (method "symmetry", 0 iterations,
-    its replayed residual at most 2 tol), and otherwise solved. The
-    system along a solved a_j is ``operator`` when given; else the full
-    generator reduced to the symmetry type of v_j when a_j has a
-    nontrivial stabilizer; else the full generator, assembled once.
+    its replayed residual at most 2 tol), and otherwise solved: on the
+    full generator reduced to the symmetry type of v_j when a_j has a
+    nontrivial stabilizer, else on the full generator, assembled once, or
+    on ``operator`` when given, which is the unreduced reference: the
+    identity group alone acts on it.
 
-    A reduced a_j and the directions mapped from it live in a_j's
-    coordinates (see the module docstring) and share its operator, which
-    is dropped before the next is built; each assembly is dropped once the
-    last solved direction of its stabilizer has built its operator. C_ij
-    (i != j) is 0 when an element of both stabilizers has different
-    characters; otherwise both functions are lifted to every state, a
-    mapped one through g.
+    A solved a_j and the directions mapped from it live in a_j's
+    coordinates, the identity's (x = u) when not reduced (see the module
+    docstring), and share its operator, which is dropped before the next
+    is built; each assembly is dropped once the last solved direction of
+    its stabilizer has built its operator. C_ij (i != j) is 0 when an
+    element of both stabilizers has different characters; otherwise both
+    functions are lifted to every state, a mapped one through g.
+
+    Before any work, raises TorusSizeError for a kernel that does not fit
+    the torus, and OutOfRangeError for a direction that is not a finite
+    vector of length d or an ``operator`` not of ``space.size``.
     """
+    d = space.geometry.dimension
+    space.geometry.require_kernel_fits(kernel)
     dirs = [np.asarray(a, dtype=float) for a in directions]
+    for a in dirs:
+        if a.shape != (d,) or not np.all(np.isfinite(a)):
+            raise OutOfRangeError(f"direction {a.tolist()} is not a finite "
+                                  f"vector of length {d}")
+    if operator is not None and operator.size != space.size:
+        raise OutOfRangeError(f"operator of size {operator.size} on a space "
+                              f"of {space.size} states")
     free = np.array([[_free_form(kernel, a, b, space.alpha) for b in dirs]
                      for a in dirs])
     corr = np.zeros_like(free)
     solves = [(0.0, 0, "degenerate", 0, 1)] * len(dirs)
     if space.size > 1:
         n = space.size
-        group = _symmetries(kernel)
+        group = (_symmetries(kernel) if operator is None
+                 else [np.eye(d, dtype=np.int64)])
         stabs = [_stabilizer(group, a) for a in dirs]
-        reduced = [operator is None and len(keep) > 1 for keep, _ in stabs]
         hits = [_image(group, dirs[:i], a) for i, a in enumerate(dirs)]
-        full = operator
+        full, identity = operator, IsotypicCoordinates.identity()
         assemblies = {}                   # stabilizer -> ReducedAssembly
         solved = [j for j, hit in enumerate(hits) if hit is None]
         last = {stabs[j][0]: j for j in solved}   # its last solved direction
-        sols = [None] * len(dirs)   # (coords or None, w_i, u_i, g or None)
+        sols = [None] * len(dirs)         # (coords, w_i, x_i, g or None)
         for j in solved:
             keep, chi = stabs[j]
-            if reduced[j]:
+            if len(keep) > 1:
                 if keep not in assemblies:
                     assemblies[keep] = ReducedAssembly(
                         space, kernel, space.orbits([group[h] for h in keep]))
@@ -296,33 +303,26 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
                 if last[keep] == j:
                     del assemblies[keep]
                 coords = op.coords
-                b, w = _reduced_drifts(space, kernel, dirs[j], coords)
             else:
                 if full is None:
                     full = full_generator(space, kernel)
-                op, coords = full, None
-                b, w = local_drift_functions(space, kernel, dirs[j])
+                op, coords = full, identity
+            b, w = _reduced_drifts(space, kernel, dirs[j], coords)
             rep = solve_general(op, b, tol=tol, method=method)
-            order = len(keep) if reduced[j] else 1
             solves[j] = (rep.relative_residual, rep.iterations, rep.method,
-                         op.size, order)
+                         op.size, len(keep))
             sols[j] = (coords, w, rep.solution, None)
             for i in [i for i, hit in enumerate(hits) if hit and hit[0] == j]:
                 # u_i(g.eta) = s u_j(eta)
                 _, g, s = hits[i]
-                if coords is None:
-                    x = np.empty(n)
-                    x[space.mapped_ranks(g)] = s * rep.solution
-                    b, w = local_drift_functions(space, kernel, dirs[i])
-                else:
-                    x = s * rep.solution
-                    b, w = _reduced_drifts(space, kernel, dirs[i], coords, g)
+                x = s * rep.solution
+                b, w = _reduced_drifts(space, kernel, dirs[i], coords, g)
                 res = _replay(op.matvec, x, b, 0.0)
                 if res > 2.0 * tol:
                     raise NotConvergedError(
                         f"u along {dirs[i].tolist()} mapped by symmetry left "
                         f"replayed residual {res:.3e}; tol {tol:.1e}")
-                solves[i] = (res, 0, "symmetry", op.size, order)
+                solves[i] = (res, 0, "symmetry", op.size, len(keep))
                 sols[i] = (coords, w, x, g)
             op = None
         for i, (coords, w, x, _) in enumerate(sols):
@@ -332,17 +332,13 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
         def values(i, f):
             # every state's value of f, held as sols[i] holds its functions
             coords, _, _, g = sols[i]
-            if coords is None:
-                return f
             if g is not None and i not in ranks:
                 ranks[i] = space.mapped_ranks(g.T)
             return coords.lift(f)[ranks.get(i, slice(None))]
         for i, j in itertools.permutations(range(len(dirs)), 2):
-            if reduced[i] and reduced[j] and _characters_differ(stabs[i],
-                                                                stabs[j]):
-                continue
-            corr[i, j] = 2.0 * inner(values(i, sols[i][1]),
-                                     values(j, sols[j][2]))
+            if not _characters_differ(stabs[i], stabs[j]):
+                corr[i, j] = 2.0 * inner(values(i, sols[i][1]),
+                                         values(j, sols[j][2]))
     results = []
     for i, a in enumerate(dirs):
         f, c = float(free[i, i]), float(corr[i, i])
@@ -373,7 +369,8 @@ def compute_D(space, kernel, a, tol=1e-10, method="auto", operator=None):
     """Diffusion form a^t D a for one direction.
 
     Returns a DiffusionReport with a single DirectionResult; both sign
-    conventions are always recorded.
+    conventions are always recorded. ``operator``, when given, is the
+    unreduced reference that the direction is solved on.
     """
     t0 = time.perf_counter()
     _, _, results = _solve_directions(space, kernel, [a], tol, method,
@@ -388,7 +385,8 @@ def compute_D_matrix(space, kernel, tol=1e-10, method="auto", operator=None):
     one axis per orbit of the kernel's symmetries and mapping the rest, and
     forms D = F + (C + C^t) / 2 with F the free-walk matrix and
     C_ij = 2 <w_i, u_j>. ``directions`` holds the d coordinate results.
-    The result must be positive semidefinite within 1e-9.
+    The result must be positive semidefinite within 1e-9. A given
+    ``operator`` is the unreduced reference, and each axis is solved on it.
     """
     t0 = time.perf_counter()
     free, corr, results = _solve_directions(

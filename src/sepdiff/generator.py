@@ -169,7 +169,8 @@ class IsotypicCoordinates:
     per element of H.
 
     ``reps`` holds the representatives r_O of those orbits and ``sizes``
-    their |O|. Only per-orbit arrays are stored.
+    their |O|. Only per-orbit arrays are stored, and none for the identity
+    group's coordinates x = u (:meth:`identity`).
     """
 
     def __init__(self, orbits, chi):
@@ -183,6 +184,16 @@ class IsotypicCoordinates:
         self.sizes = orbits.sizes[kept]
         self.roots = np.sqrt(self.sizes)
 
+    @classmethod
+    def identity(cls):
+        """The coordinates x = u of every function, in which a full-space
+        operator is solved: each state is its own orbit, of size 1, and
+        ``reps`` is the slice of all states."""
+        self = cls.__new__(cls)
+        self.orbits, self.chi = None, np.ones(1)
+        self.reps, self.sizes, self.roots = slice(None), 1, 1
+        return self
+
     def restrict(self, f):
         """Coordinates of a full-space function of the subspace."""
         return np.asarray(f, dtype=float)[self.reps] * self.roots
@@ -191,6 +202,8 @@ class IsotypicCoordinates:
         """The function with coordinates x, at every state: chi(g) x_O /
         sqrt(|O|) at a state eta with g.eta = r_O."""
         orb = self.orbits
+        if orb is None:
+            return x
         coef = self.chi[orb.mover] / np.sqrt(orb.sizes)[orb.index]
         return coef * np.append(x, 0.0)[self.row[orb.index]]
 

@@ -41,8 +41,11 @@ BITMASK_WIDTH = 64
 
 def _short_count(n):
     """A count of any size to two significant digits, as 9.4e238: a state
-    count can have hundreds of digits, too many for a float."""
-    exponent = len(str(n)) - 1
+    count can have thousands of digits, too many for a float or for
+    ``str``."""
+    # log10 reads an int of any size; its rounding may cross a power of 10
+    exponent = int(math.log10(n))
+    exponent += (10 ** (exponent + 1) <= n) - (10 ** exponent > n)
     # int / int rounds correctly however large n is
     mantissa = round(n / 10 ** exponent, 1)
     if mantissa == 10.0:

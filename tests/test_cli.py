@@ -401,6 +401,8 @@ def test_size_cap_exit_4(tmp_path, capsys):
         ("exact", "wide", dict(N=33, K=2)),
         # C(799, 399) states: refused from the counts, no table is built
         ("exact", "huge", dict(N=400, alpha=0.5)),
+        # C(19999, 9999) states, 6,019 digits: past str()'s 4,300
+        ("exact", "huger", dict(N=10000, alpha=0.5)),
         # the last rung of a sweep is refused before the first one runs
         ("sweep", "rungs", dict(N_list=[3, 40], alpha=0.5)),
         # one state, but the Monte Carlo table holds its 79-site bitmask

@@ -13,6 +13,8 @@ from sepdiff import (
     StateSpace,
     SupportTooLargeError,
     TorusGeometry,
+    TorusSizeError,
+    arbitrate_sign,
     block_env_indices,
     build_kernel,
     choose_K,
@@ -160,13 +162,54 @@ def test_matrix_solves_one_axis_per_symmetry_orbit(d, N, K, entries, solves,
         assert abs(rep.matrix[0, 1]) > 1e-3
 
 
-def test_mapped_direction_checks_its_residual(nn2d):
-    # an operator that does not commute with the kernel's symmetries
-    # leaves the mapped axis a large replayed residual
+def test_mapped_direction_checks_its_residual(nn2d, monkeypatch):
+    # a caller's operator is the unreduced reference: it need not commute
+    # with the kernel's symmetries, so no direction is mapped onto it, and
+    # both axes are solved on it
+    calls = counted_solves(monkeypatch)
     sp = StateSpace(TorusGeometry(2, 2), 4)
     op = full_generator(sp, build_kernel(2, ASYM2D))
-    with pytest.raises(NotConvergedError, match="mapped by symmetry"):
-        compute_D_matrix(sp, nn2d, operator=op)
+    rep = compute_D_matrix(sp, nn2d, operator=op)
+    assert len(calls) == 2
+    assert [r.method for r in rep.directions].count("symmetry") == 0
+    assert all(r.rows == sp.size and r.group_order == 1
+               for r in rep.directions)
+
+
+@pytest.mark.parametrize("case", [
+    "2d kernel on 1d", "1d kernel on 2d", "range 2 on side 4", "length 2",
+    "nan", "inf", "operator size", "arbitrate length 2"])
+def test_bad_inputs_raise_typed_errors_before_any_work(case, nn1d, nn2d,
+                                                       monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(diffusion, "_free_form", refuse)
+    sp = space_1d(3, 3)
+    error, match, call = {
+        "2d kernel on 1d": (TorusSizeError, "dimension", lambda: compute_D(
+            sp, nn2d, [1.0, 0.0])),
+        "1d kernel on 2d": (TorusSizeError, "dimension",
+                            lambda: compute_D_matrix(
+                                StateSpace(TorusGeometry(2, 2), 3), nn1d)),
+        "range 2 on side 4": (TorusSizeError, "too small", lambda: compute_D(
+            space_1d(2, 2), build_kernel(1, MZ1D), [1.0])),
+        "length 2": (OutOfRangeError, "length 1", lambda: compute_D(
+            sp, nn1d, [1.0, 2.0])),
+        "nan": (OutOfRangeError, "finite", lambda: compute_D(
+            sp, nn1d, [np.nan])),
+        "inf": (OutOfRangeError, "finite", lambda: compute_D(
+            sp, nn1d, [np.inf])),
+        "operator size": (OutOfRangeError, "size 5 on a space of 10 states",
+                          lambda: compute_D_matrix(sp, nn1d, operator=(
+                              full_generator(space_1d(3, 2), nn1d)))),
+        "arbitrate length 2": (OutOfRangeError, "length 1",
+                               lambda: arbitrate_sign(
+                                   sp, nn1d, directions=[[1.0, 2.0]], M=50,
+                                   seed=1)),
+    }[case]
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_matrix_polarization_consistency(meanzero1d, monkeypatch):
@@ -536,11 +579,16 @@ def test_one_orbit_table_assembly_and_operator_per_class(d, N, K):
     assert_mapped_rows_are_the_source_row(rep)
 
 
-@pytest.mark.parametrize("plant", ["wrong s", "wrong g"])
-def test_mapped_reduced_direction_checks_its_residual(nn2d, plant,
+@pytest.mark.parametrize("plant,entries", [
+    ("wrong s", NN2D), ("wrong g", NN2D),
+    ("wrong s", SWAP2D), ("wrong g", SWAP2D)],
+    ids=["wrong s", "wrong g", "swap-wrong s", "swap-wrong g"])
+def test_mapped_reduced_direction_checks_its_residual(plant, entries,
                                                       monkeypatch):
     # a mapping with the wrong sign, or the identity in place of the swap,
-    # reads a right-hand side in e1's coordinates that s x_1 does not solve
+    # reads a right-hand side in e1's coordinates that s x_1 does not
+    # solve: NN2D's reduced ones, or SWAP2D's, where e1 has |H| = 1 and
+    # its coordinates are the identity's
     image = diffusion._image
 
     def planted(group, solved, a):
@@ -550,10 +598,13 @@ def test_mapped_reduced_direction_checks_its_residual(nn2d, plant,
         j, g, s = hit
         return (j, g, -s) if plant == "wrong s" else (j, np.eye(2), s)
 
-    monkeypatch.setattr(diffusion, "_image", planted)
     sp = StateSpace(TorusGeometry(2, 2), 4)
+    kernel = build_kernel(2, entries)
+    first = compute_D_matrix(sp, kernel, tol=1e-12).directions[0]
+    assert (first.group_order == 1) == (entries is SWAP2D)
+    monkeypatch.setattr(diffusion, "_image", planted)
     with pytest.raises(NotConvergedError, match="mapped by symmetry"):
-        compute_D_matrix(sp, nn2d, tol=1e-12)
+        compute_D_matrix(sp, kernel, tol=1e-12)
 
 
 def test_negative_form_along_a_direction_raises(nn1d, monkeypatch):

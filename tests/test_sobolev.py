@@ -398,6 +398,31 @@ def test_sector_constant_symmetric_is_zero(nn1d):
     assert sector_constant(op) == 0.0
 
 
+def half_filled_C(entries, N):
+    """Sector constant of the full generator of a 1d kernel on the torus of
+    side 2N at half filling, K = N."""
+    return sector_constant(make(entries, N=N, K=N)[1])
+
+
+def test_tasep_sector_constant_grows_with_N():
+    # the sector condition fails for TASEP: its constant grows with the
+    # torus, strictly, along N = 3..7
+    c = [half_filled_C(TASEP1D, N) for N in range(3, 8)]
+    assert all(a < b for a, b in zip(c, c[1:]))
+    assert c == pytest.approx([0.333, 1.000, 1.894, 3.000, 4.312], abs=5e-4)
+
+
+@pytest.mark.parametrize("p", [0.8, 0.65])
+def test_nn_sector_constant_is_tasep_times_drift_squared(p):
+    # every 1d NN kernel p(1) = p, p(-1) = 1 - p has TASEP's symmetric
+    # part, since L_z^T = L_{-z}, and 2p - 1 times its skew part; the
+    # constant is quadratic in the skew part
+    for N in range(3, 7):
+        want = (2 * p - 1) ** 2 * half_filled_C(TASEP1D, N)
+        got = half_filled_C([((1,), p), ((-1,), 1 - p)], N)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
 @pytest.mark.parametrize("entries", [MZ1D, ASYM1D])
 def test_sector_constant_matches_eig_reference(entries):
     _, op = make(entries)
