@@ -177,7 +177,7 @@ def _reduced_drifts(space, kernel, a, coords, g=None):
     geo = space.geometry
     masks = space.bitmasks()[coords.reps]
     if g is not None:
-        masks = space.bitmasks()[space.mapped_ranks(g, masks)]
+        masks = space.mapped_masks(g, masks)
     drifts = []
     for mirror in (1, -1):
         f = np.zeros(masks.size)

@@ -316,31 +316,32 @@ class ReducedAssembly:
     ``StateSpace.orbits`` table of kernel symmetries), enumerated once and
     read as an operator under any character of the group.
 
-    One list holds every move r_O -> eta', eta' in orbit O', as its source
-    O, target O', weight L(r_O, eta') sqrt(|O| / |O'|) and the group element
-    that maps eta' to r_O'. A move within its own orbit (O' = O) is an
+    One list holds every move r_O -> eta', eta' in orbit O', channel by
+    channel, as three integer fields: its source O (int32), its target O'
+    (int32) and the group element that maps eta' to r_O' (int8). The rate
+    is stored once per channel, with the channel's move count; no float is
+    stored per move, and the weights L(r_O, eta') sqrt(|O| / |O'|) are
+    formed by :meth:`operator`. A move within its own orbit (O' = O) is an
     entry like any other, on the diagonal.
     """
 
     def __init__(self, space, kernel, orbits):
         self.orbits = orbits
         self.symmetric = _symmetric_rates(space, kernel)
-        roots = np.sqrt(orbits.sizes)
         self._exit = np.zeros(orbits.reps.size)
+        self._channels = []         # (rate, move count) per channel
         parts = []
         # one channel at a time, so that no move array of full length
         # exists beside the parts kept
         for ch, src, targets in _moves(space, kernel,
                                        space.bitmasks()[orbits.reps]):
-            # each target as its orbit and the group element that maps it
-            # to the orbit's representative
-            cols = orbits.index[targets]
-            movers = orbits.mover[targets]
             # a channel moves each state at most once, so this adds the
             # exit rates in channel order
             self._exit[src] += ch.rate
-            parts.append((src, cols, ch.rate * roots[src] / roots[cols],
-                          movers))
+            self._channels.append((ch.rate, src.size))
+            # each target as its orbit and the group element that maps it
+            # to the orbit's representative
+            parts.append((src, orbits.index[targets], orbits.mover[targets]))
         self._move_list = _joined(parts)
 
     def operator(self, chi):
@@ -352,15 +353,18 @@ class ReducedAssembly:
         sum of L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric
         whenever L is. The stored entries are all the moves, each signed
         by chi of its mover, so they may be negative and the moves within
-        an orbit sit on the diagonal. A move out of or into an orbit that
-        chi drops is kept as a zero placeholder at row or column 0, which
-        changes no sum of the product; so no move is masked out or copied.
-        The stored diagonal is minus the exit rate. The null direction is
-        sqrt(|O|), normalized, when chi is trivial (the constants), and
-        None otherwise: such functions sum to zero, and L is nonsingular
-        on them. Euclidean norms in these coordinates equal those of the
-        lifted functions, so a replayed residual here is the full-space
-        one.
+        an orbit sit on the diagonal. The weights are formed at each build,
+        one channel's slice of the entries at a time, as rate x sqrt(|O|)
+        / sqrt(|O'|), negated where chi of the mover is -1; so no float
+        array of the moves exists besides the operator's own. A move out
+        of or into an orbit that chi drops is kept as a zero placeholder
+        at row or column 0, which changes no sum of the product; so no
+        move is masked out or copied. The stored diagonal is minus the
+        exit rate. The null direction is sqrt(|O|), normalized, when chi
+        is trivial (the constants), and None otherwise: such functions sum
+        to zero, and L is nonsingular on them. Euclidean norms in these
+        coordinates equal those of the lifted functions, so a replayed
+        residual here is the full-space one.
         """
         import scipy.sparse as sp
 
@@ -372,12 +376,19 @@ class ReducedAssembly:
         # in one solve, which saves less than converting to CSR costs;
         # sobolev._reflection_halves converts (SparseOperator.compress),
         # since the sector constant applies each half thousands of times
-        src, cols, weights, movers = self._move_list
+        src, cols, movers = self._move_list
+        roots = np.sqrt(self.orbits.sizes)
+        data = np.empty(src.size)
+        start = 0
+        for rate, count in self._channels:
+            s = slice(start, start + count)
+            np.multiply(rate, roots[src[s]], out=data[s])
+            data[s] /= roots[cols[s]]
+            start += count
+        np.negative(data, out=data, where=(chi < 0)[movers])
         rows, cols = row[src], row[cols]
         # a move out of or into an orbit that chi drops keeps a zero
         # entry, its row or column -1 clamped to 0
-        data = chi[movers]
-        data *= weights
         data *= (rows >= 0) & (cols >= 0)
         np.maximum(rows, 0, out=rows)
         np.maximum(cols, 0, out=cols)

@@ -8,6 +8,7 @@ origin removed (the tagged particle's seat).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -243,13 +244,23 @@ class TorusGeometry:
         self.N = int(N)
         self.side = 2 * self.N
         self.n_sites = self.side ** self.dimension
+        self.n_env_sites = self.n_sites - 1
+        self.origin = (0,) * self.dimension
+
+    # the site lists are built on first use, so a torus too large for any
+    # state table is refused by its counts without listing its sites
+    @functools.cached_property
+    def sites(self):
         rng = range(-self.N + 1, self.N + 1)
-        origin = (0,) * self.dimension
-        self.sites = list(itertools.product(rng, repeat=self.dimension))
-        self.env_sites = [s for s in self.sites if s != origin]
-        self.n_env_sites = len(self.env_sites)
-        self._env_index = {s: i for i, s in enumerate(self.env_sites)}
-        self.origin = origin
+        return list(itertools.product(rng, repeat=self.dimension))
+
+    @functools.cached_property
+    def env_sites(self):
+        return [s for s in self.sites if s != self.origin]
+
+    @functools.cached_property
+    def _env_index(self):
+        return {s: i for i, s in enumerate(self.env_sites)}
 
     def __repr__(self):
         return f"TorusGeometry(dimension={self.dimension}, N={self.N})"

@@ -327,23 +327,29 @@ class StateSpace:
                 f"bitmask does not hold the {self.k} particles of the space")
         return ((self.size - 1) - share).reshape(masks.shape)
 
-    def mapped_ranks(self, g, masks=None):
-        """Ranks of g.eta for the states eta with uint64 bitmasks
-        ``masks``, or for every state in rank order when ``masks`` is
-        None, with g a signed permutation matrix of the lattice.
+    def mapped_masks(self, g, masks):
+        """The uint64 bitmasks of g.eta for the states eta with uint64
+        bitmasks ``masks``, with g a signed permutation matrix of the
+        lattice.
 
         g fixes the origin and maps the torus onto itself, so it moves
         environment site x to wrap(g x). The bits of every bitmask are
-        moved to match by a per-byte table, and the results ranked.
+        moved to match by a per-byte table.
         """
         geo = self.geometry
         g = np.asarray(g)
         table = _move_table([geo.env_index(tuple(int(c) for c in g @ x))
                              for x in geo.env_sites])
+        masks = np.asarray(masks, dtype=np.uint64)
+        return _moved(masks, table).reshape(masks.shape)
+
+    def mapped_ranks(self, g, masks=None):
+        """Ranks of g.eta for the states eta with uint64 bitmasks
+        ``masks``, or for every state in rank order when ``masks`` is
+        None: the :meth:`mapped_masks`, ranked."""
         if masks is None:
             masks = self.bitmasks()
-        masks = np.asarray(masks, dtype=np.uint64)
-        return self.rank_masks(_moved(masks, table).reshape(masks.shape))
+        return self.rank_masks(self.mapped_masks(g, masks))
 
     def orbits(self, group):
         """Orbit tables of a group H of signed lattice permutations, the

@@ -427,6 +427,23 @@ def test_size_cap_exit_4(tmp_path, capsys):
                  str(tmp_path / "lone")]) == 0
 
 
+def test_wide_torus_refused_without_listing_its_sites(tmp_path, capsys):
+    # 399,999 environment sites: refused by their count, before any site
+    # is listed (listing them would hold about 80 MB)
+    import tracemalloc
+
+    cfg = write_cfg(tmp_path, kernel=NN, N=200_000, K=2)
+    tracemalloc.start()
+    try:
+        code = main(["exact", "--config", cfg, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert capsys.readouterr().err.startswith("size cap: 399999 environment")
+    assert peak < 10e6
+
+
 def test_numerical_failure_exit_3(tmp_path):
     # a lone walker makes sign arbitration structurally impossible
     cfg = write_cfg(tmp_path, kernel=NN, N=2, K=1,

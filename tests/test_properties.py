@@ -30,6 +30,7 @@ from sepdiff import (  # noqa: E402
 from sepdiff.diffusion import _stabilizer, _symmetries  # noqa: E402
 from sepdiff.generator import (  # noqa: E402
     ReducedAssembly,
+    _moves,
     assemble_environment,
 )
 from sepdiff.montecarlo import relaxation_gap  # noqa: E402
@@ -237,11 +238,16 @@ PLACEHOLDERS = {(2, 2, 6): (0, 4488, 2860, 2860),
 
 def live_moves_product(asm, op, x):
     """The product of ``asm.operator(chi)`` built from the moves between
-    kept orbits alone, masked copies and all, with the stored diagonal."""
+    kept orbits alone, masked copies and all, with the stored diagonal;
+    each move's weight is its channel's rate, repeated by the channel's
+    move count, times sqrt(|O|) / sqrt(|O'|)."""
     import scipy.sparse as sparse
 
     coords = op.coords
-    src, cols, weights, movers = asm._move_list
+    src, cols, movers = asm._move_list
+    rates, counts = zip(*asm._channels)
+    roots = np.sqrt(asm.orbits.sizes)
+    weights = np.repeat(rates, counts) * roots[src] / roots[cols]
     live = (coords.row[src] >= 0) & (coords.row[cols] >= 0)
     data = weights[live]
     np.negative(data, out=data, where=(coords.chi < 0)[movers[live]])
@@ -268,7 +274,7 @@ def test_reduced_operator_is_the_live_moves_product(d, N, K, n_chars):
     chis = characters(stab)
     assert len(chis) == n_chars
     asm = ReducedAssembly(sp, kernel, sp.orbits(stab))
-    src, cols, _, _ = asm._move_list
+    src, cols, _ = asm._move_list
     within = WITHIN_ORBIT_MOVES.get((d, N, K), 0)
     assert np.count_nonzero(src == cols) == within
     full = full_generator(sp, kernel)
@@ -286,6 +292,35 @@ def test_reduced_operator_is_the_live_moves_product(d, N, K, n_chars):
             want = coords.restrict(full.matvec(coords.lift(x)))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert tuple(placeholders) == PLACEHOLDERS[(d, N, K)]
+
+
+@pytest.mark.parametrize("d,N,K", [(2, 2, 5), (3, 2, 3)])
+def test_reduced_operator_weights_are_formed_from_the_channels(d, N, K):
+    # the assembly stores integers per move; each entry of the operator is
+    # rate x sqrt(|O|) / sqrt(|O'|) of its move, signed by chi of its
+    # mover and 0 at a placeholder, bit for bit
+    sp = StateSpace(TorusGeometry(d, N), K)
+    kernel = nn_kernel(d)
+    group = _symmetries(kernel)
+    keep, _ = _stabilizer(group, np.eye(d)[0])
+    stab = [group[h] for h in keep]
+    orbits = sp.orbits(stab)
+    asm = ReducedAssembly(sp, kernel, orbits)
+    for field in asm._move_list:
+        assert np.issubdtype(field.dtype, np.integer), field.dtype
+    roots = np.sqrt(orbits.sizes)
+    src, cols, weights, movers = (np.concatenate(f) for f in zip(*(
+        (s, orbits.index[t], ch.rate * roots[s] / roots[orbits.index[t]],
+         orbits.mover[t])
+        for ch, s, t in _moves(sp, kernel, sp.bitmasks()[orbits.reps]))))
+    for chi in characters(stab):
+        op = asm.operator(chi)
+        row = op.coords.row
+        live = (row[src] >= 0) & (row[cols] >= 0)
+        want = chi[movers] * weights * live
+        got = op.offdiag.data
+        assert got.dtype == want.dtype and got.size == want.size
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 #: the signed permutations of Z^2

@@ -194,6 +194,9 @@ def test_mapped_ranks_match_per_state_rule(d, N, K, g):
     subset = np.random.default_rng(sp.size).permutation(sp.size)[::2]
     got = sp.mapped_ranks(np.array(g), sp.bitmasks()[subset])
     assert got.tolist() == [want[r] for r in subset]
+    # the moved bitmasks are those of the mapped ranks
+    moved = sp.mapped_masks(np.array(g), sp.bitmasks()[subset])
+    assert moved.tolist() == sp.bitmasks()[got].tolist()
 
 
 def orbits_by_mapping(sp, group):
