@@ -287,7 +287,8 @@ class RunConfig:
                 if name == "approximation":
                     block_env_indices(geo, diag[name]["basis_scale"])
         for space in spaces:
-            if space.size > 1 or command == "mc":
+            # more than one state, read without forming the count
+            if 0 < space.k < space.M or command == "mc":
                 space.require_tables()
 
     # -- derived objects ----------------------------------------------------

@@ -7,10 +7,12 @@ with the flat weight 1/size. The exception is a generator restricted to
 one symmetry type (``ReducedAssembly.operator``), in orbit coordinates:
 its stored entries are its moves, signed, and a move within an orbit is
 one on the diagonal; a move out of or into an orbit that the symmetry
-type drops is a zero placeholder at row or column 0. Its stored diagonal
-is minus the exit rate, as a generator's is. Every operator stores its
-unit null direction as ``null``: the normalized constants for a
-generator, the reduced constants or None for a restricted one.
+type drops is a zero placeholder in column 0. Its stored diagonal is
+minus the exit rate, as a generator's is. Both kinds are built as CSR
+straight from the source-major moves of ``StateSpace.moves``. Every
+operator stores its unit null direction as ``null``: the normalized
+constants for a generator, the reduced constants or None for a
+restricted one.
 
 scipy is imported inside the functions that build or traverse sparse
 matrices, so the Monte Carlo route, which needs none, runs on numpy alone.
@@ -23,11 +25,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotConnectedError, NotMeanZeroError, SizeCapError
-from .statespace import enabled_moves
 
 #: refuse to assemble a generator with more off-diagonal entries, counted
 #: over the environment and tagged parts together
 DEFAULT_MAX_NNZ = 50_000_000
+
+#: moves that ReducedAssembly.operator gathers at a time: a gather by int32
+#: indices first copies them to a full intp array
+GATHER_CHUNK = 1 << 16
 
 #: tolerance of SparseOperator.require_range, relative to max(1, max |value|)
 MEAN_ZERO_TOL = 1e-12
@@ -54,8 +59,7 @@ class SparseOperator:
     or a generator restricted to one symmetry type, built by
     :meth:`ReducedAssembly.operator` past these checks, whose stored
     entries may be negative, may lie on the diagonal and include zero
-    placeholders at row or column 0, and whose ``diag`` is minus the exit
-    rate.
+    placeholders in column 0, and whose ``diag`` is minus the exit rate.
 
     ``symmetric``, when given, is whether the rates are symmetric, decided
     by the caller; otherwise :meth:`is_symmetric` compares the stored
@@ -151,12 +155,6 @@ class SparseOperator:
             self._symmetric = bool(worst <= SYMMETRY_TOL * scale)
         return self._symmetric
 
-    def compress(self):
-        """Store the off-diagonal entries as CSR, duplicates summed, for a
-        caller that applies the operator many times; returns self."""
-        self._off = self._off.tocsr()
-        return self
-
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size}, nnz={self.nnz})"
 
@@ -214,55 +212,6 @@ def _check_nnz(n_entries):
             f"{n_entries} nonzeros exceed cap {DEFAULT_MAX_NNZ}")
 
 
-def _moves(space, kernel, masks, env_only=False):
-    """Yield (channel, src, cols) per channel in turn, for its moves out
-    of the states with bitmasks ``masks`` that change them: all channels,
-    or the environment channels alone when ``env_only``. ``src`` index
-    ``masks``, ascending, and ``cols`` are target ranks; both int32, which
-    the state cap allows. Raises SizeCapError once the moves so far pass
-    ``DEFAULT_MAX_NNZ``.
-
-    Channel-major order keeps each row's moves in channel order, so a
-    consumer that sums coinciding targets in the order yielded sums them
-    as a per-state loop does.
-    """
-    space.geometry.require_kernel_fits(kernel)
-    channels = [ch for ch in space.move_channels(kernel)
-                if not (env_only and ch.jump >= 0)]
-    n = 0
-    for ch, src, targets in enabled_moves(masks, channels):
-        if ch.jump >= 0:
-            # an environment move always changes the state; a tagged jump
-            # may not
-            moved = targets != masks[src]
-            src, targets = src[moved], targets[moved]
-        n += src.size
-        _check_nnz(n)
-        yield (ch, src.astype(np.int32),
-               space.rank_masks(targets).astype(np.int32))
-
-
-def _joined(parts):
-    """The list ``parts`` of equal-length tuples of arrays, concatenated
-    field by field; the list is emptied first, so that each field's parts
-    are freed once joined."""
-    fields = [list(f) for f in zip(*parts)]
-    parts.clear()
-    out = []
-    for k, f in enumerate(fields):
-        fields[k] = None
-        out.append(np.concatenate(f))
-    return tuple(out)
-
-
-def _move_triples(space, kernel, masks, env_only=False):
-    """(rows, cols, rates) of the moves of :func:`_moves`, joined over the
-    channels."""
-    return _joined([(src, cols, np.full(src.size, ch.rate))
-                    for ch, src, cols in _moves(space, kernel, masks,
-                                                env_only)])
-
-
 def _symmetric_rates(space, kernel, env_only=False):
     """Whether the generator of ``kernel`` on ``space`` (its environment
     part alone when ``env_only``) is symmetric, decided from the kernel
@@ -281,13 +230,28 @@ def _symmetric_rates(space, kernel, env_only=False):
 
 def _assemble(space, kernel, env_only=False):
     """Off-diagonal rates of all moves, or of the environment moves alone
-    when ``env_only``, from the channel enumeration over all states (whose
-    count ``StateSpace.bitmasks`` caps)."""
+    when ``env_only``, enumerated over all states (whose count
+    ``StateSpace.bitmasks`` caps) straight into CSR rows, each row's in
+    channel order, as a per-state loop would list them."""
     import scipy.sparse as sp
 
-    rows, cols, rates = _move_triples(space, kernel, space.bitmasks(),
-                                     env_only)
-    off = sp.coo_matrix((rates, (rows, cols)), shape=(space.size, space.size))
+    masks = space.bitmasks()
+    rates = np.array([p for _, p in kernel.entries])
+    starts = np.zeros(space.size + 1, dtype=np.int64)
+    cols, data = [], []
+    nnz = 0
+    for lo, live, ranks in space.moves(kernel, masks, tagged=not env_only):
+        starts[lo + 1:lo + 1 + len(live)] = np.count_nonzero(live, axis=1)
+        nnz += ranks.size
+        _check_nnz(nnz)
+        # int32, which the state cap allows
+        cols.append(ranks.astype(np.int32))
+        data.append(rates.take(np.flatnonzero(live) % rates.size))
+    # each list is dropped once joined, which frees its blocks
+    data = np.concatenate(data)
+    cols = np.concatenate(cols)
+    off = sp.csr_matrix((data, cols, np.cumsum(starts)),
+                        shape=(space.size, space.size))
     return SparseOperator(space.size, off,
                           _symmetric_rates(space, kernel, env_only))
 
@@ -316,33 +280,51 @@ class ReducedAssembly:
     ``StateSpace.orbits`` table of kernel symmetries), enumerated once and
     read as an operator under any character of the group.
 
-    One list holds every move r_O -> eta', eta' in orbit O', channel by
-    channel, as three integer fields: its source O (int32), its target O'
-    (int32) and the group element that maps eta' to r_O' (int8). The rate
-    is stored once per channel, with the channel's move count; no float is
-    stored per move, and the weights L(r_O, eta') sqrt(|O| / |O'|) are
-    formed by :meth:`operator`. A move within its own orbit (O' = O) is an
-    entry like any other, on the diagonal.
+    The moves r_O -> eta', eta' in orbit O', are held source by source,
+    each source's in channel order: the moves out of the representative of
+    orbit O are entries ``starts[O]`` to ``starts[O + 1]`` of three
+    integer fields, the target orbit O' (int32), the group element that
+    maps eta' to r_O' (int8) and the kernel entry of the move (int8), 6
+    bytes per move. No float is stored per move: the weights L(r_O, eta')
+    sqrt(|O| / |O'|) are formed by :meth:`operator` from the kernel's
+    rates. The exit rate of each representative is summed over its moves
+    in channel order. A move within its own orbit (O' = O) is an entry
+    like any other, on the diagonal.
     """
 
     def __init__(self, space, kernel, orbits):
         self.orbits = orbits
         self.symmetric = _symmetric_rates(space, kernel)
+        self._rates = np.array([p for _, p in kernel.entries])
+        self._width = (space.k + 1) * self._rates.size
         self._exit = np.zeros(orbits.reps.size)
-        self._channels = []         # (rate, move count) per channel
-        parts = []
-        # one channel at a time, so that no move array of full length
-        # exists beside the parts kept
-        for ch, src, targets in _moves(space, kernel,
-                                       space.bitmasks()[orbits.reps]):
-            # a channel moves each state at most once, so this adds the
-            # exit rates in channel order
-            self._exit[src] += ch.rate
-            self._channels.append((ch.rate, src.size))
+        starts = np.zeros(orbits.reps.size + 1, dtype=np.int64)
+        targets, movers, entries = [], [], []
+        nnz = 0
+        for lo, live, ranks in space.moves(kernel,
+                                           space.bitmasks()[orbits.reps]):
+            exits = self._exit[lo:lo + len(live)]
+            # column by column, which adds the exit rates in channel order
+            for c in range(live.shape[1]):
+                np.add(exits, self._rates[c % self._rates.size], out=exits,
+                       where=live[:, c])
+            starts[lo + 1:lo + 1 + len(live)] = np.count_nonzero(live, axis=1)
+            nnz += ranks.size
+            _check_nnz(nnz)
             # each target as its orbit and the group element that maps it
-            # to the orbit's representative
-            parts.append((src, orbits.index[targets], orbits.mover[targets]))
-        self._move_list = _joined(parts)
+            # to the orbit's representative; a kernel that fits a torus of
+            # at most 64 sites has at most 62 entries
+            targets.append(orbits.index.take(ranks))
+            movers.append(orbits.mover.take(ranks))
+            entries.append((np.flatnonzero(live) % self._rates.size)
+                           .astype(np.int8))
+        self._starts = np.cumsum(starts)
+        # field by field, so that each field's blocks are freed once joined
+        self._target = np.concatenate(targets)
+        del targets
+        self._mover = np.concatenate(movers)
+        del movers
+        self._entry = np.concatenate(entries)
 
     def operator(self, chi):
         """The generator L restricted to the functions with u(g.eta) =
@@ -351,49 +333,53 @@ class ReducedAssembly:
 
         Its matrix is sqrt(|O|) A_{O,O'} / sqrt(|O'|), with A_{O,O'} the
         sum of L(r_O, eta') chi(g_eta') over eta' in O'; it is symmetric
-        whenever L is. The stored entries are all the moves, each signed
-        by chi of its mover, so they may be negative and the moves within
-        an orbit sit on the diagonal. The weights are formed at each build,
-        one channel's slice of the entries at a time, as rate x sqrt(|O|)
-        / sqrt(|O'|), negated where chi of the mover is -1; so no float
-        array of the moves exists besides the operator's own. A move out
-        of or into an orbit that chi drops is kept as a zero placeholder
-        at row or column 0, which changes no sum of the product; so no
-        move is masked out or copied. The stored diagonal is minus the
-        exit rate. The null direction is sqrt(|O|), normalized, when chi
-        is trivial (the constants), and None otherwise: such functions sum
-        to zero, and L is nonsingular on them. Euclidean norms in these
-        coordinates equal those of the lifted functions, so a replayed
-        residual here is the full-space one.
+        whenever L is. It is built as CSR straight from the moves: every
+        move is a stored entry, in the order the assembly holds them, so
+        each row lists its moves in channel order, and the moves within an
+        orbit sit on the diagonal. The weights are formed at each build,
+        ``GATHER_CHUNK`` moves at a time, as rate x sqrt(|O|) / sqrt(|O'|),
+        negated where chi of the mover is -1; so no float array of the
+        moves exists besides the operator's own. A move into an orbit that
+        chi drops is a zero placeholder in column 0, and so is each move
+        out of one: those close the row of the kept orbit before it, or row
+        0. A zero changes no sum of the product, so no move is masked out
+        or copied. The stored diagonal is minus the exit rate. The null
+        direction is sqrt(|O|), normalized, when chi is trivial (the
+        constants), and None otherwise: such functions sum to zero, and L
+        is nonsingular on them. Euclidean norms in these coordinates equal
+        those of the lifted functions, so a replayed residual here is the
+        full-space one.
         """
         import scipy.sparse as sp
 
         coords = IsotypicCoordinates(self.orbits, chi)
-        chi, row = coords.chi, coords.row
+        row, starts = coords.row, self._starts
         kept = row >= 0
+        negated = coords.chi < 0
         n = coords.reps.size
-        # left in COO form, duplicates and all: the exact route applies it
-        # in one solve, which saves less than converting to CSR costs;
-        # sobolev._reflection_halves converts (SparseOperator.compress),
-        # since the sector constant applies each half thousands of times
-        src, cols, movers = self._move_list
         roots = np.sqrt(self.orbits.sizes)
-        data = np.empty(src.size)
-        start = 0
-        for rate, count in self._channels:
-            s = slice(start, start + count)
-            np.multiply(rate, roots[src[s]], out=data[s])
-            data[s] /= roots[cols[s]]
-            start += count
-        np.negative(data, out=data, where=(chi < 0)[movers])
-        rows, cols = row[src], row[cols]
-        # a move out of or into an orbit that chi drops keeps a zero
-        # entry, its row or column -1 clamped to 0
-        data *= (rows >= 0) & (cols >= 0)
-        np.maximum(rows, 0, out=rows)
-        np.maximum(cols, 0, out=cols)
-        off = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-        null = (None if np.any(chi < 0)
+        data = np.empty(starts[-1])
+        cols = np.empty(starts[-1], dtype=np.int32)
+        step = max(1, GATHER_CHUNK // self._width)
+        for lo in range(0, kept.size, step):
+            hi = min(lo + step, kept.size)
+            s = slice(starts[lo], starts[hi])
+            counts = np.diff(starts[lo:hi + 1])
+            target = self._target[s]
+            d = data[s]
+            np.multiply(self._rates.take(self._entry[s]),
+                        np.repeat(roots[lo:hi], counts), out=d)
+            d /= roots.take(target)
+            np.negative(d, out=d, where=negated.take(self._mover[s]))
+            col = row.take(target)
+            live = np.repeat(kept[lo:hi], counts) & (col >= 0)
+            d *= live
+            np.multiply(col, live, out=cols[s])
+        # row r holds the moves from its orbit to the next kept one's
+        indptr = np.append(starts[np.flatnonzero(kept)], starts[-1])
+        indptr[0] = 0
+        off = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+        null = (None if np.any(negated)
                 else coords.roots / np.sqrt(self.orbits.sizes.sum()))
         # signed entries, some on the diagonal: past __init__'s checks
         return SparseOperator.__new__(SparseOperator)._store(

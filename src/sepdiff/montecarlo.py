@@ -39,9 +39,7 @@ import numpy as np
 
 from .diffusion import _solve_directions
 from .errors import InconclusiveError, OutOfRangeError
-from .generator import _move_triples
 from .kernel import _whole, classify
-from .statespace import enabled_moves
 
 
 def _replica_mean(p):
@@ -205,9 +203,12 @@ class TransitionTable:
     Row r lists the channels enabled in state r in canonical order (see
     ``StateSpace.move_channels``) in its first ``fill[r]`` columns: target
     ranks, jump labels (-1 for environment moves) and cumulative rates,
-    summed left to right. Padding columns repeat the row total in ``cum``,
-    so ``total[r] = cum[r, -1]``. The stream rule of the module docstring
-    picks the channel of an event from these cumulative rates.
+    summed left to right. A tagged jump that leaves the state unchanged
+    is listed too, since it moves the tagged particle. Padding columns
+    repeat the row total in ``cum``, so ``total[r] = cum[r, -1]``. The
+    stream rule of the module docstring picks the channel of an event from
+    these cumulative rates. The rows are filled from ``StateSpace.moves``
+    by one scatter per block of states.
     """
 
     def __init__(self, space, kernel):
@@ -217,20 +218,31 @@ class TransitionTable:
         # (|Z|, d) jump displacements: positions are jump counts @ zvecs
         self.zvecs = np.array([z for z, _ in kernel.entries], dtype=np.int64)
         masks = space.bitmasks()
-        channels = space.move_channels(kernel)
+        rates = np.array([p for _, p in kernel.entries])
+        # per column of the move grid, its rate and its jump label
+        cell_rate = np.tile(rates, space.k + 1)
+        cell_jump = np.append(np.full(space.k * rates.size, -1),
+                              np.arange(rates.size))
+        cells = cell_rate.size
         # a state enables at most |Z| moves per particle plus |Z| jumps
-        width = min(len(channels), (space.k + 1) * len(kernel.entries))
+        width = min(len(space.move_channels(kernel)), cells)
         n = space.size
         self.target = np.zeros((n, width), dtype=np.intp)
         self.jump = np.zeros((n, width), dtype=np.intp)
         self.cum = np.zeros((n, width))
         self.fill = np.zeros(n, dtype=np.intp)
-        for ch, src, targets in enabled_moves(masks, channels):
-            slot = self.fill[src]
-            self.target[src, slot] = space.rank_masks(targets)
-            self.jump[src, slot] = ch.jump
-            self.cum[src, slot] = ch.rate
-            self.fill[src] += 1
+        for lo, live, ranks in space.moves(kernel, masks, still=True):
+            fill = np.count_nonzero(live, axis=1)
+            self.fill[lo:lo + fill.size] = fill
+            # each move's flat place in the table: its row's start, then
+            # its place in the row
+            first = np.cumsum(fill) - fill
+            at = np.repeat((lo + np.arange(fill.size)) * width - first, fill)
+            at += np.arange(at.size)
+            cell = np.flatnonzero(live) % cells
+            np.put(self.target, at, ranks)
+            np.put(self.jump, at, cell_jump.take(cell))
+            np.put(self.cum, at, cell_rate.take(cell))
         # accumulating along each row adds in channel order
         np.cumsum(self.cum, axis=1, out=self.cum)
         self.total = self.cum[:, -1].copy()
@@ -376,9 +388,9 @@ def relaxation_gap(space, kernel):
     """Spectral gap of the symmetrized generator, computed densely; None on
     one state or above ``RELAX_GAP_MAX`` states.
 
-    The dense matrix is built from the move triples of
-    ``generator._move_triples``, so this needs no sparse linear algebra. It
-    equals the dense route of :func:`sobolev.spectral_gap`, that is
+    The dense matrix is built from ``StateSpace.moves``, so this needs no
+    sparse linear algebra. It equals the dense route of
+    :func:`sobolev.spectral_gap`, that is
     ``spectral_gap(symmetric_part(full_generator(space, kernel)),
     method="dense")``, bit for bit: duplicate moves are summed in
     enumeration order, the symmetric part is 0.5 (A + A^T), and each
@@ -389,9 +401,11 @@ def relaxation_gap(space, kernel):
     n = space.size
     if not 1 < n <= RELAX_GAP_MAX:
         return None
-    rows, cols, rates = _move_triples(space, kernel, space.bitmasks())
+    rates = np.array([p for _, p in kernel.entries])
     a = np.zeros((n, n))
-    np.add.at(a, (rows, cols), rates)
+    for lo, live, ranks in space.moves(kernel, space.bitmasks()):
+        src, cell = np.nonzero(live)
+        np.add.at(a, (lo + src, ranks), rates[cell % rates.size])
     s = 0.5 * (a + a.T)
     r, c = np.nonzero(s)
     # r ascends, so each row's nonzeros start where r changes

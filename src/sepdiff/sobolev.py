@@ -419,9 +419,8 @@ def _reflection_halves(op):
     functions even and odd under the point reflection eta -> -eta, as
     operators of the symmetrized kernel reduced by ``ReducedAssembly``. The
     even half has the reduced constants as its null direction, the odd
-    half none. Both are stored as CSR: the sector constant applies each of
-    them thousands of times, which pays for the conversion from the
-    assembly's COO form.
+    half none. Both have their duplicate entries summed: the sector
+    constant applies each of them thousands of times.
 
     Raises ValueError unless ``op`` records its (space, kernel), as
     :func:`generator.full_generator`'s operators do.
@@ -434,8 +433,10 @@ def _reflection_halves(op):
     eye = np.eye(space.geometry.dimension, dtype=np.int64)
     halves = ReducedAssembly(space, symmetrize(kernel),
                              space.orbits([eye, -eye]))
-    return (halves.operator([1, 1]).compress(),
-            halves.operator([1, -1]).compress())
+    even, odd = halves.operator([1, 1]), halves.operator([1, -1])
+    even.offdiag.sum_duplicates()
+    odd.offdiag.sum_duplicates()
+    return even, odd
 
 
 def sector_constant(op, method="auto", tol=1e-10):

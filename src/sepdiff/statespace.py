@@ -14,16 +14,20 @@ keeps the rows for 0 .. k set bits above a byte; a bitmask with more
 reads a clipped row and is refused by its count.
 
 Bulk work runs on a ``uint64`` array of occupancy bitmasks in rank order,
-so an environment has at most 64 sites. Particle moves are enumerated one
-channel at a time over that array (:func:`enabled_moves`): a channel is one
-(site, kernel entry) pair for the environment, or one kernel entry for the
-tagged particle. Bits are moved to the sites' images, as a tagged jump or
-a lattice symmetry moves them, by a per-byte table (:func:`_moved`): one
+so an environment has at most 64 sites. A channel is one (site, kernel
+entry) pair for the environment, or one kernel entry for the tagged
+particle (:meth:`StateSpace.move_channels`). Moves are enumerated source
+by source, a block of states at a time (:meth:`StateSpace.moves`): each
+state's k occupied sites x |Z| kernel entries, then its |Z| tagged jumps,
+which is the channel order, so the moves come out grouped by source with
+no sort. Bits are moved to the sites' images, as a tagged jump or a
+lattice symmetry moves them, by a per-byte table (:func:`_moved`): one
 lookup per byte of the bitmask, however the sites are permuted.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,16 +42,31 @@ DEFAULT_MAX_STATES = 500_000
 #: bits in one occupancy word, so the most environment sites bulk work takes
 BITMASK_WIDTH = 64
 
+#: grid cells (sources x moves per source) that StateSpace.moves takes per
+#: block, which bounds its temporaries
+MOVE_BLOCK = 1 << 15
 
-def _short_count(n):
-    """A count of any size to two significant digits, as 9.4e238: a state
-    count can have thousands of digits, too many for a float or for
-    ``str``."""
-    # log10 reads an int of any size; its rounding may cross a power of 10
-    exponent = int(math.log10(n))
-    exponent += (10 ** (exponent + 1) <= n) - (10 ** exponent > n)
-    # int / int rounds correctly however large n is
-    mantissa = round(n / 10 ** exponent, 1)
+
+def _count_exceeds(M, k, cap):
+    """Whether C(M, k) > cap, without forming a count past cap: C(M, i)
+    grows with i up to min(k, M - k), so the first partial count past cap
+    decides."""
+    count = 1
+    for i in range(min(k, M - k)):
+        count = count * (M - i) // (i + 1)
+        if count > cap:
+            return True
+    return False
+
+
+def _short_count(M, k):
+    """C(M, k) to two significant digits, as 9.4e238, from its logarithm:
+    the count itself can have hundreds of thousands of digits and take
+    seconds to form."""
+    digits = (math.lgamma(M + 1) - math.lgamma(k + 1)
+              - math.lgamma(M - k + 1)) / math.log(10)
+    exponent = math.floor(digits)
+    mantissa = round(10 ** (digits - exponent), 1)
     if mantissa == 10.0:
         mantissa, exponent = 1.0, exponent + 1
     return f"{mantissa:.1f}e{exponent}"
@@ -147,9 +166,9 @@ def _moved(masks, table):
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """One kind of move: an environment particle leaving one site by one
-    kernel entry (``jump`` = -1), or a tagged jump by one kernel entry
-    (``jump`` = its index), at rate ``rate``.
+    """One kind of move by kernel entry ``entry`` at rate ``rate``: an
+    environment particle leaving one site (``jump`` = -1), or a tagged
+    jump (``jump`` = ``entry``).
 
     The move is enabled on a bitmask b where ``b & test == want``. An
     environment move clears the source bit ``want`` and sets the vacant
@@ -158,46 +177,27 @@ class Channel:
     ``moves``.
     """
 
-    jump: int
+    entry: int
     rate: float
     test: np.uint64
     want: np.uint64
     moves: np.ndarray = None
 
-
-def enabled_moves(masks, channels):
-    """Yield (channel, src, targets) for each channel in turn: ``src`` are
-    the positions in the uint64 array ``masks`` where the channel is
-    enabled, ascending, and ``targets`` the bitmasks it leads to there.
-
-    Consecutive environment channels from one source site share one scan
-    of ``masks`` for the states that occupy it; each channel's vacancy
-    test then runs on those states alone.
-    """
-    site = None
-    for ch in channels:
-        if ch.moves is None:
-            if site is None or ch.want != site:
-                site = ch.want
-                occupied = np.flatnonzero(masks & site)
-                held = masks[occupied]
-            vacant = (held & (ch.test ^ site)) == 0
-            yield ch, occupied[vacant], held[vacant] ^ ch.test
-        else:
-            src = np.flatnonzero((masks & ch.test) == ch.want)
-            yield ch, src, _moved(masks[src], ch.moves)
+    @property
+    def jump(self):
+        return -1 if self.moves is None else self.entry
 
 
 def _build_channels(geo, kernel):
     """Channels in canonical order; loops run over sites, not states."""
     env = []
     for i, site in enumerate(geo.env_sites):
-        for z, p in kernel.entries:
+        for zi, (z, p) in enumerate(kernel.entries):
             y = geo.wrap(tuple(a + b for a, b in zip(site, z)))
             if y == geo.origin:
                 continue
             t = geo.env_index(y)
-            env.append(Channel(-1, p, np.uint64((1 << i) | (1 << t)),
+            env.append(Channel(zi, p, np.uint64((1 << i) | (1 << t)),
                                np.uint64(1 << i)))
     tagged = []
     for zi, (z, p) in enumerate(kernel.entries):
@@ -210,6 +210,24 @@ def _build_channels(geo, kernel):
             for i, site in enumerate(geo.env_sites)])
         tagged.append(Channel(zi, p, np.uint64(1 << ti), np.uint64(0), moves))
     return tuple(env + tagged)
+
+
+def _grid(channels, M, n_entries):
+    """(vacant, flip, tagged): the channels laid out for
+    :meth:`StateSpace.moves`. An environment move from site i by kernel
+    entry zi is enabled where the bit ``vacant[i, zi]`` is clear, and
+    flips the bits ``flip[i, zi]``, source and target; a move into the
+    origin has no channel, and its ``vacant`` is the source bit, which is
+    set. ``tagged`` lists the tagged jumps' channels in kernel order."""
+    sources = np.left_shift(np.uint64(1), np.arange(M, dtype=np.uint64))
+    vacant = np.repeat(sources[:, None], n_entries, axis=1)
+    flip = np.zeros_like(vacant)
+    for ch in channels:
+        if ch.moves is None:
+            i = int(ch.want).bit_length() - 1
+            vacant[i, ch.entry] = ch.test ^ ch.want
+            flip[i, ch.entry] = ch.test
+    return vacant, flip, [ch for ch in channels if ch.moves is not None]
 
 
 @dataclass(frozen=True)
@@ -261,11 +279,15 @@ class StateSpace:
         self.K = int(K)
         self.k = self.K - 1          # environment particles
         self.M = M                   # environment sites
-        self.size = math.comb(M, self.k)
         self.alpha = (self.K - 1) / (geometry.n_sites - 1)
         self._bitmasks = None
         self._rank = None            # _rank_table, built on first use
         self._channels = {}          # kernel -> channels
+
+    # formed on first use: a count past the cap is refused without it
+    @functools.cached_property
+    def size(self):
+        return math.comb(self.M, self.k)
 
     def __repr__(self):
         return (f"StateSpace(d={self.geometry.dimension}, N={self.geometry.N}, "
@@ -276,10 +298,11 @@ class StateSpace:
     def require_tables(self):
         """Raise SizeCapError unless the per-state tables may be built: at
         most ``DEFAULT_MAX_STATES`` states, and an environment that fits
-        the occupancy bitmask. Reads the counts only."""
-        if self.size > DEFAULT_MAX_STATES:
+        the occupancy bitmask. Reads the counts only, and forms no state
+        count past the cap."""
+        if _count_exceeds(self.M, self.k, DEFAULT_MAX_STATES):
             raise SizeCapError(
-                f"{_short_count(self.size)} states exceed cap "
+                f"{_short_count(self.M, self.k)} states exceed cap "
                 f"{DEFAULT_MAX_STATES}"
             )
         _require_word(self.M)
@@ -409,6 +432,59 @@ class StateSpace:
             chans = self._channels[kernel] = _build_channels(self.geometry,
                                                              kernel)
         return chans
+
+    def moves(self, kernel, masks, tagged=True, still=False):
+        """Yield (lo, live, ranks) for each block of the states with uint64
+        bitmasks ``masks``: the moves out of ``masks[lo:lo + len(live)]``,
+        source by source, each source's in channel order (see
+        :meth:`move_channels`).
+
+        ``live`` is a boolean grid with a row per source and (k + 1) |Z|
+        columns, k |Z| when not ``tagged``: the source's occupied sites in
+        ascending order x the kernel entries, then its tagged jumps in
+        kernel order. So column c is a move by kernel entry c % |Z|, a
+        tagged jump when c >= k |Z|, and it is set where the move is
+        enabled. ``ranks`` (int64) are the target ranks of the set cells
+        in row-major order, ranked in one call per block. A tagged jump
+        that leaves the state unchanged is set only when ``still``; an
+        environment move always changes it. Blocks hold at most
+        ``MOVE_BLOCK`` cells, or one row.
+        """
+        k, n_entries = self.k, len(kernel.entries)
+        vacant_bits, flip_bits, jumps = _grid(self.move_channels(kernel),
+                                              self.M, n_entries)
+        masks = np.asarray(masks, dtype=np.uint64)
+        width = (k + tagged) * n_entries
+        step = max(1, MOVE_BLOCK // max(width, 1))
+        for lo in range(0, masks.size, step):
+            b = masks[lo:lo + step]
+            live = np.empty((b.size, k + tagged, n_entries), dtype=bool)
+            targets = np.empty(live.shape, dtype=np.uint64)
+            # the sites of each state's particles, ascending: the lowest
+            # set bit, then the next, each read off as 2^site
+            bits = np.empty((b.size, k), dtype=np.uint64)
+            rest = b.copy()
+            for j in range(k):
+                np.bitwise_and(rest, -rest, out=bits[:, j])
+                rest ^= bits[:, j]
+            sites = np.frexp(bits.astype(float))[1] - 1
+            del bits, rest
+            vacant = vacant_bits.take(sites, axis=0)
+            vacant &= b[:, None, None]
+            np.equal(vacant, 0, out=live[:, :k])
+            del vacant
+            np.bitwise_xor(b[:, None, None], flip_bits.take(sites, axis=0),
+                           out=targets[:, :k])
+            if tagged:
+                for ch in jumps:
+                    moved = _moved(b, ch.moves)
+                    enabled = (b & ch.test) == ch.want
+                    if not still:
+                        enabled &= moved != b
+                    targets[:, k, ch.entry] = moved
+                    live[:, k, ch.entry] = enabled
+            yield lo, live.reshape(b.size, width), self.rank_masks(
+                np.extract(live, targets))
 
     # -- observable support ---------------------------------------------------
 

@@ -403,6 +403,9 @@ def test_size_cap_exit_4(tmp_path, capsys):
         ("exact", "huge", dict(N=400, alpha=0.5)),
         # C(19999, 9999) states, 6,019 digits: past str()'s 4,300
         ("exact", "huger", dict(N=10000, alpha=0.5)),
+        # C(399999, 199999) states: refused without forming the count,
+        # which alone takes seconds
+        ("exact", "hugest", dict(N=200_000, alpha=0.5)),
         # the last rung of a sweep is refused before the first one runs
         ("sweep", "rungs", dict(N_list=[3, 40], alpha=0.5)),
         # one state, but the Monte Carlo table holds its 79-site bitmask

@@ -631,12 +631,13 @@ def test_indefinite_matrix_raises(nn2d, monkeypatch):
 
 
 #: tracemalloc peak of compute_D_matrix on 2d NN N=3 K=5, bytes per state:
-#: 164 measured (numpy 2.4, scipy 1.17), 199 → 164 once the reduced
-#: assembly kept no float weight per move, 212 while a mapped direction
-#: built its own reduced operator, 340 before the exact route kept its
-#: drift, mapped direction and inner products on the representatives; the
-#: bound leaves 40% for other numpy and scipy versions
-MAX_BYTES_PER_STATE = 230
+#: 144 measured (numpy 2.4, scipy 1.17), 164 → 144 once the reduced
+#: operator was built straight to CSR from 6 bytes per move, 199 → 164
+#: once the reduced assembly kept no float weight per move, 212 while a
+#: mapped direction built its own reduced operator, 340 before the exact
+#: route kept its drift, mapped direction and inner products on the
+#: representatives; the bound leaves 40% for other numpy and scipy versions
+MAX_BYTES_PER_STATE = 202
 
 
 def test_reduced_route_memory_per_state(nn2d):

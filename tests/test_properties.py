@@ -30,7 +30,6 @@ from sepdiff import (  # noqa: E402
 from sepdiff.diffusion import _stabilizer, _symmetries  # noqa: E402
 from sepdiff.generator import (  # noqa: E402
     ReducedAssembly,
-    _moves,
     assemble_environment,
 )
 from sepdiff.montecarlo import relaxation_gap  # noqa: E402
@@ -236,18 +235,23 @@ PLACEHOLDERS = {(2, 2, 6): (0, 4488, 2860, 2860),
                 (1, 3, 3): (0, 12)}
 
 
+def move_sources(asm):
+    """The source orbit of each move the assembly holds: orbit O's moves
+    are entries starts[O] to starts[O + 1]."""
+    return np.repeat(np.arange(asm.orbits.reps.size), np.diff(asm._starts))
+
+
 def live_moves_product(asm, op, x):
     """The product of ``asm.operator(chi)`` built from the moves between
     kept orbits alone, masked copies and all, with the stored diagonal;
-    each move's weight is its channel's rate, repeated by the channel's
-    move count, times sqrt(|O|) / sqrt(|O'|)."""
+    each move's weight is the rate of its kernel entry times sqrt(|O|) /
+    sqrt(|O'|)."""
     import scipy.sparse as sparse
 
     coords = op.coords
-    src, cols, movers = asm._move_list
-    rates, counts = zip(*asm._channels)
+    src, cols, movers = move_sources(asm), asm._target, asm._mover
     roots = np.sqrt(asm.orbits.sizes)
-    weights = np.repeat(rates, counts) * roots[src] / roots[cols]
+    weights = asm._rates[asm._entry] * roots[src] / roots[cols]
     live = (coords.row[src] >= 0) & (coords.row[cols] >= 0)
     data = weights[live]
     np.negative(data, out=data, where=(coords.chi < 0)[movers[live]])
@@ -274,7 +278,7 @@ def test_reduced_operator_is_the_live_moves_product(d, N, K, n_chars):
     chis = characters(stab)
     assert len(chis) == n_chars
     asm = ReducedAssembly(sp, kernel, sp.orbits(stab))
-    src, cols, _ = asm._move_list
+    src, cols = move_sources(asm), asm._target
     within = WITHIN_ORBIT_MOVES.get((d, N, K), 0)
     assert np.count_nonzero(src == cols) == within
     full = full_generator(sp, kernel)
@@ -294,11 +298,28 @@ def test_reduced_operator_is_the_live_moves_product(d, N, K, n_chars):
     assert tuple(placeholders) == PLACEHOLDERS[(d, N, K)]
 
 
+def channel_moves(sp, kernel, masks):
+    """(source, channel, target bitmask) of every move out of the states
+    with bitmasks ``masks`` that changes the state: a loop over the states
+    and, per state, over ``move_channels`` in order."""
+    out = []
+    for s, b in enumerate(masks.tolist()):
+        for ch in sp.move_channels(kernel):
+            if b & int(ch.test) != int(ch.want):
+                continue
+            t = (b ^ int(ch.test) if ch.moves is None
+                 else int(_moved(np.array([b], dtype=np.uint64), ch.moves)[0]))
+            if t != b:
+                out.append((s, ch, t))
+    return out
+
+
 @pytest.mark.parametrize("d,N,K", [(2, 2, 5), (3, 2, 3)])
 def test_reduced_operator_weights_are_formed_from_the_channels(d, N, K):
     # the assembly stores integers per move; each entry of the operator is
     # rate x sqrt(|O|) / sqrt(|O'|) of its move, signed by chi of its
-    # mover and 0 at a placeholder, bit for bit
+    # mover and 0 at a placeholder, bit for bit, in the order of a
+    # per-state loop over the channels; a placeholder sits in column 0
     sp = StateSpace(TorusGeometry(d, N), K)
     kernel = nn_kernel(d)
     group = _symmetries(kernel)
@@ -306,13 +327,16 @@ def test_reduced_operator_weights_are_formed_from_the_channels(d, N, K):
     stab = [group[h] for h in keep]
     orbits = sp.orbits(stab)
     asm = ReducedAssembly(sp, kernel, orbits)
-    for field in asm._move_list:
+    for field in (asm._starts, asm._target, asm._mover, asm._entry):
         assert np.issubdtype(field.dtype, np.integer), field.dtype
     roots = np.sqrt(orbits.sizes)
-    src, cols, weights, movers = (np.concatenate(f) for f in zip(*(
-        (s, orbits.index[t], ch.rate * roots[s] / roots[orbits.index[t]],
-         orbits.mover[t])
-        for ch, s, t in _moves(sp, kernel, sp.bitmasks()[orbits.reps]))))
+    moves = channel_moves(sp, kernel, sp.bitmasks()[orbits.reps])
+    src = np.array([s for s, _, _ in moves])
+    rates = np.array([ch.rate for _, ch, _ in moves])
+    ranks = sp.rank_masks(np.array([t for _, _, t in moves], dtype=np.uint64))
+    cols, movers = orbits.index[ranks], orbits.mover[ranks]
+    weights = rates * roots[src] / roots[cols]
+    assert np.array_equal(move_sources(asm), src)
     for chi in characters(stab):
         op = asm.operator(chi)
         row = op.coords.row
@@ -321,6 +345,11 @@ def test_reduced_operator_weights_are_formed_from_the_channels(d, N, K):
         got = op.offdiag.data
         assert got.dtype == want.dtype and got.size == want.size
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(op.offdiag.indices, np.where(live, row[cols], 0))
+        # each kept orbit's row starts at its first move
+        kept = np.flatnonzero(row >= 0)
+        assert np.array_equal(op.offdiag.indptr[1:-1],
+                              asm._starts[kept[1:]])
 
 
 #: the signed permutations of Z^2

@@ -14,11 +14,14 @@ from sepdiff import (
     build_kernel,
     full_generator,
 )
+from sepdiff import generator, statespace
 from sepdiff.diffusion import _stabilizer, _symmetries
-from sepdiff.statespace import BITMASK_WIDTH, enabled_moves
+from sepdiff.generator import ReducedAssembly
+from sepdiff.montecarlo import TransitionTable, relaxation_gap
+from sepdiff.statespace import BITMASK_WIDTH, _moved
 
 import _oracle
-from conftest import nn_kernel
+from conftest import MZ1D, NN1D, NN2D, nn_kernel
 
 
 def make_space(d, N, K):
@@ -138,13 +141,21 @@ def test_rank_masks_rejects_non_states():
 
 
 def tagged_moves(sp, kernel, z):
-    """{source bitmask: target bitmask} of the tagged jump by z."""
+    """{source bitmask: target bitmask} of the tagged jump by z, read from
+    its column of the move grid, unchanged states included."""
     zi = [zz for zz, _ in kernel.entries].index(z)
     ch = sp.move_channels(kernel)[zi - len(kernel.entries)]
     assert ch.jump == zi
+    col = sp.k * len(kernel.entries) + zi
     masks = sp.bitmasks()
-    _, src, targets = next(enabled_moves(masks, [ch]))
-    return dict(zip(masks[src].tolist(), targets.tolist()))
+    moves = {}
+    for lo, live, ranks in sp.moves(kernel, masks, still=True):
+        # each set cell's place in ranks
+        at = np.cumsum(live.ravel()).reshape(live.shape) - 1
+        src = np.flatnonzero(live[:, col])
+        moves.update(zip(masks[lo + src].tolist(),
+                         masks[ranks[at[src, col]]].tolist()))
+    return moves
 
 
 def bits_of(sp, sites):
@@ -349,3 +360,133 @@ def test_bitmask_width_cap():
     kernel = build_kernel(1, [((1,), 0.5), ((-1,), 0.5)])
     with pytest.raises(SizeCapError, match="64-bit"):
         full_generator(sp, kernel)
+
+
+def grid_rows(sp, kernel, masks, tagged=True, still=False):
+    """Per state of ``masks``, the (kernel entry, jump label, target
+    bitmask) of each of its moves, as ``StateSpace.moves`` lists them."""
+    n_entries = len(kernel.entries)
+    rows = []
+    for lo, live, ranks in sp.moves(kernel, masks, tagged=tagged,
+                                    still=still):
+        assert lo == len(rows)
+        targets = iter(sp.bitmasks()[ranks].tolist())
+        for cells in live:
+            row = []
+            for c in np.flatnonzero(cells).tolist():
+                zi = c % n_entries
+                row.append((zi, zi if c >= sp.k * n_entries else -1,
+                            next(targets)))
+            rows.append(row)
+        assert next(targets, None) is None
+    return rows
+
+
+def channel_rows(sp, kernel, masks, tagged=True, still=False):
+    """The same from a loop over the states and, per state, over
+    ``move_channels`` in order."""
+    rows = []
+    for b in masks.tolist():
+        row = []
+        for ch in sp.move_channels(kernel):
+            if (ch.moves is not None and not tagged
+                    or b & int(ch.test) != int(ch.want)):
+                continue
+            t = (b ^ int(ch.test) if ch.moves is None
+                 else int(_moved(np.array([b], dtype=np.uint64), ch.moves)[0]))
+            if t != b or still:
+                row.append((ch.entry, ch.jump, t))
+        rows.append(row)
+    return rows
+
+
+ASYM2D = [((1, 0), 0.4), ((0, 1), 0.3), ((-1, 0), 0.2), ((0, -1), 0.1)]
+
+
+@pytest.mark.parametrize("d,N,K,entries,step,still", [
+    (1, 3, 3, NN1D, 1, False),
+    # range 2: the moves into the origin have no channel; {-1, 1, 3} is
+    # its own image under the tagged jump by 2
+    (1, 3, 4, MZ1D, 1, True),
+    (2, 2, 4, ASYM2D, 1, False),
+    # 63 sites, every fifth state
+    (3, 2, 3, None, 5, False),
+    # no environment particle: every tagged jump leaves the state as it is
+    (2, 2, 1, ASYM2D, 1, True),
+    # full lines along x: a jump along x leaves the state as it is
+    (2, 2, 5, NN2D, 1, True)])
+def test_source_major_moves_are_the_per_state_channel_loop(d, N, K, entries,
+                                                           step, still):
+    sp = make_space(d, N, K)
+    kernel = nn_kernel(3) if entries is None else build_kernel(d, entries)
+    masks = sp.bitmasks()[::step]
+    if entries is MZ1D:
+        assert len(sp.move_channels(kernel)) < (sp.M + 1) * 2
+    rows = {}
+    for tagged, keep in ((True, False), (True, True), (False, False)):
+        rows[tagged, keep] = grid_rows(sp, kernel, masks, tagged, keep)
+        assert rows[tagged, keep] == channel_rows(sp, kernel, masks, tagged,
+                                                  keep)
+    # whether any tagged jump leaves its state unchanged
+    assert (rows[True, True] != rows[True, False]) == still
+
+
+def test_table_keeps_the_jump_that_leaves_the_state_unchanged():
+    # 1d N=3 K=4 under +2 and -1: {-1, 1, 3} shifted by 2 is itself, and
+    # its seat 2 is vacant. The table lists that jump, moving the tagged
+    # particle; the generators drop it, as they drop every self-loop
+    sp = make_space(1, 3, 4)
+    kernel = build_kernel(1, MZ1D)
+    r = sp.rank_masks([bits_of(sp, [(-1,), (1,), (3,)])])[0]
+    plus_two = [z for z, _ in kernel.entries].index((2,))
+    table = TransitionTable(sp, kernel)
+    row = list(zip(table.target[r, :table.fill[r]].tolist(),
+                   table.jump[r, :table.fill[r]].tolist()))
+    assert (r, plus_two) in row
+    op = full_generator(sp, kernel)
+    assert op.offdiag[r, r] == 0.0
+    assert table.total[r] == pytest.approx(-op.diag[r] + 1.0 / 3.0, rel=1e-15)
+
+
+def small_block_builds():
+    """The reduced operators under three characters of the stabilizer of
+    e1, the full generator and the Monte Carlo table of the nearest-neighbour
+    walk on 2d N=2 K=5, whose full lines along x give tagged jumps that
+    leave the state unchanged, and the relaxation gap of 1d N=3 K=4."""
+    sp = make_space(2, 2, 5)
+    kernel = build_kernel(2, NN2D)
+    group = _symmetries(kernel)
+    keep, _ = _stabilizer(group, np.eye(2)[0])
+    stab = [group[h] for h in keep]
+    asm = ReducedAssembly(sp, kernel, sp.orbits(stab))
+    out = []
+    # the trivial character and the signs of each axis
+    for chi in [np.ones(len(stab))] + [[float(g[a, a]) for g in stab]
+                                       for a in range(2)]:
+        op = asm.operator(chi)
+        out += [op.offdiag.data, op.offdiag.indices, op.offdiag.indptr,
+                op.diag]
+    full = full_generator(sp, kernel)
+    out += [full.offdiag.data, full.offdiag.indices, full.offdiag.indptr,
+            full.diag]
+    table = TransitionTable(sp, kernel)
+    out += [table.target, table.jump, table.cum, table.fill]
+    out.append(np.array([relaxation_gap(make_space(1, 3, 4),
+                                        build_kernel(1, MZ1D))]))
+    return out
+
+
+def test_small_blocks_build_the_same_bits(monkeypatch):
+    # every system of the tier-1 tests is one block; these builds are
+    # split into blocks of one state, and of a few, and the reduced
+    # operator gathers one move or a few at a time
+    sp = make_space(2, 2, 5)
+    assert len(list(sp.moves(build_kernel(2, NN2D), sp.bitmasks()))) == 1
+    want = small_block_builds()
+    for cells in (1, 50):
+        monkeypatch.setattr(statespace, "MOVE_BLOCK", cells)
+        monkeypatch.setattr(generator, "GATHER_CHUNK", cells)
+        got = small_block_builds()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
