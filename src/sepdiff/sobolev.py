@@ -4,12 +4,14 @@ Every linear solve goes through :func:`solve_general`, which solves
 (lam I - L) u = f on the mean-zero subspace. At lam = 0 the system is
 singular with the constants as (left and right) null space; lam > 0 gives
 the resolvent. Its iterative path runs on an operator that re-projects
-onto the mean-zero subspace: scipy's conjugate gradients when the
-operator is symmetric, and otherwise BiCGSTAB, with restarted GMRES only
-when BiCGSTAB breaks down or stops short of the tolerance. The operator
-stores its null direction as ``null``: the normalized constants for a
-generator, and for a generator reduced to one symmetry type
-(``generator.ReducedAssembly.operator``) the reduced constants or None.
+onto the mean-zero subspace: conjugate gradients when the operator is
+symmetric, and otherwise BiCGSTAB, both numpy loops that replay scipy
+1.17's ``cg`` and ``bicgstab`` operation for operation, with scipy's
+restarted GMRES only when BiCGSTAB breaks down or stops short of the
+tolerance. The operator stores its null direction as ``null``: the
+normalized constants for a generator, and for a generator reduced to one
+symmetry type (``generator.ReducedAssembly.operator``) the reduced
+constants or None.
 
 The H1 seminorm is the square root of the Dirichlet form; the dual H-1
 norm is realized by one solve against the symmetric part: (-S) u = f
@@ -27,7 +29,9 @@ the states: the reflection commutes with the symmetric part of the
 generator and anticommutes with its skew part, so the constant has an
 odd eigenvector (see :func:`sector_constant`).
 
-scipy is imported inside the functions that call it, on first use.
+scipy is imported inside the functions that call it, on first use, and
+``scipy.sparse.linalg`` only by GMRES and ARPACK, so a solve by CG or
+BiCGSTAB leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -101,45 +105,108 @@ _KRYLOV_PATHS = {True: ("iterative-symmetric",),
                  False: ("iterative-nonsymmetric", "iterative-gmres")}
 
 
+def _cg(amv, b, tol, maxiter):
+    """Conjugate gradients for amv(u) = b from u = 0, stopped at
+    |r| < tol |b|: scipy 1.17's ``cg`` with no preconditioner, operation
+    for operation. Returns (u, completed iterations, converged); b = 0
+    returns a copy of b at once."""
+    bnrm = np.linalg.norm(b)
+    if bnrm == 0:
+        return b.copy(), 0, True
+    atol = float(tol) * float(bnrm)
+    x, r = np.zeros(b.size), b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, it, True
+        rho = np.dot(r, r)
+        if it > 0:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = amv(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, False
+
+
+@np.errstate(divide="raise", invalid="raise", over="raise")
+def _bicgstab(amv, b, tol, maxiter):
+    """BiCGSTAB (van der Vorst 1992) as :func:`_cg` runs CG, after scipy
+    1.17's ``bicgstab``: it also stops at the half step, and its eps^2
+    breakdown tests on rho and omega return the iterate unconverged. A
+    0/0 or an overflow returns u = None at once."""
+    it = 0
+    try:
+        bnrm = np.linalg.norm(b)
+        if bnrm == 0:
+            return b.copy(), 0, True
+        atol = float(tol) * float(bnrm)
+        tiny = np.finfo(float).eps ** 2
+        x, r, rtilde = np.zeros(b.size), b.copy(), b.copy()
+        for it in range(maxiter):
+            if np.linalg.norm(r) < atol:
+                return x, it, True
+            rho = np.dot(rtilde, r)
+            if abs(rho) < tiny or (it > 0 and abs(omega) < tiny):
+                return x, it, False
+            if it > 0:
+                p -= omega * v
+                p *= (rho / rho_prev) * (alpha / omega)
+                p += r
+            else:
+                p = r.copy()
+            v = amv(p)
+            rv = np.dot(rtilde, v)
+            if rv == 0:
+                return x, it, False
+            alpha = rho / rv
+            r -= alpha * v
+            if np.linalg.norm(r) < atol:
+                return x + alpha * p, it, True
+            t = amv(r)  # r is scipy's s from here to its update
+            omega = np.dot(t, r) / np.dot(t, t)
+            x += alpha * p
+            x += omega * r
+            r -= omega * t
+            rho_prev = rho
+    except FloatingPointError:
+        return None, it, False
+    return x, maxiter, False
+
+
 def _krylov_projected(op, b, tol, lam, path, x0=None):
     """Krylov solve of (lam I - op) u = b on the operator wrapped so every
     application re-projects off its null direction, by the solver ``path``
-    names: scipy's conjugate gradients ("iterative-symmetric"), BiCGSTAB
-    ("iterative-nonsymmetric") or GMRES(``GMRES_RESTART``)
-    ("iterative-gmres"), starting from ``x0`` (zero when None).
+    names: conjugate gradients ("iterative-symmetric", :func:`_cg`) or
+    BiCGSTAB ("iterative-nonsymmetric", :func:`_bicgstab`) from zero, or
+    scipy's GMRES(``GMRES_RESTART``) ("iterative-gmres") from ``x0`` (zero
+    when None), the one path here that imports ``scipy.sparse.linalg``.
 
-    Returns (u, iterations, converged); u is None when BiCGSTAB breaks down
-    on a division by zero or an overflow.
+    Returns (u, completed iterations, converged); u is None when BiCGSTAB
+    breaks down on a division by zero or an overflow.
     """
-    from scipy.sparse.linalg import LinearOperator, bicgstab, cg, gmres
+    def amv(v):
+        return op.project(_shifted(op, lam, op.project(v)))
 
     n = op.size
-    amv = LinearOperator(
-        (n, n), matvec=lambda v: op.project(_shifted(op, lam, op.project(v))),
-        dtype=float,
-    )
-    count = [0]
-
-    def _cb(_):
-        count[0] += 1
-
-    opts = dict(x0=x0, rtol=tol, atol=0.0,
-                maxiter=min(10 * n + 100, 100_000), callback=_cb)
+    maxiter = min(10 * n + 100, 100_000)
     if path == "iterative-symmetric":
-        x, info = cg(amv, b, **opts)
-    elif path == "iterative-gmres":
-        x, info = gmres(amv, b, restart=GMRES_RESTART,
-                        callback_type="pr_norm", **opts)
+        x, its, converged = _cg(amv, b, tol, maxiter)
+    elif path == "iterative-nonsymmetric":
+        x, its, converged = _bicgstab(amv, b, tol, maxiter)
     else:
-        # a 0/0, such as omega = (t.s)/(t.t) at t = 0, or an overflow of
-        # a diverging iterate ends the attempt at once; scipy's loop would
-        # carry the NaNs or infinities to its iteration cap
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                x, info = bicgstab(amv, b, **opts)
-        except FloatingPointError:
-            return None, count[0], False
-    return op.project(x), count[0], info == 0
+        from scipy.sparse.linalg import LinearOperator, gmres
+
+        done = []  # one entry per completed iteration
+        x, info = gmres(LinearOperator((n, n), matvec=amv, dtype=float), b,
+                        x0=x0, rtol=tol, atol=0.0, restart=GMRES_RESTART,
+                        maxiter=maxiter, callback=done.append,
+                        callback_type="pr_norm")
+        its, converged = len(done), info == 0
+    return (None if x is None else op.project(x)), its, converged
 
 
 def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
@@ -159,7 +226,7 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         orthogonal to the null direction (``op.require_range``):
         mean-zero for a generator.
     method : {"auto", "iterative", "dense"}
-        "iterative" runs scipy's conjugate gradients when op is symmetric.
+        "iterative" runs conjugate gradients when op is symmetric.
         Otherwise it runs BiCGSTAB, and GMRES(``GMRES_RESTART``) when
         BiCGSTAB breaks down (a division by zero or an overflow), stops
         unconverged or replays a residual above 2*tol; GMRES starts from
@@ -172,6 +239,8 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         direction (0 when ``op.null`` is None) lifts that direction and
         leaves the solution unchanged; "auto" tries the iterative path
         first and falls back to dense for sizes up to ``DENSE_SOLVE_MAX``.
+        CG and BiCGSTAB give scipy's solutions and iteration counts; a b
+        of norm 0 returns zeros after 0 iterations.
     lam : float
         Resolvent parameter, >= 0; 0 is the singular Poisson problem.
 

@@ -522,3 +522,28 @@ def test_mc_runs_without_scipy(tmp_path):
     # the control: a command that solves does load scipy
     assert "scipy.sparse" in _scipy_after(
         ["exact", "--config", small, "--out", str(tmp_path / "exact")])
+
+
+def test_exact_solves_without_scipy_sparse_linalg(tmp_path):
+    # CG and BiCGSTAB are numpy loops; scipy.sparse.linalg loads only for
+    # a GMRES fallback, as on 1d TASEP N=3 K=5, where BiCGSTAB breaks down
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, scipy.sparse; "
+         "print('scipy.sparse.linalg' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    if probe.stdout.strip() == "True":
+        pytest.skip("this scipy loads scipy.sparse.linalg with scipy.sparse")
+    nn2d = write_cfg(tmp_path, "nn2d.yaml", N=2, K=5, kernel={
+        "dimension": 2,
+        "entries": [{"z": z, "p": 0.25}
+                    for z in ([1, 0], [-1, 0], [0, 1], [0, -1])]})
+    tasep = write_cfg(tmp_path, "tasep.yaml", N=3, K=5, method="iterative",
+                      kernel={"dimension": 1, "entries": [{"z": [1], "p": 1}]})
+    loaded = _scipy_after(["exact", "--config", nn2d, "--out",
+                           str(tmp_path / "nn2d")])
+    assert "scipy.sparse" in loaded
+    assert "scipy.sparse.linalg" not in loaded
+    assert "scipy.sparse.linalg" in _scipy_after(
+        ["exact", "--config", tasep, "--out", str(tmp_path / "tasep")])
+    report = (tmp_path / "tasep" / "exact_report.txt").read_text()
+    assert "  method: iterative-gmres" in report.splitlines()

@@ -31,7 +31,9 @@ from sepdiff import (
     approximation_residual,
 )
 
-from sepdiff import sobolev
+from sepdiff import local_drift_functions, sobolev
+from sepdiff.diffusion import _symmetries
+from sepdiff.generator import ReducedAssembly
 from sepdiff.sobolev import _reflection_halves
 
 import _oracle
@@ -147,6 +149,86 @@ def test_unconverged_solve_names_every_attempt():
     message = str(err.value)
     assert "iterative-nonsymmetric" in message
     assert "iterative-gmres" in message
+
+
+#: the scipy release whose ``cg`` and ``bicgstab`` sobolev's loops replay
+#: operation for operation; on any other the solutions agree to 1e-12
+REPLAYED_SCIPY = "1.17."
+
+
+def _scipy_krylov(op, b, tol, lam):
+    """scipy's cg (op symmetric) or bicgstab on the projected operator
+    that solve_general's own loops run on: (solution, iterations)."""
+    n = op.size
+    amv = scipy.sparse.linalg.LinearOperator(
+        (n, n), dtype=float,
+        matvec=lambda v: op.project(sobolev._shifted(op, lam, op.project(v))))
+    done = []
+    opts = dict(rtol=tol, atol=0.0, maxiter=min(10 * n + 100, 100_000),
+                callback=done.append)
+    if op.is_symmetric():
+        x, info = scipy.sparse.linalg.cg(amv, b, **opts)
+    else:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            x, info = scipy.sparse.linalg.bicgstab(amv, b, **opts)
+    assert info == 0
+    return op.project(x), len(done)
+
+
+def _reduced_2d_odd():
+    # 2d NN N=2 K=5, e1's stabilizer under the character x -> -x: the
+    # reduced operator is symmetric and has no null direction
+    sp = StateSpace(TorusGeometry(2, 2), 5)
+    kernel = build_kernel(2, NN2D)
+    group = [g for g in _symmetries(kernel) if g[0, 1] == 0]
+    op = ReducedAssembly(sp, kernel, sp.orbits(group)).operator(
+        [float(g[0, 0]) for g in group])
+    v, _ = local_drift_functions(sp, kernel, [1.0, 0.0])
+    return op, op.coords.restrict(v)
+
+
+def _full_1d(entries):
+    sp = StateSpace(TorusGeometry(1, 12), 6)
+    kernel = build_kernel(1, entries)
+    return full_generator(sp, kernel), local_drift_functions(
+        sp, kernel, [1.0])[0]
+
+
+@pytest.mark.parametrize("system,path", [
+    (_reduced_2d_odd, "iterative-symmetric"),
+    (lambda: _full_1d(MZ1D), "iterative-nonsymmetric"),
+    (lambda: _full_1d([((1,), 0.8), ((-1,), 0.2)]), "iterative-nonsymmetric"),
+], ids=["reduced-2d-nn", "mean-zero-1d", "asym-0.8-0.2-1d"])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_krylov_loops_replay_scipy(system, path, lam):
+    op, b = system()
+    if path == "iterative-symmetric":
+        assert op.null is None and op.is_symmetric()
+    rep = solve_general(op, b, tol=1e-10, method="iterative", lam=lam)
+    ref, its = _scipy_krylov(op, b, 1e-10, lam)
+    assert rep.method == path
+    assert rep.iterations == its > 0
+    if scipy.__version__.startswith(REPLAYED_SCIPY):
+        assert rep.solution.tobytes() == ref.tobytes()
+    else:
+        assert np.allclose(rep.solution, ref, rtol=1e-12,
+                           atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("entries,lam", [(NN1D, 0.0), (MZ1D, 0.0),
+                                         (NN1D, 0.5), (MZ1D, 0.5)])
+def test_zero_rhs_returns_zero_at_once(entries, lam):
+    # a loop without the |b| = 0 guard divides 0 by 0: CG returns NaN and
+    # BiCGSTAB breaks down into a needless GMRES run
+    _, op = make(entries, N=6, K=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve_general(op, np.zeros(op.size), method="iterative",
+                            lam=lam)
+    assert rep.method == ("iterative-symmetric" if op.is_symmetric()
+                          else "iterative-nonsymmetric")
+    assert rep.solution.tolist() == [0.0] * op.size
+    assert rep.iterations == 0 and rep.relative_residual == 0.0
 
 
 def test_h1_norm_matches_reference(meanzero1d):
