@@ -400,12 +400,28 @@ def dirichlet_form(op, f):
 
 
 def check_ergodicity(op):
-    """Verify the transition graph is connected (weak connectivity)."""
-    from scipy.sparse.csgraph import connected_components
+    """Verify the transition graph is connected (weak connectivity).
 
+    Its components are counted on the CSR structure of the off-diagonal
+    part. Each state holds a label, a state of its own component. Every
+    round, for each edge whose ends hold labels a and b, lowers the label
+    of state a to at most b and that of state b to at most a, then
+    replaces each label by its own label, until the ends of every edge
+    hold the same label; the components are then the states that label
+    themselves.
+    """
     if op.size <= 1:
         return
-    n, _ = connected_components(op.offdiag, directed=False)
+    off = op.offdiag
+    rows = np.repeat(np.arange(op.size), np.diff(off.indptr))
+    label = np.arange(op.size)
+    a, b = label[rows], label[off.indices]
+    while (a != b).any():
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        label = label[label]
+        a, b = label[rows], label[off.indices]
+    n = int(np.count_nonzero(label == np.arange(op.size)))
     if n != 1:
         raise NotConnectedError(
             f"transition graph splits into {n} components", n_components=n

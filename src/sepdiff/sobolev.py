@@ -17,21 +17,21 @@ The H1 seminorm is the square root of the Dirichlet form; the dual H-1
 norm is realized by one solve against the symmetric part: (-S) u = f
 gives |f|_{-1}^2 = <f, u>.
 
-The spectral gap and the sector constant are top eigenvalues, found by
-ARPACK's implicitly restarted Lanczos (``eigsh``) above ``DENSE_EIG_MAX``
-states and by a dense eigendecomposition up to it. The gap is minus the
-top eigenvalue of the symmetric generator once a rank-one shift moves the
-constants to the bottom of its spectrum, so Lanczos applies only its
-matvec, on all of R^n. The sector constant is that of a pencil
-whose every application is one solve of the kind above; Lanczos finds it
-on the functions odd under the point reflection eta -> -eta, about half
-the states: the reflection commutes with the symmetric part of the
-generator and anticommutes with its skew part, so the constant has an
-odd eigenvector (see :func:`sector_constant`).
+The spectral gap and the sector constant are top eigenvalues, found by a
+plain Lanczos loop in numpy (:func:`_lanczos_top`) above
+``DENSE_EIG_MAX`` states and by a dense eigendecomposition up to it. The
+gap is minus the top eigenvalue of the symmetric generator once a
+rank-one shift moves the constants to the bottom of its spectrum, so
+Lanczos applies only its matvec, on all of R^n. The sector constant is
+that of a pencil whose every application is one solve of the kind above;
+Lanczos finds it on the functions odd under the point reflection
+eta -> -eta, about half the states: the reflection commutes with the
+symmetric part of the generator and anticommutes with its skew part, so
+the constant has an odd eigenvector (see :func:`sector_constant`).
 
 scipy is imported inside the functions that call it, on first use, and
-``scipy.sparse.linalg`` only by GMRES and ARPACK, so a solve by CG or
-BiCGSTAB leaves it unloaded.
+``scipy.sparse.linalg`` only by GMRES, so solves by CG or BiCGSTAB and
+both eigenvalues leave it unloaded.
 """
 
 from __future__ import annotations
@@ -53,16 +53,16 @@ from .kernel import _whole, symmetrize
 
 DENSE_SOLVE_MAX = 5000
 #: most states the spectral gap and the sector constant take densely under
-#: "auto": Lanczos overtakes near 200 states for the gap and between 460
-#: and 680 for the sector constant (one core; figures in README), and 500
-#: costs the gap at most about 8 ms
+#: "auto": Lanczos overtakes near 150 states for the gap and between 286
+#: and 462 for the sector constant (one core; figures in README), and 500
+#: costs them at most about 13 and 20 ms
 DENSE_EIG_MAX = 500
 GMRES_RESTART = 50
 #: tolerance of the solves inside the sector constant's Lanczos pencil and
 #: of the dual-norm solves of :func:`verify_prop1`
 EIG_SOLVE_TOL = 1e-12
-#: Lanczos basis size, ARPACK's default for one eigenvalue
-LANCZOS_NCV = 20
+#: Lanczos steps between two tests of its stopping rule
+LANCZOS_TEST_EVERY = 8
 #: relative slack of the duality inequalities in :func:`verify_prop1`
 PROP1_TOL = 1e-9
 
@@ -116,9 +116,9 @@ def _cg(amv, b, tol, maxiter):
     atol = float(tol) * float(bnrm)
     x, r = np.zeros(b.size), b.copy()
     for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
-            return x, it, True
         rho = np.dot(r, r)
+        if np.sqrt(rho) < atol:  # np.linalg.norm(r), bit for bit
+            return x, it, True
         if it > 0:
             p *= rho / rho_prev
             p += r
@@ -418,28 +418,115 @@ def verify_prop1(op, n_pairs=100, seed=0):
                        min_iii, max_gap_iii)
 
 
+def _top_ritz(alphas, offs, guess=None):
+    """(theta, s) for the symmetric tridiagonal T with diagonal ``alphas``
+    and off-diagonal ``offs`` >= 0: its largest eigenvalue and the last
+    entry of its unit eigenvector, in O(k) float operations where a dense
+    eigendecomposition takes O(k^3).
+
+    theta is the largest root of det(sigma I - T). Its roots are all real,
+    so from any sigma above them Laguerre's iteration falls monotonically
+    onto theta, cubically near it. det'/det and its derivative are sums
+    over the pivots d of sigma I - T = L D L^T, all positive there. The
+    iteration starts from ``guess`` when no pivot there is negative, that
+    is when it lies above theta, and otherwise from Gershgorin's bound.
+    Two steps of inverse iteration from the ones vector then give the
+    eigenvector.
+    """
+    k = len(alphas)
+    if k == 1:
+        return alphas[0], 1.0
+    b = [0.0, *offs, 0.0]
+    b2 = [x * x for x in b]
+    radii = [b[i] + b[i + 1] for i in range(k)]
+    # steps below rounding in T's scale would only crawl
+    floor = 2.0 * math.ulp(max(abs(a) + r for a, r in zip(alphas, radii)))
+
+    def laguerre(sigma):
+        """sigma's Laguerre step, and whether a pivot there is negative"""
+        d, d1, d2, g, h, below = 1.0, 0.0, 0.0, 0.0, 0.0, False
+        for a, bb in zip(alphas, b2):
+            q = bb / d
+            t = d1 / d
+            d1, d2 = 1.0 + q * t, q * (d2 - 2.0 * d1 * t) / d
+            d = sigma - a - q or floor  # a zero pivot moves sigma by rounding
+            below = below or d < 0.0
+            t = d1 / d
+            g += t
+            h += t * t - d2 / d
+        root = math.sqrt(max((k - 1) * (k * h - g * g), 0.0))
+        return k / (g + math.copysign(root, g)), below
+
+    step, below = (0.0, True) if guess is None else laguerre(guess)
+    sigma = guess
+    if below:  # no guess, or one below theta
+        sigma = max(a + r for a, r in zip(alphas, radii))
+        step = laguerre(sigma)[0]
+    while step > floor:  # false too once rounding crosses theta, or on NaN
+        sigma -= step
+        step = laguerre(sigma)[0]
+    piv, d = [], 1.0
+    for a, bb in zip(alphas, b2):
+        d = sigma - a - bb / d or floor
+        piv.append(d)
+    ratio = [bi / p for bi, p in zip(b[1:], piv)]
+    x = [1.0] * k
+    for _ in range(2):  # inverse iteration: x <- (sigma I - T)^-1 x
+        for i in range(1, k):
+            x[i] += ratio[i - 1] * x[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(k - 2, -1, -1):
+            x[i] = (x[i] + b[i + 1] * x[i + 1]) / piv[i]
+        top = max(map(abs, x))
+        x = [xi / top for xi in x]
+    return sigma, abs(x[-1]) / math.sqrt(math.fsum(xi * xi for xi in x))
+
+
 def _lanczos_top(n, matvec, tol, m=None, minv=None):
     """Largest eigenvalue of a self-adjoint operator on R^n, or of the
-    pencil (A, M) when ``m`` applies M and ``minv`` its inverse, by
-    ARPACK's implicitly restarted Lanczos from a fixed pseudo-random
-    vector; ARPACK failures raise NotConvergedError."""
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    pencil (A, M) when ``m`` applies M and ``minv`` its inverse, by plain
+    Lanczos: the three-term recurrence in the M inner product, holding a
+    handful of vectors of length n and no basis, from a fixed
+    pseudo-random vector.
 
-    def lin(f):
-        return None if f is None else LinearOperator((n, n), dtype=float,
-                                                     matvec=f)
-
+    Every ``LANCZOS_TEST_EVERY`` steps, and when the recurrence breaks
+    down, it tests ARPACK's stopping rule: a Ritz residual |beta s| of at
+    most tol * max(|theta|, eps^(2/3)) for the top Ritz value theta (see
+    :func:`_top_ritz`). Without reorthogonalization the basis loses
+    orthogonality once a Ritz value converges, which only adds copies of
+    converged values (Paige 1976). A NaN, an infinity or
+    min(10 n + 100, 100000) steps raise NotConvergedError.
+    """
     # a generic start: a structured one, such as the alternating +-1
     # vector, can be orthogonal to the top eigenvector by a symmetry of the
     # state space, and Lanczos then returns the next eigenvalue
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        top = eigsh(lin(matvec), k=1, M=lin(m), Minv=lin(minv), which="LA",
-                    v0=v0, ncv=min(LANCZOS_NCV, n), tol=tol,
-                    return_eigenvectors=False)
-    except ArpackError as exc:
-        raise NotConvergedError(f"Lanczos iteration failed: {exc}") from exc
-    return float(top[0])
+    v = np.random.default_rng(0).standard_normal(n)
+    beta = math.sqrt(v @ (v if m is None else m(v)))
+    v_prev = np.zeros(n)
+    alphas, offs, guess = [], [], None
+    for k in range(1, min(10 * n + 100, 100_000) + 1):
+        v /= beta
+        z = matvec(v)
+        alpha = float(v @ z)
+        w = z if minv is None else minv(z)
+        w -= alpha * v
+        w -= beta * v_prev
+        alphas.append(alpha)
+        beta = math.sqrt(max(float(w @ (w if m is None else m(w))), 0.0))
+        if not math.isfinite(alpha + beta):
+            break
+        if beta == 0.0 or k % LANCZOS_TEST_EVERY == 0:
+            theta, s = _top_ritz(alphas, offs, guess)
+            eps23 = np.finfo(float).eps ** (2 / 3)
+            if beta * s <= tol * max(abs(theta), eps23):
+                return theta
+            # an eigenvalue lies within the residual beta s of theta; once
+            # theta nears the top one, later Ritz values stay below this
+            guess = theta + 2.0 * beta * s
+        offs.append(beta)
+        v_prev, v = v, w
+    raise NotConvergedError(f"Lanczos stopped after {k} steps "
+                            f"(alpha {alpha!r}, beta {beta!r})")
 
 
 def _pinv(op):
@@ -465,8 +552,9 @@ def spectral_gap(op, method="auto", tol=1e-10):
     projection onto the constants, with shift = 2 * max exit rate. By
     Gershgorin the spectrum of op lies in [-shift, 0], so the shift moves
     the constants from 0 to the bottom of it and the top eigenvalue is
-    minus the gap, on all of R^n: a random restart of ARPACK may carry a
-    constant component, which Lanczos, looking for the top, leaves alone.
+    minus the gap, on all of R^n: rounding, which the recurrence amplifies
+    once the Krylov space of its start runs out, may carry a constant
+    component, which Lanczos, looking for the top, leaves alone.
     Each step is one matvec and no linear solve; ``tol`` is the relative
     accuracy Lanczos asks of that eigenvalue.
     """

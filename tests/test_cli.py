@@ -1,18 +1,16 @@
 import csv
 import io
 import json
+import math
 import pathlib
 import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 import yaml
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
-from sepdiff import StateSpace, TorusGeometry, build_kernel, compute_D
+from sepdiff import StateSpace, TorusGeometry, build_kernel, compute_D, sobolev
 from sepdiff.cli import _SCHEMA, RunConfig, main
 
 NN = {"dimension": 1,
@@ -456,11 +454,8 @@ def test_numerical_failure_exit_3(tmp_path):
 
 
 def test_lanczos_failure_exit_3(tmp_path, monkeypatch, capsys):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0),
-                                  np.zeros((0, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    # a Ritz residual that never falls runs Lanczos into its step cap
+    monkeypatch.setattr(sobolev, "_top_ritz", lambda *a: (1.0, math.inf))
     # 1d mean-zero N=4 K=4: 35 states, enough for the Lanczos path
     cfg = write_cfg(tmp_path, kernel=MZ, N=4, K=4, method="iterative",
                     diagnostics={"sector_constant": True})
@@ -524,15 +519,19 @@ def test_mc_runs_without_scipy(tmp_path):
         ["exact", "--config", small, "--out", str(tmp_path / "exact")])
 
 
-def test_exact_solves_without_scipy_sparse_linalg(tmp_path):
-    # CG and BiCGSTAB are numpy loops; scipy.sparse.linalg loads only for
-    # a GMRES fallback, as on 1d TASEP N=3 K=5, where BiCGSTAB breaks down
+def _skip_if_scipy_sparse_loads_linalg():
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, scipy.sparse; "
          "print('scipy.sparse.linalg' in sys.modules)"],
         capture_output=True, text=True, check=True)
     if probe.stdout.strip() == "True":
         pytest.skip("this scipy loads scipy.sparse.linalg with scipy.sparse")
+
+
+def test_exact_solves_without_scipy_sparse_linalg(tmp_path):
+    # CG and BiCGSTAB are numpy loops; scipy.sparse.linalg loads only for
+    # a GMRES fallback, as on 1d TASEP N=3 K=5, where BiCGSTAB breaks down
+    _skip_if_scipy_sparse_loads_linalg()
     nn2d = write_cfg(tmp_path, "nn2d.yaml", N=2, K=5, kernel={
         "dimension": 2,
         "entries": [{"z": z, "p": 0.25}
@@ -547,3 +546,22 @@ def test_exact_solves_without_scipy_sparse_linalg(tmp_path):
         ["exact", "--config", tasep, "--out", str(tmp_path / "tasep")])
     report = (tmp_path / "tasep" / "exact_report.txt").read_text()
     assert "  method: iterative-gmres" in report.splitlines()
+
+
+def test_diagnostics_without_scipy_sparse_linalg(tmp_path):
+    # 1d mean-zero N=7 at density 0.4: 1,287 states, above DENSE_EIG_MAX, so
+    # the gap and the sector constant run Lanczos, a numpy loop, and the
+    # sweep's ergodicity check counts components without csgraph, which
+    # would load scipy.sparse.linalg
+    _skip_if_scipy_sparse_loads_linalg()
+    cfg = write_cfg(tmp_path, kernel=MZ, N=7, alpha=0.4, diagnostics={
+        "spectral_gap": True, "sector_constant": True,
+        "hminus1_sweep": {"N_list": [4, 5]},
+        "observable": {"type": "occupancy", "site": [1]}})
+    loaded = _scipy_after(["diagnostics", "--config", cfg, "--out",
+                           str(tmp_path / "diag")])
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.sparse.linalg",
+                                                   "scipy.sparse.csgraph"))]
+    rows = read_rows(tmp_path / "diag" / "diagnostics.csv")
+    assert [r["name"] for r in rows[:2]] == ["gap", "C"]

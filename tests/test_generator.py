@@ -164,6 +164,51 @@ def test_ergodicity_check(nn1d):
     assert err.value.n_components == 2
 
 
+def _blocks(*blocks):
+    """A SparseOperator of the given dense blocks, its states shuffled so
+    that no component holds consecutive indices."""
+    off = scipy.sparse.block_diag(blocks, format="csr")
+    perm = np.random.default_rng(len(blocks)).permutation(off.shape[0])
+    return SparseOperator(off.shape[0], off[perm][:, perm])
+
+
+def _random_graph(n, edges, seed):
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, (2, edges))
+    keep = i != j
+    off = scipy.sparse.csr_matrix((np.ones(keep.sum()), (i[keep], j[keep])),
+                                  shape=(n, n))
+    return SparseOperator(n, off)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: full_generator(space_1d(3, 3), build_kernel(1, NN1D)),
+    lambda: full_generator(space_1d(4, 3), build_kernel(1, ASYM1D)),
+    lambda: full_generator(StateSpace(TorusGeometry(2, 2), 3),
+                           build_kernel(2, NN2D)),
+    # two components, one of them reached one way only
+    lambda: _blocks(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                              [0.0, 0.0, 0.0]])),
+    # three components: a one-way cycle, a one-way path and a pair
+    lambda: _blocks(np.roll(np.eye(5), 1, axis=1),
+                    np.eye(4, k=1), np.array([[0.0, 2.0], [2.0, 0.0]])),
+    lambda: _random_graph(300, 200, 0),
+    lambda: _random_graph(300, 400, 1),
+])
+def test_component_count_matches_csgraph(make):
+    from scipy.sparse.csgraph import connected_components
+
+    op = make()
+    want = connected_components(op.offdiag, directed=False)[0]
+    if want == 1:
+        check_ergodicity(op)
+        return
+    with pytest.raises(NotConnectedError) as err:
+        check_ergodicity(op)
+    assert err.value.n_components == want
+
+
 def test_sparse_operator_invariants(nn1d):
     op = full_generator(space_1d(2, 2), nn1d)
     assert op.size == 3

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from sepdiff import (
     NotConvergedError,
@@ -389,11 +388,11 @@ def test_spectral_gap_lanczos_small_gap_against_spectrum_top():
 def test_lanczos_restart_stays_on_mean_zero_subspace(monkeypatch):
     # 1d totally asymmetric, N=3, K=3: 10 states whose symmetric part has
     # 7 distinct eigenvalues, so the Krylov space of the start vector runs
-    # out and ARPACK restarts from a random vector
-    calls = []
-    real_eigsh = scipy.sparse.linalg.eigsh
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        lambda *a, **kw: calls.append(1) or real_eigsh(*a, **kw))
+    # out and the recurrence goes on from rounding noise, which can carry
+    # a constant component
+    calls, real_lanczos = [], sobolev._lanczos_top
+    monkeypatch.setattr(sobolev, "_lanczos_top", lambda *a, **kw: (
+        calls.append(1) or real_lanczos(*a, **kw)))
     _, op = make(ASYM1D)
     _, Q = _oracle.dense_generator(3, 1, 3, ASYM1D)
     values = {sector_constant(op, method="iterative") for _ in range(20)}
@@ -439,7 +438,7 @@ def test_sector_constant_small_odd_half_runs_dense(entries, monkeypatch):
     # 1d N=3 K=5: 5 states, of which 2 carry odd functions, too few for
     # Lanczos
     calls = []
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+    monkeypatch.setattr(sobolev, "_lanczos_top",
                         lambda *a, **kw: calls.append(1))
     _, op = make(entries, N=3, K=5)
     assert _reflection_halves(op)[1].size == 2
@@ -449,16 +448,100 @@ def test_sector_constant_small_odd_half_runs_dense(entries, monkeypatch):
 
 
 def test_lanczos_failure_is_not_converged(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0),
-                                  np.zeros((0, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    op = make_2d(ASYM2D, 4)
+    # a Ritz residual that never falls runs Lanczos into its step cap,
+    # min(10 n + 100, 100000): 200 steps on the 10 states, 140 on the 4 odd
+    # functions
+    monkeypatch.setattr(sobolev, "_top_ritz", lambda *a: (1.0, math.inf))
+    _, op = make(ASYM1D)
     with pytest.raises(NotConvergedError):
         spectral_gap(symmetric_part(op), method="iterative")
     with pytest.raises(NotConvergedError):
         sector_constant(op, method="iterative")
+
+
+def _lanczos_calls(monkeypatch, run):
+    """The (n, matvec, tol, m, minv) of every _lanczos_top call made by
+    ``run``, and what they returned."""
+    calls, real = [], sobolev._lanczos_top
+
+    def record(n, matvec, tol, m=None, minv=None):
+        calls.append((n, matvec, tol, m, minv, real(n, matvec, tol, m, minv)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(sobolev, "_lanczos_top", record)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("what, d, entries, N, K", [
+    ("gap", 1, MZ1D, 4, 4), ("gap", 2, NN2D, 2, 3), ("gap", 1, NN1D, 12, 3),
+    ("C", 1, MZ1D, 6, 6), ("C", 2, ASYM2D, 2, 4)])
+def test_lanczos_top_matches_arpack_and_dense(what, d, entries, N, K,
+                                              monkeypatch):
+    # 35 to 462 states: the gap's shifted generator (253 states: a gap of
+    # 0.025, small against the top of the spectrum) and the sector
+    # constant's pencil on the odd functions (226 and 218 of them)
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    op = full_generator(StateSpace(TorusGeometry(d, N), K),
+                        build_kernel(d, entries))
+    if what == "gap":
+        calls = _lanczos_calls(monkeypatch, lambda: spectral_gap(
+            symmetric_part(op), method="iterative"))
+    else:
+        calls = _lanczos_calls(monkeypatch, lambda: sector_constant(
+            op, method="iterative"))
+    (n, matvec, tol, m, minv, top), = calls
+    lin = [None if f is None else LinearOperator((n, n), matvec=f,
+                                                 dtype=float)
+           for f in (matvec, m, minv)]
+    arpack = eigsh(lin[0], k=1, M=lin[1], Minv=lin[2], which="LA",
+                   v0=np.random.default_rng(0).standard_normal(n),
+                   ncv=min(20, n), tol=tol, return_eigenvectors=False)[0]
+    assert top == pytest.approx(arpack, rel=1e-10)
+    _, Q = _oracle.dense_generator(N, d, K, entries)
+    if what == "gap":
+        assert -top == pytest.approx(_oracle.spectral_gap_value(Q), rel=1e-10)
+    else:
+        assert top == pytest.approx(_oracle.sector_value(Q), rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 60, 200])
+def test_top_ritz_matches_eigh(k):
+    # random tridiagonals, some with a cluster at the top; the guess lies
+    # above the top, at it, at the top of T less its last row and column,
+    # below the second eigenvalue, or is none
+    rng = np.random.default_rng(k)
+    for trial in range(6):
+        alphas = rng.standard_normal(k)
+        if trial % 2:
+            alphas[: k // 2] = 1.0 + 1e-9 * rng.standard_normal(k // 2)
+        offs = rng.uniform(0.01, 1.0, k - 1) * 10.0 ** -(trial % 3)
+        t = np.diag(alphas) + np.diag(offs, 1) + np.diag(offs, -1)
+        w, v = np.linalg.eigh(t)
+        scale = np.abs(w).max()
+        lead = np.linalg.eigvalsh(t[:-1, :-1])[-1] if k > 1 else None
+        below = w[-2] - 1.0 if k > 1 else None
+        for guess in (None, w[-1] + 1e-9, w[-1], lead, below):
+            theta, s = sobolev._top_ritz(alphas.tolist(), offs.tolist(),
+                                         guess)
+            assert abs(theta - w[-1]) <= 1e-13 * scale
+            if k > 1 and w[-1] - w[-2] > 1e-6 * scale:
+                assert s == pytest.approx(abs(v[-1, -1]), rel=1e-6, abs=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lanczos_non_finite_is_not_converged(bad):
+    def poisoned(x):
+        return np.full(x.size, bad)
+
+    def identity(x):
+        return x.copy()
+
+    with np.errstate(invalid="ignore"), pytest.raises(NotConvergedError):
+        sobolev._lanczos_top(10, poisoned, 1e-10)
+    with np.errstate(invalid="ignore"), pytest.raises(NotConvergedError):
+        sobolev._lanczos_top(10, identity, 1e-10, m=identity, minv=poisoned)
 
 
 def test_eigenvalue_routines_reject_unknown_method():
