@@ -249,47 +249,48 @@ class RunConfig:
 
         Builds the geometry and state space of every torus the command runs
         on, and the observable sites and blocks read there, by the library
-        calls the command makes; their typed errors are config errors. Then
-        checks the size caps of every torus whose states the command
-        enumerates: all of them for ``mc``, whose transition table holds
-        bitmasks even of a lone state, and those with more than one state
-        otherwise (the exact route answers a one-state torus without them).
+        calls the command makes; their typed errors are config errors. The
+        size caps are read from the counts, before any site is listed or
+        any state count formed. They hold on every torus whose states the
+        command enumerates: all of them for ``mc``, whose transition table
+        holds bitmasks even of a lone state, and those with more than one
+        state otherwise (the exact route answers a one-state torus without
+        them).
         """
         if command == "mc" and "T" not in self.mc:
             raise ConfigError("mc block needs a horizon 'T'")
         diag = self.diagnostics if command == "diagnostics" else {}
-        spaces = []
         if command == "sweep":
             along = {"sweep": self.N_list}
+            spaces = []
         else:
             along = {name: diag[name].get("N_list") for name in _ALONG_N
                      if name in diag}
-            spaces.append(self.space())
-            geo = spaces[-1].geometry
-            if command == "arbitrate-sign":
-                check_arbitration_horizon(spaces[-1], self.arbitrate.get("T"))
+            # the torus of N, and the sections that read it
+            spaces = [(self.space(), _OBSERVED_AT_N)]
             if "multiscale" in diag:
                 block = diag["multiscale"]
-                multiscale_scales(geo, block["l"], block["q"], block["n_max"])
-            if any(name in diag for name in _OBSERVED_AT_N):
-                self._check_sites(geo)
+                multiscale_scales(spaces[0][0].geometry, block["l"],
+                                  block["q"], block["n_max"])
         for name, n_list in along.items():
             if not n_list:
                 raise ConfigError(f"{name} needs 'N_list'")
             if self.alpha is None:
                 raise ConfigError(f"{name} runs at fixed density: give "
                                   "'alpha', not 'K'")
-            for N in n_list:
-                spaces.append(self.space(N))
-                geo = spaces[-1].geometry
-                if name in diag:
-                    self._check_sites(geo)
-                if name == "approximation":
-                    block_env_indices(geo, diag[name]["basis_scale"])
-        for space in spaces:
+            spaces += [(self.space(N), (name,)) for N in n_list]
+        for space, _ in spaces:
             # more than one state, read without forming the count
             if 0 < space.k < space.M or command == "mc":
                 space.require_tables()
+        if command == "arbitrate-sign":
+            check_arbitration_horizon(spaces[0][0], self.arbitrate.get("T"))
+        for space, sections in spaces:
+            if any(name in diag for name in sections):
+                self._check_sites(space.geometry)
+            if "approximation" in sections:
+                block_env_indices(space.geometry,
+                                  diag["approximation"]["basis_scale"])
 
     # -- derived objects ----------------------------------------------------
 

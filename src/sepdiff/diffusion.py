@@ -60,6 +60,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -406,7 +407,11 @@ def choose_K(alpha, geometry):
     """
     if not 0.0 <= alpha <= 1.0:
         raise OutOfRangeError(f"density must lie in [0, 1], got {alpha}")
-    k = int(math.floor(alpha * geometry.n_sites + 0.5))
+    try:
+        k = math.floor(alpha * geometry.n_sites + 0.5)
+    except OverflowError:
+        # a site count past the float range, multiplied exactly
+        k = math.floor(Fraction(alpha) * geometry.n_sites + Fraction(1, 2))
     return min(max(k, 1), geometry.n_sites)
 
 

@@ -200,8 +200,8 @@ RELAX_GAP_MAX = 2000
 class TransitionTable:
     """Channels enabled per state, as padded (state x width) arrays.
 
-    Row r lists the channels enabled in state r in canonical order (see
-    ``StateSpace.move_channels``) in its first ``fill[r]`` columns: target
+    Row r lists the channels enabled in state r in channel order (see
+    ``StateSpace.moves``) in its first ``fill[r]`` columns: target
     ranks, jump labels (-1 for environment moves) and cumulative rates,
     summed left to right. A tagged jump that leaves the state unchanged
     is listed too, since it moves the tagged particle. Padding columns
@@ -224,8 +224,10 @@ class TransitionTable:
         cell_jump = np.append(np.full(space.k * rates.size, -1),
                               np.arange(rates.size))
         cells = cell_rate.size
-        # a state enables at most |Z| moves per particle plus |Z| jumps
-        width = min(len(space.move_channels(kernel)), cells)
+        # a state enables at most |Z| moves per particle plus |Z| jumps,
+        # and at most M |Z| in all: each site's |Z| moves but those into
+        # the origin, one per entry, plus the |Z| jumps
+        width = min(space.M, space.k + 1) * rates.size
         n = space.size
         self.target = np.zeros((n, width), dtype=np.intp)
         self.jump = np.zeros((n, width), dtype=np.intp)

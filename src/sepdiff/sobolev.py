@@ -84,6 +84,16 @@ def _check_method(method):
         raise ValueError(f"unknown solve method {method!r}")
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise OutOfRangeError(f"tolerance must be finite and > 0, got {tol!r}")
+
+
+def _step_cap(n):
+    """Most iterations of a Krylov solve, and steps of Lanczos, on R^n."""
+    return min(10 * n + 100, 100_000)
+
+
 def _shifted(op, lam, v):
     """(lam I - op) v."""
     return lam * v - op.matvec(v)
@@ -192,7 +202,7 @@ def _krylov_projected(op, b, tol, lam, path, x0=None):
         return op.project(_shifted(op, lam, op.project(v)))
 
     n = op.size
-    maxiter = min(10 * n + 100, 100_000)
+    maxiter = _step_cap(n)
     if path == "iterative-symmetric":
         x, its, converged = _cg(amv, b, tol, maxiter)
     elif path == "iterative-nonsymmetric":
@@ -233,7 +243,7 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         BiCGSTAB's iterate when its replayed residual is below 1, and
         otherwise, as after a breakdown, from zero. Each runs on the
         operator re-projected off the null direction and is capped at
-        min(10 n + 100, 100000) iterations (GMRES: restart cycles; one
+        ``_step_cap(n)`` iterations (GMRES: restart cycles; one
         BiCGSTAB iteration applies the operator twice); "dense" factors
         lam I - op + P, whose projector P = null null^T onto the null
         direction (0 when ``op.null`` is None) lifts that direction and
@@ -253,11 +263,13 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
         "iterative-nonsymmetric" (BiCGSTAB), "iterative-gmres" or "dense".
 
     Raises NotConvergedError, naming every attempt, when no path reaches
-    the tolerance.
+    the tolerance, and OutOfRangeError before any work unless ``tol`` is
+    finite and > 0.
     """
     if lam < 0.0:
         raise ValueError(f"resolvent parameter must be >= 0, got {lam}")
     _check_method(method)
+    _check_tol(tol)
     b = np.asarray(b, dtype=float)
     op.require_range(b, "right-hand side")
     n = op.size
@@ -336,12 +348,15 @@ def verify_prop1(op, n_pairs=100, seed=0):
     the equality in (iii), are checked to ``PROP1_TOL`` relative, the
     attainment in (i) to 1e-6. Raises PropertyViolatedError with a witness
     on the first failure, and OutOfRangeError unless ``n_pairs`` is a
-    whole number >= 1.
+    whole number >= 1 and ``seed`` one >= 0.
     """
     if (_whole(n_pairs) or 0) < 1:
         raise OutOfRangeError(
             f"n_pairs must be a whole number >= 1, got {n_pairs!r}")
-    n_pairs = int(n_pairs)
+    if _whole(seed) is None or seed < 0:
+        raise OutOfRangeError(
+            f"seed must be a whole number >= 0, got {seed!r}")
+    n_pairs, seed = int(n_pairs), int(seed)
     n = op.size
     if n < 2:
         raise PropertyViolatedError("need at least 2 states to test norms")
@@ -495,7 +510,7 @@ def _lanczos_top(n, matvec, tol, m=None, minv=None):
     :func:`_top_ritz`). Without reorthogonalization the basis loses
     orthogonality once a Ritz value converges, which only adds copies of
     converged values (Paige 1976). A NaN, an infinity or
-    min(10 n + 100, 100000) steps raise NotConvergedError.
+    ``_step_cap(n)`` steps raise NotConvergedError.
     """
     # a generic start: a structured one, such as the alternating +-1
     # vector, can be orthogonal to the top eigenvector by a symmetry of the
@@ -504,7 +519,7 @@ def _lanczos_top(n, matvec, tol, m=None, minv=None):
     beta = math.sqrt(v @ (v if m is None else m(v)))
     v_prev = np.zeros(n)
     alphas, offs, guess = [], [], None
-    for k in range(1, min(10 * n + 100, 100_000) + 1):
+    for k in range(1, _step_cap(n) + 1):
         v /= beta
         z = matvec(v)
         alpha = float(v @ z)
@@ -556,10 +571,12 @@ def spectral_gap(op, method="auto", tol=1e-10):
     once the Krylov space of its start runs out, may carry a constant
     component, which Lanczos, looking for the top, leaves alone.
     Each step is one matvec and no linear solve; ``tol`` is the relative
-    accuracy Lanczos asks of that eigenvalue.
+    accuracy Lanczos asks of that eigenvalue, finite and > 0 on every path
+    (OutOfRangeError otherwise).
     """
     n = op.size
     dense = _eig_dense(method, n)
+    _check_tol(tol)
     if not op.is_symmetric():
         raise ValueError("spectral_gap expects a symmetric generator")
     if n == 1:
@@ -568,7 +585,8 @@ def spectral_gap(op, method="auto", tol=1e-10):
         return float(np.linalg.eigvalsh(-op.to_dense())[1])
     shift = 2.0 * op.max_exit_rate()
     return -_lanczos_top(
-        n, lambda x: op.matvec(x) - shift * (x - op.project(x)), tol)
+        n, lambda x: op.matvec(x) - (shift * float(op.null @ x)) * op.null,
+        tol)
 
 
 def _reflection_halves(op):
@@ -622,10 +640,12 @@ def sector_constant(op, method="auto", tol=1e-10):
     one odd copy, which also slows Lanczos. This path needs an operator
     from :func:`generator.full_generator` and raises ValueError on any
     other; an odd half of at most 2 states, too small for Lanczos, takes
-    the dense path. Symmetric operators give exactly 0.
+    the dense path. Symmetric operators give exactly 0. A ``tol`` that is
+    not finite and > 0 raises OutOfRangeError on every path.
     """
     n = op.size
     dense = _eig_dense(method, n)
+    _check_tol(tol)
     if n == 1:
         return 0.0
     a = -op.to_csr()

@@ -14,12 +14,10 @@ keeps the rows for 0 .. k set bits above a byte; a bitmask with more
 reads a clipped row and is refused by its count.
 
 Bulk work runs on a ``uint64`` array of occupancy bitmasks in rank order,
-so an environment has at most 64 sites. A channel is one (site, kernel
-entry) pair for the environment, or one kernel entry for the tagged
-particle (:meth:`StateSpace.move_channels`). Moves are enumerated source
-by source, a block of states at a time (:meth:`StateSpace.moves`): each
-state's k occupied sites x |Z| kernel entries, then its |Z| tagged jumps,
-which is the channel order, so the moves come out grouped by source with
+so an environment has at most 64 sites. Moves are enumerated source by
+source, a block of states at a time, in the channel order that
+:meth:`StateSpace.moves` defines, from a grid built once per kernel from
+the torus geometry (:func:`_grid`), so they come out grouped by source with
 no sort. Bits are moved to the sites' images, as a tagged jump or a
 lattice symmetry moves them, by a per-byte table (:func:`_moved`): one
 lookup per byte of the bitmask, however the sites are permuted.
@@ -62,9 +60,13 @@ def _count_exceeds(M, k, cap):
 def _short_count(M, k):
     """C(M, k) to two significant digits, as 9.4e238, from its logarithm:
     the count itself can have hundreds of thousands of digits and take
-    seconds to form."""
-    digits = (math.lgamma(M + 1) - math.lgamma(k + 1)
-              - math.lgamma(M - k + 1)) / math.log(10)
+    seconds to form. Past the float range, a lower bound: C(M, k) >= M
+    for 0 < k < M."""
+    try:
+        digits = (math.lgamma(M + 1) - math.lgamma(k + 1)
+                  - math.lgamma(M - k + 1)) / math.log(10)
+    except OverflowError:
+        return f"at least 1e{math.floor(math.log10(M))}"
     exponent = math.floor(digits)
     mantissa = round(10 ** (digits - exponent), 1)
     if mantissa == 10.0:
@@ -164,70 +166,35 @@ def _moved(masks, table):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Channel:
-    """One kind of move by kernel entry ``entry`` at rate ``rate``: an
-    environment particle leaving one site (``jump`` = -1), or a tagged
-    jump (``jump`` = ``entry``).
-
-    The move is enabled on a bitmask b where ``b & test == want``. An
-    environment move clears the source bit ``want`` and sets the vacant
-    target bit, so it leads to ``b ^ test``, and ``moves`` is None. A
-    tagged jump leads to b with its bits moved by the :func:`_move_table`
-    ``moves``.
-    """
-
-    entry: int
-    rate: float
-    test: np.uint64
-    want: np.uint64
-    moves: np.ndarray = None
-
-    @property
-    def jump(self):
-        return -1 if self.moves is None else self.entry
-
-
-def _build_channels(geo, kernel):
-    """Channels in canonical order; loops run over sites, not states."""
-    env = []
-    for i, site in enumerate(geo.env_sites):
-        for zi, (z, p) in enumerate(kernel.entries):
-            y = geo.wrap(tuple(a + b for a, b in zip(site, z)))
-            if y == geo.origin:
-                continue
-            t = geo.env_index(y)
-            env.append(Channel(zi, p, np.uint64((1 << i) | (1 << t)),
-                               np.uint64(1 << i)))
-    tagged = []
-    for zi, (z, p) in enumerate(kernel.entries):
-        # every occupied y moves to wrap(y - z); the seat wrap(z) is vacant
-        seat = geo.wrap(z)
-        ti = geo.env_index(seat)
-        moves = _move_table([
-            None if i == ti else
-            geo.env_index(tuple(a - b for a, b in zip(site, seat)))
-            for i, site in enumerate(geo.env_sites)])
-        tagged.append(Channel(zi, p, np.uint64(1 << ti), np.uint64(0), moves))
-    return tuple(env + tagged)
-
-
-def _grid(channels, M, n_entries):
-    """(vacant, flip, tagged): the channels laid out for
-    :meth:`StateSpace.moves`. An environment move from site i by kernel
-    entry zi is enabled where the bit ``vacant[i, zi]`` is clear, and
-    flips the bits ``flip[i, zi]``, source and target; a move into the
-    origin has no channel, and its ``vacant`` is the source bit, which is
-    set. ``tagged`` lists the tagged jumps' channels in kernel order."""
+def _grid(geo, kernel):
+    """(vacant, flip, tagged): the moves of ``kernel`` on the torus ``geo``
+    laid out for :meth:`StateSpace.moves`. An environment move from site i
+    by kernel entry zi is enabled where the bit ``vacant[i, zi]`` is clear,
+    and flips the bits ``flip[i, zi]``, source and target; a move into the
+    origin is never enabled, as its ``vacant`` is the source bit, which is
+    set. ``tagged`` lists the tagged jumps in kernel order, each as a
+    (seat, table) pair: enabled where the seat bit is clear, it moves the
+    bits by the :func:`_move_table` ``table``."""
+    M, n_entries = geo.n_env_sites, len(kernel.entries)
     sources = np.left_shift(np.uint64(1), np.arange(M, dtype=np.uint64))
     vacant = np.repeat(sources[:, None], n_entries, axis=1)
     flip = np.zeros_like(vacant)
-    for ch in channels:
-        if ch.moves is None:
-            i = int(ch.want).bit_length() - 1
-            vacant[i, ch.entry] = ch.test ^ ch.want
-            flip[i, ch.entry] = ch.test
-    return vacant, flip, [ch for ch in channels if ch.moves is not None]
+    for i, site in enumerate(geo.env_sites):
+        for zi, (z, _) in enumerate(kernel.entries):
+            y = geo.wrap(tuple(a + b for a, b in zip(site, z)))
+            if y != geo.origin:
+                vacant[i, zi] = 1 << geo.env_index(y)
+                flip[i, zi] = vacant[i, zi] | sources[i]
+    tagged = []
+    for z, _ in kernel.entries:
+        # every occupied y moves to wrap(y - z); the seat wrap(z) is vacant
+        seat = geo.wrap(z)
+        ti = geo.env_index(seat)
+        tagged.append((np.uint64(1 << ti), _move_table([
+            None if i == ti else
+            geo.env_index(tuple(a - b for a, b in zip(site, seat)))
+            for i, site in enumerate(geo.env_sites)])))
+    return vacant, flip, tagged
 
 
 @dataclass(frozen=True)
@@ -282,7 +249,7 @@ class StateSpace:
         self.alpha = (self.K - 1) / (geometry.n_sites - 1)
         self._bitmasks = None
         self._rank = None            # _rank_table, built on first use
-        self._channels = {}          # kernel -> channels
+        self._grids = {}             # kernel -> _grid
 
     # formed on first use: a count past the cap is refused without it
     @functools.cached_property
@@ -420,39 +387,32 @@ class StateSpace:
                       np.bincount(index, minlength=reps.size), mover,
                       ties[reps])
 
-    def move_channels(self, kernel):
-        """The kernel's channels on this torus, cached per kernel, in
-        canonical order: environment moves by source site, then kernel
-        entry; then tagged jumps in kernel order. (Sort key
-        ``site * |Z| + zi``, then ``M * |Z| + zi``.)"""
-        chans = self._channels.get(kernel)
-        if chans is None:
-            self.geometry.require_kernel_fits(kernel)
-            _require_word(self.M)
-            chans = self._channels[kernel] = _build_channels(self.geometry,
-                                                             kernel)
-        return chans
-
     def moves(self, kernel, masks, tagged=True, still=False):
         """Yield (lo, live, ranks) for each block of the states with uint64
         bitmasks ``masks``: the moves out of ``masks[lo:lo + len(live)]``,
-        source by source, each source's in channel order (see
-        :meth:`move_channels`).
+        source by source.
 
         ``live`` is a boolean grid with a row per source and (k + 1) |Z|
         columns, k |Z| when not ``tagged``: the source's occupied sites in
         ascending order x the kernel entries, then its tagged jumps in
-        kernel order. So column c is a move by kernel entry c % |Z|, a
-        tagged jump when c >= k |Z|, and it is set where the move is
-        enabled. ``ranks`` (int64) are the target ranks of the set cells
-        in row-major order, ranked in one call per block. A tagged jump
-        that leaves the state unchanged is set only when ``still``; an
-        environment move always changes it. Blocks hold at most
-        ``MOVE_BLOCK`` cells, or one row.
+        kernel order. This is the channel order, in which every consumer
+        of the moves lists them. So column c is a move by kernel entry
+        c % |Z|, a tagged jump when c >= k |Z|, and it is set where the
+        move is enabled. ``ranks`` (int64) are the target ranks of the set
+        cells in row-major order, ranked in one call per block. A tagged
+        jump that leaves the state unchanged is set only when ``still``;
+        an environment move always changes it. Blocks hold at most
+        ``MOVE_BLOCK`` cells, or one row. The kernel's move grid
+        (:func:`_grid`) is built on first use and cached, once the kernel
+        fits the torus and the environment fits the occupancy bitmask.
         """
+        grid = self._grids.get(kernel)
+        if grid is None:
+            self.geometry.require_kernel_fits(kernel)
+            _require_word(self.M)
+            grid = self._grids[kernel] = _grid(self.geometry, kernel)
+        vacant_bits, flip_bits, jumps = grid
         k, n_entries = self.k, len(kernel.entries)
-        vacant_bits, flip_bits, jumps = _grid(self.move_channels(kernel),
-                                              self.M, n_entries)
         masks = np.asarray(masks, dtype=np.uint64)
         width = (k + tagged) * n_entries
         step = max(1, MOVE_BLOCK // max(width, 1))
@@ -476,13 +436,13 @@ class StateSpace:
             np.bitwise_xor(b[:, None, None], flip_bits.take(sites, axis=0),
                            out=targets[:, :k])
             if tagged:
-                for ch in jumps:
-                    moved = _moved(b, ch.moves)
-                    enabled = (b & ch.test) == ch.want
+                for zi, (seat, table) in enumerate(jumps):
+                    moved = _moved(b, table)
+                    enabled = (b & seat) == 0
                     if not still:
                         enabled &= moved != b
-                    targets[:, k, ch.entry] = moved
-                    live[:, k, ch.entry] = enabled
+                    targets[:, k, zi] = moved
+                    live[:, k, zi] = enabled
             yield lo, live.reshape(b.size, width), self.rank_masks(
                 np.extract(live, targets))
 

@@ -35,6 +35,35 @@ def sub(x, z):
     return tuple(a - b for a, b in zip(x, z))
 
 
+def state_moves(N, d, b, entries, tagged=True, still=False):
+    """(kernel entry, jump label, target) of each move out of the state
+    whose environment site i (in ``env_sites`` order) is occupied where
+    bit i of ``b`` is set, the target a bitmask too, in channel order:
+    each occupied site, ascending, by each entry in turn, then the tagged
+    jumps by each entry. The label is -1 for an environment move and the
+    entry for a tagged jump. Environment moves take x to a vacant
+    non-origin y = wrap(x + z); a tagged jump needs a vacant seat wrap(z)
+    and re-centres every occupied y to wrap(y - z), and is kept when it
+    leaves the state unchanged only if ``still``.
+    """
+    sites = env_sites(N, d)
+    index = {s: i for i, s in enumerate(sites)}
+    occset = {s for i, s in enumerate(sites) if b >> i & 1}
+    moves = []
+    for x in sorted(occset):
+        for zi, (z, _) in enumerate(entries):
+            y = wrap(add(x, z), N)
+            if y != (0,) * d and y not in occset:
+                moves.append((zi, -1, (occset - {x}) | {y}))
+    for zi, (z, _) in enumerate(entries if tagged else ()):
+        seat = wrap(z, N)
+        new = {wrap(sub(y, seat), N) for y in occset}
+        if seat not in occset and (still or new != occset):
+            moves.append((zi, zi, new))
+    return [(zi, jump, sum(1 << index[y] for y in t))
+            for zi, jump, t in moves]
+
+
 def dense_generator(N, d, K, entries, env=True, tagged=True):
     """Dense rate matrix by direct move enumeration.
 

@@ -404,6 +404,17 @@ def test_size_cap_exit_4(tmp_path, capsys):
         # C(399999, 199999) states: refused without forming the count,
         # which alone takes seconds
         ("exact", "hugest", dict(N=200_000, alpha=0.5)),
+        # the same torus, refused before the horizon check counts it
+        ("arbitrate-sign", "arb-hugest", dict(N=200_000, alpha=0.5)),
+        # 2 * 10**30 sites: C(M, k) is past what math.comb takes
+        ("arbitrate-sign", "arb-wider", dict(N=10**30, alpha=0.4)),
+        # an approximation rung whose sites could not be listed
+        ("diagnostics", "rung-wider", dict(
+            N=3, alpha=0.5, diagnostics={
+                "observable": {"type": "occupancy", "site": [1]},
+                "approximation": {"N_list": [10**30]}})),
+        # a site count past the float range: K is chosen exactly
+        ("exact", "float-edge", dict(N=1.0e308, alpha=0.5)),
         # the last rung of a sweep is refused before the first one runs
         ("sweep", "rungs", dict(N_list=[3, 40], alpha=0.5)),
         # one state, but the Monte Carlo table holds its 79-site bitmask
@@ -430,19 +441,27 @@ def test_size_cap_exit_4(tmp_path, capsys):
 
 def test_wide_torus_refused_without_listing_its_sites(tmp_path, capsys):
     # 399,999 environment sites: refused by their count, before any site
-    # is listed (listing them would hold about 80 MB)
+    # is listed (listing them would hold about 80 MB); diagnostics check
+    # the observable's site only after the caps
     import tracemalloc
 
-    cfg = write_cfg(tmp_path, kernel=NN, N=200_000, K=2)
-    tracemalloc.start()
-    try:
-        code = main(["exact", "--config", cfg, "--out", str(tmp_path / "o")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 4
-    assert capsys.readouterr().err.startswith("size cap: 399999 environment")
-    assert peak < 10e6
+    observed = {"observable": {"type": "occupancy", "site": [1]},
+                "resolvent": {"lambdas": [1.0]}}
+    for command, extra in (("exact", {}),
+                           ("diagnostics", {"diagnostics": observed})):
+        cfg = write_cfg(tmp_path, kernel=NN, N=200_000, K=2, **extra)
+        out = tmp_path / command
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", cfg, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4, command
+        assert capsys.readouterr().err.startswith(
+            "size cap: 399999 environment"), command
+        assert peak < 10e6, command
+        assert not out.exists(), command
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -33,7 +33,7 @@ from sepdiff.generator import (  # noqa: E402
     assemble_environment,
 )
 from sepdiff.montecarlo import relaxation_gap  # noqa: E402
-from sepdiff.statespace import _move_table, _moved  # noqa: E402
+from sepdiff.statespace import _grid, _move_table, _moved  # noqa: E402
 
 import _oracle  # noqa: E402
 from conftest import check_symmetry_route, nn_kernel  # noqa: E402
@@ -195,12 +195,14 @@ def test_tagged_jump_tables_on_tori(d, N):
     kernel = nn_kernel(d)
     words = np.random.default_rng(sp.M).integers(
         0, 2**sp.M, size=300, dtype=np.uint64)
-    for ch in sp.move_channels(kernel)[-len(kernel.entries):]:
-        z = kernel.entries[ch.jump][0]
-        images = [None if y == geo.wrap(z) else
-                  geo.env_index(_oracle.wrap(_oracle.sub(y, z), N))
-                  for y in geo.env_sites]
-        assert _moved(words, ch.moves).tolist() == \
+    sites = _oracle.env_sites(N, d)
+    index = {y: i for i, y in enumerate(sites)}
+    for (z, _), (seat, table) in zip(kernel.entries,
+                                     _grid(geo, kernel)[2]):
+        assert int(seat) == 1 << index[_oracle.wrap(z, N)]
+        images = [None if y == _oracle.wrap(z, N) else
+                  index[_oracle.wrap(_oracle.sub(y, z), N)] for y in sites]
+        assert _moved(words, table).tolist() == \
             per_site_image(words.tolist(), images)
 
 
@@ -298,28 +300,22 @@ def test_reduced_operator_is_the_live_moves_product(d, N, K, n_chars):
     assert tuple(placeholders) == PLACEHOLDERS[(d, N, K)]
 
 
-def channel_moves(sp, kernel, masks):
-    """(source, channel, target bitmask) of every move out of the states
-    with bitmasks ``masks`` that changes the state: a loop over the states
-    and, per state, over ``move_channels`` in order."""
-    out = []
-    for s, b in enumerate(masks.tolist()):
-        for ch in sp.move_channels(kernel):
-            if b & int(ch.test) != int(ch.want):
-                continue
-            t = (b ^ int(ch.test) if ch.moves is None
-                 else int(_moved(np.array([b], dtype=np.uint64), ch.moves)[0]))
-            if t != b:
-                out.append((s, ch, t))
-    return out
+def oracle_moves(sp, kernel, masks):
+    """(source, rate, target bitmask) of every move out of the states with
+    bitmasks ``masks`` that changes the state, from the oracle's per-state
+    move list."""
+    N, d = sp.geometry.N, sp.geometry.dimension
+    return [(s, kernel.entries[zi][1], t)
+            for s, b in enumerate(masks.tolist())
+            for zi, _, t in _oracle.state_moves(N, d, b, kernel.entries)]
 
 
 @pytest.mark.parametrize("d,N,K", [(2, 2, 5), (3, 2, 3)])
 def test_reduced_operator_weights_are_formed_from_the_channels(d, N, K):
     # the assembly stores integers per move; each entry of the operator is
     # rate x sqrt(|O|) / sqrt(|O'|) of its move, signed by chi of its
-    # mover and 0 at a placeholder, bit for bit, in the order of a
-    # per-state loop over the channels; a placeholder sits in column 0
+    # mover and 0 at a placeholder, bit for bit, in the order of the
+    # oracle's per-state move list; a placeholder sits in column 0
     sp = StateSpace(TorusGeometry(d, N), K)
     kernel = nn_kernel(d)
     group = _symmetries(kernel)
@@ -330,9 +326,9 @@ def test_reduced_operator_weights_are_formed_from_the_channels(d, N, K):
     for field in (asm._starts, asm._target, asm._mover, asm._entry):
         assert np.issubdtype(field.dtype, np.integer), field.dtype
     roots = np.sqrt(orbits.sizes)
-    moves = channel_moves(sp, kernel, sp.bitmasks()[orbits.reps])
+    moves = oracle_moves(sp, kernel, sp.bitmasks()[orbits.reps])
     src = np.array([s for s, _, _ in moves])
-    rates = np.array([ch.rate for _, ch, _ in moves])
+    rates = np.array([rate for _, rate, _ in moves])
     ranks = sp.rank_masks(np.array([t for _, _, t in moves], dtype=np.uint64))
     cols, movers = orbits.index[ranks], orbits.mover[ranks]
     weights = rates * roots[src] / roots[cols]

@@ -163,7 +163,7 @@ def _scipy_krylov(op, b, tol, lam):
         (n, n), dtype=float,
         matvec=lambda v: op.project(sobolev._shifted(op, lam, op.project(v))))
     done = []
-    opts = dict(rtol=tol, atol=0.0, maxiter=min(10 * n + 100, 100_000),
+    opts = dict(rtol=tol, atol=0.0, maxiter=sobolev._step_cap(n),
                 callback=done.append)
     if op.is_symmetric():
         x, info = scipy.sparse.linalg.cg(amv, b, **opts)
@@ -661,6 +661,33 @@ def test_prop1_refuses_a_pair_count_that_is_not_whole_and_positive(n_pairs):
     with pytest.raises(OutOfRangeError):
         verify_prop1(op, n_pairs=n_pairs, seed=2)
     assert verify_prop1(op, n_pairs=2.0, seed=2).n_pairs == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+def test_prop1_refuses_a_seed_that_is_not_whole_and_non_negative(seed):
+    _, op = make(MZ1D)
+    with pytest.raises(OutOfRangeError):
+        verify_prop1(op, n_pairs=2, seed=seed)
+    assert verify_prop1(op, n_pairs=2, seed=2.0).n_pairs == 2
+
+
+def test_tolerance_not_finite_and_positive_is_refused(monkeypatch):
+    # refused before any work: no solve and no Lanczos step
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(sobolev, "_krylov_projected", refuse)
+    monkeypatch.setattr(sobolev, "_lanczos_top", refuse)
+    _, op = make(MZ1D)
+    sym = symmetric_part(op)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(OutOfRangeError):
+            solve_general(op, np.zeros(op.size), tol=tol)
+        for method in ("dense", "iterative"):
+            with pytest.raises(OutOfRangeError):
+                spectral_gap(sym, tol=tol, method=method)
+            with pytest.raises(OutOfRangeError):
+                sector_constant(op, tol=tol, method=method)
 
 
 def test_resolvent_solves_shifted_system():

@@ -18,7 +18,7 @@ from sepdiff import generator, statespace
 from sepdiff.diffusion import _stabilizer, _symmetries
 from sepdiff.generator import ReducedAssembly
 from sepdiff.montecarlo import TransitionTable, relaxation_gap
-from sepdiff.statespace import BITMASK_WIDTH, _moved
+from sepdiff.statespace import BITMASK_WIDTH
 
 import _oracle
 from conftest import MZ1D, NN1D, NN2D, nn_kernel
@@ -144,8 +144,6 @@ def tagged_moves(sp, kernel, z):
     """{source bitmask: target bitmask} of the tagged jump by z, read from
     its column of the move grid, unchanged states included."""
     zi = [zz for zz, _ in kernel.entries].index(z)
-    ch = sp.move_channels(kernel)[zi - len(kernel.entries)]
-    assert ch.jump == zi
     col = sp.k * len(kernel.entries) + zi
     masks = sp.bitmasks()
     moves = {}
@@ -382,22 +380,11 @@ def grid_rows(sp, kernel, masks, tagged=True, still=False):
     return rows
 
 
-def channel_rows(sp, kernel, masks, tagged=True, still=False):
-    """The same from a loop over the states and, per state, over
-    ``move_channels`` in order."""
-    rows = []
-    for b in masks.tolist():
-        row = []
-        for ch in sp.move_channels(kernel):
-            if (ch.moves is not None and not tagged
-                    or b & int(ch.test) != int(ch.want)):
-                continue
-            t = (b ^ int(ch.test) if ch.moves is None
-                 else int(_moved(np.array([b], dtype=np.uint64), ch.moves)[0]))
-            if t != b or still:
-                row.append((ch.entry, ch.jump, t))
-        rows.append(row)
-    return rows
+def oracle_rows(sp, kernel, masks, tagged=True, still=False):
+    """The same from the oracle's per-state move list."""
+    N, d = sp.geometry.N, sp.geometry.dimension
+    return [_oracle.state_moves(N, d, b, kernel.entries, tagged, still)
+            for b in masks.tolist()]
 
 
 ASYM2D = [((1, 0), 0.4), ((0, 1), 0.3), ((-1, 0), 0.2), ((0, -1), 0.1)]
@@ -405,7 +392,7 @@ ASYM2D = [((1, 0), 0.4), ((0, 1), 0.3), ((-1, 0), 0.2), ((0, -1), 0.1)]
 
 @pytest.mark.parametrize("d,N,K,entries,step,still", [
     (1, 3, 3, NN1D, 1, False),
-    # range 2: the moves into the origin have no channel; {-1, 1, 3} is
+    # range 2: the moves into the origin are never enabled; {-1, 1, 3} is
     # its own image under the tagged jump by 2
     (1, 3, 4, MZ1D, 1, True),
     (2, 2, 4, ASYM2D, 1, False),
@@ -421,12 +408,13 @@ def test_source_major_moves_are_the_per_state_channel_loop(d, N, K, entries,
     kernel = nn_kernel(3) if entries is None else build_kernel(d, entries)
     masks = sp.bitmasks()[::step]
     if entries is MZ1D:
-        assert len(sp.move_channels(kernel)) < (sp.M + 1) * 2
+        # -2 by +2 and 1 by -1 land on the origin: no state lists them
+        assert any(b & bits_of(sp, [(-2,), (1,)]) for b in masks.tolist())
     rows = {}
     for tagged, keep in ((True, False), (True, True), (False, False)):
         rows[tagged, keep] = grid_rows(sp, kernel, masks, tagged, keep)
-        assert rows[tagged, keep] == channel_rows(sp, kernel, masks, tagged,
-                                                  keep)
+        assert rows[tagged, keep] == oracle_rows(sp, kernel, masks, tagged,
+                                                 keep)
     # whether any tagged jump leaves its state unchanged
     assert (rows[True, True] != rows[True, False]) == still
 
