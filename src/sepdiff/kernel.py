@@ -258,10 +258,6 @@ class TorusGeometry:
     def env_sites(self):
         return [s for s in self.sites if s != self.origin]
 
-    @functools.cached_property
-    def _env_index(self):
-        return {s: i for i, s in enumerate(self.env_sites)}
-
     def __repr__(self):
         return f"TorusGeometry(dimension={self.dimension}, N={self.N})"
 
@@ -271,11 +267,16 @@ class TorusGeometry:
         return tuple(((c + self.N - 1) % self.side) - self.N + 1 for c in site)
 
     def env_index(self, site):
-        """Index of a canonical environment site; the origin is rejected."""
+        """Index of the environment site at wrap(site): its row-major place
+        among ``sites``, less one past the origin, which is rejected."""
         site = self.wrap(site)
         if site == self.origin:
             raise OutOfRangeError("the origin is not an environment site")
-        return self._env_index[site]
+        place = origin = 0
+        for c in site:
+            place = place * self.side + c + self.N - 1
+            origin = origin * self.side + self.N - 1
+        return place - (place > origin)
 
     def require_kernel_fits(self, kernel):
         """Enforce 2N > 2R so displacements embed injectively in the torus."""

@@ -198,17 +198,14 @@ RELAX_GAP_MAX = 2000
 
 
 class TransitionTable:
-    """Channels enabled per state, as padded (state x width) arrays.
-
-    Row r lists the channels enabled in state r in channel order (see
-    ``StateSpace.moves``) in its first ``fill[r]`` columns: target
-    ranks, jump labels (-1 for environment moves) and cumulative rates,
-    summed left to right. A tagged jump that leaves the state unchanged
-    is listed too, since it moves the tagged particle. Padding columns
-    repeat the row total in ``cum``, so ``total[r] = cum[r, -1]``. The
-    stream rule of the module docstring picks the channel of an event from
-    these cumulative rates. The rows are filled from ``StateSpace.moves``
-    by one scatter per block of states.
+    """The move grid of ``StateSpace.moves``, still tagged jumps enabled
+    (they move the tagged particle), as (state x (k + 1) |Z|) arrays:
+    ``target`` holds each enabled cell's target rank and ``cum`` the row's
+    rates summed in channel order, a disabled cell adding 0; ``labels[c]``
+    is column c's jump label, -1 for an environment move, else the kernel
+    entry. ``total`` holds the row totals; ``cum`` is +inf from a row's
+    last enabled cell on (a frozen row's last cell), so the stream rule
+    picks an enabled cell even where u2 * lam rounds up to lam.
     """
 
     def __init__(self, space, kernel):
@@ -217,37 +214,24 @@ class TransitionTable:
         self.kernel = kernel
         # (|Z|, d) jump displacements: positions are jump counts @ zvecs
         self.zvecs = np.array([z for z, _ in kernel.entries], dtype=np.int64)
-        masks = space.bitmasks()
         rates = np.array([p for _, p in kernel.entries])
-        # per column of the move grid, its rate and its jump label
+        self.labels = np.append(np.full(space.k * rates.size, -1),
+                                np.arange(rates.size))
         cell_rate = np.tile(rates, space.k + 1)
-        cell_jump = np.append(np.full(space.k * rates.size, -1),
-                              np.arange(rates.size))
-        cells = cell_rate.size
-        # a state enables at most |Z| moves per particle plus |Z| jumps,
-        # and at most M |Z| in all: each site's |Z| moves but those into
-        # the origin, one per entry, plus the |Z| jumps
-        width = min(space.M, space.k + 1) * rates.size
-        n = space.size
+        n, width = space.size, cell_rate.size
         self.target = np.zeros((n, width), dtype=np.intp)
-        self.jump = np.zeros((n, width), dtype=np.intp)
         self.cum = np.zeros((n, width))
-        self.fill = np.zeros(n, dtype=np.intp)
+        self.total = np.zeros(n)
+        masks = space.bitmasks()
         for lo, live, ranks in space.moves(kernel, masks, still=True):
-            fill = np.count_nonzero(live, axis=1)
-            self.fill[lo:lo + fill.size] = fill
-            # each move's flat place in the table: its row's start, then
-            # its place in the row
-            first = np.cumsum(fill) - fill
-            at = np.repeat((lo + np.arange(fill.size)) * width - first, fill)
-            at += np.arange(at.size)
-            cell = np.flatnonzero(live) % cells
-            np.put(self.target, at, ranks)
-            np.put(self.jump, at, cell_jump.take(cell))
-            np.put(self.cum, at, cell_rate.take(cell))
-        # accumulating along each row adds in channel order
-        np.cumsum(self.cum, axis=1, out=self.cum)
-        self.total = self.cum[:, -1].copy()
+            rows = slice(lo, lo + len(live))
+            self.target[rows][live] = ranks
+            # accumulating along each row adds in channel order, and a
+            # zero rate adds exactly 0.0
+            cum = np.cumsum(live * cell_rate, axis=1, out=self.cum[rows])
+            self.total[rows] = cum[:, -1]
+            last = width - 1 - np.argmax(live[:, ::-1], axis=1)
+            cum[np.arange(width) >= last[:, None]] = np.inf
 
 
 def _lockstep(table, rngs, ranks, T):
@@ -255,12 +239,13 @@ def _lockstep(table, rngs, ranks, T):
 
     Each numpy step advances every lane of a refill block by one event,
     consuming two uniforms of its own generator by the stream rule of the
-    module docstring. A lane leaves when its clock passes 2T or its state
-    is frozen: its final rank is recorded at once, and until the block
-    ends it keeps its place and tallies into a sink that is discarded, so
-    the arrays are compacted only when uniforms are next drawn. An event
-    at time t is tallied in the second window when t >= T, so the counts
-    up to T are those of a run stopped at T.
+    module docstring; the jump label is read off the chosen column. A lane
+    leaves when its clock passes 2T or its state is frozen: its final rank
+    is recorded at once, and until the block ends it keeps its place and
+    tallies into a sink that is discarded, so the arrays are compacted
+    only when uniforms are next drawn. An event at time t is tallied in
+    the second window when t >= T, so the counts up to T are those of a
+    run stopped at T.
     Uniforms are drawn ``REFILL`` events at a time, and consecutive draws
     of one generator give the same doubles as a single draw, so results do
     not depend on how replicas are grouped.
@@ -271,9 +256,9 @@ def _lockstep(table, rngs, ranks, T):
     end = 2.0 * T
     stride = len(table.kernel.entries) + 1
     wide = 2 * stride
-    width = table.cum.shape[1]
-    total, cum, last = table.total, table.cum, table.fill - 1
-    jump, target = table.jump.ravel(), table.target.ravel()
+    total, cum, labels = table.total, table.cum, table.labels
+    width = cum.shape[1]
+    target = table.target.ravel()
     ones = np.ones(width)
     # lane i counts its events before T at i * wide + 1 + jump label and
     # later ones a stride further on, so slot 0 of each window takes the
@@ -314,15 +299,13 @@ def _lockstep(table, rngs, ranks, T):
                         break
                 # rows ascend, so the count of entries <= thr is
                 # bisect_right; a product with ones counts them fastest.
-                # Lanes that left step on into the sink; in a frozen state
-                # the clamp gives column -1, a valid index all the same
+                # Each row ends in +inf, so the column is in the row, and
+                # lanes that left step on into the sink
                 thr = ut[2 * s + 1] * lam
                 j = ((cum.take(rank, axis=0) <= thr[:, None]) @ ones).astype(
                     np.intp)
-                np.minimum(j, last.take(rank), out=j)
-                flat = rank * width + j
-                moves.append(slot + jump.take(flat) + stride * (t >= T))
-                rank = target.take(flat)
+                moves.append(slot + labels.take(j) + stride * (t >= T))
+                rank = target.take(rank * width + j)
             if moves:
                 counts += np.bincount(np.concatenate(moves),
                                       minlength=counts.size)

@@ -58,15 +58,28 @@ def _count_exceeds(M, k, cap):
 
 
 def _short_count(M, k):
-    """C(M, k) to two significant digits, as 9.4e238, from its logarithm:
-    the count itself can have hundreds of thousands of digits and take
-    seconds to form. Past the float range, a lower bound: C(M, k) >= M
-    for 0 < k < M."""
+    """C(M, k) from its logarithm, as 9.4e238: the count itself can have
+    hundreds of thousands of digits and take seconds to form. With
+    j = min(k, M - k), ln C(M, k) = ln M! - ln (M - j)! - ln j!, and the
+    first two terms, whose lgamma values would cancel, are taken together
+    from Stirling's series to its x^-3 term, off by less than
+    1 / (1260 (M - j)^5). Where the sum, good to 8 ulps of its terms,
+    holds no two digits of the count, the power of ten is printed with the
+    digits it holds, as 10^(5.845705064773e29); past the float range, a
+    lower bound: C(M, k) >= M for 0 < k < M."""
+    j = min(k, M - k)
     try:
-        digits = (math.lgamma(M + 1) - math.lgamma(k + 1)
-                  - math.lgamma(M - k + 1)) / math.log(10)
+        tail = [1 / (12 * x) - 1 / (360 * x**3) for x in (M, M - j)]
+        terms = [j * math.log(M), -(M - j + 0.5) * math.log1p(-j / M),
+                 -float(j), tail[0] - tail[1], -math.lgamma(j + 1)]
     except OverflowError:
         return f"at least 1e{math.floor(math.log10(M))}"
+    digits = sum(terms) / math.log(10)
+    err = (8 * np.finfo(float).eps * sum(map(abs, terms))
+           + 1 / (1260 * (M - j)**5)) / math.log(10)
+    if err > 1e-3:
+        held = math.floor(math.log10(digits)) - math.ceil(math.log10(err))
+        return f"10^({digits:.{held}e})".replace("e+", "e")
     exponent = math.floor(digits)
     mantissa = round(10 ** (digits - exponent), 1)
     if mantissa == 10.0:

@@ -52,6 +52,17 @@ ASYM1D = [((1,), 1.0)]
 NN2D = [((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)]
 
 
+def table_cells(table, r):
+    """(column, target rank, jump label, cumulative rate) of each enabled
+    cell of row r of a Monte Carlo ``TransitionTable``, in column order:
+    the cells where the cumulative rate, capped at the row's total, steps
+    up."""
+    cum = np.minimum(table.cum[r], table.total[r])
+    on = np.flatnonzero(np.diff(cum, prepend=0.0) > 0.0)
+    return list(zip(on.tolist(), table.target[r, on].tolist(),
+                    table.labels[on].tolist(), cum[on].tolist()))
+
+
 def dense_matrix(sp, kernel):
     """D from d independent dense solves, one per coordinate axis."""
     op = full_generator(sp, kernel)

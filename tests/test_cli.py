@@ -408,6 +408,8 @@ def test_size_cap_exit_4(tmp_path, capsys):
         ("arbitrate-sign", "arb-hugest", dict(N=200_000, alpha=0.5)),
         # 2 * 10**30 sites: C(M, k) is past what math.comb takes
         ("arbitrate-sign", "arb-wider", dict(N=10**30, alpha=0.4)),
+        # 10**20 - 1 states: lgamma differences would cancel to 1e0
+        ("exact", "one-walker", dict(N=5 * 10**19, K=2)),
         # an approximation rung whose sites could not be listed
         ("diagnostics", "rung-wider", dict(
             N=3, alpha=0.5, diagnostics={
@@ -430,8 +432,11 @@ def test_size_cap_exit_4(tmp_path, capsys):
         assert err.count("\n") == 1 and len(err) < 100, (name, err)
         # refused before the output directory is made
         assert not out.exists(), name
-        if name == "huge":
-            assert "9.4e238 states exceed cap 500000" in err
+        want = {"huge": "9.4e238", "one-walker": "1.0e20",
+                # the float holds 13 digits of the power of ten
+                "arb-wider": "10^(5.845705064773e29)"}.get(name)
+        if want:
+            assert f"size cap: {want} states exceed cap 500000\n" == err
     # a one-state torus past the bitmask width: the exact route needs no
     # table there
     cfg = write_cfg(tmp_path, "lone.yaml", kernel=NN, N=40, K=1)
@@ -462,6 +467,25 @@ def test_wide_torus_refused_without_listing_its_sites(tmp_path, capsys):
             "size cap: 399999 environment"), command
         assert peak < 10e6, command
         assert not out.exists(), command
+
+
+def test_one_state_wide_torus_lists_no_site(tmp_path):
+    # one state on 399,999 environment sites passes the size caps; the
+    # observable's site is indexed from its coordinates, listing no site
+    import tracemalloc
+
+    cfg = write_cfg(tmp_path, kernel=NN, N=200_000, K=1, diagnostics={
+        "observable": {"type": "occupancy", "site": [1]},
+        "resolvent": {"lambdas": [1.0]}})
+    tracemalloc.start()
+    try:
+        code = main(["diagnostics", "--config", cfg, "--out",
+                     str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10e6
 
 
 def test_numerical_failure_exit_3(tmp_path):

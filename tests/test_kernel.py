@@ -133,14 +133,26 @@ def test_wrap_canonical_window():
 
 
 def test_env_index_round_trip_and_origin_rejected():
+    for d, N in ((1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)):
+        geo = TorusGeometry(d, N)
+        for i, s in enumerate(geo.env_sites):
+            assert geo.env_index(s) == i
     geo = TorusGeometry(2, 2)
-    for i, s in enumerate(geo.env_sites):
-        assert geo.env_index(s) == i
     assert geo.env_index((-3, 1)) == geo.env_index((1, 1))
     with pytest.raises(OutOfRangeError):
         geo.env_index((0, 0))
     with pytest.raises(OutOfRangeError):
         geo.env_index((4, 0))
+
+
+def test_env_index_lists_no_site():
+    # 399,999 environment sites: the index is read off the coordinates
+    geo = TorusGeometry(1, 200_000)
+    assert geo.env_index((1,)) == 199_999
+    assert geo.env_index((200_000,)) == 399_998
+    assert geo.env_index((-199_999,)) == 0
+    assert "env_sites" not in geo.__dict__
+    assert "sites" not in geo.__dict__
 
 
 def test_kernel_must_fit_torus(nn1d):

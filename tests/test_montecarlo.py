@@ -26,6 +26,7 @@ from sepdiff import montecarlo
 from sepdiff.montecarlo import RELAX_GAP_MAX, _lockstep, relaxation_gap
 
 import _oracle
+from conftest import table_cells
 
 
 def space_1d(N, K):
@@ -163,13 +164,20 @@ def test_table_matches_per_state_reference(meanzero1d, nn1d, nn2d):
         table = TransitionTable(sp, kernel)
         rows = oracle_rows(N, d, K, kernel.entries)
         assert len(rows) == sp.size
+        width = K * len(kernel.entries)   # (k + 1) |Z| cells
+        assert table.target.shape == table.cum.shape == (sp.size, width)
         for r, row in enumerate(rows):
-            n = table.fill[r]
-            assert table.target[r, :n].tolist() == [c[0] for c in row]
-            assert table.jump[r, :n].tolist() == [c[1] for c in row]
-            cum = table.cum[r, :n].tolist()
+            cells = table_cells(table, r)
+            assert [c[1] for c in cells] == [c[0] for c in row]
+            assert [c[2] for c in cells] == [c[1] for c in row]
+            cum = [c[3] for c in cells]
             assert cum == list(itertools.accumulate(c[2] for c in row))
             assert table.total[r] == (cum[-1] if row else 0.0)
+            # +inf from the last enabled cell on (the last cell of a
+            # frozen row), each cell before it the rates so far
+            last = cells[-1][0] if cells else width - 1
+            assert np.isinf(table.cum[r, last:]).all()
+            assert np.isfinite(table.cum[r, :last]).all()
     # rows are the last system's, 1d N=3 K=4
     states = _oracle.all_states(3, 1, 4)
     seam = rows[states.index(((-2,), (-1,), (3,)))]
@@ -278,6 +286,46 @@ def test_lockstep_breaks_rate_ties_as_the_stream_rule(system, request):
     assert counts[:, 1].sum() > 0
 
 
+class TopStream:
+    """u1 from a generator and u2 exactly 1.0, so the threshold u2 * lam
+    of every event is the total rate, which no cumulative rate exceeds;
+    the stream rule then takes the last enabled channel."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        u[(self.drawn + np.arange(u.size)) % 2 == 1] = 1.0
+        self.drawn += u.size
+        return u
+
+
+@pytest.mark.parametrize("system", ["nn1d", "nn2d"])
+def test_lockstep_takes_the_last_enabled_channel_at_u2_one(system, request):
+    # lanes start on states whose last grid cell, the last tagged jump, is
+    # disabled: the last enabled channel lies before it, and only the
+    # +inf bound from that channel on keeps the lanes in their rows
+    (d, N, K), T = {"nn1d": ((1, 3, 3), 6.0), "nn2d": ((2, 2, 3), 4.0)}[system]
+    kernel = request.getfixturevalue(system)
+    sp = StateSpace(TorusGeometry(d, N), K)
+    table = TransitionTable(sp, kernel)
+    rows = oracle_rows(N, d, K, kernel.entries)
+    nz = len(kernel.entries)
+    starts = [r for r in range(sp.size)
+              if table_cells(table, r)
+              and table_cells(table, r)[-1][0] < table.cum.shape[1] - 1]
+    assert len(starts) >= 4
+    final, counts = _lockstep(table, [TopStream(r) for r in starts],
+                              starts, T)
+    for i, start in enumerate(starts):
+        want, rank, _, n = oracle_lane(rows, nz, TopStream(start), start, T)
+        assert n > 0
+        assert np.array_equal(counts[i], want)
+        assert final[i] == rank
+
+
 def test_extrapolated_stats_from_per_replica_terms(meanzero1d):
     # the two horizons share their replicas: value and error are those of
     # q(r) = 2 p_2T(r) - p_T(r), computed here by hand
@@ -311,11 +359,18 @@ def test_one_step_frequencies_match_hand_rates(meanzero1d):
     r = states.index(((1,), (2,)))
     to_a = states.index(((2,), (3,)))
     to_b = states.index(((-2,), (1,)))
-    assert table.fill[r] == 3
-    assert table.target[r, :3].tolist() == [to_a, to_b, to_a]
+    # the kernel lists -1 first, so the grid is particle 1 by -1 (into the
+    # origin), +2; particle 2 by -1 (onto 1), +2; tagged -1, +2 (seat 2
+    # taken)
+    assert [z for z, _ in meanzero1d.entries] == [(-1,), (2,)]
+    cells = table_cells(table, r)
+    assert [c[0] for c in cells] == [1, 3, 4]
+    assert [c[1] for c in cells] == [to_a, to_b, to_a]
     minus_one = [z for z, _ in meanzero1d.entries].index((-1,))
-    assert table.jump[r, :3].tolist() == [-1, -1, minus_one]
-    assert table.cum[r, :3].tolist() == [1 / 3, 2 / 3, 1 / 3 + 1 / 3 + 2 / 3]
+    assert [c[2] for c in cells] == [-1, -1, minus_one]
+    assert table.cum[r].tolist() == [0.0, 1 / 3, 1 / 3, 2 / 3, math.inf,
+                                     math.inf]
+    assert table.total[r] == 1 / 3 + 1 / 3 + 2 / 3
     assert table.total[r] == pytest.approx(4 / 3, rel=1e-15)
 
 

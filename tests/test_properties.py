@@ -36,7 +36,11 @@ from sepdiff.montecarlo import relaxation_gap  # noqa: E402
 from sepdiff.statespace import _grid, _move_table, _moved  # noqa: E402
 
 import _oracle  # noqa: E402
-from conftest import check_symmetry_route, nn_kernel  # noqa: E402
+from conftest import (  # noqa: E402
+    check_symmetry_route,
+    nn_kernel,
+    table_cells,
+)
 
 #: the dense oracle stays cheap below this many states
 MAX_STATES = 400
@@ -86,9 +90,9 @@ def test_generator_and_table_match_oracle(system):
     table = TransitionTable(sp, kernel)
     rates = np.zeros_like(L)
     for r in range(sp.size):
-        n = table.fill[r]
-        steps = np.diff([0.0] + table.cum[r, :n].tolist())
-        for t, p in zip(table.target[r, :n], steps):
+        cells = table_cells(table, r)
+        steps = np.diff([0.0] + [c[3] for c in cells])
+        for (_, t, _, _), p in zip(cells, steps):
             if t != r:
                 rates[r, t] += p
     off = op.offdiag.toarray()

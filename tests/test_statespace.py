@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from sepdiff.montecarlo import TransitionTable, relaxation_gap
 from sepdiff.statespace import BITMASK_WIDTH
 
 import _oracle
-from conftest import MZ1D, NN1D, NN2D, nn_kernel
+from conftest import MZ1D, NN1D, NN2D, nn_kernel, table_cells
 
 
 def make_space(d, N, K):
@@ -343,6 +344,45 @@ def test_size_cap():
         sp.bitmasks()
 
 
+@pytest.mark.parametrize("M, k", [
+    # lgamma(M + 1) - lgamma(M) rounds to 0 here, and the count is M
+    (10**20 - 1, 1), (10**20 - 1, 2), (10**20 - 1, 3),
+    (2**20 - 1, 7), (2**20, 2001), (799, 399), (19999, 9999),
+    # the fewest sites whose half filling passes the state cap
+    (22, 11),
+    # small counts, where Stirling's series is least accurate
+    (64, 32), (7, 3), (2, 1), (5, 0), (5, 5)])
+def test_short_count_is_the_exact_count_rounded(M, k):
+    count = math.comb(M, k)
+    short = statespace._short_count(M, k)
+    assert short == format(Decimal(count), ".1e").replace("e+", "e")
+    mantissa, exponent = short.split("e")
+    assert abs(math.log10(float(mantissa)) + int(exponent)
+               - math.log10(count)) < 0.025
+
+
+def test_short_count_prints_only_the_digits_held():
+    # 2 * 10**30 sites at alpha 0.4: ln C(M, k) is about 1.3e30, so its
+    # float holds the power of ten to 13 digits and no mantissa digit
+    M, k = 2 * 10**30 - 1, 8 * 10**29
+    short = statespace._short_count(M, k)
+    assert short.startswith("10^(") and short.endswith("e29)")
+    digits = short[4:-1].split("e")[0]
+    assert len(digits) == 14
+
+    def ln_factorial(n):
+        # Stirling's series to its 1 / n^3 term, exact to 60 digits here
+        n = Decimal(n)
+        return ((n + Decimal("0.5")) * n.ln() - n
+                + (2 * Decimal(math.pi)).ln() / 2 + 1 / (12 * n)
+                - 1 / (360 * n**3))
+
+    with localcontext(prec=60):
+        want = ((ln_factorial(M) - ln_factorial(k) - ln_factorial(M - k))
+                / Decimal(10).ln())
+    assert abs(Decimal(short[4:-1]) - want) <= Decimal(10) ** (29 - 12)
+
+
 def test_bitmask_width_cap():
     # side 64: 63 environment sites, the widest torus one word holds
     sp = make_space(1, 32, 2)
@@ -428,8 +468,7 @@ def test_table_keeps_the_jump_that_leaves_the_state_unchanged():
     r = sp.rank_masks([bits_of(sp, [(-1,), (1,), (3,)])])[0]
     plus_two = [z for z, _ in kernel.entries].index((2,))
     table = TransitionTable(sp, kernel)
-    row = list(zip(table.target[r, :table.fill[r]].tolist(),
-                   table.jump[r, :table.fill[r]].tolist()))
+    row = [(target, label) for _, target, label, _ in table_cells(table, r)]
     assert (r, plus_two) in row
     op = full_generator(sp, kernel)
     assert op.offdiag[r, r] == 0.0
@@ -458,7 +497,7 @@ def small_block_builds():
     out += [full.offdiag.data, full.offdiag.indices, full.offdiag.indptr,
             full.diag]
     table = TransitionTable(sp, kernel)
-    out += [table.target, table.jump, table.cum, table.fill]
+    out += [table.target, table.labels, table.cum, table.total]
     out.append(np.array([relaxation_gap(make_space(1, 3, 4),
                                         build_kernel(1, MZ1D))]))
     return out
