@@ -251,11 +251,12 @@ class RunConfig:
         on, and the observable sites and blocks read there, by the library
         calls the command makes; their typed errors are config errors. The
         size caps are read from the counts, before any site is listed or
-        any state count formed. They hold on every torus whose states the
-        command enumerates: all of them for ``mc``, whose transition table
-        holds bitmasks even of a lone state, and those with more than one
-        state otherwise (the exact route answers a one-state torus without
-        them).
+        any state count formed. They hold on every torus of ``mc`` and
+        ``diagnostics``, whose transition table, generator and observables
+        read the bitmask even of a lone state, and on the tori of the
+        exact route (``exact``, ``sweep``, ``arbitrate-sign``) with more
+        than one state: that route answers a one-state torus without
+        tables.
         """
         if command == "mc" and "T" not in self.mc:
             raise ConfigError("mc block needs a horizon 'T'")
@@ -280,8 +281,8 @@ class RunConfig:
                                   "'alpha', not 'K'")
             spaces += [(self.space(N), (name,)) for N in n_list]
         for space, _ in spaces:
-            # more than one state, read without forming the count
-            if 0 < space.k < space.M or command == "mc":
+            # 0 < k < M: more than one state, without forming the count
+            if 0 < space.k < space.M or command in ("mc", "diagnostics"):
                 space.require_tables()
         if command == "arbitrate-sign":
             check_arbitration_horizon(spaces[0][0], self.arbitrate.get("T"))
@@ -477,26 +478,26 @@ def cmd_mc(cfg, out_dir):
 
 
 def cmd_diagnostics(cfg, out_dir):
+    """One row per value of each requested section, by the library's own
+    calls. The generator is built whenever a section reads it: on one
+    state the gap is inf, C and the resolvent norms 0, and prop1 exits 3."""
     diag = cfg.diagnostics
     space = cfg.space()
     rows = []
 
     def add(section, name, value):
-        rows.append([section, name, _fmt(value) if not isinstance(value, str)
-                     else value])
+        rows.append([section, name, _fmt(value)])
 
-    op = None
-    # built only for the sections below that read it
-    if space.size > 1 and (diag["spectral_gap"] or diag["sector_constant"]
-                           or "prop1" in diag or "resolvent" in diag):
+    if (diag["spectral_gap"] or diag["sector_constant"] or "prop1" in diag
+            or "resolvent" in diag):
         op = full_generator(space, cfg.kernel)
 
-    if diag["spectral_gap"] and op is not None:
+    if diag["spectral_gap"]:
         add("spectral_gap", "gap", spectral_gap(symmetric_part(op),
                                                 method=cfg.method))
-    if diag["sector_constant"] and op is not None:
+    if diag["sector_constant"]:
         add("sector_constant", "C", sector_constant(op, method=cfg.method))
-    if "prop1" in diag and op is not None:
+    if "prop1" in diag:
         block = diag["prop1"]
         rep = verify_prop1(op, n_pairs=block["pairs"], seed=block["seed"])
         add("prop1", "pairs", rep.n_pairs)
@@ -504,18 +505,17 @@ def cmd_diagnostics(cfg, out_dir):
                      "max_cauchy_ratio", "min_bound_ratio_iii",
                      "max_equality_gap_iii"):
             add("prop1", name, getattr(rep, name))
-    if "resolvent" in diag and op is not None:
-        h = cfg.observable(space)
-        for entry in resolvent_sweep(op, h, diag["resolvent"]["lambdas"],
+    if "resolvent" in diag:
+        for entry in resolvent_sweep(op, cfg.observable(space),
+                                     diag["resolvent"]["lambdas"],
                                      tol=cfg.tolerance):
             add("resolvent", f"u_h1@lam={_fmt(entry['lam'])}", entry["u_h1"])
             add("resolvent", f"dist_to_limit@lam={_fmt(entry['lam'])}",
                 entry["dist_to_limit_h1"])
     if "multiscale" in diag:
         block = diag["multiscale"]
-        v = cfg.observable(space)
-        rep = multiscale_diagnostic(space, v, block["l"], block["q"],
-                                    block["n_max"])
+        rep = multiscale_diagnostic(space, cfg.observable(space), block["l"],
+                                    block["q"], block["n_max"])
         for s, m2 in zip(rep.scales, rep.second_moments):
             add("multiscale", f"second_moment@l={s}", m2)
         for n, var in enumerate(rep.increment_variances, start=1):
@@ -609,7 +609,10 @@ def main(argv=None):
         cfg = RunConfig(raw, seed_override=args.seed,
                         threads_override=args.threads)
         cfg.require(args.command)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make --out: {exc}") from exc
         code = _COMMANDS[args.command](cfg, args.out)
         _write_metadata(args.out, args.command, t0, time.time())
         return code

@@ -539,16 +539,15 @@ def occupancy_difference_observable(space, site_a, site_b):
 def _along_N(kernel, alpha, recipe, N_list, value):
     """ConvergenceReport of value(space, h, s0) along increasing N at fixed
     density, with h = center(recipe(space)) and s0 the environment
-    generator of the symmetrized kernel; a one-state space or a vanishing
-    observable reads 0."""
+    generator of the symmetrized kernel; a vanishing observable, as every
+    one on a one-state space is once centred, reads 0."""
     sym_kernel = symmetrize(kernel)
     values, Ks = [], []
     for N in N_list:
         space = torus_space(kernel, N, alpha=alpha)
         h = center(recipe(space))
-        trivial = space.size == 1 or not np.any(h)
-        values.append(0.0 if trivial else value(
-            space, h, assemble_environment(space, sym_kernel)))
+        values.append(value(space, h, assemble_environment(space, sym_kernel))
+                      if np.any(h) else 0.0)
         Ks.append(space.K)
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     return ConvergenceReport(list(N_list), Ks, values, diffs)

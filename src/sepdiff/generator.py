@@ -389,8 +389,13 @@ class ReducedAssembly:
 def symmetric_part(op):
     """(op + op*) / 2, op* the adjoint under the uniform measure (the
     transpose, since the measure is stationary); equals assembly from the
-    symmetrized kernel."""
-    return SparseOperator(op.size, 0.5 * (op.offdiag + op.offdiag.T))
+    symmetrized kernel. A symmetric ``op`` is returned itself, as
+    0.5 (x + x) = x; any other result is flagged symmetric, since
+    0.5 (A + A^T) is so exactly, and its rates are never compared."""
+    if op.is_symmetric():
+        return op
+    return SparseOperator(op.size, 0.5 * (op.offdiag + op.offdiag.T),
+                          symmetric=True)
 
 
 def dirichlet_form(op, f):
@@ -410,8 +415,6 @@ def check_ergodicity(op):
     hold the same label; the components are then the states that label
     themselves.
     """
-    if op.size <= 1:
-        return
     off = op.offdiag
     rows = np.repeat(np.arange(op.size), np.diff(off.indptr))
     label = np.arange(op.size)

@@ -305,20 +305,23 @@ def solve_general(op, b, tol=1e-10, method="auto", lam=0.0):
     raise NotConvergedError("; ".join(failures) + f"; tol {tol:.1e}")
 
 
+def _root(q):
+    """sqrt(q) of a form q, +0.0 where q <= 0 (round-off, or the -0.0 of a
+    zero function); NaN stays NaN."""
+    return 0.0 if q <= 0.0 else math.sqrt(q)
+
+
 def h1_norm(op, f):
-    """Energy seminorm sqrt(<f, -op f>); tiny negative round-off clamps to 0."""
-    q = dirichlet_form(op, f)
-    return math.sqrt(max(q, 0.0))
+    """Energy seminorm sqrt(<f, -op f>), 0 where the form rounds below."""
+    return _root(dirichlet_form(op, f))
 
 
 def hminus1_norm(op, f, tol=1e-10):
     """Dual norm of a mean-zero f, via one SPD solve against the symmetric
     part of op: |f|_{-1}^2 = <f, u> with (-S) u = f. The solve refuses an
     f that is not mean-zero."""
-    f = np.asarray(f, dtype=float)
-    sym = op if op.is_symmetric() else symmetric_part(op)
-    u = solve_general(sym, f, tol=tol).solution
-    return math.sqrt(max(inner(f, u), 0.0))
+    u = solve_general(symmetric_part(op), f, tol=tol).solution
+    return _root(inner(f, u))
 
 
 @dataclass
@@ -362,22 +365,19 @@ def verify_prop1(op, n_pairs=100, seed=0):
         raise PropertyViolatedError("need at least 2 states to test norms")
     rng = np.random.default_rng(seed)
     is_sym = op.is_symmetric()
-    sym = op if is_sym else symmetric_part(op)
+    sym = symmetric_part(op)
 
     def dual_solve(v):
         return solve_general(sym, v, tol=EIG_SOLVE_TOL).solution
 
-    max_dual = 0.0
-    max_gap_i = 0.0
-    max_cs = 0.0
+    max_dual = max_gap_i = max_cs = max_gap_iii = 0.0
     min_iii = math.inf
-    max_gap_iii = 0.0
     for trial in range(n_pairs):
         f = center(rng.standard_normal(n))
         g = center(rng.standard_normal(n))
         h = center(rng.standard_normal(n))
         u_g = dual_solve(g)
-        gm1 = math.sqrt(max(inner(g, u_g), 0.0))
+        gm1 = _root(inner(g, u_g))
 
         # (i) upper bound at a random h, equality at h = u_g
         h1_h = h1_norm(op, h)
@@ -412,7 +412,7 @@ def verify_prop1(op, n_pairs=100, seed=0):
         # (iii)
         af = center(-op.matvec(f))
         u_af = dual_solve(af)
-        afm1 = math.sqrt(max(inner(af, u_af), 0.0))
+        afm1 = _root(inner(af, u_af))
         if h1_f > 0:
             ratio = afm1 / h1_f
             min_iii = min(min_iii, ratio)
@@ -646,8 +646,6 @@ def sector_constant(op, method="auto", tol=1e-10):
     n = op.size
     dense = _eig_dense(method, n)
     _check_tol(tol)
-    if n == 1:
-        return 0.0
     a = -op.to_csr()
     b_skew = 0.5 * (a - a.T)
     scale = max(op.max_exit_rate(), 1e-300)
@@ -681,7 +679,6 @@ def sector_constant(op, method="auto", tol=1e-10):
 def resolvent_sweep(op, h, lambdas, tol=1e-10):
     """Resolvent ladder: for each lam (descending) report the energy norm
     of u_lam and its H1 distance to the lam -> 0 limit solve."""
-    h = np.asarray(h, dtype=float)
     limit = solve_general(op, h, tol=tol).solution
     out = []
     for lam in sorted(lambdas, reverse=True):
@@ -696,22 +693,20 @@ def resolvent_sweep(op, h, lambdas, tol=1e-10):
 
 def approximation_residual(op, h, basis, weight_op=None, tol=1e-10):
     """Best-approximation residual min_g |h - (-op) g|_{0,-1} over the span
-    of ``basis``, with the dual norm taken against ``weight_op`` (default:
-    the symmetric part of op).
+    of ``basis``, with the dual norm taken against the symmetric part of
+    ``weight_op`` (default: op), which is ``weight_op`` itself if
+    symmetric.
 
     Returns (residual, coefficients). Solved through the Gram system of
     the basis images in the dual inner product, whose solves refuse an h
     that is not mean-zero.
     """
-    h = np.asarray(h, dtype=float)
-    weight = weight_op if weight_op is not None else symmetric_part(op)
-    if not weight.is_symmetric():
-        weight = symmetric_part(weight)
+    weight = symmetric_part(op if weight_op is None else weight_op)
     cols = [center(-op.matvec(b)) for b in basis]
     y_h = solve_general(weight, h, tol=tol).solution
     base = inner(h, y_h)
     if not cols:
-        return math.sqrt(max(base, 0.0)), np.zeros(0)
+        return _root(base), np.zeros(0)
     ys = [solve_general(weight, c, tol=tol).solution for c in cols]
     m = len(cols)
     gram = np.empty((m, m))
@@ -723,4 +718,4 @@ def approximation_residual(op, h, basis, weight_op=None, tol=1e-10):
     gram = 0.5 * (gram + gram.T)
     coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     resid_sq = base - float(rhs @ coeffs)
-    return math.sqrt(max(resid_sq, 0.0)), coeffs
+    return _root(resid_sq), coeffs

@@ -421,6 +421,14 @@ def test_size_cap_exit_4(tmp_path, capsys):
         ("sweep", "rungs", dict(N_list=[3, 40], alpha=0.5)),
         # one state, but the Monte Carlo table holds its 79-site bitmask
         ("mc", "lone-mc", dict(N=40, K=1, mc={"T": 1.0, "M": 10})),
+        # one state each, but diagnostics read their bitmasks: refused by
+        # the caps before --out is made, not while a section runs
+        ("diagnostics", "lone-multiscale", dict(N=200_000, K=1, diagnostics={
+            "observable": {"type": "occupancy", "site": [1]},
+            "multiscale": {"l": 1, "q": 2, "n_max": 1}})),
+        ("diagnostics", "lone-rung", dict(N=2, alpha=0.0, diagnostics={
+            "observable": {"type": "occupancy", "site": [1]},
+            "hminus1_sweep": {"N_list": [2, 40]}})),
     ]
     for command, name, keys in rows:
         cfg = write_cfg(tmp_path, f"{name}.yaml", kernel=NN, **keys)
@@ -437,6 +445,10 @@ def test_size_cap_exit_4(tmp_path, capsys):
                 "arb-wider": "10^(5.845705064773e29)"}.get(name)
         if want:
             assert f"size cap: {want} states exceed cap 500000\n" == err
+        sites = {"lone-multiscale": 399_999, "lone-rung": 79}.get(name)
+        if sites:
+            assert err == (f"size cap: {sites} environment sites exceed the "
+                           "64-bit occupancy bitmask\n")
     # a one-state torus past the bitmask width: the exact route needs no
     # table there
     cfg = write_cfg(tmp_path, "lone.yaml", kernel=NN, N=40, K=1)
@@ -469,23 +481,68 @@ def test_wide_torus_refused_without_listing_its_sites(tmp_path, capsys):
         assert not out.exists(), command
 
 
-def test_one_state_wide_torus_lists_no_site(tmp_path):
-    # one state on 399,999 environment sites passes the size caps; the
-    # observable's site is indexed from its coordinates, listing no site
+def test_one_state_wide_torus_lists_no_site(tmp_path, capsys):
+    # one state on 399,999 environment sites: diagnostics read its bitmask,
+    # so the caps refuse it by the site count, listing no site
     import tracemalloc
 
     cfg = write_cfg(tmp_path, kernel=NN, N=200_000, K=1, diagnostics={
         "observable": {"type": "occupancy", "site": [1]},
         "resolvent": {"lambdas": [1.0]}})
+    out = tmp_path / "out"
     tracemalloc.start()
     try:
-        code = main(["diagnostics", "--config", cfg, "--out",
-                     str(tmp_path / "out")])
+        code = main(["diagnostics", "--config", cfg, "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "size cap: 399999 environment sites exceed the 64-bit occupancy "
+        "bitmask\n")
     assert peak < 10e6
+    assert not out.exists()
+
+
+def test_one_state_diagnostics_rows(tmp_path):
+    # a lone walker has one state: the generator is built as on any torus
+    # and each section prints the library's answer, no row left out
+    cfg = write_cfg(tmp_path, kernel=NN, N=3, K=1, diagnostics={
+        "observable": {"type": "occupancy", "site": [1]},
+        "spectral_gap": True, "sector_constant": True,
+        "resolvent": {"lambdas": [1.0]}})
+    out = tmp_path / "one"
+    assert main(["diagnostics", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == [
+        "section,name,value", "spectral_gap,gap,inf", "sector_constant,C,0",
+        "resolvent,u_h1@lam=1,0", "resolvent,dist_to_limit@lam=1,0"]
+
+
+def test_full_lattice_prop1_exit_3(tmp_path, capsys):
+    # the full lattice has one state, too few for the duality checks
+    cfg = write_cfg(tmp_path, kernel=NN, N=2, alpha=1.0, diagnostics={
+        "observable": {"type": "occupancy", "site": [1]},
+        "spectral_gap": True, "prop1": {"pairs": 2},
+        "approximation": {"N_list": [2, 3]}})
+    assert main(["diagnostics", "--config", cfg, "--out",
+                 str(tmp_path / "full")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: need at least 2 states to test norms\n")
+
+
+@pytest.mark.parametrize("case", ["empty", "file", "under-file"])
+def test_bad_out_is_a_config_error(tmp_path, capsys, case):
+    cfg = write_cfg(tmp_path, kernel=NN, N=3, K=3)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = {"empty": "", "file": str(taken),
+           "under-file": str(taken / "sub")}[case]
+    assert main(["exact", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot make --out: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text() == "kept"
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -478,6 +478,16 @@ def test_approximation_residual_diagnostic(meanzero1d):
     assert all(np.isfinite(v) for v in rep.values)
 
 
+def test_one_state_rungs_read_zero(meanzero1d):
+    # a lone walker (alpha = 0) or the full lattice (alpha = 1) has one
+    # state, on which every observable centres to 0
+    recipe = lambda sp: occupancy_observable(sp, (1,))
+    for alpha, diagnostic in ((0.0, hminus1_convergence_diagnostic),
+                              (1.0, approximation_residual_diagnostic)):
+        rep = diagnostic(meanzero1d, alpha, recipe, [3, 4])
+        assert rep.values == [0.0, 0.0] and rep.diffs == [0.0], alpha
+
+
 # -- the symmetry-adapted solve ---------------------------------------------
 
 #: p(x, y) = p(x, -y) only: e1's stabilizer {id, y -> -y} fixes e1, so its

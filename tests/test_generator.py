@@ -134,6 +134,20 @@ def test_symmetric_part_equals_symmetrized_assembly(entries):
     assert sym_op.is_symmetric()
 
 
+def test_symmetric_part_keeps_a_symmetric_op_and_flags_the_rest(
+        nn1d, meanzero1d, monkeypatch):
+    op = full_generator(space_1d(3, 3), nn1d)
+    assert symmetric_part(op) is op
+    sym = symmetric_part(full_generator(space_1d(3, 3), meanzero1d))
+
+    # 0.5 (A + A^T) is symmetric by construction: no transpose is compared
+    def no_transpose(self):
+        raise AssertionError("rates compared with their transpose")
+
+    monkeypatch.setattr(type(sym.offdiag), "T", property(no_transpose))
+    assert sym.is_symmetric()
+
+
 @pytest.mark.parametrize("entries", [NN1D, MZ1D, ASYM1D])
 def test_dirichlet_form_nonnegative_and_matches_reference(entries):
     kernel = build_kernel(1, entries)

@@ -239,6 +239,16 @@ def test_h1_norm_matches_reference(meanzero1d):
                                                 rel=1e-12)
 
 
+def test_norms_of_zero_are_plus_zero():
+    # the form of 0 is -<0, 0> = -0.0; its root must not print as -0
+    for K in (1, 3):  # one state, and 10
+        _, op = make(NN1D, K=K)
+        zero = np.zeros(op.size)
+        assert math.copysign(1.0, h1_norm(op, zero)) == 1.0, K
+        assert math.copysign(1.0, hminus1_norm(op, zero)) == 1.0, K
+        assert math.isnan(h1_norm(op, np.full(op.size, math.nan))), K
+
+
 def test_hminus1_matches_eigendecomposition_reference():
     for entries in (NN1D, MZ1D, ASYM1D):
         _, op = make(entries)
