@@ -6,8 +6,10 @@ the one schema table ``_SCHEMA``: a key it does not list, or a value not of
 its key's kind, is a config error. The only flags are --config, --out,
 --seed and --threads, which is checked (>= 1) but changes nothing: Monte
 Carlo runs on one thread. CSV files are byte-identical for identical
-(config, seed): floats are printed with 17 significant digits,
-lines end with \\n, and timestamps live in a separate metadata file.
+(config, seed) at a fixed BLAS thread count: floats are printed with 17
+significant digits, lines end with \\n, and timestamps live in a separate
+metadata file. The exact route's dot products and norms are BLAS sums,
+whose order, and so whose last bits, depend on the thread count.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 4 size-cap refusal.

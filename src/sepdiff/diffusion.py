@@ -260,8 +260,10 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
     A solved a_j and the directions mapped from it live in a_j's
     coordinates, the identity's (x = u) when not reduced (see the module
     docstring), and share its operator, which is dropped before the next
-    is built; each assembly is dropped once the last solved direction of
-    its stabilizer has built its operator. C_ij (i != j) is 0 when an
+    is built. The solved directions are taken stabilizer by stabilizer,
+    each in order, and one assembly builds the operators of a
+    stabilizer's characters in turn (``ReducedAssembly.operators``), the
+    last into the assembly's own move buffer. C_ij (i != j) is 0 when an
     element of both stabilizers has different characters; otherwise both
     functions are lifted to every state, a mapped one through g.
 
@@ -289,43 +291,41 @@ def _solve_directions(space, kernel, directions, tol, method, operator=None):
                  else [np.eye(d, dtype=np.int64)])
         stabs = [_stabilizer(group, a) for a in dirs]
         hits = [_image(group, dirs[:i], a) for i, a in enumerate(dirs)]
-        full, identity = operator, IsotypicCoordinates.identity()
-        assemblies = {}                   # stabilizer -> ReducedAssembly
-        solved = [j for j, hit in enumerate(hits) if hit is None]
-        last = {stabs[j][0]: j for j in solved}   # its last solved direction
+        identity = IsotypicCoordinates.identity()
+        solved = {}                       # stabilizer -> its solved directions
+        for j, hit in enumerate(hits):
+            if hit is None:
+                solved.setdefault(stabs[j][0], []).append(j)
         sols = [None] * len(dirs)         # (coords, w_i, x_i, g or None)
-        for j in solved:
-            keep, chi = stabs[j]
+        for keep, js in solved.items():
             if len(keep) > 1:
-                if keep not in assemblies:
-                    assemblies[keep] = ReducedAssembly(
-                        space, kernel, space.orbits([group[h] for h in keep]))
-                op = assemblies[keep].operator(chi)
-                if last[keep] == j:
-                    del assemblies[keep]
-                coords = op.coords
+                ops = ReducedAssembly(
+                    space, kernel, space.orbits([group[h] for h in keep])
+                ).operators([stabs[j][1] for j in js])
             else:
-                if full is None:
-                    full = full_generator(space, kernel)
-                op, coords = full, identity
-            b, w = _reduced_drifts(space, kernel, dirs[j], coords)
-            rep = solve_general(op, b, tol=tol, method=method)
-            solves[j] = (rep.relative_residual, rep.iterations, rep.method,
-                         op.size, len(keep))
-            sols[j] = (coords, w, rep.solution, None)
-            for i in [i for i, hit in enumerate(hits) if hit and hit[0] == j]:
-                # u_i(g.eta) = s u_j(eta)
-                _, g, s = hits[i]
-                x = s * rep.solution
-                b, w = _reduced_drifts(space, kernel, dirs[i], coords, g)
-                res = _replay(op.matvec, x, b, 0.0)
-                if res > 2.0 * tol:
-                    raise NotConvergedError(
-                        f"u along {dirs[i].tolist()} mapped by symmetry left "
-                        f"replayed residual {res:.3e}; tol {tol:.1e}")
-                solves[i] = (res, 0, "symmetry", op.size, len(keep))
-                sols[i] = (coords, w, x, g)
-            op = None
+                ops = itertools.repeat(full_generator(space, kernel)
+                                       if operator is None else operator)
+            for j, op in zip(js, ops):
+                coords = identity if op.coords is None else op.coords
+                b, w = _reduced_drifts(space, kernel, dirs[j], coords)
+                rep = solve_general(op, b, tol=tol, method=method)
+                solves[j] = (rep.relative_residual, rep.iterations,
+                             rep.method, op.size, len(keep))
+                sols[j] = (coords, w, rep.solution, None)
+                for i in [i for i, hit in enumerate(hits)
+                          if hit and hit[0] == j]:
+                    # u_i(g.eta) = s u_j(eta)
+                    _, g, s = hits[i]
+                    x = s * rep.solution
+                    b, w = _reduced_drifts(space, kernel, dirs[i], coords, g)
+                    res = _replay(op.matvec, x, b, 0.0)
+                    if res > 2.0 * tol:
+                        raise NotConvergedError(
+                            f"u along {dirs[i].tolist()} mapped by symmetry "
+                            f"left replayed residual {res:.3e}; tol {tol:.1e}")
+                    solves[i] = (res, 0, "symmetry", op.size, len(keep))
+                    sols[i] = (coords, w, x, g)
+                op = None
         for i, (coords, w, x, _) in enumerate(sols):
             corr[i, i] = 2.0 * (float(w @ x) / n)
         ranks = {}                 # i -> the ranks of g^t.eta, for a mapped i

@@ -34,6 +34,9 @@ DEFAULT_MAX_NNZ = 50_000_000
 #: indices first copies them to a full intp array
 GATHER_CHUNK = 1 << 16
 
+#: rows whose edges check_ergodicity reads at a time
+COMPONENT_ROWS = 1 << 10
+
 #: tolerance of SparseOperator.require_range, relative to max(1, max |value|)
 MEAN_ZERO_TOL = 1e-12
 
@@ -77,7 +80,14 @@ class SparseOperator:
     def __init__(self, size, offdiag, symmetric=None):
         import scipy.sparse as sp
 
-        off = sp.csr_matrix(offdiag, shape=(size, size), copy=True)
+        self._take(sp.csr_matrix(offdiag, shape=(size, size), copy=True),
+                   symmetric)
+
+    def _take(self, off, symmetric):
+        """Keep the CSR matrix ``off`` of rates as its own, with no copy:
+        its duplicates summed, its zeros dropped and its columns sorted in
+        place, after the checks of a caller's matrix; returns self. For
+        the CSR a builder here made fresh, and for ``__init__``'s copy."""
         off.sum_duplicates()
         off.eliminate_zeros()
         if off.nnz and off.data.min() < 0.0:
@@ -85,8 +95,9 @@ class SparseOperator:
         if off.diagonal().any():
             raise ValueError("off-diagonal storage must not carry diagonal entries")
         off.sort_indices()
-        self._store(off, -np.asarray(off.sum(axis=1)).ravel(),
-                    np.ones(size) / np.sqrt(size), symmetric)
+        return self._store(off, -np.asarray(off.sum(axis=1)).ravel(),
+                           np.ones(off.shape[0]) / np.sqrt(off.shape[0]),
+                           symmetric)
 
     def _store(self, off, diag, null, symmetric, coords=None):
         """Keep the parts as given, unchecked; returns self."""
@@ -252,8 +263,8 @@ def _assemble(space, kernel, env_only=False):
     cols = np.concatenate(cols)
     off = sp.csr_matrix((data, cols, np.cumsum(starts)),
                         shape=(space.size, space.size))
-    return SparseOperator(space.size, off,
-                          _symmetric_rates(space, kernel, env_only))
+    return SparseOperator.__new__(SparseOperator)._take(
+        off, _symmetric_rates(space, kernel, env_only))
 
 
 def assemble_environment(space, kernel):
@@ -289,7 +300,8 @@ class ReducedAssembly:
     sqrt(|O| / |O'|) are formed by :meth:`operator` from the kernel's
     rates. The exit rate of each representative is summed over its moves
     in channel order. A move within its own orbit (O' = O) is an entry
-    like any other, on the diagonal.
+    like any other, on the diagonal. The last operator built takes the
+    target field as its columns (see :meth:`operator`).
     """
 
     def __init__(self, space, kernel, orbits):
@@ -326,7 +338,14 @@ class ReducedAssembly:
         del movers
         self._entry = np.concatenate(entries)
 
-    def operator(self, chi):
+    def operators(self, chis):
+        """Yield the :meth:`operator` of each character of ``chis`` in
+        turn, the last one built ``last``."""
+        chis = list(chis)
+        for i, chi in enumerate(chis):
+            yield self.operator(chi, last=i == len(chis) - 1)
+
+    def operator(self, chi, *, last=False):
         """The generator L restricted to the functions with u(g.eta) =
         chi(g) u(eta), chi given as +-1 per group element, as a
         :class:`SparseOperator` in their coordinates ``coords``.
@@ -349,9 +368,17 @@ class ReducedAssembly:
         is nonsingular on them. Euclidean norms in these coordinates equal
         those of the lifted functions, so a replayed residual here is the
         full-space one.
+
+        A ``last`` build takes the assembly's int32 target orbits as its
+        CSR column array, each chunk overwritten once read, so no second
+        column array exists; the assembly then releases its moves, and a
+        further build raises RuntimeError.
         """
         import scipy.sparse as sp
 
+        if self._target is None:
+            raise RuntimeError("this assembly handed its moves to the last "
+                               "operator it built")
         coords = IsotypicCoordinates(self.orbits, chi)
         row, starts = coords.row, self._starts
         kept = row >= 0
@@ -359,7 +386,8 @@ class ReducedAssembly:
         n = coords.reps.size
         roots = np.sqrt(self.orbits.sizes)
         data = np.empty(starts[-1])
-        cols = np.empty(starts[-1], dtype=np.int32)
+        cols = (self._target if last
+                else np.empty(starts[-1], dtype=np.int32))
         step = max(1, GATHER_CHUNK // self._width)
         for lo in range(0, kept.size, step):
             hi = min(lo + step, kept.size)
@@ -374,10 +402,13 @@ class ReducedAssembly:
             col = row.take(target)
             live = np.repeat(kept[lo:hi], counts) & (col >= 0)
             d *= live
+            # the chunk's targets are read: ``cols`` may be their array
             np.multiply(col, live, out=cols[s])
         # row r holds the moves from its orbit to the next kept one's
         indptr = np.append(starts[np.flatnonzero(kept)], starts[-1])
         indptr[0] = 0
+        if last:
+            self._starts = self._target = self._mover = self._entry = None
         off = sp.csr_matrix((data, cols, indptr), shape=(n, n))
         null = (None if np.any(negated)
                 else coords.roots / np.sqrt(self.orbits.sizes.sum()))
@@ -394,8 +425,8 @@ def symmetric_part(op):
     0.5 (A + A^T) is so exactly, and its rates are never compared."""
     if op.is_symmetric():
         return op
-    return SparseOperator(op.size, 0.5 * (op.offdiag + op.offdiag.T),
-                          symmetric=True)
+    return SparseOperator.__new__(SparseOperator)._take(
+        0.5 * (op.offdiag + op.offdiag.T), symmetric=True)
 
 
 def dirichlet_form(op, f):
@@ -413,17 +444,24 @@ def check_ergodicity(op):
     of state a to at most b and that of state b to at most a, then
     replaces each label by its own label, until the ends of every edge
     hold the same label; the components are then the states that label
-    themselves.
+    themselves. The edges are read ``COMPONENT_ROWS`` rows at a time, so
+    no scratch array is as long as the edge list.
     """
     off = op.offdiag
-    rows = np.repeat(np.arange(op.size), np.diff(off.indptr))
     label = np.arange(op.size)
-    a, b = label[rows], label[off.indices]
-    while (a != b).any():
-        np.minimum.at(label, a, b)
-        np.minimum.at(label, b, a)
-        label = label[label]
-        a, b = label[rows], label[off.indices]
+    hooked = True
+    while hooked:
+        hooked = False
+        for lo in range(0, op.size, COMPONENT_ROWS):
+            hi = min(lo + COMPONENT_ROWS, op.size)
+            a = np.repeat(label[lo:hi], np.diff(off.indptr[lo:hi + 1]))
+            b = label[off.indices[off.indptr[lo]:off.indptr[hi]]]
+            if (a != b).any():
+                np.minimum.at(label, a, b)
+                np.minimum.at(label, b, a)
+                hooked = True
+        if hooked:
+            label = label[label]
     n = int(np.count_nonzero(label == np.arange(op.size)))
     if n != 1:
         raise NotConnectedError(

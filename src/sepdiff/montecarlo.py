@@ -219,7 +219,8 @@ class TransitionTable:
                                 np.arange(rates.size))
         cell_rate = np.tile(rates, space.k + 1)
         n, width = space.size, cell_rate.size
-        self.target = np.zeros((n, width), dtype=np.intp)
+        # int32, which the state cap allows
+        self.target = np.zeros((n, width), dtype=np.int32)
         self.cum = np.zeros((n, width))
         self.total = np.zeros(n)
         masks = space.bitmasks()
@@ -305,7 +306,8 @@ def _lockstep(table, rngs, ranks, T):
                 j = ((cum.take(rank, axis=0) <= thr[:, None]) @ ones).astype(
                     np.intp)
                 moves.append(slot + labels.take(j) + stride * (t >= T))
-                rank = target.take(rank * width + j)
+                # intp, as rank * width may pass the int32 range
+                rank = target.take(rank * width + j).astype(np.intp)
             if moves:
                 counts += np.bincount(np.concatenate(moves),
                                       minlength=counts.size)

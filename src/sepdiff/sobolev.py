@@ -592,7 +592,8 @@ def spectral_gap(op, method="auto", tol=1e-10):
 def _reflection_halves(op):
     """(even, odd): the symmetric part of the full generator ``op`` on the
     functions even and odd under the point reflection eta -> -eta, as
-    operators of the symmetrized kernel reduced by ``ReducedAssembly``. The
+    operators of the symmetrized kernel that one ``ReducedAssembly``
+    builds in turn, the odd half last, into the assembly's moves. The
     even half has the reduced constants as its null direction, the odd
     half none. Both have their duplicate entries summed: the sector
     constant applies each of them thousands of times.
@@ -606,9 +607,9 @@ def _reflection_halves(op):
                          "and kernel")
     space, kernel = op.source
     eye = np.eye(space.geometry.dimension, dtype=np.int64)
-    halves = ReducedAssembly(space, symmetrize(kernel),
-                             space.orbits([eye, -eye]))
-    even, odd = halves.operator([1, 1]), halves.operator([1, -1])
+    even, odd = ReducedAssembly(space, symmetrize(kernel),
+                                space.orbits([eye, -eye])
+                                ).operators([[1, 1], [1, -1]])
     even.offdiag.sum_duplicates()
     odd.offdiag.sum_duplicates()
     return even, odd

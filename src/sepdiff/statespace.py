@@ -363,16 +363,19 @@ class StateSpace:
         an element reaching it and the bitmask of all elements reaching it;
         no |H| x states array is built. At a representative that bitmask
         is its stabilizer. H has at most 48 elements (a torus whose
-        environment fits the bitmask has d <= 3), so it fits a uint64.
+        environment fits the bitmask has d <= 3), so it fits a uint64. The
+        three are updated in place, through one boolean mask.
 
         The rank permutation of each element is kept. An element g_h equal
         to g_a g_b for two earlier non-identity elements (found by looking
         up g_a^t g_h among them) is the gather ``perms[a][perms[b]]``; only
         the others move bits through ``mapped_ranks``.
         """
-        best = np.arange(self.size, dtype=np.int64)
+        # int32, which the state cap allows
+        best = np.arange(self.size, dtype=np.int32)
         mover = np.zeros(self.size, dtype=np.int8)
         ties = np.ones(self.size, dtype=np.uint64)
+        mask = np.empty(self.size, dtype=bool)
         mats = [np.asarray(g, dtype=np.int64) for g in group]
         earlier = {}                # matrix bytes -> h, non-identity
         perms = [None]
@@ -384,18 +387,18 @@ class StateSpace:
                     ranks = perms[a][perms[b]]
                     break
             if ranks is None:
-                # int32, which the state cap allows
                 ranks = self.mapped_ranks(g).astype(np.int32)
             perms.append(ranks)
             earlier[g.tobytes()] = h
-            lower = ranks < best
-            best[lower] = ranks[lower]
-            mover[lower] = h
-            ties[lower] = 0
-            ties[ranks == best] |= np.uint64(1 << h)
-        is_rep = best == np.arange(self.size)
+            np.less(ranks, best, out=mask)
+            np.minimum(best, ranks, out=best)
+            np.copyto(mover, np.int8(h), where=mask)
+            np.copyto(ties, np.uint64(0), where=mask)
+            np.equal(ranks, best, out=mask)
+            np.bitwise_or(ties, np.uint64(1 << h), out=ties, where=mask)
+        is_rep = best == np.arange(self.size, dtype=np.int32)
         reps = np.flatnonzero(is_rep)
-        index = (np.cumsum(is_rep) - 1)[best].astype(np.int32)
+        index = (np.cumsum(is_rep, dtype=np.int32) - 1)[best]
         return Orbits(index, reps,
                       np.bincount(index, minlength=reps.size), mover,
                       ties[reps])

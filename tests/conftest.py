@@ -50,6 +50,21 @@ NN1D = [((1,), 0.5), ((-1,), 0.5)]
 MZ1D = [((2,), 1.0 / 3.0), ((-1,), 2.0 / 3.0)]
 ASYM1D = [((1,), 1.0)]
 NN2D = [((1, 0), 0.25), ((-1, 0), 0.25), ((0, 1), 0.25), ((0, -1), 0.25)]
+#: e1 and e2 share the stabilizer of the sign changes, with the characters
+#: [1, 1, -1, -1] and [1, -1, 1, -1]
+RECT2D = [((1, 0), 0.3), ((-1, 0), 0.3), ((0, 1), 0.2), ((0, -1), 0.2)]
+
+
+def assert_same_operator(a, b):
+    """Two SparseOperators hold the same CSR, diagonal and null
+    direction, bit for bit."""
+    for field in ("data", "indices", "indptr"):
+        x, y = getattr(a.offdiag, field), getattr(b.offdiag, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert np.array_equal(a.diag, b.diag)
+    assert (a.null is None) == (b.null is None)
+    if a.null is not None:
+        assert np.array_equal(a.null, b.null)
 
 
 def table_cells(table, r):

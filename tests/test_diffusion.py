@@ -41,7 +41,7 @@ from sepdiff.generator import ReducedAssembly
 from sepdiff.sobolev import _replay
 
 import _oracle
-from conftest import (ASYM1D, MZ1D, NN1D, NN2D, check_symmetry_route,
+from conftest import (ASYM1D, MZ1D, NN1D, NN2D, RECT2D, check_symmetry_route,
                       nn_kernel)
 
 
@@ -589,6 +589,23 @@ def test_one_orbit_table_assembly_and_operator_per_class(d, N, K):
     assert_mapped_rows_are_the_source_row(rep)
 
 
+def test_characters_of_one_stabilizer_share_an_assembly():
+    # RECT2D's e1 and e2 share a stabilizer, so both are solved: one orbit
+    # table and one assembly build both operators, e2's last, into the
+    # assembly's moves
+    sp = StateSpace(TorusGeometry(2, 2), 4)
+    kernel = build_kernel(2, RECT2D)
+    with mock.patch("sepdiff.diffusion.ReducedAssembly",
+                    wraps=ReducedAssembly) as assemble, \
+            mock.patch.object(ReducedAssembly, "operator", autospec=True,
+                              side_effect=ReducedAssembly.operator) as build:
+        rep = compute_D_matrix(sp, kernel, tol=1e-12)
+    assert assemble.call_count == 1
+    assert [c.kwargs["last"] for c in build.call_args_list] == [False, True]
+    assert [r.rows for r in rep.directions] == [109, 109]
+    check_symmetry_route(sp, kernel, rep, 2)
+
+
 @pytest.mark.parametrize("plant,entries", [
     ("wrong s", NN2D), ("wrong g", NN2D),
     ("wrong s", SWAP2D), ("wrong g", SWAP2D)],
@@ -641,13 +658,15 @@ def test_indefinite_matrix_raises(nn2d, monkeypatch):
 
 
 #: tracemalloc peak of compute_D_matrix on 2d NN N=3 K=5, bytes per state:
-#: 144 measured (numpy 2.4, scipy 1.17), 164 → 144 once the reduced
+#: 125 measured (numpy 2.4, scipy 1.17), 144 → 125 once the last reduced
+#: operator took its assembly's target orbits as its columns and the orbit
+#: pass kept int32 minima, 164 → 144 once the reduced
 #: operator was built straight to CSR from 6 bytes per move, 199 → 164
 #: once the reduced assembly kept no float weight per move, 212 while a
 #: mapped direction built its own reduced operator, 340 before the exact
 #: route kept its drift, mapped direction and inner products on the
 #: representatives; the bound leaves 40% for other numpy and scipy versions
-MAX_BYTES_PER_STATE = 202
+MAX_BYTES_PER_STATE = 175
 
 
 def test_reduced_route_memory_per_state(nn2d):

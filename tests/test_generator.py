@@ -20,10 +20,11 @@ from sepdiff import (
     symmetric_part,
     symmetrize,
 )
+from sepdiff.diffusion import _stabilizer, _symmetries, torus_space
 from sepdiff.generator import ReducedAssembly, assemble_environment
 
 import _oracle
-from conftest import ASYM1D, MZ1D, NN1D, NN2D
+from conftest import ASYM1D, MZ1D, NN1D, NN2D, RECT2D, assert_same_operator
 
 
 def space_1d(N, K):
@@ -195,7 +196,7 @@ def _random_graph(n, edges, seed):
     return SparseOperator(n, off)
 
 
-@pytest.mark.parametrize("make", [
+GRAPHS = [
     lambda: full_generator(space_1d(3, 3), build_kernel(1, NN1D)),
     lambda: full_generator(space_1d(4, 3), build_kernel(1, ASYM1D)),
     lambda: full_generator(StateSpace(TorusGeometry(2, 2), 3),
@@ -209,11 +210,12 @@ def _random_graph(n, edges, seed):
                     np.eye(4, k=1), np.array([[0.0, 2.0], [2.0, 0.0]])),
     lambda: _random_graph(300, 200, 0),
     lambda: _random_graph(300, 400, 1),
-])
-def test_component_count_matches_csgraph(make):
+]
+
+
+def _check_component_count(op):
     from scipy.sparse.csgraph import connected_components
 
-    op = make()
     want = connected_components(op.offdiag, directed=False)[0]
     if want == 1:
         check_ergodicity(op)
@@ -221,6 +223,37 @@ def test_component_count_matches_csgraph(make):
     with pytest.raises(NotConnectedError) as err:
         check_ergodicity(op)
     assert err.value.n_components == want
+
+
+@pytest.mark.parametrize("make", GRAPHS)
+def test_component_count_matches_csgraph(make):
+    _check_component_count(make())
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("make", GRAPHS)
+def test_component_count_in_row_chunks(make, rows, monkeypatch):
+    # the edges read a few rows at a time, so hooks of one chunk are seen
+    # by the next within a round: the count is csgraph's all the same
+    monkeypatch.setattr(sepdiff.generator, "COMPONENT_ROWS", rows)
+    _check_component_count(make())
+
+
+def test_component_count_traces_no_edge_array():
+    # diag-1d's N=9 rung: the symmetrized environment generator
+    import tracemalloc
+
+    kernel = build_kernel(1, MZ1D)
+    op = assemble_environment(torus_space(kernel, 9, alpha=0.4),
+                              symmetrize(kernel))
+    assert (op.size, op.offdiag.nnz) == (12_376, 192_192)
+    tracemalloc.start()
+    try:
+        check_ergodicity(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * op.offdiag.nnz
 
 
 def test_sparse_operator_invariants(nn1d):
@@ -237,6 +270,23 @@ def test_sparse_operator_invariants(nn1d):
     with pytest.raises(ValueError):
         SparseOperator(2, scipy.sparse.csr_matrix(np.array([[1.0, 1.0],
                                                             [1.0, 0.0]])))
+
+
+def test_sparse_operator_leaves_the_callers_matrix():
+    # rows with unsorted columns and a duplicate: the operator sums and
+    # sorts its own copy
+    data, indices, indptr = (np.array([1.0, 2.0, 0.5, 3.0]),
+                             np.array([2, 1, 2, 0], dtype=np.int32),
+                             np.array([0, 3, 4, 4], dtype=np.int32))
+    m = scipy.sparse.csr_matrix((data, indices, indptr), shape=(3, 3))
+    kept = [a.copy() for a in (m.data, m.indices, m.indptr)]
+    op = SparseOperator(3, m)
+    assert np.array_equal(op.offdiag.toarray(),
+                          [[0.0, 2.0, 1.5], [3.0, 0.0, 0.0], [0.0] * 3])
+    for a, b in zip((m.data, m.indices, m.indptr), kept):
+        assert np.array_equal(a, b)
+    assert not np.shares_memory(op.offdiag.data, m.data)
+    assert not m.has_sorted_indices
 
 
 def test_matvec_matches_dense(meanzero1d):
@@ -287,3 +337,64 @@ def test_assembly_size_cap(nn1d, monkeypatch):
     assert assemble_environment(space_1d(3, 3), nn1d).offdiag.nnz == 24
     with pytest.raises(SizeCapError, match="36 nonzeros"):
         full_generator(space_1d(3, 3), nn1d)
+
+
+def _two_characters(d):
+    """(space, kernel, group elements, characters) of a stabilizer with
+    two characters: the point reflection's even and odd on a symmetrized
+    1d mean-zero kernel (126 states), and e1's and e2's on RECT2D (455)."""
+    if d == 1:
+        sp, kernel = space_1d(5, 5), symmetrize(build_kernel(1, MZ1D))
+        eye = np.eye(1, dtype=np.int64)
+        return sp, kernel, [eye, -eye], [[1, 1], [1, -1]]
+    sp, kernel = StateSpace(TorusGeometry(2, 2), 4), build_kernel(2, RECT2D)
+    group = _symmetries(kernel)
+    (keep, chi1), (keep2, chi2) = (_stabilizer(group, e) for e in np.eye(2))
+    assert keep == keep2 and len(keep) == 4
+    assert chi1.tolist() == [1, 1, -1, -1] and chi2.tolist() == [1, -1, 1, -1]
+    return sp, kernel, [group[h] for h in keep], [chi1, chi2]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_assembly_builds_its_characters_in_turn(d):
+    # the last build takes the assembly's target orbits as its columns,
+    # after the first has read them: both equal single builds bit for bit
+    sp, kernel, elements, chis = _two_characters(d)
+    orbits = sp.orbits(elements)
+    fresh = [ReducedAssembly(sp, kernel, orbits).operator(chi)
+             for chi in chis]
+    asm = ReducedAssembly(sp, kernel, orbits)
+    target = asm._target
+    built = list(asm.operators(chis))
+    for a, b in zip(built, fresh):
+        assert_same_operator(a, b)
+    assert np.shares_memory(built[-1].offdiag.indices, target)
+    assert not np.shares_memory(built[0].offdiag.indices, target)
+    with pytest.raises(RuntimeError, match="handed its moves"):
+        asm.operator(chis[0])
+    with pytest.raises(RuntimeError, match="handed its moves"):
+        next(asm.operators(chis))
+
+
+def test_last_build_traces_no_second_column_array(monkeypatch):
+    # 2d NN N=3 K=5, e1's stabilizer: the builds trace the same but for
+    # the column array, which the last one does not allocate; small
+    # gather chunks keep the per-chunk scratch out of the peak
+    import tracemalloc
+
+    monkeypatch.setattr(sepdiff.generator, "GATHER_CHUNK", 1 << 10)
+    sp, kernel = StateSpace(TorusGeometry(2, 3), 5), build_kernel(2, NN2D)
+    group = _symmetries(kernel)
+    keep, chi = _stabilizer(group, np.eye(2)[0])
+    asm = ReducedAssembly(sp, kernel, sp.orbits([group[h] for h in keep]))
+    peaks = []
+    for last in (False, True):
+        tracemalloc.start()
+        try:
+            op = asm.operator(chi, last=last)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    columns = op.offdiag.indices.nbytes
+    assert columns > 900_000
+    assert peaks[0] - peaks[1] >= columns - 50_000

@@ -26,6 +26,7 @@ from sepdiff import (
     solve_general,
     spectral_gap,
     symmetric_part,
+    symmetrize,
     verify_prop1,
     approximation_residual,
 )
@@ -36,7 +37,7 @@ from sepdiff.generator import ReducedAssembly
 from sepdiff.sobolev import _reflection_halves
 
 import _oracle
-from conftest import ASYM1D, MZ1D, NN1D, NN2D
+from conftest import ASYM1D, MZ1D, NN1D, NN2D, assert_same_operator
 
 #: 2d kernel with a drift: unequal +-e1 and +-e2 weights
 ASYM2D = [((1, 0), 0.4), ((-1, 0), 0.1), ((0, 1), 0.3), ((0, -1), 0.2)]
@@ -432,6 +433,20 @@ def test_sector_constant_odd_half_matches_oracle(d, entries, N, K):
     _, Q = _oracle.dense_generator(N, d, K, entries)
     assert sector_constant(op, method="iterative") == pytest.approx(
         _oracle.sector_value(Q), rel=1e-10)
+
+
+def test_reflection_halves_equal_single_builds():
+    # one assembly builds the even half, then the odd one into its moves;
+    # each equals a build of its own, duplicates summed, bit for bit
+    sp = StateSpace(TorusGeometry(1, 5), 5)
+    kernel = build_kernel(1, MZ1D)
+    halves = _reflection_halves(full_generator(sp, kernel))
+    eye = np.eye(1, dtype=np.int64)
+    for half, chi in zip(halves, ([1, 1], [1, -1])):
+        single = ReducedAssembly(sp, symmetrize(kernel),
+                                 sp.orbits([eye, -eye])).operator(chi)
+        single.offdiag.sum_duplicates()
+        assert_same_operator(half, single)
 
 
 def test_iterative_sector_constant_needs_full_generator():
